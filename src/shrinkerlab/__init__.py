@@ -31,7 +31,7 @@ from .fields import (
     translation,
     vector_field,
 )
-from .grid import RadialProfile, inner_product, radial_profile
+from .grid import RadialProfile, radial_profile
 from .operators import (
     IdentityReport,
     OperatorHandle,

@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +20,14 @@ from .fields import (
     bump_vector,
     dilation,
     euclidean_rotation,
+    killing_fields,
     perturbed_rotation,
     radial_bump,
     scalar_field,
     translation,
     vector_field,
 )
-from .grid import GridError, RadialProfile, build_grid
+from .grid import MIN_RESOLUTION, MIN_TRUNCATION, Grid, GridError, RadialProfile, build_grid
 from .models import CYLINDER, GAUSSIAN, ModelError, check_soliton_identities, make_model, random_points
 from .operators import OperatorKind, identity_residuals
 from .propagation import (
@@ -74,28 +74,60 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse_float_list(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _parse_words(text: str) -> tuple:
+    return tuple(text.replace(",", " ").split())
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _option(default, section: str, key: str, parse, flag: str | None = None, **arg_kw):
+    """A run option: RunConfig default, INI [section] key (also its report key),
+    value parser, and the CLI flag with extra argparse keywords (None: INI only)."""
+    meta = {"section": section, "key": key, "parse": parse, "flag": flag, "arg_kw": arg_kw}
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    command: str = "verify"
-    model_kind: str = GAUSSIAN
-    n: int = 2
-    k: int | None = None
-    resolution: int = 64
-    truncation_radius: float = 8.0
-    stencil_order: int = 2
-    seed: int = 0
-    output_dir: Path = Path("runs")
-    jobs: int = 1
+    """Every run option, declared once; the parser, INI reader and to_dict follow."""
+
+    # the CLI sets the command positionally (see build_arg_parser)
+    command: str = _option("verify", "run", "command", str)
+    model_kind: str = _option(GAUSSIAN, "model", "kind", str.lower, "--model",
+                              choices=[GAUSSIAN, CYLINDER])
+    n: int = _option(2, "model", "n", int, "--dim", help="total dimension n")
+    k: int | None = _option(None, "model", "k", int, "--k", help="sphere dimension (cylinder)")
+    resolution: int = _option(64, "grid", "resolution", int, "--resolution")
+    truncation_radius: float = _option(8.0, "grid", "truncation_radius", float,
+                                       "--truncation-radius")
+    stencil_order: int = _option(2, "grid", "stencil_order", int, "--stencil-order",
+                                 choices=[2, 4])
+    seed: int = _option(0, "run", "seed", int, "--seed")
+    output_dir: Path = _option(Path("runs"), "run", "output", Path, "--output")
     # verify
-    suite: tuple = ("all",)
+    suite: tuple = _option(("all",), "verify", "suite", _parse_words, "--suite",
+                           help="comma list of verify suites, or 'all'")
     # spectrum
-    eigs: int = 4
-    tolerance: float = 1e-9
-    dump_fields: bool = False
+    eigs: int = _option(4, "spectrum", "eigs", int, "--eigs", help="eigenpair count (spectrum)")
+    tolerance: float = _option(1e-9, "spectrum", "tolerance", float, "--tolerance",
+                               help="eigensolver tolerance")
+    dump_fields: bool = _option(False, "spectrum", "dump_fields", _parse_bool, "--dump-fields",
+                                action="store_true", help="dump eigenfields as CSV")
     # propagate
-    r_values: tuple = (5.0,)
-    epsilons: tuple = (1e-3,)
-    profile_points: int = 10
+    r_values: tuple = _option((5.0,), "propagate", "r", _parse_float_list, "--r",
+                              help="comma list of cutoff scales (propagate)")
+    epsilons: tuple = _option((1e-3,), "propagate", "epsilon", _parse_float_list, "--epsilon",
+                              help="comma list of perturbation sizes (propagate)")
+    profile_points: int = _option(10, "propagate", "profile_points", int)
 
     def validate(self) -> None:
         if self.command not in ("verify", "spectrum", "propagate"):
@@ -104,12 +136,12 @@ class RunConfig:
             make_model(self.model_kind, self.n, self.k)
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.resolution < 16:
-            raise ConfigError("resolution below minimum (16)")
+        if self.resolution < MIN_RESOLUTION:
+            raise ConfigError(f"resolution below minimum ({MIN_RESOLUTION})")
         if self.stencil_order not in (2, 4):
             raise ConfigError("stencil_order must be 2 or 4")
-        if self.truncation_radius < 4.0:
-            raise ConfigError("truncation_radius must be >= 4")
+        if self.truncation_radius < MIN_TRUNCATION:
+            raise ConfigError(f"truncation_radius must be >= {MIN_TRUNCATION:g}")
         if self.command == "verify":
             bad = [s for s in self.suite if s != "all" and s not in VERIFY_SUITES]
             if bad:
@@ -125,41 +157,19 @@ class RunConfig:
             for eps in self.epsilons:
                 if eps < 0:
                     raise ConfigError("epsilon must be nonnegative")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "model": {"kind": self.model_kind, "n": self.n, "k": self.k},
-            "resolution": self.resolution,
-            "truncation_radius": self.truncation_radius,
-            "stencil_order": self.stencil_order,
-            "seed": self.seed,
-            "output": str(self.output_dir),
-            "jobs": self.jobs,
-            "suite": list(self.suite),
-            "eigs": self.eigs,
-            "tolerance": self.tolerance,
-            "dump_fields": self.dump_fields,
-            "r": list(self.r_values),
-            "epsilon": list(self.epsilons),
-            "profile_points": self.profile_points,
-        }
-
-
-_CONFIG_SCHEMA = {
-    "run": {"command", "seed", "output", "jobs"},
-    "model": {"kind", "n", "k"},
-    "grid": {"resolution", "truncation_radius", "stencil_order"},
-    "verify": {"suite"},
-    "spectrum": {"eigs", "tolerance", "dump_fields"},
-    "propagate": {"r", "epsilon", "profile_points"},
-}
-
-
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, Path):
+                value = str(value)
+            # the [model] keys nest under "model", all others are top-level
+            target = out.setdefault("model", {}) if f.metadata["section"] == "model" else out
+            target[f.metadata["key"]] = value
+        return out
 
 
 def load_config_file(path: Path) -> RunConfig:
@@ -167,44 +177,20 @@ def load_config_file(path: Path) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    options = {(f.metadata["section"], f.metadata["key"]): f for f in fields(RunConfig)}
+    sections = {section for section, _ in options}
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _CONFIG_SCHEMA[section]:
+        for key, text in parser[section].items():
+            f = options.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    get = parser.get
-    if parser.has_section("run"):
-        cfg.command = get("run", "command", fallback=cfg.command)
-        cfg.seed = parser.getint("run", "seed", fallback=cfg.seed)
-        cfg.output_dir = Path(get("run", "output", fallback=str(cfg.output_dir)))
-        cfg.jobs = parser.getint("run", "jobs", fallback=cfg.jobs)
-    if parser.has_section("model"):
-        cfg.model_kind = get("model", "kind", fallback=cfg.model_kind).lower()
-        cfg.n = parser.getint("model", "n", fallback=cfg.n)
-        if parser.has_option("model", "k"):
-            cfg.k = parser.getint("model", "k")
-    if parser.has_section("grid"):
-        cfg.resolution = parser.getint("grid", "resolution", fallback=cfg.resolution)
-        cfg.truncation_radius = parser.getfloat(
-            "grid", "truncation_radius", fallback=cfg.truncation_radius
-        )
-        cfg.stencil_order = parser.getint("grid", "stencil_order", fallback=cfg.stencil_order)
-    if parser.has_section("verify"):
-        cfg.suite = tuple(get("verify", "suite", fallback="all").replace(",", " ").split())
-    if parser.has_section("spectrum"):
-        cfg.eigs = parser.getint("spectrum", "eigs", fallback=cfg.eigs)
-        cfg.tolerance = parser.getfloat("spectrum", "tolerance", fallback=cfg.tolerance)
-        cfg.dump_fields = parser.getboolean("spectrum", "dump_fields", fallback=cfg.dump_fields)
-    if parser.has_section("propagate"):
-        if parser.has_option("propagate", "r"):
-            cfg.r_values = _parse_float_list(get("propagate", "r"))
-        if parser.has_option("propagate", "epsilon"):
-            cfg.epsilons = _parse_float_list(get("propagate", "epsilon"))
-        cfg.profile_points = parser.getint(
-            "propagate", "profile_points", fallback=cfg.profile_points
-        )
+            try:
+                setattr(cfg, f.name, f.metadata["parse"](text))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r} in section [{section}]: {exc}") from exc
     return cfg
 
 
@@ -216,73 +202,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=["verify", "spectrum", "propagate", "compare"])
     ap.add_argument("reports", nargs="*", help="two report.json paths (compare only)")
     ap.add_argument("--config", type=Path, help="INI config file; flags override it")
-    ap.add_argument("--model", choices=[GAUSSIAN, CYLINDER])
-    ap.add_argument("--dim", type=int, help="total dimension n")
-    ap.add_argument("--k", type=int, help="sphere dimension (cylinder)")
-    ap.add_argument("--resolution", type=int)
-    ap.add_argument("--truncation-radius", type=float)
-    ap.add_argument("--stencil-order", type=int, choices=[2, 4])
-    ap.add_argument("--suite", help="comma list of verify suites, or 'all'")
-    ap.add_argument("--eigs", type=int, help="eigenpair count (spectrum)")
-    ap.add_argument("--tolerance", type=float, help="eigensolver tolerance")
-    ap.add_argument("--dump-fields", action="store_true", help="dump eigenfields as CSV")
-    ap.add_argument("--r", help="comma list of cutoff scales (propagate)")
-    ap.add_argument("--epsilon", help="comma list of perturbation sizes (propagate)")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--output", type=Path)
-    ap.add_argument("--jobs", type=int, help="parallel workers for sweep points")
+    for f in fields(RunConfig):
+        meta = f.metadata
+        if meta["flag"] is None:
+            continue
+        kw = dict(meta["arg_kw"])
+        if "action" not in kw:
+            kw["type"] = meta["parse"]
+        # None marks a flag that was not given, so the INI value stays
+        ap.add_argument(meta["flag"], dest=f.name, default=None, **kw)
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    cfg.command = args.command
-    if args.model is not None:
-        cfg.model_kind = args.model
-    if args.dim is not None:
-        cfg.n = args.dim
-    if args.k is not None:
-        cfg.k = args.k
-    if args.resolution is not None:
-        cfg.resolution = args.resolution
-    if args.truncation_radius is not None:
-        cfg.truncation_radius = args.truncation_radius
-    if args.stencil_order is not None:
-        cfg.stencil_order = args.stencil_order
-    if args.suite is not None:
-        cfg.suite = tuple(args.suite.replace(",", " ").split())
-    if args.eigs is not None:
-        cfg.eigs = args.eigs
-    if args.tolerance is not None:
-        cfg.tolerance = args.tolerance
-    if args.dump_fields:
-        cfg.dump_fields = True
-    if args.r is not None:
-        cfg.r_values = _parse_float_list(args.r)
-    if args.epsilon is not None:
-        cfg.epsilons = _parse_float_list(args.epsilon)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.output is not None:
-        cfg.output_dir = args.output
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(cfg, f.name, value)
     return cfg
 
 
 # ---- verify ----------------------------------------------------------------
-
-
-def _killing_catalog(grid):
-    model = grid.model
-    fields = {}
-    for axis in range(model.n_euclidean):
-        fields[f"translation_{axis}"] = translation(grid, axis)
-    if model.kind == GAUSSIAN and model.n >= 2:
-        fields["rotation_01"] = euclidean_rotation(grid, 0, 1)
-    if model.kind == CYLINDER:
-        from .fields import angular_rotation
-
-        fields["polar_rotation"] = angular_rotation(grid)
-    return fields
 
 
 def run_verify(cfg: RunConfig) -> list[dict]:
@@ -361,14 +302,14 @@ def run_verify(cfg: RunConfig) -> list[dict]:
 
     if "kernel" in suites:
         resids = {}
-        for name, Y in _killing_catalog(grid).items():
+        for name, Y in killing_fields(grid).items():
             resids[name] = ops.p_apply(Y).norm() / Y.norm()
         record("kernel_of_P", max(resids.values()) <= stencil_tol, resids)
 
     if "dichotomy" in suites:
         verdicts = {}
         ok = True
-        for name, Y in _killing_catalog(grid).items():
+        for name, Y in killing_fields(grid).items():
             v = classify_killing(Y)
             verdicts[name] = v.verdict
             ok &= v.consistent
@@ -383,7 +324,7 @@ def run_verify(cfg: RunConfig) -> list[dict]:
 
     if "harmonicity" in suites:
         resids = {}
-        for name, Y in _killing_catalog(grid).items():
+        for name, Y in killing_fields(grid).items():
             resids[name] = harmonicity_check(Y).residual
         record("divergence_harmonicity", max(resids.values()) <= stencil_tol, resids)
 
@@ -401,7 +342,7 @@ def run_verify(cfg: RunConfig) -> list[dict]:
     if "interp" in suites:
         results = {}
         ok = True
-        for name, Y in list(_killing_catalog(grid).items()) + [
+        for name, Y in list(killing_fields(grid).items()) + [
             ("bump", bump_vector(grid, 0, 0.45 * cfg.truncation_radius, 0.7 * cfg.truncation_radius)),
             ("dilation", dilation(grid)),
         ]:
@@ -487,10 +428,8 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> list[dict]:
 # ---- propagate --------------------------------------------------------------
 
 
-def _propagate_point(cfg_dict: dict, r: float, eps: float) -> dict:
-    cfg = RunConfig(**cfg_dict)
-    model = make_model(cfg.model_kind, cfg.n, cfg.k)
-    grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
+def _propagate_point(cfg: RunConfig, grid: Grid, r: float, eps: float) -> dict:
+    model = grid.model
     if model.kind == GAUSSIAN and model.n >= 2:
         Y = perturbed_rotation(grid, eps)
         reference = euclidean_rotation(grid)
@@ -574,26 +513,12 @@ def _propagate_point(cfg_dict: dict, r: float, eps: float) -> dict:
 
 
 def run_propagate(cfg: RunConfig, out_dir: Path) -> list[dict]:
-    sweep = [(r, eps) for r in cfg.r_values for eps in cfg.epsilons]
-    cfg_kwargs = dict(
-        command=cfg.command,
-        model_kind=cfg.model_kind,
-        n=cfg.n,
-        k=cfg.k,
-        resolution=cfg.resolution,
-        truncation_radius=cfg.truncation_radius,
-        stencil_order=cfg.stencil_order,
-        seed=cfg.seed,
-        tolerance=cfg.tolerance,
-        profile_points=cfg.profile_points,
-    )
-    if cfg.jobs > 1 and len(sweep) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_propagate_point, cfg_kwargs, r, e) for r, e in sweep]
-            points = [f.result() for f in futures]
-    else:
-        points = [_propagate_point(cfg_kwargs, r, e) for r, e in sweep]
-
+    # one grid, and so one operator suite, serves every sweep point
+    model = make_model(cfg.model_kind, cfg.n, cfg.k)
+    grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
+    points = [
+        _propagate_point(cfg, grid, r, eps) for r in cfg.r_values for eps in cfg.epsilons
+    ]
     checks = []
     for point in points:
         tag = f"r{point['r']:g}_eps{point['epsilon']:g}"

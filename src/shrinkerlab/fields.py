@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .models import CYLINDER, pair_multiplicity, sym_pairs
+from .models import CYLINDER, GAUSSIAN, pair_multiplicity, sym_pairs
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -126,9 +126,6 @@ class Field:
             return Field(self.grid, self.rank, self.values * s)
         return Field(self.grid, self.rank, self.values * s[:, None])
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.values) <= tol))
-
 
 def zero_field(grid: Grid, rank: str) -> Field:
     ncomp = components_for(rank, grid.n)
@@ -144,10 +141,6 @@ def scalar_field(grid: Grid, fn) -> Field:
 def vector_field(grid: Grid, fn) -> Field:
     """Sample fn(coords) -> (N, n) contravariant components."""
     return Field(grid, VECTOR, np.asarray(fn(grid.coords), dtype=float))
-
-
-def sym2_field(grid: Grid, fn) -> Field:
-    return Field(grid, SYM2, np.asarray(fn(grid.coords), dtype=float))
 
 
 def constant_scalar(grid: Grid, value: float = 1.0) -> Field:
@@ -181,6 +174,17 @@ def angular_rotation(grid: Grid) -> Field:
     vals = np.zeros((grid.n_nodes, grid.n))
     vals[:, grid.n - 1] = 1.0
     return Field(grid, VECTOR, vals)
+
+
+def killing_fields(grid: Grid) -> dict[str, Field]:
+    """The model's closed-form Killing fields by name: translations, then the rotation."""
+    model = grid.model
+    out = {f"translation_{axis}": translation(grid, axis) for axis in range(model.n_euclidean)}
+    if model.kind == GAUSSIAN and model.n >= 2:
+        out["rotation_01"] = euclidean_rotation(grid, 0, 1)
+    if model.kind == CYLINDER:
+        out["polar_rotation"] = angular_rotation(grid)
+    return out
 
 
 def dilation(grid: Grid) -> Field:

@@ -285,19 +285,6 @@ def build_grid(
     return grid, measure
 
 
-def inner_product(a, b, measure: WeightedMeasure) -> float:
-    """Weighted L2 pairing; pointwise contraction uses the model metric."""
-    from .fields import Field
-
-    if not isinstance(a, Field) or not isinstance(b, Field):
-        raise GridError("inner_product expects Field operands")
-    if a.grid is not b.grid:
-        raise GridError("fields live on different grids")
-    if a.rank != b.rank:
-        raise GridError(f"rank mismatch: {a.rank} vs {b.rank}")
-    return float(np.sum(measure.node_weights * a.contract(b)))
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """The weighted spherical average I_w sampled on a ladder of b-radii."""

@@ -372,15 +372,6 @@ class Operators:
         adj = self._adjoint(self._cov_sym2, self._gram_cov_sym2, self.gram_sym2)
         return (-(adj @ self._cov_sym2)).tocsr()
 
-    def drift_laplacian(self, rank: str) -> sp.csr_matrix:
-        if rank == SCALAR:
-            return self.lap_scalar
-        if rank == VECTOR:
-            return self.lap_vector
-        if rank == SYM2:
-            return self.lap_sym2
-        raise FieldError(f"no drift Laplacian for rank {rank!r}")
-
     @cached_property
     def hessian(self) -> sp.csr_matrix:
         """Scalar -> packed sym2 covariant Hessian."""
@@ -526,29 +517,6 @@ class Operators:
         if den <= 0:
             raise FieldError("Rayleigh quotient of the zero field")
         return num.inner(num) / den
-
-
-# ---- module-level functional wrappers over the grid-cached factory -------
-
-
-def div_f_star(Y: Field) -> Field:
-    return Y.grid.ops().div_star(Y)
-
-
-def div_f(field: Field) -> Field:
-    return field.grid.ops().div(field)
-
-
-def op_p(Y: Field) -> Field:
-    return Y.grid.ops().p_apply(Y)
-
-
-def op_l(h: Field) -> Field:
-    return h.grid.ops().l_apply(h)
-
-
-def drift_laplacian(field: Field) -> Field:
-    return field.grid.ops().lap(field)
 
 
 @dataclass(frozen=True)

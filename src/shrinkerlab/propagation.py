@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Field, smoothstep
+from .fields import Field, dilation, killing_fields, smoothstep
 from .grid import Grid, RadialProfile, radial_profile
 from .spectral import SpectralPair, lowest_eigenpairs
 from .operators import OperatorKind
@@ -40,18 +40,13 @@ class Cutoff:
         return self.transition_band[1] - self.transition_band[0]
 
 
-def _b_spacing(grid: Grid) -> float:
-    # only the Euclidean axes move b
-    return max(grid.axes[a].h for a in range(grid.model.n_euclidean))
-
-
 def build_cutoff(grid: Grid, r: float) -> Cutoff:
     """Build the radial cutoff; the transition band must span >= 4 cells."""
     if r < 4.0:
         raise PropagationError("cutoff scale r must be >= 4")
     if r > grid.truncation_radius:
         raise PropagationError("r exceeds truncation_radius")
-    h_b = _b_spacing(grid)
+    h_b = grid.b_spacing()
     inner, outer = r - 2.0 / r, r - 1.0 / r
     if inner < 2.0 * h_b:
         raise PropagationError("cutoff plateau too small for this grid")
@@ -124,24 +119,6 @@ def measure_defect(Y: Field, r: float) -> DefectReport:
     )
 
 
-def _kernel_guesses(grid: Grid, V: Field) -> list[Field]:
-    """Warm-start block for the eigensolver: sampled symmetry candidates plus V."""
-    from .fields import dilation, euclidean_rotation, translation
-
-    out = [V]
-    model = grid.model
-    for axis in range(model.n_euclidean):
-        out.append(translation(grid, axis))
-    if model.kind == "gaussian" and model.n >= 2:
-        out.append(euclidean_rotation(grid, 0, 1))
-    if model.kind == "cylinder":
-        from .fields import angular_rotation
-
-        out.append(angular_rotation(grid))
-    out.append(dilation(grid))
-    return out
-
-
 @dataclass
 class PropagationResult:
     """Outcome of one extension run, with fitted constants and shell profiles."""
@@ -200,7 +177,8 @@ def extend_symmetry(
         count,
         tolerance=tolerance,
         seed=seed,
-        guesses=_kernel_guesses(grid, V),
+        # warm start: V, the closed-form symmetries, and the dilation
+        guesses=[V, *killing_fields(grid).values(), dilation(grid)],
     )
     mus = [p.mu for p in pairs]
     block = [i for i, m in enumerate(mus) if m <= block_tol]

@@ -111,7 +111,10 @@ def lowest_eigenpairs(
         vals, vecs = sla.eigh(dense, subset_by_index=[0, count - 1])
     elif method == "sparse":
         try:
-            vals, vecs = spla.eigsh(A, k=count, sigma=SHIFT, which="LM", tol=tolerance)
+            vals, vecs = spla.eigsh(
+                A, k=count, sigma=SHIFT, which="LM", tol=tolerance,
+                v0=rng.standard_normal(size),
+            )
         except spla.ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             raise SolverError(

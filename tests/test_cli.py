@@ -1,8 +1,11 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from shrinkerlab import cli
 from shrinkerlab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -71,21 +74,26 @@ def test_spectrum_gaussian_1d(tmp_path):
     assert ortho["residuals"]["gram_error"] <= 1e-8
 
 
+RERUN_CASES = (
+    ("verify", "--model", "gaussian", "--dim", "2",
+     "--resolution", "24", "--truncation-radius", "6",
+     "--suite", "soliton,structure,identities,cao_zhou", "--seed", "11"),
+    # 6.4k unknowns: the shift-invert (ARPACK) path
+    ("spectrum", "--dim", "2", "--resolution", "64", "--truncation-radius", "8", "--eigs", "4"),
+)
+
+
 def test_reruns_identical_except_timestamp(tmp_path):
-    out = tmp_path / "run"
-    outs = []
-    for _ in range(2):
-        assert run_cli(
-            "verify", "--model", "gaussian", "--dim", "2",
-            "--resolution", "24", "--truncation-radius", "6",
-            "--suite", "soliton,structure,identities,cao_zhou",
-            "--seed", "11", "--output", str(out),
-        ) == EXIT_OK
-        outs.append((out / "report.json").read_text())
-    docs = [json.loads(t) for t in outs]
-    stamps = [d.pop("timestamp") for d in docs]
-    assert stamps[0] != stamps[1] or stamps[0]
-    assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+    for i, argv in enumerate(RERUN_CASES):
+        out = tmp_path / f"run{i}"
+        outs = []
+        for _ in range(2):
+            assert run_cli(*argv, "--output", str(out)) == EXIT_OK
+            outs.append((out / "report.json").read_text())
+        docs = [json.loads(t) for t in outs]
+        stamps = [d.pop("timestamp") for d in docs]
+        assert stamps[0] != stamps[1] or stamps[0]
+        assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
 
 
 def test_propagate_r_exceeding_truncation_is_config_error(tmp_path, capsys):
@@ -125,6 +133,122 @@ def test_config_file_with_flag_override(tmp_path):
     }
 
 
+# every INI key with a value that differs from its default
+INI_VALUES = {
+    "run": {"command": "spectrum", "seed": "3", "output": "set per test"},
+    "model": {"kind": "cylinder", "n": "3", "k": "2"},
+    "grid": {"resolution": "20", "truncation_radius": "5", "stencil_order": "4"},
+    "verify": {"suite": "soliton, structure"},
+    "spectrum": {"eigs": "3", "tolerance": "1e-7", "dump_fields": "yes"},
+    "propagate": {"r": "4.5", "epsilon": "0.01, 0.02", "profile_points": "7"},
+}
+
+
+def write_ini(path: Path, values: dict) -> Path:
+    path.write_text(
+        "".join(
+            f"[{section}]\n" + "".join(f"{key} = {val}\n" for key, val in keys.items())
+            for section, keys in values.items()
+        )
+    )
+    return path
+
+
+def test_config_round_trip_ini_and_flags(tmp_path):
+    # every INI key lands in the report; the positional command wins over [run]
+    out = tmp_path / "ini_run"
+    values = {**INI_VALUES, "run": {**INI_VALUES["run"], "output": str(out)}}
+    ini = write_ini(tmp_path / "all.cfg", values)
+    assert run_cli("verify", "--config", str(ini)) == EXIT_OK
+    assert read_report(out)["config"] == {
+        "command": "verify",
+        "model": {"kind": "cylinder", "n": 3, "k": 2},
+        "resolution": 20,
+        "truncation_radius": 5.0,
+        "stencil_order": 4,
+        "seed": 3,
+        "output": str(out),
+        "suite": ["soliton", "structure"],
+        "eigs": 3,
+        "tolerance": 1e-7,
+        "dump_fields": True,
+        "r": [4.5],
+        "epsilon": [0.01, 0.02],
+        "profile_points": 7,
+    }
+    # every flag lands in the report and overrides the INI value
+    values = {**values, "model": {"kind": "gaussian", "n": "1"},
+              "spectrum": {**INI_VALUES["spectrum"], "dump_fields": "no"}}
+    ini = write_ini(tmp_path / "flags.cfg", values)
+    out = tmp_path / "flag_run"
+    flags = {
+        "--model": "cylinder", "--dim": "3", "--k": "2",
+        "--resolution": "16", "--truncation-radius": "4.5", "--stencil-order": "2",
+        "--seed": "9", "--output": str(out), "--suite": "soliton",
+        "--eigs": "5", "--tolerance": "1e-8", "--r": "4,4.25", "--epsilon": "0.005",
+    }
+    argv = ["verify", "--config", str(ini), "--dump-fields"]
+    for flag, val in flags.items():
+        argv += [flag, val]
+    assert run_cli(*argv) == EXIT_OK
+    assert read_report(out)["config"] == {
+        "command": "verify",
+        "model": {"kind": "cylinder", "n": 3, "k": 2},
+        "resolution": 16,
+        "truncation_radius": 4.5,
+        "stencil_order": 2,
+        "seed": 9,
+        "output": str(out),
+        "suite": ["soliton"],
+        "eigs": 5,
+        "tolerance": 1e-8,
+        "dump_fields": True,
+        "r": [4.0, 4.25],
+        "epsilon": [0.005],
+        "profile_points": 7,
+    }
+    parser_flags = {
+        opt for action in cli.build_arg_parser()._actions for opt in action.option_strings
+    }
+    assert parser_flags == {"-h", "--help", "--config", "--dump-fields", *flags}
+
+
+def test_jobs_flag_and_key_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--jobs", "2", "--output", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("[run]\njobs = 2\n")
+    assert run_cli("verify", "--config", str(cfg), "--output", str(tmp_path / "o")) == EXIT_CONFIG
+    assert "'jobs'" in capsys.readouterr().err
+
+
+def test_bad_config_value_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[grid]\nresolution = many\n")
+    assert run_cli("verify", "--config", str(cfg), "--output", str(tmp_path / "o")) == EXIT_CONFIG
+    assert "resolution" in capsys.readouterr().err
+
+
+def _benchmark_module(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_setup_probe_accepts_workloads(tmp_path, monkeypatch):
+    # the benchmark times this exact expression on each workload's arguments
+    bench = _benchmark_module(monkeypatch)
+    for name, workload in bench.WORKLOADS.items():
+        argv = [*workload.args, "--seed", "0", "--output", str(tmp_path / name)]
+        monkeypatch.setattr(sys, "argv", ["-c", *argv])
+        exec(bench.SETUP_CODE, {})
+
+
 def test_load_config_validates_sections(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[banana]\nx = 1\n")
@@ -132,12 +256,12 @@ def test_load_config_validates_sections(tmp_path):
         load_config_file(cfg)
 
 
-def test_propagate_sweep_with_jobs(tmp_path):
+def test_propagate_sweep(tmp_path):
     out = tmp_path / "prop"
     code = run_cli(
         "propagate", "--model", "gaussian", "--dim", "2",
         "--resolution", "256", "--truncation-radius", "8",
-        "--r", "4", "--epsilon", "1e-3,1e-2", "--jobs", "2",
+        "--r", "4", "--epsilon", "1e-3,1e-2",
         "--seed", "5", "--output", str(out),
     )
     assert code == EXIT_OK

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shrinkerlab import build_grid
+from shrinkerlab import build_grid, make_model
 from shrinkerlab.fields import (
     Field,
     bump_vector,
@@ -206,6 +206,24 @@ def test_op_l_fixes_sphere_metric(cylinder32):
         errs.append(diff.norm_where(away) / h.norm_where(away))
     assert errs[1] <= errs[0] / 2.0
     assert errs[1] <= 0.2
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4, 2)], ids=["cylinder32", "cylinder42"])
+def test_riemann_block_matches_pointwise_action(shape, cyl_grid, rng):
+    # the pointwise model matrix is the oracle for the assembled block
+    if shape == (3, 2):
+        grid, _ = cyl_grid
+    else:
+        grid, _ = build_grid(make_model("cylinder", *shape), 16, 4.0)
+    block = grid.ops().riemann_block
+    N = grid.n_nodes
+    slots = np.arange(len(sym_pairs(grid.n))) * N
+    for node in rng.choice(N, size=200, replace=False):
+        idx = slots + node
+        local = block[idx][:, idx].toarray()
+        expected = grid.model.riemann_action_matrix(grid.coords[node])
+        np.testing.assert_allclose(local, expected, rtol=1e-14, atol=1e-14)
+    assert np.any(expected != 0.0)
 
 
 def test_op_l_zero(grid2_small):
