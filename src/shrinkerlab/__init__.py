@@ -42,11 +42,13 @@ from .operators import (
 from .spectral import (
     EigenfieldDecomposition,
     DivfEigenCheck,
+    NearKernelBlock,
     SolverError,
     SpectralPair,
     decompose_eigenfield,
     eigencheck_divf,
     lowest_eigenpairs,
+    near_kernel_block,
 )
 from .propagation import (
     Cutoff,

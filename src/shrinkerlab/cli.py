@@ -428,7 +428,10 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> list[dict]:
 # ---- propagate --------------------------------------------------------------
 
 
-def _propagate_point(cfg: RunConfig, grid: Grid, r: float, eps: float) -> dict:
+def _propagate_point(
+    cfg: RunConfig, grid: Grid, r: float, eps: float
+) -> tuple[dict, RadialProfile | None]:
+    """One sweep point: its report entry, and the defect profile for the CSVs."""
     model = grid.model
     if model.kind == GAUSSIAN and model.n >= 2:
         Y = perturbed_rotation(grid, eps)
@@ -471,6 +474,7 @@ def _propagate_point(cfg: RunConfig, grid: Grid, r: float, eps: float) -> dict:
         "cutoff_grad_bound": result.cutoff.grad_bound,
         "lambda_bar": lam,
         "variational_ok": result.mu <= result.div_star_v_norm_sq + 1e-10,
+        "block_solver": result.near_kernel.summary(),
     }
     # below the squared stencil-noise scale the defect tensor is pure
     # discretization noise; its unweighted shell profile is then not a
@@ -509,46 +513,65 @@ def _propagate_point(cfg: RunConfig, grid: Grid, r: float, eps: float) -> dict:
                     point["variational_ok"] and growth.passed and (fit.max_residual <= 0.5)
                 )
     point.setdefault("passed", bool(point["variational_ok"]))
-    return point
+    return point, result.defect_profile
 
 
 def run_propagate(cfg: RunConfig, out_dir: Path) -> list[dict]:
-    # one grid, and so one operator suite, serves every sweep point
+    # one grid, and so one operator suite and one near-kernel block, serves
+    # every sweep point
     model = make_model(cfg.model_kind, cfg.n, cfg.k)
     grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
-    points = [
-        _propagate_point(cfg, grid, r, eps) for r in cfg.r_values for eps in cfg.epsilons
-    ]
     checks = []
-    for point in points:
-        tag = f"r{point['r']:g}_eps{point['epsilon']:g}"
-        if "profile" in point:
-            prof = point["profile"]
-            lam = point["lambda_bar"]
-            profile = RadialProfile(
-                radii=np.asarray(prof["radii"]),
-                values=np.asarray(prof["values"]),
-                w_label="div_f_star(Z)",
-            )
-            reports.write_profile_csv(out_dir / f"profile_{tag}.csv", profile)
-            rows = [
-                (rr, vv, 2.0 * (rr / prof["radii"][0]) ** (5 * lam) * prof["values"][0])
-                for rr, vv in zip(prof["radii"], prof["values"])
-            ]
-            reports.write_plot_data(
-                out_dir / f"plot_{tag}.csv",
-                ["radius_b", "I_div_star_Z", "polynomial_bound"],
-                rows,
-            )
-        checks.append({"check_name": f"propagation_{tag}", **point})
+    for r in cfg.r_values:
+        for eps in cfg.epsilons:
+            point, profile = _propagate_point(cfg, grid, r, eps)
+            tag = f"r{r:g}_eps{eps:g}"
+            if profile is not None:
+                reports.write_profile_csv(out_dir / f"profile_{tag}.csv", profile)
+                radii, values = profile.radii, profile.values
+                lam = point["lambda_bar"]
+                rows = [
+                    (rr, vv, 2.0 * (rr / radii[0]) ** (5 * lam) * values[0])
+                    for rr, vv in zip(radii, values)
+                ]
+                reports.write_plot_data(
+                    out_dir / f"plot_{tag}.csv",
+                    ["radius_b", "I_div_star_Z", "polynomial_bound"],
+                    rows,
+                )
+            checks.append({"check_name": f"propagation_{tag}", **point})
     return checks
 
 
 # ---- compare ----------------------------------------------------------------
 
 
+# quantities that settle at a nonzero limit under refinement, not at zero
+SETTLING = ("fitted_exponent",)
+
+
+def _compared_quantities(check: dict) -> dict:
+    """The numbers of one check that `compare_runs` tabulates: its residuals
+    and, for a propagation point, the pipeline's accuracy figures."""
+    quantities = dict(check.get("residuals") or {})
+    if check["check_name"].startswith("propagation_"):
+        quantities.update(
+            mu=check.get("mu"),
+            eigen_residual=check.get("eigen_residual"),
+            fitted_exponent=check.get("fitted_exponent"),
+        )
+        cosine = check.get("cosine_with_reference")
+        if isinstance(cosine, (int, float)):
+            quantities["1-cosine_with_reference"] = 1.0 - cosine
+    return quantities
+
+
 def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
-    """Per-check error ratios and empirical convergence orders of two runs."""
+    """Per-check error ratios and empirical convergence orders of two runs.
+
+    A quantity in SETTLING gets a row with both values and no ratio, order
+    or verdict.
+    """
     if report_a.get("command") != report_b.get("command"):
         raise ConfigError("cannot compare reports from different commands")
     res_a = report_a.get("config", {}).get("resolution")
@@ -562,25 +585,34 @@ def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
         other = by_name.get(check["check_name"])
         if other is None:
             continue
-        for key, val in (check.get("residuals") or {}).items():
-            oval = (other.get("residuals") or {}).get(key)
+        quantities = _compared_quantities(other)
+        for key, val in _compared_quantities(check).items():
+            oval = quantities.get(key)
             if not isinstance(val, (int, float)) or not isinstance(oval, (int, float)):
                 continue
-            if val <= 0 or oval <= 0:
-                continue
-            ratio = val / oval if res_b > res_a else oval / val
-            order = float(np.log(ratio) / np.log(max(res_a, res_b) / min(res_a, res_b)))
-            table.append(
-                {
-                    "check_name": check["check_name"],
-                    "quantity": key,
-                    "coarse": min(res_a, res_b),
-                    "fine": max(res_a, res_b),
-                    "error_ratio": ratio,
-                    "empirical_order": order,
-                    "converging": bool(order >= order_expected - 0.5),
-                }
-            )
+            coarse, fine = (val, oval) if res_b > res_a else (oval, val)
+            row = {
+                "check_name": check["check_name"],
+                "quantity": key,
+                "coarse": min(res_a, res_b),
+                "fine": max(res_a, res_b),
+                "coarse_value": coarse,
+                "fine_value": fine,
+                "error_ratio": None,
+                "empirical_order": None,
+                "converging": None,
+            }
+            if key not in SETTLING:
+                if val <= 0 or oval <= 0:
+                    continue
+                ratio = coarse / fine
+                order = float(np.log(ratio) / np.log(max(res_a, res_b) / min(res_a, res_b)))
+                row.update(
+                    error_ratio=ratio,
+                    empirical_order=order,
+                    converging=bool(order >= order_expected - 0.5),
+                )
+            table.append(row)
     return table
 
 
@@ -623,9 +655,13 @@ def main(argv=None) -> int:
                 reports.load_report(Path(args.reports[1])),
             )
             for row in table:
+                name = f"{row['check_name']}/{row['quantity']}"
+                if row["error_ratio"] is None:
+                    print(f"{name}: coarse={row['coarse_value']:.6g} fine={row['fine_value']:.6g}")
+                    continue
                 flag = "" if row["converging"] else "  <-- below expected order"
                 print(
-                    f"{row['check_name']}/{row['quantity']}: ratio={row['error_ratio']:.3g} "
+                    f"{name}: ratio={row['error_ratio']:.3g} "
                     f"order={row['empirical_order']:.2f}{flag}"
                 )
             return EXIT_OK

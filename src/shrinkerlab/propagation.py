@@ -1,12 +1,12 @@
 """Approximate-symmetry extension: cutoff, defect, eigensolve, growth bounds.
 
 Pipeline: a vector field with small symmetry defect on {f < r^2/4} is cut off
-with a C^2 spline in b, renormalized, and fed to the eigensolver for P on the
-full truncated domain. The lowest near-degenerate eigen-block is returned,
-aligned with the input by weighted projection, so the discrete variational
-bound mu <= |div_f^* V|^2 / |V|^2 holds exactly. Outward control is then
-quantified by shell profiles of the returned defect tensor and fitted growth
-exponents.
+with a C^2 spline in b, renormalized, and projected by the weighted inner
+product onto the lowest near-degenerate eigen-block of P on the full
+truncated domain (`spectral.near_kernel_block`, solved once per grid), so
+the discrete variational bound mu <= |div_f^* V|^2 / |V|^2 holds exactly.
+Outward control is then quantified by shell profiles of the returned defect
+tensor and fitted growth exponents.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Field, dilation, killing_fields, smoothstep
+from .fields import Field, smoothstep
 from .grid import Grid, RadialProfile, radial_profile
-from .spectral import SpectralPair, lowest_eigenpairs
-from .operators import OperatorKind
+from .spectral import NearKernelBlock, SpectralPair, near_kernel_block
 
 
 class PropagationError(RuntimeError):
@@ -139,6 +138,7 @@ class PropagationResult:
     hypothesis_mu_bar_lt_1: bool
     block_mus: list
     cutoff: Cutoff
+    near_kernel: NearKernelBlock
 
 
 def extend_symmetry(
@@ -172,14 +172,10 @@ def extend_symmetry(
     dsv = ops.div_star(V)
     dsv_sq = dsv.inner(dsv)
 
-    pairs = lowest_eigenpairs(
-        ops.handle(OperatorKind.OP_P),
-        count,
-        tolerance=tolerance,
-        seed=seed,
-        # warm start: V, the closed-form symmetries, and the dilation
-        guesses=[V, *killing_fields(grid).values(), dilation(grid)],
+    near = near_kernel_block(
+        grid, count, tolerance=tolerance, block_tol=block_tol, seed=seed
     )
+    pairs = near.pairs
     mus = [p.mu for p in pairs]
     block = [i for i, m in enumerate(mus) if m <= block_tol]
     if not block:
@@ -253,6 +249,7 @@ def extend_symmetry(
         hypothesis_mu_bar_lt_1=dsv_sq < 1.0,
         block_mus=[mus[i] for i in block],
         cutoff=cutoff,
+        near_kernel=near,
     )
 
 

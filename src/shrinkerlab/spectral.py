@@ -7,11 +7,13 @@ cap (the oracle path), by shift-invert Lanczos up to the direct-factorization
 cap, and by warm-started preconditioned LOBPCG beyond that. Eigenfields come
 back unit-norm in the weighted inner product; pairs are deterministic up to
 sign (fixed here) and up to rotation inside numerically degenerate blocks.
+The near-kernel block of P, which the extension pipeline projects onto, is
+solved once per grid and checked by a guard run (`near_kernel_block`).
 """
 
 from __future__ import annotations
 
-import warnings
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -20,12 +22,20 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import Field, VECTOR
-from .operators import OperatorHandle
+from .fields import Field, VECTOR, killing_fields
+from .grid import Grid
+from .operators import OperatorHandle, OperatorKind
 
 DENSE_CAP = 5000
 DIRECT_CAP = 60_000
 SHIFT = -0.5
+LOBPCG_MAXITER = 700
+# the guard of `near_kernel_block` needs upper bounds on the next eigenvalues,
+# not tight pairs: a loose residual tolerance, and a cap above the 110-290
+# iterations it took from random starts on 2D Gaussian grids of 63k-412k
+# unknowns
+GUARD_TOL = 0.1
+GUARD_MAXITER = 400
 
 
 class SolverError(RuntimeError):
@@ -54,6 +64,22 @@ def _symmetric_form(handle: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray]:
     s = np.sqrt(gram)
     A = (sp.diags(1.0 / s) @ B @ sp.diags(1.0 / s)).tocsr()
     return A, s
+
+
+def _choose_method(method: str, size: int, dense_cap: int) -> str:
+    if method != "auto":
+        return method
+    if size <= dense_cap:
+        return "dense"
+    return "sparse" if size <= DIRECT_CAP else "lobpcg"
+
+
+def _jacobi(A: sp.csr_matrix) -> spla.LinearOperator:
+    """Shifted Jacobi preconditioner of the symmetric form."""
+    pre = 1.0 / (A.diagonal() + 0.25)
+    return spla.LinearOperator(
+        A.shape, matvec=lambda x: x * pre if x.ndim == 1 else x * pre[:, None]
+    )
 
 
 def _check_weighted_symmetry(handle: OperatorHandle, rng, probes: int = 3, tol: float = 1e-8):
@@ -98,13 +124,7 @@ def lowest_eigenpairs(
     if count >= size:
         raise ValueError("count must be smaller than the number of unknowns")
 
-    if method == "auto":
-        if size <= dense_cap:
-            method = "dense"
-        elif size <= DIRECT_CAP:
-            method = "sparse"
-        else:
-            method = "lobpcg"
+    method = _choose_method(method, size, dense_cap)
     if method == "dense":
         dense = A.toarray()
         dense = (dense + dense.T) * 0.5
@@ -129,17 +149,10 @@ def lowest_eigenpairs(
         while len(cols) < count:
             cols.append(rng.standard_normal(size))
         X, _ = np.linalg.qr(np.stack(cols[:count], axis=1))
-        diag = A.diagonal()
-        pre = 1.0 / (diag + 0.25)
-        M = spla.LinearOperator(
-            A.shape,
-            matvec=lambda x: x * pre if x.ndim == 1 else x * pre[:, None],
+        vals, vecs = spla.lobpcg(
+            A, X, M=_jacobi(A), largest=False, tol=max(tolerance, 1e-10),
+            maxiter=LOBPCG_MAXITER,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = spla.lobpcg(
-                A, X, M=M, largest=False, tol=max(tolerance, 1e-10), maxiter=700
-            )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         # the warm-started near-kernel block converges tightly; interior pairs
@@ -169,6 +182,118 @@ def lowest_eigenpairs(
         )
     pairs.sort(key=lambda p: p.mu)
     return pairs
+
+
+@dataclass(frozen=True)
+class NearKernelBlock:
+    """The lowest eigen-block of P on one grid, and the guard run that checked it.
+
+    `guard_mus` are Ritz values of P on the weighted-orthogonal complement of
+    the block, ascending, with the residual norms they reached.
+    """
+
+    pairs: list[SpectralPair]
+    method: str
+    unknowns: int
+    guard_mus: list[float]
+    guard_residuals: list[float]
+
+    @property
+    def worst_residual(self) -> float:
+        return max(p.residual for p in self.pairs)
+
+    def summary(self) -> dict:
+        """What the solve did, for reports; deterministic, so no timings.
+
+        The loose guard run's values differ with the BLAS thread count from
+        about the 11th digit on; six significant digits keep reports equal.
+        """
+        return {
+            "method": self.method,
+            "unknowns": self.unknowns,
+            "block_mus": [p.mu for p in self.pairs],
+            "worst_residual": self.worst_residual,
+            "guard_mus": [float(f"{v:.6g}") for v in self.guard_mus],
+            "guard_residuals": [float(f"{r:.6g}") for r in self.guard_residuals],
+        }
+
+
+def near_kernel_block(
+    grid: Grid,
+    count: int = 6,
+    tolerance: float = 1e-9,
+    block_tol: float = 1e-2,
+    method: str = "auto",
+    seed: int = 0,
+) -> NearKernelBlock:
+    """Lowest eigen-block of P on `grid`: one pair per closed-form Killing field.
+
+    P depends only on the grid, so the block is solved once per grid and
+    argument set and cached on the grid. The solve is `lowest_eigenpairs`,
+    warm-started with the Killing fields alone. A guard follows: LOBPCG with
+    `count - len(block)` seeded random vectors (at least one), held orthogonal
+    to the block, run to `GUARD_TOL` for at most `GUARD_MAXITER` iterations.
+    (A dilation start vector would converge to its 1/2 eigenvalue first;
+    LOBPCG's soft locking then retires the guard before the random vectors
+    reach the bottom of the complement's spectrum.)
+
+    Raises SolverError when a block residual ends above 10 * `tolerance`, or
+    when a guard Ritz value is at or below `block_tol`. The guard check is
+    one-sided: Ritz values are upper bounds on the eigenvalues of P on the
+    complement of the block, so a value at or below `block_tol` proves the
+    block incomplete. Values above it prove nothing: they speak for the
+    block only as far as the guard has converged (see `guard_residuals`).
+    """
+    key = ("near_kernel_block", count, tolerance, block_tol, method, seed)
+    return grid._cached(
+        key, lambda: _solve_near_kernel_block(grid, count, tolerance, block_tol, method, seed)
+    )
+
+
+def _solve_near_kernel_block(grid, count, tolerance, block_tol, method, seed) -> NearKernelBlock:
+    handle = grid.ops().handle(OperatorKind.OP_P)
+    starts = list(killing_fields(grid).values())
+    pairs = lowest_eigenpairs(
+        handle, len(starts), tolerance=tolerance, method=method, seed=seed, guesses=starts
+    )
+    worst = max(p.residual for p in pairs)
+    if worst > 10.0 * tolerance:
+        raise SolverError(
+            f"near-kernel block did not converge (worst residual {worst:.2e}, "
+            f"tolerance {tolerance:.1e})"
+        )
+
+    A, s = _symmetric_form(handle)
+    size = A.shape[0]
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((size, max(1, count - len(pairs))))
+    Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
+    vals, vecs = spla.lobpcg(
+        A, X, Y=Y, M=_jacobi(A), largest=False,
+        tol=GUARD_TOL, maxiter=GUARD_MAXITER,
+    )
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    resid = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
+    block = NearKernelBlock(
+        pairs=pairs,
+        method=_choose_method(method, size, DENSE_CAP),
+        unknowns=size,
+        guard_mus=[float(v) for v in vals],
+        guard_residuals=[float(r) for r in resid],
+    )
+    print(
+        f"near-kernel block: {block.method}, {size} unknowns, {len(pairs)} pairs, "
+        f"worst residual {worst:.2e}; guard Ritz values "
+        f"{', '.join(f'{v:.4g}' for v in block.guard_mus)} (residual <= {max(resid):.2e})",
+        file=sys.stderr,
+    )
+    if vals[0] <= block_tol:
+        raise SolverError(
+            f"near-kernel block incomplete: guard Ritz value {vals[0]:.3g} is at or "
+            f"below block_tol {block_tol:g}"
+        )
+    return block
 
 
 def group_degenerate(pairs: list[SpectralPair], tol: float = 1e-6) -> list[list[int]]:

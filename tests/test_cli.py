@@ -3,13 +3,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shrinkerlab import cli
+from shrinkerlab import cli, spectral
 from shrinkerlab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
+    RunConfig,
     compare_runs,
     load_config_file,
     main,
@@ -273,6 +275,62 @@ def test_propagate_sweep(tmp_path):
         assert p["mu"] <= p["div_star_v_norm_sq"] + 1e-10
     assert (out / "profile_r4_eps0.001.csv").exists()
     assert (out / "plot_r4_eps0.001.csv").exists()
+
+
+def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    solve = spectral.lowest_eigenpairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
+    cfg = RunConfig(command="propagate", n=1, resolution=512, truncation_radius=8.0,
+                    r_values=(4.0,), epsilons=(1e-3, 1e-2))
+    checks = cli.run_propagate(cfg, tmp_path)
+    assert len(checks) == 2
+    assert len(calls) == 1
+    assert capsys.readouterr().err.count("near-kernel block:") == 1
+    solvers = [c["block_solver"] for c in checks]
+    assert solvers[0] == solvers[1]
+    assert set(solvers[0]) == {"method", "unknowns", "block_mus", "worst_residual",
+                               "guard_mus", "guard_residuals"}
+    assert solvers[0]["method"] == "dense" and solvers[0]["unknowns"] == 512
+    assert len(solvers[0]["guard_mus"]) == 5  # count 6, one Killing field
+
+
+def _propagate_report(resolution, mu, cosine, eigen_residual, exponent):
+    point = {"check_name": "propagation_r4_eps0", "mu": mu,
+             "cosine_with_reference": cosine, "eigen_residual": eigen_residual,
+             "fitted_exponent": exponent, "passed": True}
+    return {"command": "propagate", "config": {"resolution": resolution, "stencil_order": 2},
+            "checks": [point]}
+
+
+def test_compare_propagate_quantities(tmp_path, capsys):
+    a = _propagate_report(128, 4e-4, 1.0 - 8e-4, 2e-4, -1.5)
+    b = _propagate_report(256, 1e-4, 1.0 - 2e-4, 1e-4, -1.25)
+    rows = {row["quantity"]: row for row in compare_runs(b, a)}
+    assert set(rows) == {"mu", "1-cosine_with_reference", "eigen_residual", "fitted_exponent"}
+    for key, ratio, converging in (("mu", 4.0, True), ("eigen_residual", 2.0, False),
+                                   ("1-cosine_with_reference", 4.0, True)):
+        assert rows[key]["coarse"] == 128 and rows[key]["fine"] == 256
+        assert rows[key]["error_ratio"] == pytest.approx(ratio)
+        assert rows[key]["empirical_order"] == pytest.approx(np.log2(ratio))
+        assert rows[key]["converging"] is converging
+    # an exponent settles at a limit: both values, no ratio, order or verdict
+    exp = rows["fitted_exponent"]
+    assert (exp["coarse_value"], exp["fine_value"]) == (-1.5, -1.25)
+    assert exp["error_ratio"] is None and exp["converging"] is None
+    paths = []
+    for name, doc in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert run_cli("compare", *map(str, paths)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "propagation_r4_eps0/mu: ratio=4 order=2.00\n" in out
+    assert "propagation_r4_eps0/fitted_exponent: coarse=-1.5 fine=-1.25\n" in out
 
 
 def test_compare_runs_ratio_table(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from shrinkerlab import build_grid
-from shrinkerlab.fields import dilation, euclidean_rotation
+from shrinkerlab import build_grid, spectral
+from shrinkerlab.fields import dilation, euclidean_rotation, killing_fields
 from shrinkerlab.operators import OperatorHandle, OperatorKind
 from shrinkerlab.spectral import (
     SolverError,
@@ -11,6 +12,7 @@ from shrinkerlab.spectral import (
     eigencheck_divf,
     group_degenerate,
     lowest_eigenpairs,
+    near_kernel_block,
 )
 
 
@@ -179,3 +181,80 @@ def test_gradient_norm_bounded_under_refinement(gaussian1):
         flat = ops._cov_vector @ pairs[1].field.flat()
         norms.append(float(np.sqrt(np.sum(ops._gram_cov_vector * flat * flat))))
     assert norms[1] <= 1.2 * norms[0]
+
+
+# ---- solver-path oracle and the per-grid near-kernel block -------------------
+
+
+@pytest.fixture(scope="module")
+def grid56(gaussian2):
+    # 2,472 nodes, 4,944 unknowns: just below DENSE_CAP, so every path runs
+    grid, _ = build_grid(gaussian2, 56, 6.0)
+    return grid
+
+
+def _largest_angle(grid, a, b) -> float:
+    """Largest principal angle between two pair spans, in the weighted inner product."""
+    s = np.sqrt(grid.ops().gram_vector)
+    span = [np.stack([p.field.flat() * s for p in pairs], axis=1) for pairs in (a, b)]
+    return float(np.max(sla.subspace_angles(*span)))
+
+
+def test_solver_paths_agree_with_dense_oracle(grid56):
+    handle = grid56.ops().handle(OperatorKind.OP_P)
+    assert handle.matrix.shape[0] == 4944
+    dense = lowest_eigenpairs(handle, 3, method="dense")
+    others = {
+        "sparse": lowest_eigenpairs(handle, 3, method="sparse"),
+        "lobpcg": lowest_eigenpairs(
+            handle, 3, method="lobpcg", guesses=list(killing_fields(grid56).values())
+        ),
+        "near_kernel_block": near_kernel_block(grid56, method="lobpcg").pairs,
+    }
+    for name, pairs in others.items():
+        for a, b in zip(dense, pairs):
+            assert abs(a.mu - b.mu) <= 1e-12, name
+        assert _largest_angle(grid56, dense, pairs) < 1e-6, name
+
+
+def test_near_kernel_block_cached_per_grid(gaussian2, grid56, capsys):
+    block = near_kernel_block(grid56, method="lobpcg")
+    capsys.readouterr()
+    assert near_kernel_block(grid56, method="lobpcg") is block
+    assert capsys.readouterr().err == ""
+    fresh_grid, _ = build_grid(gaussian2, 56, 6.0)
+    fresh = near_kernel_block(fresh_grid, method="lobpcg")
+    assert capsys.readouterr().err.count("near-kernel block:") == 1
+    assert fresh is not block
+    np.testing.assert_allclose([p.mu for p in fresh.pairs], [p.mu for p in block.pairs],
+                               rtol=0, atol=1e-12)
+    assert _largest_angle(grid56, block.pairs, fresh.pairs) < 1e-6
+    assert fresh.summary() == block.summary()
+    summary = block.summary()
+    assert summary["method"] == "lobpcg" and summary["unknowns"] == 4944
+    assert summary["worst_residual"] <= 1e-8
+    # count=6 and three Killing fields: three guard vectors, all above block_tol
+    assert len(summary["guard_mus"]) == len(summary["guard_residuals"]) == 3
+    assert min(summary["guard_mus"]) > 0.2
+
+
+def test_near_kernel_block_not_converged_raises(gaussian2, monkeypatch):
+    grid, _ = build_grid(gaussian2, 56, 6.0)
+    # 20 iterations leave the block residual near 5e-4: above 10 * tolerance
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 20)
+    with pytest.raises(SolverError, match="near-kernel block did not converge"):
+        near_kernel_block(grid, method="lobpcg")
+
+
+def test_near_kernel_guard_catches_block_tol_above_guard(grid56):
+    # the guard's Ritz values sit near 1/4: a block_tol of 1 claims them for the block
+    with pytest.raises(SolverError, match="incomplete"):
+        near_kernel_block(grid56, block_tol=1.0, method="lobpcg")
+
+
+def test_near_kernel_guard_catches_missing_killing_field(gaussian2, monkeypatch):
+    grid, _ = build_grid(gaussian2, 56, 6.0)
+    two = dict(list(killing_fields(grid).items())[:2])
+    monkeypatch.setattr(spectral, "killing_fields", lambda g: two)
+    with pytest.raises(SolverError, match="incomplete"):
+        near_kernel_block(grid, method="lobpcg")
