@@ -546,8 +546,9 @@ def run_propagate(cfg: RunConfig, out_dir: Path) -> list[dict]:
 # ---- compare ----------------------------------------------------------------
 
 
-# quantities that settle at a nonzero limit under refinement, not at zero
-SETTLING = ("fitted_exponent",)
+# quantities that settle at a nonzero limit under refinement, not at zero:
+# mu at the near-kernel eigenvalues of the truncated domain
+SETTLING = ("mu", "fitted_exponent")
 
 
 def _compared_quantities(check: dict) -> dict:

@@ -187,6 +187,28 @@ def killing_fields(grid: Grid) -> dict[str, Field]:
     return out
 
 
+def killing_basis(grid: Grid) -> list[Field]:
+    """A basis of the model's Killing fields: every translation, every flat
+    rotation x_a d_b - x_b d_a (a < b), and on cylinders the three rotations
+    of the S^2 factor. `killing_fields` names a subset of these."""
+    m = grid.model.n_euclidean
+    out = [translation(grid, axis) for axis in range(m)]
+    out += [euclidean_rotation(grid, a, b) for a in range(m) for b in range(a + 1, m)]
+    if grid.model.kind == CYLINDER:
+        out.append(angular_rotation(grid))
+        # the rotations that move the poles of the (theta, phi) chart
+        theta, phi = grid.coords[:, m], grid.coords[:, m + 1]
+        cot = np.cos(theta) / np.sin(theta)
+        for d_theta, d_phi in (
+            (-np.sin(phi), -cot * np.cos(phi)),
+            (np.cos(phi), -cot * np.sin(phi)),
+        ):
+            vals = np.zeros((grid.n_nodes, grid.n))
+            vals[:, m], vals[:, m + 1] = d_theta, d_phi
+            out.append(Field(grid, VECTOR, vals))
+    return out
+
+
 def dilation(grid: Grid) -> Field:
     """Radial field x^i d_i on the flat factor (not Killing; eigenfield at 1/2)."""
     vals = np.zeros((grid.n_nodes, grid.n))

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import Field, VECTOR, killing_fields
+from .fields import Field, VECTOR, killing_basis
 from .grid import Grid
 from .operators import OperatorHandle, OperatorKind
 
@@ -30,12 +30,14 @@ DENSE_CAP = 5000
 DIRECT_CAP = 60_000
 SHIFT = -0.5
 LOBPCG_MAXITER = 700
-# the guard of `near_kernel_block` needs upper bounds on the next eigenvalues,
-# not tight pairs: a loose residual tolerance, and a cap above the 110-290
-# iterations it took from random starts on 2D Gaussian grids of 63k-412k
-# unknowns
-GUARD_TOL = 0.1
-GUARD_MAXITER = 400
+# the guard of `near_kernel_block` needs upper bounds on the next eigenvalues
+# that resolve the default block_tol of 1e-2. At residual 0.1 the guard's Ritz
+# values on a 3D Gaussian grid missing two rotations (true eigenvalue 6.4e-4)
+# stopped at 0.010-0.012 and passed the block; at 0.01 they reached 7e-4 to
+# 8e-4. The cap sits above the 237 iterations the guard takes on the
+# 62,856-unknown 2D Gaussian grid of the propagate benchmark.
+GUARD_TOL = 0.01
+GUARD_MAXITER = 600
 
 
 class SolverError(RuntimeError):
@@ -74,11 +76,12 @@ def _choose_method(method: str, size: int, dense_cap: int) -> str:
     return "sparse" if size <= DIRECT_CAP else "lobpcg"
 
 
-def _jacobi(A: sp.csr_matrix) -> spla.LinearOperator:
-    """Shifted Jacobi preconditioner of the symmetric form."""
-    pre = 1.0 / (A.diagonal() + 0.25)
+def _jacobi(diagonal: np.ndarray) -> spla.LinearOperator:
+    """Shifted Jacobi preconditioner of the symmetric form with this diagonal."""
+    pre = 1.0 / (diagonal + 0.25)
+    size = len(pre)
     return spla.LinearOperator(
-        A.shape, matvec=lambda x: x * pre if x.ndim == 1 else x * pre[:, None]
+        (size, size), matvec=lambda x: x * pre if x.ndim == 1 else x * pre[:, None]
     )
 
 
@@ -150,7 +153,7 @@ def lowest_eigenpairs(
             cols.append(rng.standard_normal(size))
         X, _ = np.linalg.qr(np.stack(cols[:count], axis=1))
         vals, vecs = spla.lobpcg(
-            A, X, M=_jacobi(A), largest=False, tol=max(tolerance, 1e-10),
+            A, X, M=_jacobi(A.diagonal()), largest=False, tol=max(tolerance, 1e-10),
             maxiter=LOBPCG_MAXITER,
         )
         order = np.argsort(vals)
@@ -205,7 +208,7 @@ class NearKernelBlock:
     def summary(self) -> dict:
         """What the solve did, for reports; deterministic, so no timings.
 
-        The loose guard run's values differ with the BLAS thread count from
+        The guard run's values differ with the BLAS thread count from
         about the 11th digit on; six significant digits keep reports equal.
         """
         return {
@@ -226,16 +229,16 @@ def near_kernel_block(
     method: str = "auto",
     seed: int = 0,
 ) -> NearKernelBlock:
-    """Lowest eigen-block of P on `grid`: one pair per closed-form Killing field.
+    """Lowest eigen-block of P on `grid`: one pair per Killing field of the model.
 
     P depends only on the grid, so the block is solved once per grid and
     argument set and cached on the grid. The solve is `lowest_eigenpairs`,
-    warm-started with the Killing fields alone. A guard follows: LOBPCG with
-    `count - len(block)` seeded random vectors (at least one), held orthogonal
-    to the block, run to `GUARD_TOL` for at most `GUARD_MAXITER` iterations.
-    (A dilation start vector would converge to its 1/2 eigenvalue first;
-    LOBPCG's soft locking then retires the guard before the random vectors
-    reach the bottom of the complement's spectrum.)
+    warm-started with `killing_basis(grid)` alone. A guard follows: LOBPCG
+    with `count - len(block)` seeded random vectors (at least one), held
+    orthogonal to the block, run to `GUARD_TOL` for at most `GUARD_MAXITER`
+    iterations. (A dilation start vector would converge to its 1/2 eigenvalue
+    first; LOBPCG's soft locking then retires the guard before the random
+    vectors reach the bottom of the complement's spectrum.)
 
     Raises SolverError when a block residual ends above 10 * `tolerance`, or
     when a guard Ritz value is at or below `block_tol`. The guard check is
@@ -252,7 +255,10 @@ def near_kernel_block(
 
 def _solve_near_kernel_block(grid, count, tolerance, block_tol, method, seed) -> NearKernelBlock:
     handle = grid.ops().handle(OperatorKind.OP_P)
-    starts = list(killing_fields(grid).values())
+    P = handle.matrix
+    size = P.shape[0]
+    method = _choose_method(method, size, DENSE_CAP)
+    starts = killing_basis(grid)
     pairs = lowest_eigenpairs(
         handle, len(starts), tolerance=tolerance, method=method, seed=seed, guesses=starts
     )
@@ -263,13 +269,19 @@ def _solve_near_kernel_block(grid, count, tolerance, block_tol, method, seed) ->
             f"tolerance {tolerance:.1e})"
         )
 
-    A, s = _symmetric_form(handle)
-    size = A.shape[0]
+    # the guard applies the symmetric form S^-1 (G P) S^-1 = S P S^-1 (G = S^2)
+    # matrix-free instead of assembling it a second time; its diagonal is P's
+    s = np.sqrt(grid.ops().gram(handle.in_rank))
+    A = spla.LinearOperator(
+        P.shape,
+        matvec=lambda x: s * (P @ (x.ravel() / s)),
+        matmat=lambda X: s[:, None] * (P @ (X / s[:, None])),
+    )
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((size, max(1, count - len(pairs))))
     Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
     vals, vecs = spla.lobpcg(
-        A, X, Y=Y, M=_jacobi(A), largest=False,
+        A, X, Y=Y, M=_jacobi(P.diagonal()), largest=False,
         tol=GUARD_TOL, maxiter=GUARD_MAXITER,
     )
     order = np.argsort(vals)
@@ -277,7 +289,7 @@ def _solve_near_kernel_block(grid, count, tolerance, block_tol, method, seed) ->
     resid = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
     block = NearKernelBlock(
         pairs=pairs,
-        method=_choose_method(method, size, DENSE_CAP),
+        method=method,
         unknowns=size,
         guard_mus=[float(v) for v in vals],
         guard_residuals=[float(r) for r in resid],

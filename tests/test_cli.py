@@ -278,19 +278,19 @@ def test_propagate_sweep(tmp_path):
 
 
 def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
-    calls = []
-    solve = spectral.lowest_eigenpairs
+    calls = {"lowest_eigenpairs": 0, "_symmetric_form": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(spectral, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "lowest_eigenpairs", counted)
+        monkeypatch.setattr(spectral, name, counted)
     cfg = RunConfig(command="propagate", n=1, resolution=512, truncation_radius=8.0,
                     r_values=(4.0,), epsilons=(1e-3, 1e-2))
     checks = cli.run_propagate(cfg, tmp_path)
     assert len(checks) == 2
-    assert len(calls) == 1
+    # one solve, and the guard reuses P instead of building the symmetric form again
+    assert calls == {"lowest_eigenpairs": 1, "_symmetric_form": 1}
     assert capsys.readouterr().err.count("near-kernel block:") == 1
     solvers = [c["block_solver"] for c in checks]
     assert solvers[0] == solvers[1]
@@ -313,23 +313,26 @@ def test_compare_propagate_quantities(tmp_path, capsys):
     b = _propagate_report(256, 1e-4, 1.0 - 2e-4, 1e-4, -1.25)
     rows = {row["quantity"]: row for row in compare_runs(b, a)}
     assert set(rows) == {"mu", "1-cosine_with_reference", "eigen_residual", "fitted_exponent"}
-    for key, ratio, converging in (("mu", 4.0, True), ("eigen_residual", 2.0, False),
+    for key, ratio, converging in (("eigen_residual", 2.0, False),
                                    ("1-cosine_with_reference", 4.0, True)):
         assert rows[key]["coarse"] == 128 and rows[key]["fine"] == 256
         assert rows[key]["error_ratio"] == pytest.approx(ratio)
         assert rows[key]["empirical_order"] == pytest.approx(np.log2(ratio))
         assert rows[key]["converging"] is converging
-    # an exponent settles at a limit: both values, no ratio, order or verdict
-    exp = rows["fitted_exponent"]
-    assert (exp["coarse_value"], exp["fine_value"]) == (-1.5, -1.25)
-    assert exp["error_ratio"] is None and exp["converging"] is None
+    # mu and the exponent settle at a limit: both values, no ratio, order or verdict
+    for key, values in (("mu", (4e-4, 1e-4)), ("fitted_exponent", (-1.5, -1.25))):
+        row = rows[key]
+        assert (row["coarse_value"], row["fine_value"]) == values
+        assert row["error_ratio"] is None and row["empirical_order"] is None
+        assert row["converging"] is None
     paths = []
     for name, doc in (("a", a), ("b", b)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(doc))
     assert run_cli("compare", *map(str, paths)) == EXIT_OK
     out = capsys.readouterr().out
-    assert "propagation_r4_eps0/mu: ratio=4 order=2.00\n" in out
+    assert "propagation_r4_eps0/mu: coarse=0.0004 fine=0.0001\n" in out
+    assert "propagation_r4_eps0/1-cosine_with_reference: ratio=4 order=2.00" in out
     assert "propagation_r4_eps0/fitted_exponent: coarse=-1.5 fine=-1.25\n" in out
 
 

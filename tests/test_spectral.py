@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from shrinkerlab import build_grid, spectral
-from shrinkerlab.fields import dilation, euclidean_rotation, killing_fields
+from shrinkerlab import build_grid, make_model, spectral
+from shrinkerlab.fields import (
+    Field,
+    dilation,
+    euclidean_rotation,
+    killing_basis,
+    killing_fields,
+)
 from shrinkerlab.operators import OperatorHandle, OperatorKind
 from shrinkerlab.spectral import (
     SolverError,
@@ -254,7 +260,46 @@ def test_near_kernel_guard_catches_block_tol_above_guard(grid56):
 
 def test_near_kernel_guard_catches_missing_killing_field(gaussian2, monkeypatch):
     grid, _ = build_grid(gaussian2, 56, 6.0)
-    two = dict(list(killing_fields(grid).items())[:2])
-    monkeypatch.setattr(spectral, "killing_fields", lambda g: two)
+    two = killing_basis(grid)[:2]
+    monkeypatch.setattr(spectral, "killing_basis", lambda g: two)
+    with pytest.raises(SolverError, match="incomplete"):
+        near_kernel_block(grid, method="lobpcg")
+
+
+def _block_holds_basis(grid, block):
+    """Largest weighted norm of a unit Killing field's part outside the block."""
+    worst = 0.0
+    for K in killing_basis(grid):
+        K = K * (1.0 / K.norm())
+        rest = K.values.copy()
+        for p in block.pairs:
+            rest -= K.inner(p.field) * p.field.values
+        worst = max(worst, Field(grid, K.rank, rest).norm())
+    return worst
+
+
+@pytest.mark.parametrize(
+    "kind, n, k, killing",
+    [("gaussian", 3, None, 6), ("cylinder", 3, 2, 4)],
+    ids=["gaussian3", "cylinder32"],
+)
+def test_near_kernel_block_holds_every_killing_field(kind, n, k, killing):
+    # all flat rotations of a 3D Gaussian, and the rotations of the cylinder's
+    # sphere factor that move its poles, lie in the near kernel
+    grid, _ = build_grid(make_model(kind, n, k), 16, 6.0)
+    block = near_kernel_block(grid, method="lobpcg")
+    assert len(block.pairs) == killing
+    assert max(p.mu for p in block.pairs) <= 1e-2
+    assert min(block.guard_mus) > 0.1
+    assert _block_holds_basis(grid, block) < 0.1
+
+
+def test_near_kernel_guard_catches_missing_rotations_3d(monkeypatch):
+    # the named Killing fields of a 3D Gaussian omit the rotations in the
+    # (0, 2) and (1, 2) planes, whose eigenvalue 6.4e-4 is below block_tol
+    grid, _ = build_grid(make_model("gaussian", 3), 16, 6.0)
+    named = list(killing_fields(grid).values())
+    assert len(named) == 4
+    monkeypatch.setattr(spectral, "killing_basis", lambda g: named)
     with pytest.raises(SolverError, match="incomplete"):
         near_kernel_block(grid, method="lobpcg")
