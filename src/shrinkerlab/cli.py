@@ -33,9 +33,8 @@ from .operators import OperatorKind, identity_residuals
 from .propagation import (
     PropagationError,
     check_growth_bound,
+    doubling_bound,
     extend_symmetry,
-    fit_growth_exponent,
-    measure_defect,
     measured_lambda_bar,
 )
 from .spectral import (
@@ -446,21 +445,18 @@ def _propagate_point(
         )
         Y = base + pert.scale_by(radial_bump(grid, 2.0, 3.5)) * eps
         reference = base
-    defect = measure_defect(Y, r)
     result = extend_symmetry(
         Y, r, count=6, tolerance=cfg.tolerance, profile_points=cfg.profile_points, seed=cfg.seed
     )
     refn = reference * (1.0 / reference.norm())
     cosine = abs(result.z.field.inner(refn))
-    ops = grid.ops()
-    w = ops.div_star(result.z.field)
-    lam = measured_lambda_bar(w)
+    lam = measured_lambda_bar(result.defect_tensor)
     point = {
         "r": r,
         "epsilon": eps,
         "mu": result.mu,
         "mu_bar": result.mu_bar,
-        "c1_measured": defect.c1_measured,
+        "c1_measured": result.defect.c1_measured,
         "tail": result.tail,
         "c2_fit": result.c2_fit,
         "c_tail_fit": result.c_tail_fit,
@@ -482,27 +478,23 @@ def _propagate_point(
     mu_floor = (10.0 * grid.max_spacing**cfg.stencil_order) ** 2
     noise_floor = point["mu"] > mu_floor
     point["defect_above_noise_floor"] = bool(noise_floor)
-    if result.defect_profile is not None:
-        fit = None
-        growth = None
-        try:
-            fit = fit_growth_exponent(result.defect_profile)
-            growth = check_growth_bound(result.defect_profile, lam, result.defect_profile.radii[0])
-        except PropagationError as exc:
-            point["profile_note"] = str(exc)
+    profile, fit = result.defect_profile, result.fit
+    if profile is not None:
         point["profile"] = {
-            "radii": list(result.defect_profile.radii),
-            "values": list(result.defect_profile.values),
-            "f_levels": list(result.defect_profile_flevels),
+            "radii": list(profile.radii),
+            "values": list(profile.values),
+            "f_levels": list(profile.radii**2 / 4.0),
         }
-        if fit is not None:
+        if fit is None:
+            point["profile_note"] = result.profile_note
+        else:
             point["fit"] = {
                 "slope": fit.slope,
                 "intercept": fit.intercept,
                 "max_residual": fit.max_residual,
             }
             point["fitted_exponent"] = result.fitted_exponent
-        if growth is not None:
+            growth = check_growth_bound(profile, lam, profile.radii[0])
             point["growth_bound"] = {
                 "worst_ratio": growth.worst_ratio,
                 "passed": growth.passed,
@@ -513,7 +505,7 @@ def _propagate_point(
                     point["variational_ok"] and growth.passed and (fit.max_residual <= 0.5)
                 )
     point.setdefault("passed", bool(point["variational_ok"]))
-    return point, result.defect_profile
+    return point, profile
 
 
 def run_propagate(cfg: RunConfig, out_dir: Path) -> list[dict]:
@@ -531,7 +523,7 @@ def run_propagate(cfg: RunConfig, out_dir: Path) -> list[dict]:
                 radii, values = profile.radii, profile.values
                 lam = point["lambda_bar"]
                 rows = [
-                    (rr, vv, 2.0 * (rr / radii[0]) ** (5 * lam) * values[0])
+                    (rr, vv, doubling_bound(radii[0], rr, values[0], lam))
                     for rr, vv in zip(radii, values)
                 ]
                 reports.write_plot_data(

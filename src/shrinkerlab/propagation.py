@@ -120,7 +120,11 @@ def measure_defect(Y: Field, r: float) -> DefectReport:
 
 @dataclass
 class PropagationResult:
-    """Outcome of one extension run, with fitted constants and shell profiles."""
+    """Outcome of one extension run, with fitted constants and shell profiles.
+
+    `defect_tensor` is div_f^* Z; `fit` covers the whole profile ladder (else
+    `profile_note` says why not), `fitted_exponent` all but its outer 10%.
+    """
 
     z: SpectralPair
     mu: float
@@ -129,10 +133,12 @@ class PropagationResult:
     c2_fit: float
     c_tail_fit: float
     tail: float
+    defect: DefectReport
+    defect_tensor: Field
     defect_profile: Optional[RadialProfile]
-    defect_profile_flevels: Optional[np.ndarray]
+    fit: Optional[GrowthFit]
+    profile_note: Optional[str]
     fitted_exponent: Optional[float]
-    fitted_exponent_full: Optional[float]
     v_norm_sq: float
     div_star_v_norm_sq: float
     hypothesis_mu_bar_lt_1: bool
@@ -191,13 +197,15 @@ def extend_symmetry(
         Z = pairs[0].field
     else:
         Z = Z * (1.0 / zn)
-    mu = ops.rayleigh_p(Z)
+    # mu = <Z, P Z> / |Z|^2 = |div_f^* Z|^2 / |Z|^2
+    w_tensor = ops.div_star(Z)
+    mu = w_tensor.inner(w_tensor) / Z.inner(Z)
     pz = ops.p_apply(Z)
     residual = (pz - Z * mu).norm() / Z.norm()
     zpair = SpectralPair(mu=mu, field=Z, residual=residual)
 
-    rayleigh_v = ops.rayleigh_p(V)
-    if mu > rayleigh_v + 1e-10:
+    # V has unit norm, so |div_f^* V|^2 is its Rayleigh quotient
+    if mu > dsv_sq + 1e-10:
         raise PropagationError(
             "internal bug: variational bound mu <= |div_f^* V|^2 violated"
         )
@@ -208,29 +216,28 @@ def extend_symmetry(
     c_tail_fit = max((mu - 3.0 * defect.mu_bar) / tail, 0.0)
     defect_bound = c2_fit * (defect.mu_bar + tail)
 
-    w_tensor = ops.div_star(Z)
     dr = 3.0 * grid.max_spacing
     lo = r + dr
     hi = min(2.0 * r, grid.truncation_radius) - 1.5 * dr
-    profile = None
-    svals = None
-    slope_inner = slope_full = None
+    profile = fit = note = slope_inner = None
     if hi > lo + 2 * dr:
         ladder = np.linspace(lo, hi, profile_points)
         profile = radial_profile(w_tensor, ladder, label="div_f_star(Z)")
-        svals = ladder**2 / 4.0
         try:
-            fit_full = fit_growth_exponent(profile)
-            slope_full = fit_full.slope
+            fit = fit_growth_exponent(profile)
+        except PropagationError as exc:
+            note = str(exc)
+        if fit is not None:
             # the outermost 10% of the range is boundary-contaminated
             cut = lo + 0.9 * (hi - lo)
             keep = profile.radii <= cut
             inner_profile = RadialProfile(
                 radii=profile.radii[keep], values=profile.values[keep], w_label=profile.w_label
             )
-            slope_inner = fit_growth_exponent(inner_profile).slope
-        except PropagationError:
-            pass
+            try:
+                slope_inner = fit_growth_exponent(inner_profile).slope
+            except PropagationError:
+                pass
 
     return PropagationResult(
         z=zpair,
@@ -240,10 +247,12 @@ def extend_symmetry(
         c2_fit=c2_fit,
         c_tail_fit=c_tail_fit,
         tail=tail,
+        defect=defect,
+        defect_tensor=w_tensor,
         defect_profile=profile,
-        defect_profile_flevels=svals,
+        fit=fit,
+        profile_note=note,
         fitted_exponent=slope_inner,
-        fitted_exponent_full=slope_full,
         v_norm_sq=v_norm_sq,
         div_star_v_norm_sq=dsv_sq,
         hypothesis_mu_bar_lt_1=dsv_sq < 1.0,
@@ -262,6 +271,11 @@ class GrowthReport:
     passed: bool
     skipped_pairs: int
     lambda_bar: float
+
+
+def doubling_bound(r1: float, r2: float, value1: float, lambda_bar: float) -> float:
+    """The polynomial doubling bound 2 (r2/r1)^(5 lambda_bar) I(r1) on I(r2)."""
+    return 2.0 * (r2 / r1) ** (5.0 * lambda_bar) * value1
 
 
 def check_growth_bound(
@@ -284,8 +298,7 @@ def check_growth_bound(
             if values[i] <= 0.0 or values[j] <= 0.0:
                 skipped += 1
                 continue
-            bound = 2.0 * (radii[j] / radii[i]) ** (5.0 * lambda_bar) * values[i]
-            ratio = values[j] / bound
+            ratio = values[j] / doubling_bound(radii[i], radii[j], values[i], lambda_bar)
             if ratio > worst:
                 worst = ratio
                 worst_pair = (float(radii[i]), float(radii[j]))

@@ -8,7 +8,7 @@ cap, and by warm-started preconditioned LOBPCG beyond that. Eigenfields come
 back unit-norm in the weighted inner product; pairs are deterministic up to
 sign (fixed here) and up to rotation inside numerically degenerate blocks.
 The near-kernel block of P, which the extension pipeline projects onto, is
-solved once per grid and checked by a guard run (`near_kernel_block`).
+solved once per grid by LOBPCG and checked by a guard run (`near_kernel_block`).
 """
 
 from __future__ import annotations
@@ -68,14 +68,6 @@ def _symmetric_form(handle: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray]:
     return A, s
 
 
-def _choose_method(method: str, size: int, dense_cap: int) -> str:
-    if method != "auto":
-        return method
-    if size <= dense_cap:
-        return "dense"
-    return "sparse" if size <= DIRECT_CAP else "lobpcg"
-
-
 def _jacobi(diagonal: np.ndarray) -> spla.LinearOperator:
     """Shifted Jacobi preconditioner of the symmetric form with this diagonal."""
     pre = 1.0 / (diagonal + 0.25)
@@ -105,29 +97,33 @@ def lowest_eigenpairs(
     count: int,
     tolerance: float = 1e-9,
     method: str = "auto",
-    dense_cap: int = DENSE_CAP,
     seed: int = 0,
     guesses: Optional[list[Field]] = None,
 ) -> list[SpectralPair]:
     """Lowest eigenpairs of a weighted-symmetric PSD operator, sorted ascending.
 
-    Path selection: dense solve below `dense_cap` unknowns (the oracle),
-    shift-invert Lanczos below the direct-factorization cap, and Jacobi-
-    preconditioned LOBPCG above it. `guesses` warm-start the iterative block;
-    closed-form near-kernel fields make the large path converge quickly.
+    Path selection: dense solve up to `DENSE_CAP` unknowns (the oracle),
+    shift-invert Lanczos up to the direct-factorization cap, and Jacobi-
+    preconditioned LOBPCG above it. `guesses` warm-start LOBPCG, and only
+    LOBPCG; closed-form near-kernel fields make it converge quickly. Its
+    worst residual must end at or below 10 * `tolerance`, else SolverError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    size = operator.matrix.shape[0]
+    if count >= size:
+        raise ValueError("count must be smaller than the number of unknowns")
+    if method == "auto":
+        method = "dense" if size <= DENSE_CAP else "sparse" if size <= DIRECT_CAP else "lobpcg"
+    if method not in ("dense", "sparse", "lobpcg"):
+        raise ValueError(f"unknown method {method!r}")
+    if guesses is not None and method != "lobpcg":
+        raise ValueError(f"guesses warm-start only the lobpcg path, not {method!r}")
     grid = operator.grid
     rng = np.random.default_rng(seed)
     _check_weighted_symmetry(operator, rng)
 
     A, s = _symmetric_form(operator)
-    size = A.shape[0]
-    if count >= size:
-        raise ValueError("count must be smaller than the number of unknowns")
-
-    method = _choose_method(method, size, dense_cap)
     if method == "dense":
         dense = A.toarray()
         dense = (dense + dense.T) * 0.5
@@ -145,7 +141,7 @@ def lowest_eigenpairs(
             ) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    elif method == "lobpcg":
+    else:
         cols = []
         for g in guesses or []:
             cols.append(g.flat() * s)
@@ -158,15 +154,14 @@ def lowest_eigenpairs(
         )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        # the warm-started near-kernel block converges tightly; interior pairs
-        # carry their achieved residuals (reported per pair below)
         worst = float(
             np.max(np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0))
         )
-        if worst > 1e-2:
-            raise SolverError(f"eigensolver did not converge (best residual {worst:.2e})")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        if worst > 10.0 * tolerance:
+            raise SolverError(
+                f"eigensolver did not converge (worst residual {worst:.2e}, "
+                f"tolerance {tolerance:.1e})"
+            )
 
     pairs = []
     pmat = operator.matrix
@@ -196,7 +191,6 @@ class NearKernelBlock:
     """
 
     pairs: list[SpectralPair]
-    method: str
     unknowns: int
     guard_mus: list[float]
     guard_residuals: list[float]
@@ -212,7 +206,7 @@ class NearKernelBlock:
         about the 11th digit on; six significant digits keep reports equal.
         """
         return {
-            "method": self.method,
+            "method": "lobpcg",
             "unknowns": self.unknowns,
             "block_mus": [p.mu for p in self.pairs],
             "worst_residual": self.worst_residual,
@@ -226,48 +220,45 @@ def near_kernel_block(
     count: int = 6,
     tolerance: float = 1e-9,
     block_tol: float = 1e-2,
-    method: str = "auto",
     seed: int = 0,
 ) -> NearKernelBlock:
     """Lowest eigen-block of P on `grid`: one pair per Killing field of the model.
 
     P depends only on the grid, so the block is solved once per grid and
-    argument set and cached on the grid. The solve is `lowest_eigenpairs`,
-    warm-started with `killing_basis(grid)` alone. A guard follows: LOBPCG
-    with `count - len(block)` seeded random vectors (at least one), held
-    orthogonal to the block, run to `GUARD_TOL` for at most `GUARD_MAXITER`
-    iterations. (A dilation start vector would converge to its 1/2 eigenvalue
-    first; LOBPCG's soft locking then retires the guard before the random
-    vectors reach the bottom of the complement's spectrum.)
+    argument set and cached on the grid. At every grid size the solve is the
+    LOBPCG path of `lowest_eigenpairs`, warm-started with `killing_basis(grid)`
+    alone; the dense and shift-invert paths cannot use that start. A guard
+    follows: LOBPCG with `count - len(block)` seeded random vectors (at least
+    one), held orthogonal to the block, run to `GUARD_TOL` for at most
+    `GUARD_MAXITER` iterations. (A dilation start vector would converge to its
+    1/2 eigenvalue first; LOBPCG's soft locking then retires the guard before
+    the random vectors reach the bottom of the complement's spectrum.)
 
-    Raises SolverError when a block residual ends above 10 * `tolerance`, or
-    when a guard Ritz value is at or below `block_tol`. The guard check is
-    one-sided: Ritz values are upper bounds on the eigenvalues of P on the
-    complement of the block, so a value at or below `block_tol` proves the
-    block incomplete. Values above it prove nothing: they speak for the
-    block only as far as the guard has converged (see `guard_residuals`).
+    Raises SolverError when the block does not converge (a residual above
+    10 * `tolerance`), or when a guard Ritz value is at or below `block_tol`.
+    The guard check is one-sided: Ritz values are upper bounds on the
+    eigenvalues of P on the complement of the block, so a value at or below
+    `block_tol` proves the block incomplete. Values above it prove nothing:
+    they speak for the block only as far as the guard has converged (see
+    `guard_residuals`).
     """
-    key = ("near_kernel_block", count, tolerance, block_tol, method, seed)
+    key = ("near_kernel_block", count, tolerance, block_tol, seed)
     return grid._cached(
-        key, lambda: _solve_near_kernel_block(grid, count, tolerance, block_tol, method, seed)
+        key, lambda: _solve_near_kernel_block(grid, count, tolerance, block_tol, seed)
     )
 
 
-def _solve_near_kernel_block(grid, count, tolerance, block_tol, method, seed) -> NearKernelBlock:
+def _solve_near_kernel_block(grid, count, tolerance, block_tol, seed) -> NearKernelBlock:
     handle = grid.ops().handle(OperatorKind.OP_P)
     P = handle.matrix
     size = P.shape[0]
-    method = _choose_method(method, size, DENSE_CAP)
     starts = killing_basis(grid)
-    pairs = lowest_eigenpairs(
-        handle, len(starts), tolerance=tolerance, method=method, seed=seed, guesses=starts
-    )
-    worst = max(p.residual for p in pairs)
-    if worst > 10.0 * tolerance:
-        raise SolverError(
-            f"near-kernel block did not converge (worst residual {worst:.2e}, "
-            f"tolerance {tolerance:.1e})"
+    try:
+        pairs = lowest_eigenpairs(
+            handle, len(starts), tolerance=tolerance, method="lobpcg", seed=seed, guesses=starts
         )
+    except SolverError as exc:
+        raise SolverError(f"near-kernel block did not converge: {exc}") from exc
 
     # the guard applies the symmetric form S^-1 (G P) S^-1 = S P S^-1 (G = S^2)
     # matrix-free instead of assembling it a second time; its diagonal is P's
@@ -289,14 +280,13 @@ def _solve_near_kernel_block(grid, count, tolerance, block_tol, method, seed) ->
     resid = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
     block = NearKernelBlock(
         pairs=pairs,
-        method=method,
         unknowns=size,
         guard_mus=[float(v) for v in vals],
         guard_residuals=[float(r) for r in resid],
     )
     print(
-        f"near-kernel block: {block.method}, {size} unknowns, {len(pairs)} pairs, "
-        f"worst residual {worst:.2e}; guard Ritz values "
+        f"near-kernel block: lobpcg, {size} unknowns, {len(pairs)} pairs, "
+        f"worst residual {block.worst_residual:.2e}; guard Ritz values "
         f"{', '.join(f'{v:.4g}' for v in block.guard_mus)} (residual <= {max(resid):.2e})",
         file=sys.stderr,
     )

@@ -1,12 +1,14 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shrinkerlab import cli, spectral
+from shrinkerlab import cli, propagation, spectral
 from shrinkerlab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -16,7 +18,10 @@ from shrinkerlab.cli import (
     load_config_file,
     main,
 )
+from shrinkerlab.operators import Operators
 from shrinkerlab.reports import load_report
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -233,7 +238,7 @@ def test_bad_config_value_is_config_error(tmp_path, capsys):
 
 
 def _benchmark_module(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    path = REPO / "perfbench" / "run.py"
     spec = importlib.util.spec_from_file_location("perfbench_run", path)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
@@ -278,26 +283,52 @@ def test_propagate_sweep(tmp_path):
 
 
 def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
-    calls = {"lowest_eigenpairs": 0, "_symmetric_form": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(spectral, name), **kwargs):
+    counted = {"lowest_eigenpairs": (spectral,), "_symmetric_form": (spectral,),
+               "measure_defect": (propagation, cli),
+               "fit_growth_exponent": (propagation, cli), "div_star": (Operators,)}
+    calls = dict.fromkeys(counted, 0)
+    for name, owners in counted.items():
+        def counting(*args, _name=name, _fn=getattr(owners[0], name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, name, counted)
+        for owner in owners:
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counting)
     cfg = RunConfig(command="propagate", n=1, resolution=512, truncation_radius=8.0,
                     r_values=(4.0,), epsilons=(1e-3, 1e-2))
     checks = cli.run_propagate(cfg, tmp_path)
     assert len(checks) == 2
-    # one solve, and the guard reuses P instead of building the symmetric form again
-    assert calls == {"lowest_eigenpairs": 1, "_symmetric_form": 1}
+    # one solve, and the guard reuses P instead of building the symmetric form again;
+    # each point measures the defect of Y once, fits the full and the inner
+    # profile, and applies div_f^* to Y, V and Z
+    assert calls == {"lowest_eigenpairs": 1, "_symmetric_form": 1, "measure_defect": 2,
+                     "fit_growth_exponent": 4, "div_star": 6}
     assert capsys.readouterr().err.count("near-kernel block:") == 1
     solvers = [c["block_solver"] for c in checks]
     assert solvers[0] == solvers[1]
     assert set(solvers[0]) == {"method", "unknowns", "block_mus", "worst_residual",
                                "guard_mus", "guard_residuals"}
-    assert solvers[0]["method"] == "dense" and solvers[0]["unknowns"] == 512
+    assert solvers[0]["method"] == "lobpcg" and solvers[0]["unknowns"] == 512
     assert len(solvers[0]["guard_mus"]) == 5  # count 6, one Killing field
+
+
+def test_benchmark_tracer_runs_propagate(tmp_path):
+    # the tracer binds lowest_eigenpairs' arguments by name and wraps
+    # OperatorHandle.apply, so an API change that breaks it shows here
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "trace.py"), str(spans), "propagate",
+         "--model", "gaussian", "--dim", "1", "--resolution", "136",
+         "--truncation-radius", "4", "--r", "4", "--epsilon", "1e-3,1e-2",
+         "--output", str(tmp_path / "prop")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    assert names.count("spectral.lowest_eigenpairs") == 1
 
 
 def _propagate_report(resolution, mu, cosine, eigen_residual, exponent):

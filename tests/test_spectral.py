@@ -215,7 +215,7 @@ def test_solver_paths_agree_with_dense_oracle(grid56):
         "lobpcg": lowest_eigenpairs(
             handle, 3, method="lobpcg", guesses=list(killing_fields(grid56).values())
         ),
-        "near_kernel_block": near_kernel_block(grid56, method="lobpcg").pairs,
+        "near_kernel_block": near_kernel_block(grid56).pairs,
     }
     for name, pairs in others.items():
         for a, b in zip(dense, pairs):
@@ -224,12 +224,12 @@ def test_solver_paths_agree_with_dense_oracle(grid56):
 
 
 def test_near_kernel_block_cached_per_grid(gaussian2, grid56, capsys):
-    block = near_kernel_block(grid56, method="lobpcg")
+    block = near_kernel_block(grid56)
     capsys.readouterr()
-    assert near_kernel_block(grid56, method="lobpcg") is block
+    assert near_kernel_block(grid56) is block
     assert capsys.readouterr().err == ""
     fresh_grid, _ = build_grid(gaussian2, 56, 6.0)
-    fresh = near_kernel_block(fresh_grid, method="lobpcg")
+    fresh = near_kernel_block(fresh_grid)
     assert capsys.readouterr().err.count("near-kernel block:") == 1
     assert fresh is not block
     np.testing.assert_allclose([p.mu for p in fresh.pairs], [p.mu for p in block.pairs],
@@ -249,13 +249,32 @@ def test_near_kernel_block_not_converged_raises(gaussian2, monkeypatch):
     # 20 iterations leave the block residual near 5e-4: above 10 * tolerance
     monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 20)
     with pytest.raises(SolverError, match="near-kernel block did not converge"):
-        near_kernel_block(grid, method="lobpcg")
+        near_kernel_block(grid)
+
+
+def test_lobpcg_not_converged_raises(gaussian2, monkeypatch):
+    # the rule of near_kernel_block holds on the LOBPCG path of every caller:
+    # a worst residual above 10 * tolerance raises
+    grid, _ = build_grid(gaussian2, 56, 6.0)
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 20)
+    with pytest.raises(SolverError, match="did not converge"):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 3, method="lobpcg",
+                          guesses=list(killing_fields(grid).values()))
+
+
+@pytest.mark.parametrize("method", ["dense", "sparse"])
+def test_guesses_rejected_off_lobpcg(grid1_256, method):
+    # the dense and shift-invert paths cannot use a warm start
+    grid, _ = grid1_256
+    with pytest.raises(ValueError, match="guesses"):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2, method=method,
+                          guesses=[dilation(grid)])
 
 
 def test_near_kernel_guard_catches_block_tol_above_guard(grid56):
     # the guard's Ritz values sit near 1/4: a block_tol of 1 claims them for the block
     with pytest.raises(SolverError, match="incomplete"):
-        near_kernel_block(grid56, block_tol=1.0, method="lobpcg")
+        near_kernel_block(grid56, block_tol=1.0)
 
 
 def test_near_kernel_guard_catches_missing_killing_field(gaussian2, monkeypatch):
@@ -263,7 +282,7 @@ def test_near_kernel_guard_catches_missing_killing_field(gaussian2, monkeypatch)
     two = killing_basis(grid)[:2]
     monkeypatch.setattr(spectral, "killing_basis", lambda g: two)
     with pytest.raises(SolverError, match="incomplete"):
-        near_kernel_block(grid, method="lobpcg")
+        near_kernel_block(grid)
 
 
 def _block_holds_basis(grid, block):
@@ -287,7 +306,7 @@ def test_near_kernel_block_holds_every_killing_field(kind, n, k, killing):
     # all flat rotations of a 3D Gaussian, and the rotations of the cylinder's
     # sphere factor that move its poles, lie in the near kernel
     grid, _ = build_grid(make_model(kind, n, k), 16, 6.0)
-    block = near_kernel_block(grid, method="lobpcg")
+    block = near_kernel_block(grid)
     assert len(block.pairs) == killing
     assert max(p.mu for p in block.pairs) <= 1e-2
     assert min(block.guard_mus) > 0.1
@@ -302,4 +321,4 @@ def test_near_kernel_guard_catches_missing_rotations_3d(monkeypatch):
     assert len(named) == 4
     monkeypatch.setattr(spectral, "killing_basis", lambda g: named)
     with pytest.raises(SolverError, match="incomplete"):
-        near_kernel_block(grid, method="lobpcg")
+        near_kernel_block(grid)
