@@ -82,6 +82,12 @@ class Grid:
     def max_spacing(self) -> float:
         return float(np.max(self.spacing))
 
+    @property
+    def stencil_tol(self) -> float:
+        """The stencil-order floor 10 h^order: a discrete residual of an identity
+        that holds exactly on the continuum counts as zero at or below it."""
+        return 10.0 * self.max_spacing ** self.stencil_order
+
     def _cached(self, key, builder):
         if key not in self._cache:
             self._cache[key] = builder()
@@ -281,7 +287,6 @@ def build_grid(
         tail_fraction=tail,
         cap_fraction=cap_fraction,
     )
-    grid._cache["measure"] = measure
     return grid, measure
 
 

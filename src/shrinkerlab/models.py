@@ -331,11 +331,11 @@ def curvature(model: ModelShrinker, point) -> CurvaturePack:
     )
 
 
-def random_points(model: ModelShrinker, count: int, rng, spread: float = 5.0) -> np.ndarray:
-    """Seeded sample of chart points away from the polar caps."""
+def random_points(model: ModelShrinker, count: int, rng) -> np.ndarray:
+    """Seeded sample of chart points away from the polar caps, |t_i| < 5."""
     m = model.n_euclidean
     pts = np.zeros((count, model.n))
-    pts[:, :m] = rng.uniform(-spread, spread, size=(count, m))
+    pts[:, :m] = rng.uniform(-5.0, 5.0, size=(count, m))
     if model.kind == CYLINDER:
         for j, axis in enumerate(model.angle_axes):
             if j < model.k - 1:
@@ -380,12 +380,10 @@ class ResidualReport:
         return out
 
 
-def check_soliton_identities(
-    model: ModelShrinker, sample_points, tolerance: float = SOLITON_TOL
-) -> ResidualReport:
+def check_soliton_identities(model: ModelShrinker, sample_points) -> ResidualReport:
     """Evaluate the soliton, trace and potential identities at sample points.
 
-    Residuals above tolerance indicate a model-construction bug (or an
+    Residuals above SOLITON_TOL indicate a model-construction bug (or an
     intentionally perturbed model in tests).
     """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -428,5 +426,5 @@ def check_soliton_identities(
         trace_residual=float(np.max(trace)),
         potential_residual=float(np.max(potential)),
         gradb_excess=float(np.max(gradb_excess)),
-        tolerance=tolerance,
+        tolerance=SOLITON_TOL,
     )

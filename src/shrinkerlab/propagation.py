@@ -128,8 +128,6 @@ class PropagationResult:
 
     z: SpectralPair
     mu: float
-    mu_bar: float
-    defect_bound: float
     c2_fit: float
     c_tail_fit: float
     tail: float
@@ -142,7 +140,6 @@ class PropagationResult:
     v_norm_sq: float
     div_star_v_norm_sq: float
     hypothesis_mu_bar_lt_1: bool
-    block_mus: list
     cutoff: Cutoff
     near_kernel: NearKernelBlock
 
@@ -150,17 +147,15 @@ class PropagationResult:
 def extend_symmetry(
     Y_local: Field,
     r: float,
-    count: int = 6,
     tolerance: float = 1e-9,
-    block_tol: float = 1e-2,
     profile_points: int = 10,
     seed: int = 0,
 ) -> PropagationResult:
     """Extend an approximate symmetry on {b < r} to an eigenfield of P.
 
-    Returns the weighted projection of the cutoff input onto the lowest
-    near-degenerate eigen-block (the lowest pair when the block is simple),
-    so the reported mu satisfies the variational bound exactly.
+    Returns the weighted projection of the cutoff input onto the near-kernel
+    block of P (`NearKernelBlock.block`), so the reported mu satisfies the
+    variational bound exactly.
     """
     grid = Y_local.grid
     ops = grid.ops()
@@ -178,23 +173,15 @@ def extend_symmetry(
     dsv = ops.div_star(V)
     dsv_sq = dsv.inner(dsv)
 
-    near = near_kernel_block(
-        grid, count, tolerance=tolerance, block_tol=block_tol, seed=seed
-    )
-    pairs = near.pairs
-    mus = [p.mu for p in pairs]
-    block = [i for i, m in enumerate(mus) if m <= block_tol]
-    if not block:
-        block = [0]
-
-    coeffs = [V.inner(pairs[i].field) for i in block]
-    z_vals = np.zeros_like(pairs[0].field.values)
-    for c, i in zip(coeffs, block):
-        z_vals += c * pairs[i].field.values
+    near = near_kernel_block(grid, tolerance=tolerance, seed=seed)
+    block = near.block
+    z_vals = np.zeros_like(block[0].field.values)
+    for p in block:
+        z_vals += V.inner(p.field) * p.field.values
     Z = Field(grid, "vector", z_vals)
     zn = Z.norm()
     if zn <= 1e-10:
-        Z = pairs[0].field
+        Z = block[0].field
     else:
         Z = Z * (1.0 / zn)
     # mu = <Z, P Z> / |Z|^2 = |div_f^* Z|^2 / |Z|^2
@@ -214,7 +201,6 @@ def extend_symmetry(
     tail = r ** (4 + n) * np.exp(-(r**2) / 4.0)
     c2_fit = mu / (defect.mu_bar + tail)
     c_tail_fit = max((mu - 3.0 * defect.mu_bar) / tail, 0.0)
-    defect_bound = c2_fit * (defect.mu_bar + tail)
 
     dr = 3.0 * grid.max_spacing
     lo = r + dr
@@ -242,8 +228,6 @@ def extend_symmetry(
     return PropagationResult(
         z=zpair,
         mu=mu,
-        mu_bar=defect.mu_bar,
-        defect_bound=defect_bound,
         c2_fit=c2_fit,
         c_tail_fit=c_tail_fit,
         tail=tail,
@@ -256,7 +240,6 @@ def extend_symmetry(
         v_norm_sq=v_norm_sq,
         div_star_v_norm_sq=dsv_sq,
         hypothesis_mu_bar_lt_1=dsv_sq < 1.0,
-        block_mus=[mus[i] for i in block],
         cutoff=cutoff,
         near_kernel=near,
     )
@@ -278,9 +261,7 @@ def doubling_bound(r1: float, r2: float, value1: float, lambda_bar: float) -> fl
     return 2.0 * (r2 / r1) ** (5.0 * lambda_bar) * value1
 
 
-def check_growth_bound(
-    profile: RadialProfile, lambda_bar: float, r0: float, tolerance: float = 1e-6
-) -> GrowthReport:
+def check_growth_bound(profile: RadialProfile, lambda_bar: float, r0: float) -> GrowthReport:
     """Check I(r2) <= 2 (r2/r1)^(5 lambda_bar) I(r1) for all ladder pairs r2 > r1 >= r0."""
     if lambda_bar < 0:
         raise PropagationError("lambda_bar must be nonnegative")
@@ -305,7 +286,7 @@ def check_growth_bound(
     return GrowthReport(
         worst_ratio=worst,
         worst_pair=worst_pair,
-        passed=worst <= 1.0 + tolerance,
+        passed=worst <= 1.0 + 1e-6,
         skipped_pairs=skipped,
         lambda_bar=lambda_bar,
     )

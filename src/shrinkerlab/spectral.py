@@ -30,14 +30,23 @@ DENSE_CAP = 5000
 DIRECT_CAP = 60_000
 SHIFT = -0.5
 LOBPCG_MAXITER = 700
-# the guard of `near_kernel_block` needs upper bounds on the next eigenvalues
-# that resolve the default block_tol of 1e-2. At residual 0.1 the guard's Ritz
-# values on a 3D Gaussian grid missing two rotations (true eigenvalue 6.4e-4)
-# stopped at 0.010-0.012 and passed the block; at 0.01 they reached 7e-4 to
-# 8e-4. The cap sits above the 237 iterations the guard takes on the
-# 62,856-unknown 2D Gaussian grid of the propagate benchmark.
+# eigenpairs of P at or below BLOCK_TOL form the near-kernel block that an
+# approximate symmetry is projected onto (`NearKernelBlock.block`); a guard
+# Ritz value at or below it proves the block incomplete
+BLOCK_TOL = 1e-2
+# the guard of `near_kernel_block` runs max(1, GUARD_SPAN - len(pairs)) random
+# vectors, where pairs are the solved pairs, one per Killing field
+GUARD_SPAN = 6
+# the guard needs upper bounds on the next eigenvalues that resolve BLOCK_TOL.
+# At residual 0.1 the guard's Ritz values on a 3D Gaussian grid missing two
+# rotations (true eigenvalue 6.4e-4) stopped at 0.010-0.012 and passed the
+# block; at 0.01 they reached 7e-4 to 8e-4. The cap sits above the 237
+# iterations the guard takes on the 62,856-unknown 2D Gaussian grid of the
+# propagate benchmark.
 GUARD_TOL = 0.01
 GUARD_MAXITER = 600
+# eigenvalues closer than this form one degenerate block (`group_degenerate`)
+DEGENERATE_GAP = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -77,18 +86,18 @@ def _jacobi(diagonal: np.ndarray) -> spla.LinearOperator:
     )
 
 
-def _check_weighted_symmetry(handle: OperatorHandle, rng, probes: int = 3, tol: float = 1e-8):
+def _check_weighted_symmetry(handle: OperatorHandle, rng):
     ops = handle.grid.ops()
     gram = ops.gram(handle.in_rank)
     M = handle.matrix
     size = M.shape[0]
-    for _ in range(probes):
+    for _ in range(3):
         u = rng.standard_normal(size)
         v = rng.standard_normal(size)
         left = float(np.sum(gram * (M @ u) * v))
         right = float(np.sum(gram * u * (M @ v)))
         scale = max(abs(left), abs(right), 1e-300)
-        if abs(left - right) > tol * scale:
+        if abs(left - right) > 1e-8 * scale:
             raise SolverError("adjointness broken: operator is not weighted-symmetric")
 
 
@@ -186,14 +195,21 @@ def lowest_eigenpairs(
 class NearKernelBlock:
     """The lowest eigen-block of P on one grid, and the guard run that checked it.
 
+    `pairs` are the solved pairs, one per Killing field of the model;
     `guard_mus` are Ritz values of P on the weighted-orthogonal complement of
-    the block, ascending, with the residual norms they reached.
+    the pairs, ascending, with the residual norms they reached.
     """
 
     pairs: list[SpectralPair]
     unknowns: int
     guard_mus: list[float]
     guard_residuals: list[float]
+
+    @property
+    def block(self) -> list[SpectralPair]:
+        """The pairs at or below BLOCK_TOL, or the lowest pair when none is."""
+        block = [p for p in self.pairs if p.mu <= BLOCK_TOL]
+        return block or self.pairs[:1]
 
     @property
     def worst_residual(self) -> float:
@@ -215,40 +231,32 @@ class NearKernelBlock:
         }
 
 
-def near_kernel_block(
-    grid: Grid,
-    count: int = 6,
-    tolerance: float = 1e-9,
-    block_tol: float = 1e-2,
-    seed: int = 0,
-) -> NearKernelBlock:
+def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> NearKernelBlock:
     """Lowest eigen-block of P on `grid`: one pair per Killing field of the model.
 
     P depends only on the grid, so the block is solved once per grid and
     argument set and cached on the grid. At every grid size the solve is the
     LOBPCG path of `lowest_eigenpairs`, warm-started with `killing_basis(grid)`
     alone; the dense and shift-invert paths cannot use that start. A guard
-    follows: LOBPCG with `count - len(block)` seeded random vectors (at least
-    one), held orthogonal to the block, run to `GUARD_TOL` for at most
+    follows: LOBPCG with `GUARD_SPAN - len(pairs)` seeded random vectors (at
+    least one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
     `GUARD_MAXITER` iterations. (A dilation start vector would converge to its
     1/2 eigenvalue first; LOBPCG's soft locking then retires the guard before
     the random vectors reach the bottom of the complement's spectrum.)
 
     Raises SolverError when the block does not converge (a residual above
-    10 * `tolerance`), or when a guard Ritz value is at or below `block_tol`.
+    10 * `tolerance`), or when a guard Ritz value is at or below `BLOCK_TOL`.
     The guard check is one-sided: Ritz values are upper bounds on the
     eigenvalues of P on the complement of the block, so a value at or below
-    `block_tol` proves the block incomplete. Values above it prove nothing:
+    `BLOCK_TOL` proves the block incomplete. Values above it prove nothing:
     they speak for the block only as far as the guard has converged (see
     `guard_residuals`).
     """
-    key = ("near_kernel_block", count, tolerance, block_tol, seed)
-    return grid._cached(
-        key, lambda: _solve_near_kernel_block(grid, count, tolerance, block_tol, seed)
-    )
+    key = ("near_kernel_block", tolerance, seed)
+    return grid._cached(key, lambda: _solve_near_kernel_block(grid, tolerance, seed))
 
 
-def _solve_near_kernel_block(grid, count, tolerance, block_tol, seed) -> NearKernelBlock:
+def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     handle = grid.ops().handle(OperatorKind.OP_P)
     P = handle.matrix
     size = P.shape[0]
@@ -269,7 +277,7 @@ def _solve_near_kernel_block(grid, count, tolerance, block_tol, seed) -> NearKer
         matmat=lambda X: s[:, None] * (P @ (X / s[:, None])),
     )
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((size, max(1, count - len(pairs))))
+    X = rng.standard_normal((size, max(1, GUARD_SPAN - len(pairs))))
     Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
     vals, vecs = spla.lobpcg(
         A, X, Y=Y, M=_jacobi(P.diagonal()), largest=False,
@@ -290,26 +298,26 @@ def _solve_near_kernel_block(grid, count, tolerance, block_tol, seed) -> NearKer
         f"{', '.join(f'{v:.4g}' for v in block.guard_mus)} (residual <= {max(resid):.2e})",
         file=sys.stderr,
     )
-    if vals[0] <= block_tol:
+    if vals[0] <= BLOCK_TOL:
         raise SolverError(
             f"near-kernel block incomplete: guard Ritz value {vals[0]:.3g} is at or "
-            f"below block_tol {block_tol:g}"
+            f"below BLOCK_TOL {BLOCK_TOL:g}"
         )
     return block
 
 
-def group_degenerate(pairs: list[SpectralPair], tol: float = 1e-6) -> list[list[int]]:
-    """Indices grouped into numerically degenerate blocks (gap below tol)."""
+def group_degenerate(pairs: list[SpectralPair]) -> list[list[int]]:
+    """Indices grouped into numerically degenerate blocks (gap at most DEGENERATE_GAP)."""
     blocks: list[list[int]] = []
     for i, p in enumerate(pairs):
-        if blocks and p.mu - pairs[blocks[-1][-1]].mu <= tol:
+        if blocks and p.mu - pairs[blocks[-1][-1]].mu <= DEGENERATE_GAP:
             blocks[-1].append(i)
         else:
             blocks.append([i])
     return blocks
 
 
-def canonicalize_degenerate(pairs: list[SpectralPair], tol: float = 1e-4) -> list[SpectralPair]:
+def canonicalize_degenerate(pairs: list[SpectralPair]) -> list[SpectralPair]:
     """Rotate each degenerate block to diagonalize the |div_f .|^2 form.
 
     Individual vectors inside a degenerate block are arbitrary up to rotation;
@@ -323,7 +331,7 @@ def canonicalize_degenerate(pairs: list[SpectralPair], tol: float = 1e-4) -> lis
     grid = pairs[0].field.grid
     ops = grid.ops()
     out = list(pairs)
-    for block in group_degenerate(pairs, tol):
+    for block in group_degenerate(pairs):
         if len(block) == 1:
             continue
         divs = [ops.div(pairs[i].field) for i in block]
@@ -360,20 +368,19 @@ class DivfEigenCheck:
     skipped: bool
 
 
-def eigencheck_divf(pair: SpectralPair, bound_tol: float = 1e-3, skip_floor: Optional[float] = None) -> DivfEigenCheck:
+def eigencheck_divf(pair: SpectralPair) -> DivfEigenCheck:
     """Verify L_drift(div_f Z) = -(1/2 + mu) div_f Z and |div_f Z|^2 <= 4 mu + 1.
 
     Pairs whose weighted divergence is pure discretization noise (below the
-    stencil-order floor) are reported as skipped.
+    stencil-order floor `Grid.stencil_tol`) are reported as skipped.
     """
     grid = pair.field.grid
     ops = grid.ops()
     v = ops.div(pair.field)
     vn = v.norm()
     zn = pair.field.norm()
-    floor = skip_floor if skip_floor is not None else 10.0 * grid.max_spacing**grid.stencil_order
     bound = 4.0 * pair.mu + 1.0
-    if vn <= floor * zn:
+    if vn <= grid.stencil_tol * zn:
         return DivfEigenCheck(
             mu=pair.mu,
             divf_norm_sq=(vn / zn) ** 2,
@@ -390,7 +397,7 @@ def eigencheck_divf(pair: SpectralPair, bound_tol: float = 1e-3, skip_floor: Opt
         mu=pair.mu,
         divf_norm_sq=norm_sq,
         bound=bound,
-        bound_ok=norm_sq <= bound + bound_tol,
+        bound_ok=norm_sq <= bound + 1e-3,
         eigen_residual=resid,
         skipped=False,
     )
@@ -425,7 +432,7 @@ class EigenfieldDecomposition:
         return all(v is None or v <= tol for v in self.residuals.values())
 
 
-def decompose_eigenfield(pair: SpectralPair, div_floor: Optional[float] = None) -> EigenfieldDecomposition:
+def decompose_eigenfield(pair: SpectralPair) -> EigenfieldDecomposition:
     """Decompose an eigenpair of P and report the three eigen-equation residuals."""
     grid = pair.field.grid
     ops = grid.ops()
@@ -438,7 +445,7 @@ def decompose_eigenfield(pair: SpectralPair, div_floor: Optional[float] = None) 
     vn = v.norm()
     gv = ops.grad(v)
     gv_norm = gv.norm()
-    floor = div_floor if div_floor is not None else 10.0 * grid.max_spacing**grid.stencil_order
+    floor = grid.stencil_tol
 
     lam_z = 2.0 * mu + 0.5
     lam_g = mu + 0.5

@@ -1,9 +1,10 @@
 """Standalone checks: Killing dichotomy, harmonicity, Bochner, interpolation,
 and the distance/volume growth constants.
 
-Vanishing verdicts use the tolerance 10 * h^order, separating identities that
-hold exactly on the continuum from plain discretization error; every check is
-a pure function of sampled fields and closed-form geometry.
+Vanishing verdicts use the stencil-order floor `Grid.stencil_tol`, 10 h^order,
+which separates identities that hold exactly on the continuum from plain
+discretization error; every check is a pure function of sampled fields and
+closed-form geometry.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class DichotomyVerdict:
         return self.evidence["hess_divf_norm"] <= self.tolerance
 
 
-def classify_killing(Y: Field, tol_factor: float = 10.0) -> DichotomyVerdict:
+def classify_killing(Y: Field) -> DichotomyVerdict:
     """Classify a sampled field: not Killing, f-preserving, or line-splitting.
 
     Evidence (on the unit-normalized field): the Killing defect |div_f^* Y|,
@@ -49,7 +50,7 @@ def classify_killing(Y: Field, tol_factor: float = 10.0) -> DichotomyVerdict:
     if nrm <= 0.0:
         raise FieldError("cannot classify the zero field")
     Yn = Y * (1.0 / nrm)
-    tol = tol_factor * grid.max_spacing**grid.stencil_order
+    tol = grid.stencil_tol
     interior = grid.interior_mask(applications=3)
 
     killing_residual = ops.div_star(Yn).norm_where(interior)
@@ -83,7 +84,7 @@ class HarmonicityReport:
     passed: bool
 
 
-def harmonicity_check(Y: Field, tol_factor: float = 10.0) -> HarmonicityReport:
+def harmonicity_check(Y: Field) -> HarmonicityReport:
     """For a Killing field, div_f Y is harmonic for the unweighted Laplacian."""
     verdict = classify_killing(Y)
     if verdict.verdict == NOT_KILLING:
@@ -98,8 +99,9 @@ def harmonicity_check(Y: Field, tol_factor: float = 10.0) -> HarmonicityReport:
     lap_plain = ops.lap(v) + drift
     interior = grid.interior_mask(applications=3)
     residual = lap_plain.norm_where(interior) / max(v.norm(), 1.0)
-    tol = tol_factor * grid.max_spacing**grid.stencil_order
-    return HarmonicityReport(residual=residual, divf_norm=v.norm(), passed=residual <= tol)
+    return HarmonicityReport(
+        residual=residual, divf_norm=v.norm(), passed=residual <= grid.stencil_tol
+    )
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class BochnerReport:
     rhs_norm: float = 0.0
 
 
-def drift_bochner_residual(v: Field, mu: float, warn_tol: float = 0.1) -> BochnerReport:
+def drift_bochner_residual(v: Field, mu: float) -> BochnerReport:
     """Residual of (1/2) L |grad v|^2 = |Hess v|^2 + (1/2 - mu) |grad v|^2.
 
     Expects an approximate drift eigenfunction with L v = -mu v; warns when
@@ -123,7 +125,7 @@ def drift_bochner_residual(v: Field, mu: float, warn_tol: float = 0.1) -> Bochne
     if vn <= 0.0:
         raise FieldError("zero field")
     eig_resid = (ops.lap(v) + v * mu).norm_where(grid.interior_mask(2)) / ((abs(mu) + 0.5) * vn)
-    warned = eig_resid > warn_tol
+    warned = eig_resid > 0.1
 
     gv = ops.grad(v)
     q = Field(grid, SCALAR, gv.pointwise_norm_sq())
@@ -155,7 +157,7 @@ class InterpReport:
         return self.rhs - self.lhs
 
 
-def interp_inequality_check(Y: Field, tolerance: float = 1e-9) -> InterpReport:
+def interp_inequality_check(Y: Field) -> InterpReport:
     """Check |grad Y|^2 + |div_f Y|^2 <= 2 |Y| |(2P + 1/2) Y| by quadrature."""
     grid = Y.grid
     ops = grid.ops()
@@ -164,7 +166,7 @@ def interp_inequality_check(Y: Field, tolerance: float = 1e-9) -> InterpReport:
     lhs = grad_sq + ops.div(Y).norm() ** 2
     rhs_field = ops.p_apply(Y) * 2.0 + Y * grid.model.kappa
     rhs = 2.0 * Y.norm() * rhs_field.norm()
-    return InterpReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs * (1.0 + tolerance) + 1e-14)
+    return InterpReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs * (1.0 + 1e-9) + 1e-14)
 
 
 @dataclass(frozen=True)

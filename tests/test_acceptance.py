@@ -190,7 +190,7 @@ def test_criterion_09_propagation_pipeline():
         results = {}
         for eps in (1e-3, 1e-2):
             Y = perturbed_rotation(grid, eps)
-            result = extend_symmetry(Y, 5.0, count=6, seed=1)
+            result = extend_symmetry(Y, 5.0, seed=1)
             # (a) discrete variational bound, exact up to round-off
             assert result.mu <= result.div_star_v_norm_sq + 1e-10
             assert result.hypothesis_mu_bar_lt_1
@@ -198,7 +198,7 @@ def test_criterion_09_propagation_pipeline():
         # (b) tail constant fitted at eps=1e-3 and reused at 1e-2 within factor 2
         c_fit = results[1e-3].c_tail_fit
         r2 = results[1e-2]
-        assert r2.mu <= 3.0 * r2.mu_bar + 2.0 * max(c_fit, 1e-12) * r2.tail
+        assert r2.mu <= 3.0 * r2.defect.mu_bar + 2.0 * max(c_fit, 1e-12) * r2.tail
         # (c) the recovered eigenfield is the global rotation
         cos = abs(results[1e-3].z.field.inner(rot))
         assert cos >= 0.99, cos

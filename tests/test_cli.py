@@ -87,6 +87,9 @@ RERUN_CASES = (
      "--suite", "soliton,structure,identities,cao_zhou", "--seed", "11"),
     # 6.4k unknowns: the shift-invert (ARPACK) path
     ("spectrum", "--dim", "2", "--resolution", "64", "--truncation-radius", "8", "--eigs", "4"),
+    # the tiny propagate of the tracer test: one near-kernel block and guard
+    ("propagate", "--model", "gaussian", "--dim", "1", "--resolution", "136",
+     "--truncation-radius", "4", "--r", "4", "--epsilon", "1e-3,1e-2"),
 )
 
 
@@ -310,7 +313,7 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     assert set(solvers[0]) == {"method", "unknowns", "block_mus", "worst_residual",
                                "guard_mus", "guard_residuals"}
     assert solvers[0]["method"] == "lobpcg" and solvers[0]["unknowns"] == 512
-    assert len(solvers[0]["guard_mus"]) == 5  # count 6, one Killing field
+    assert len(solvers[0]["guard_mus"]) == 5  # GUARD_SPAN 6, one Killing field
 
 
 def test_benchmark_tracer_runs_propagate(tmp_path):

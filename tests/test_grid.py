@@ -89,40 +89,40 @@ def test_quadrature_refinement_order(gaussian2):
 
 
 def test_inner_product_constant_mass(grid1_256):
-    grid, measure = grid1_256
+    grid, _ = grid1_256
     one = constant_scalar(grid)
-    assert one.inner(one, measure) == pytest.approx(2.0 * np.sqrt(np.pi), abs=1e-6)
+    assert one.inner(one) == pytest.approx(2.0 * np.sqrt(np.pi), abs=1e-6)
 
 
 def test_inner_product_vector_norm(grid2_64):
-    grid, measure = grid2_64
+    grid, _ = grid2_64
     d1 = translation(grid, 0)
-    assert d1.inner(d1, measure) == pytest.approx(4.0 * np.pi, rel=1e-4)
+    assert d1.inner(d1) == pytest.approx(4.0 * np.pi, rel=1e-4)
 
 
 def test_inner_product_gram_schmidt_exact(grid2_64, rng):
-    grid, measure = grid2_64
+    grid, _ = grid2_64
     a = scalar_field(grid, lambda c: np.sin(c[:, 0]))
     b = scalar_field(grid, lambda c: np.cos(c[:, 1]) + 0.3 * np.sin(c[:, 0]))
-    proj = a.inner(b, measure) / a.inner(a, measure)
+    proj = a.inner(b) / a.inner(a)
     b_orth = b - a * proj
-    val = a.inner(b_orth, measure)
-    assert abs(val) <= 1e-12 * a.norm(measure) * b_orth.norm(measure)
+    val = a.inner(b_orth)
+    assert abs(val) <= 1e-12 * a.norm() * b_orth.norm()
 
 
 def test_inner_product_rank_mismatch(grid2_64):
-    grid, measure = grid2_64
+    grid, _ = grid2_64
     with pytest.raises(FieldError, match="rank"):
-        constant_scalar(grid).inner(translation(grid, 0), measure)
+        constant_scalar(grid).inner(translation(grid, 0))
 
 
 def test_inner_product_positive_definite(grid2_small, rng):
-    grid, measure = grid2_small
+    grid, _ = grid2_small
     for _ in range(5):
         f = Field(grid, "vector", rng.standard_normal((grid.n_nodes, 2)))
-        assert f.inner(f, measure) > 0
+        assert f.inner(f) > 0
     z = zero_field(grid, "vector")
-    assert z.inner(z, measure) == 0.0
+    assert z.inner(z) == 0.0
 
 
 def test_radial_profile_constant_scalar(grid2_64):

@@ -28,7 +28,7 @@ def extend_run():
     # moderate full pipeline: r = 4 needs band 1/4 >= 4 cells
     grid, _ = build_grid(make_model("gaussian", 2), 256, 8.0)
     Y = perturbed_rotation(grid, 1e-2)
-    return grid, extend_symmetry(Y, 4.0, count=6, seed=3)
+    return grid, extend_symmetry(Y, 4.0, seed=3)
 
 
 # ---- cutoff -------------------------------------------------------------------
@@ -180,9 +180,8 @@ def test_extend_variational_bound_exact(extend_run):
 
 def test_extend_defect_bound_shape(extend_run):
     _, res = extend_run
-    assert res.mu <= 3.0 * res.mu_bar + max(res.c_tail_fit, 1.0) * res.tail
+    assert res.mu <= 3.0 * res.defect.mu_bar + max(res.c_tail_fit, 1.0) * res.tail
     assert res.v_norm_sq <= 1.0 + 1e-12
-    assert res.defect_bound >= res.mu - 1e-15
 
 
 def test_extend_requires_small_defect(cutoff_grid):

@@ -110,7 +110,7 @@ def test_kernel_multiplicity_gaussian_2d(gaussian2):
 
 def test_group_degenerate_blocks(pairs1):
     _, pairs = pairs1
-    blocks = group_degenerate(pairs, tol=1e-4)
+    blocks = group_degenerate(pairs)
     assert [len(b) for b in blocks] == [1, 1, 1, 1]
 
 
@@ -239,9 +239,18 @@ def test_near_kernel_block_cached_per_grid(gaussian2, grid56, capsys):
     summary = block.summary()
     assert summary["method"] == "lobpcg" and summary["unknowns"] == 4944
     assert summary["worst_residual"] <= 1e-8
-    # count=6 and three Killing fields: three guard vectors, all above block_tol
+    # GUARD_SPAN 6 and three Killing fields: three guard vectors, all above BLOCK_TOL
     assert len(summary["guard_mus"]) == len(summary["guard_residuals"]) == 3
     assert min(summary["guard_mus"]) > 0.2
+
+
+def test_near_kernel_block_selects_pairs_below_block_tol(grid56, monkeypatch):
+    near = near_kernel_block(grid56)
+    # the three Killing pairs of the 2D Gaussian all lie below BLOCK_TOL
+    assert [id(p) for p in near.block] == [id(p) for p in near.pairs]
+    # with none at or below it, the block is the lowest pair alone
+    monkeypatch.setattr(spectral, "BLOCK_TOL", -1.0)
+    assert [id(p) for p in near.block] == [id(near.pairs[0])]
 
 
 def test_near_kernel_block_not_converged_raises(gaussian2, monkeypatch):
@@ -271,10 +280,13 @@ def test_guesses_rejected_off_lobpcg(grid1_256, method):
                           guesses=[dilation(grid)])
 
 
-def test_near_kernel_guard_catches_block_tol_above_guard(grid56):
-    # the guard's Ritz values sit near 1/4: a block_tol of 1 claims them for the block
+def test_near_kernel_guard_catches_block_tol_above_guard(gaussian2, monkeypatch):
+    # the guard's Ritz values sit near 1/4: a BLOCK_TOL of 1 claims them for the
+    # block. A fresh grid, since grid56 already caches its block
+    grid, _ = build_grid(gaussian2, 56, 6.0)
+    monkeypatch.setattr(spectral, "BLOCK_TOL", 1.0)
     with pytest.raises(SolverError, match="incomplete"):
-        near_kernel_block(grid56, block_tol=1.0)
+        near_kernel_block(grid)
 
 
 def test_near_kernel_guard_catches_missing_killing_field(gaussian2, monkeypatch):
@@ -315,7 +327,7 @@ def test_near_kernel_block_holds_every_killing_field(kind, n, k, killing):
 
 def test_near_kernel_guard_catches_missing_rotations_3d(monkeypatch):
     # the named Killing fields of a 3D Gaussian omit the rotations in the
-    # (0, 2) and (1, 2) planes, whose eigenvalue 6.4e-4 is below block_tol
+    # (0, 2) and (1, 2) planes, whose eigenvalue 6.4e-4 is below BLOCK_TOL
     grid, _ = build_grid(make_model("gaussian", 3), 16, 6.0)
     named = list(killing_fields(grid).values())
     assert len(named) == 4

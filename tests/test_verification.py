@@ -32,6 +32,14 @@ def coordinate_stretch(grid):
 # ---- dichotomy ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("order, floor", [(2, 2.5), (4, 0.625)])
+def test_stencil_tol_is_the_dichotomy_tolerance(gaussian2, order, floor):
+    # h = 2 R / resolution = 0.5, so 10 h^order is exact in binary
+    grid, _ = build_grid(gaussian2, 32, 8.0, stencil_order=order)
+    assert grid.stencil_tol == floor
+    assert classify_killing(euclidean_rotation(grid)).tolerance == grid.stencil_tol
+
+
 def test_rotation_preserves_f(gaussian2):
     grid, _ = build_grid(gaussian2, 64, 6.0)
     v = classify_killing(euclidean_rotation(grid))
