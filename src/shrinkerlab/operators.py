@@ -31,10 +31,22 @@ holds to machine precision and P = div_f o div_f^* is symmetric positive
 semidefinite by construction. The continuum divergence formula is kept as a
 separate reference discretization used only in convergence tests.
 
-Drift Laplacians on all ranks are assembled as -(covariant derivative)^adj o
+Drift Laplacians on all ranks are defined as -(covariant derivative)^adj o
 (covariant derivative), hence exactly symmetric and negative semidefinite in
 the weighted inner product. Curvature terms are not folded into the rough
 Laplacian; the tensor operator L adds the pointwise action 2 R(h) explicitly.
+
+Application
+-----------
+Only first-order operators are stored. A composite is applied factor by
+factor, right to left (`Operators.matvec`): P y = div_f(div_f^* y), the drift
+Laplacians as -nabla^adj(nabla x), and L adds 2 R(h). Each weighted adjoint
+is applied as (1/G_in) M^T (G_out x) with the Gram diagonals G, and M^T of a
+CSR matrix is a CSC view, so no adjoint is stored either. The products are
+multiplied out only when something needs their entries (a factorization, a
+dense solve, a diagonal): the cached properties `op_p`, `op_l`, `lap_*`,
+`div_f_vec` and `div_f_tensor`, which `OperatorHandle.matrix` returns. A test
+pins the factored application to those matrices.
 
 Sign conventions: the drift Laplacian satisfies L x_1 = -x_1/2 on the Gaussian
 model (drift term -<grad f, grad .>), pinned by tests.
@@ -81,13 +93,50 @@ _KIND_RANKS = {
 }
 
 
-@dataclass(frozen=True)
-class OperatorHandle:
-    """A named sparse operator between field component spaces."""
+# the cached property of `Operators` that assembles each kind's matrix
+_ASSEMBLED = {
+    OperatorKind.DIV_F_STAR: "div_f_star",
+    OperatorKind.DIV_F_VEC: "div_f_vec",
+    OperatorKind.DIV_F_TENSOR: "div_f_tensor",
+    OperatorKind.DRIFT_LAPLACIAN_SCALAR: "lap_scalar",
+    OperatorKind.DRIFT_LAPLACIAN_VECTOR: "lap_vector",
+    OperatorKind.DRIFT_LAPLACIAN_SYM2: "lap_sym2",
+    OperatorKind.OP_P: "op_p",
+    OperatorKind.OP_L: "op_l",
+    OperatorKind.GRADIENT: "gradient",
+    OperatorKind.HESSIAN: "hessian",
+}
 
-    kind: OperatorKind
-    matrix: sp.csr_matrix
-    grid: Grid
+
+class OperatorHandle:
+    """A named operator between field component spaces.
+
+    A handle from `Operators.handle` (`ops` given, `matrix` None) applies the
+    operator through its first-order factors (`Operators.matvec`), and its
+    `matrix` is assembled on first access by the suite's cached property, for
+    what needs entries: factorizations, dense solves, diagonals. A handle
+    built from a bare `matrix` applies that matrix.
+    """
+
+    def __init__(
+        self,
+        kind: OperatorKind,
+        matrix: sp.spmatrix | None,
+        grid: Grid,
+        ops: Operators | None = None,
+    ):
+        if (matrix is None) == (ops is None):
+            raise ValueError("an OperatorHandle takes either a matrix or an operator suite")
+        self.kind = kind
+        self.grid = grid
+        self._matrix = matrix
+        self._ops = ops
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        if self._ops is None:
+            return self._matrix
+        return getattr(self._ops, _ASSEMBLED[self.kind])
 
     @property
     def in_rank(self) -> str:
@@ -102,7 +151,9 @@ class OperatorHandle:
             raise GridError("field lives on a different grid")
         if field.rank != self.in_rank:
             raise FieldError(f"{self.kind.value} expects a {self.in_rank} field")
-        return Field.from_flat(self.grid, self.out_rank, self.matrix @ field.flat())
+        x = field.flat()
+        y = self._matrix @ x if self._ops is None else self._ops.matvec(self.kind, x)
+        return Field.from_flat(self.grid, self.out_rank, y)
 
 
 # Interior stencils over (offset, coefficient * h). Both couple the even and
@@ -199,7 +250,8 @@ def _diag(values: np.ndarray) -> sp.csr_matrix:
 
 
 class Operators:
-    """Assembled operator suite for one grid; matrices are cached and shared."""
+    """Operator suite for one grid: first-order factors, applied by `matvec`;
+    every matrix, composites included, is assembled on first use and cached."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -456,22 +508,43 @@ class Operators:
                 acc(jout, slot, _diag(-ginv[:, jout] * ginv[:, l] * df[:, l]))
         return sp.bmat(blocks).tocsr()
 
+    # ---- factored application -----------------------------------------------
+
+    @staticmethod
+    def _adjoint_apply(mat: sp.csr_matrix, gram_out: np.ndarray, gram_in: np.ndarray,
+                       y: np.ndarray) -> np.ndarray:
+        """`_adjoint(mat, gram_out, gram_in) @ y` without assembling the adjoint:
+        the transpose of a CSR matrix is a CSC view, so nothing is stored."""
+        return (1.0 / gram_in) * (mat.T @ (gram_out * y))
+
+    def matvec(self, kind: OperatorKind, x: np.ndarray) -> np.ndarray:
+        """`kind` applied to a flat component vector through its first-order
+        factors, right to left; no composite operator is multiplied out."""
+        K = OperatorKind
+        adjoint = self._adjoint_apply
+        actions = {
+            K.DIV_F_STAR: lambda: self.div_f_star @ x,
+            K.DIV_F_VEC: lambda: -adjoint(self.gradient, self.gram_vector, self.gram_scalar, x),
+            K.DIV_F_TENSOR: lambda: adjoint(self.div_f_star, self.gram_sym2, self.gram_vector, x),
+            K.DRIFT_LAPLACIAN_SCALAR: lambda: self.matvec(K.DIV_F_VEC, self.gradient @ x),
+            K.DRIFT_LAPLACIAN_VECTOR: lambda: -adjoint(
+                self._cov_vector, self._gram_cov_vector, self.gram_vector, self._cov_vector @ x
+            ),
+            K.DRIFT_LAPLACIAN_SYM2: lambda: -adjoint(
+                self._cov_sym2, self._gram_cov_sym2, self.gram_sym2, self._cov_sym2 @ x
+            ),
+            K.OP_P: lambda: self.matvec(K.DIV_F_TENSOR, self.div_f_star @ x),
+            K.OP_L: lambda: self.matvec(K.DRIFT_LAPLACIAN_SYM2, x)
+            + 2.0 * (self.riemann_block @ x),
+            K.GRADIENT: lambda: self.gradient @ x,
+            K.HESSIAN: lambda: self.hessian @ x,
+        }
+        return actions[kind]()
+
     # ---- field-level conveniences -----------------------------------------
 
     def handle(self, kind: OperatorKind) -> OperatorHandle:
-        mats = {
-            OperatorKind.DIV_F_STAR: lambda: self.div_f_star,
-            OperatorKind.DIV_F_VEC: lambda: self.div_f_vec,
-            OperatorKind.DIV_F_TENSOR: lambda: self.div_f_tensor,
-            OperatorKind.DRIFT_LAPLACIAN_SCALAR: lambda: self.lap_scalar,
-            OperatorKind.DRIFT_LAPLACIAN_VECTOR: lambda: self.lap_vector,
-            OperatorKind.DRIFT_LAPLACIAN_SYM2: lambda: self.lap_sym2,
-            OperatorKind.OP_P: lambda: self.op_p,
-            OperatorKind.OP_L: lambda: self.op_l,
-            OperatorKind.GRADIENT: lambda: self.gradient,
-            OperatorKind.HESSIAN: lambda: self.hessian,
-        }
-        return OperatorHandle(kind=kind, matrix=mats[kind](), grid=self.grid)
+        return OperatorHandle(kind=kind, matrix=None, grid=self.grid, ops=self)
 
     def apply(self, kind: OperatorKind, field: Field) -> Field:
         return self.handle(kind).apply(field)

@@ -4,7 +4,10 @@ The generalized problem B y = mu G y (B the weighted quadratic form of P,
 G the diagonal Gram matrix of the vector-field inner product) is conjugated
 by sqrt(G) into a standard symmetric problem, solved densely below a size
 cap (the oracle path), by shift-invert Lanczos up to the direct-factorization
-cap, and by warm-started preconditioned LOBPCG beyond that. Eigenfields come
+cap, and by warm-started preconditioned LOBPCG beyond that. Shift-invert
+factors the SPD matrix A - SHIFT*I once, as a symmetric-mode LU with an
+A^T + A minimum-degree ordering and no pivoting, and hands its solve to
+ARPACK. All three paths assemble P (`OperatorHandle.matrix`). Eigenfields come
 back unit-norm in the weighted inner product; pairs are deterministic up to
 sign (fixed here) and up to rotation inside numerically degenerate blocks.
 The near-kernel block of P, which the extension pipeline projects onto, is
@@ -138,10 +141,18 @@ def lowest_eigenpairs(
         dense = (dense + dense.T) * 0.5
         vals, vecs = sla.eigh(dense, subset_by_index=[0, count - 1])
     elif method == "sparse":
+        # A - SHIFT*I is SPD (A is PSD and SHIFT < 0), so it is factored once,
+        # symmetrically ordered and without pivoting, and eigsh runs on its solve
+        lu = spla.splu(
+            (A - SHIFT * sp.identity(size, format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
         try:
             vals, vecs = spla.eigsh(
                 A, k=count, sigma=SHIFT, which="LM", tol=tolerance,
                 v0=rng.standard_normal(size),
+                OPinv=spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype),
             )
         except spla.ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)

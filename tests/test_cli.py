@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shrinkerlab import cli, propagation, spectral
+from shrinkerlab import build_grid, cli, propagation, spectral
 from shrinkerlab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -90,6 +91,10 @@ RERUN_CASES = (
     # the tiny propagate of the tracer test: one near-kernel block and guard
     ("propagate", "--model", "gaussian", "--dim", "1", "--resolution", "136",
      "--truncation-radius", "4", "--r", "4", "--epsilon", "1e-3,1e-2"),
+    # the curved path, all suites: Christoffel terms, 2R(h) and the polar caps
+    # (res 16-40 fail killing_dichotomy)
+    ("verify", "--model", "cylinder", "--dim", "3", "--k", "2",
+     "--resolution", "48", "--truncation-radius", "6"),
 )
 
 
@@ -314,6 +319,46 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
                                "guard_mus", "guard_residuals"}
     assert solvers[0]["method"] == "lobpcg" and solvers[0]["unknowns"] == 512
     assert len(solvers[0]["guard_mus"]) == 5  # GUARD_SPAN 6, one Killing field
+
+
+def test_composite_operators_assembled_only_for_solvers(tmp_path, monkeypatch):
+    # verify applies P, L and the drift Laplacians through their first-order
+    # factors; only a solver that needs entries assembles P, and only once
+    grids = []
+
+    def recording_build_grid(*args, **kwargs):
+        built = build_grid(*args, **kwargs)
+        grids.append(built[0])
+        return built
+
+    monkeypatch.setattr(cli, "build_grid", recording_build_grid)
+    cli.run_verify(RunConfig(command="verify", model_kind="cylinder", n=3, k=2,
+                             resolution=16, truncation_radius=4.0))
+    composites = {"op_p", "op_l", "lap_scalar", "lap_vector", "lap_sym2",
+                  "div_f_vec", "div_f_tensor"}
+    assert not composites & set(grids[-1].ops().__dict__)
+
+    calls = []
+    assemble_p = Operators.__dict__["op_p"].func
+
+    def counted(self):
+        calls.append(self.grid)
+        return assemble_p(self)
+
+    counted_p = cached_property(counted)
+    counted_p.__set_name__(Operators, "op_p")
+    monkeypatch.setattr(Operators, "op_p", counted_p)
+    cli.run_spectrum(RunConfig(command="spectrum", resolution=24, truncation_radius=6.0),
+                     tmp_path / "spec")
+    assert len(calls) == 1
+    calls.clear()
+    checks = cli.run_propagate(
+        RunConfig(command="propagate", n=1, resolution=136, truncation_radius=4.0,
+                  r_values=(4.0,), epsilons=(1e-3, 1e-2)),
+        tmp_path / "prop",
+    )
+    assert len(checks) == 2
+    assert len(calls) == 1
 
 
 def test_benchmark_tracer_runs_propagate(tmp_path):

@@ -49,6 +49,21 @@ def test_gradient_divergence_adjoint(grid2_small, rng):
         assert abs(left - right) <= 1e-12 * max(abs(left), abs(right), 1e-30)
 
 
+@pytest.mark.parametrize("grid_name", ["grid2_small", "cyl_grid"])
+def test_factored_apply_matches_assembled_matrix(grid_name, request, rng):
+    # the assembled matrix is the oracle for the factor-by-factor application
+    grid, _ = request.getfixturevalue(grid_name)
+    ops = grid.ops()
+    for kind in OperatorKind:
+        handle = ops.handle(kind)
+        mat = handle.matrix
+        for _ in range(3):
+            x = rng.standard_normal(mat.shape[1])
+            got = handle.apply(Field.from_flat(grid, handle.in_rank, x)).flat()
+            want = mat @ x
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), kind
+
+
 def test_p_positive_semidefinite(grid2_small, rng):
     grid, _ = grid2_small
     ops = grid.ops()
