@@ -4,10 +4,12 @@ The generalized problem B y = mu G y (B the weighted quadratic form of P,
 G the diagonal Gram matrix of the vector-field inner product) is conjugated
 by sqrt(G) into a standard symmetric problem, solved densely below a size
 cap (the oracle path), by shift-invert Lanczos up to the direct-factorization
-cap, and by warm-started preconditioned LOBPCG beyond that. Shift-invert
-factors the SPD matrix A - SHIFT*I once, as a symmetric-mode LU with an
-A^T + A minimum-degree ordering and no pivoting, and hands its solve to
-ARPACK. All three paths assemble P (`OperatorHandle.matrix`). Eigenfields come
+cap, and by warm-started LOBPCG beyond that. Shift-invert factors the SPD
+matrix A - SHIFT*I once, as a symmetric-mode LU with an A^T + A minimum-degree
+ordering and no pivoting, and hands its solve to ARPACK. LOBPCG is
+preconditioned by an aggregation V-cycle built on the grid's tensor structure
+(`_VCycle`); the symmetric form and its cycle are built once per grid. All
+three paths assemble P (`OperatorHandle.matrix`). Eigenfields come
 back unit-norm in the weighted inner product; pairs are deterministic up to
 sign (fixed here) and up to rotation inside numerically degenerate blocks.
 The near-kernel block of P, which the extension pipeline projects onto, is
@@ -33,6 +35,10 @@ DENSE_CAP = 5000
 DIRECT_CAP = 60_000
 SHIFT = -0.5
 LOBPCG_MAXITER = 700
+# both LOBPCG runs are preconditioned by a V-cycle (`_VCycle`) for
+# (A + CYCLE_SHIFT*I)^-1, coarsened down to at most CYCLE_BOTTOM unknowns
+CYCLE_SHIFT = 0.25
+CYCLE_BOTTOM = 2000
 # eigenpairs of P at or below BLOCK_TOL form the near-kernel block that an
 # approximate symmetry is projected onto (`NearKernelBlock.block`); a guard
 # Ritz value at or below it proves the block incomplete
@@ -43,9 +49,10 @@ GUARD_SPAN = 6
 # the guard needs upper bounds on the next eigenvalues that resolve BLOCK_TOL.
 # At residual 0.1 the guard's Ritz values on a 3D Gaussian grid missing two
 # rotations (true eigenvalue 6.4e-4) stopped at 0.010-0.012 and passed the
-# block; at 0.01 they reached 7e-4 to 8e-4. The cap sits above the 237
-# iterations the guard takes on the 62,856-unknown 2D Gaussian grid of the
-# propagate benchmark.
+# block; at 0.01 they reached 7e-4 to 8e-4. A guard that ends above GUARD_TOL
+# raises. The guard takes about 25 iterations on the 62,856-unknown 2D
+# Gaussian grid of the propagate benchmark; GUARD_MAXITER only bounds a run
+# that stagnates.
 GUARD_TOL = 0.01
 GUARD_MAXITER = 600
 # eigenvalues closer than this form one degenerate block (`group_degenerate`)
@@ -80,13 +87,71 @@ def _symmetric_form(handle: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray]:
     return A, s
 
 
-def _jacobi(diagonal: np.ndarray) -> spla.LinearOperator:
-    """Shifted Jacobi preconditioner of the symmetric form with this diagonal."""
-    pre = 1.0 / (diagonal + 0.25)
-    size = len(pre)
-    return spla.LinearOperator(
-        (size, size), matvec=lambda x: x * pre if x.ndim == 1 else x * pre[:, None]
-    )
+class _VCycle:
+    """Aggregation V-cycle for (A + CYCLE_SHIFT*I)^-1 on the grid's tensor structure.
+
+    Each coarser level merges the fine cells whose `node_multi // 2` agree, so
+    2^n fine cells make one coarse cell. The prolongator T has one column per
+    component and coarse cell: the sqrt(Gram)-weighted constant, normalised,
+    which is the constant field in A's variables; the column norms are the next
+    level's weights. T's columns are orthonormal, so the Galerkin product
+    T^T (A + c I) T is T^T A T + c I and no shifted copy of A is built. One
+    damped-Jacobi sweep smooths before and after the coarse correction, with
+    the weight 1 / max_i(Gershgorin row sum / diagonal) of the shifted level
+    operator; the cycle is then symmetric positive definite. Levels are
+    coarsened until at most CYCLE_BOTTOM unknowns remain, which `splu` solves
+    exactly. `applications` counts the calls of `apply`.
+    """
+
+    def __init__(self, A: sp.csr_matrix, s: np.ndarray, node_multi: np.ndarray):
+        ncomp = len(s) // len(node_multi)
+        self.levels = []  # (A, damped inverse diagonal as a column, T) per smoothed level
+        while A.shape[0] > CYCLE_BOTTOM:
+            cells, agg = np.unique(node_multi // 2, axis=0, return_inverse=True)
+            cols = (np.arange(ncomp)[:, None] * len(cells) + agg.ravel()[None, :]).ravel()
+            norms = np.sqrt(np.bincount(cols, weights=s * s))
+            T = sp.csr_matrix((s / norms[cols], (np.arange(len(s)), cols)),
+                              shape=(len(s), len(norms)))
+            diagonal = A.diagonal() + CYCLE_SHIFT
+            row_sums = abs(A) @ np.ones(A.shape[0]) + CYCLE_SHIFT
+            smooth = 1.0 / (diagonal * np.max(row_sums / diagonal))
+            self.levels.append((A, smooth[:, None], T))
+            A = (T.T @ A @ T).tocsr()
+            s, node_multi = norms, cells
+        self.bottom = spla.splu((A + CYCLE_SHIFT * sp.identity(A.shape[0])).tocsc())
+        self.sizes = [level[0].shape[0] for level in self.levels] + [A.shape[0]]
+        self.applications = 0
+
+    def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
+        if depth == len(self.levels):
+            return self.bottom.solve(b)
+        A, smooth, T = self.levels[depth]
+        x = smooth * b
+        x += T @ self._cycle(depth + 1, T.T @ (b - A @ x - CYCLE_SHIFT * x))
+        return x + smooth * (b - A @ x - CYCLE_SHIFT * x)
+
+    def apply(self, b: np.ndarray) -> np.ndarray:
+        self.applications += 1
+        return self._cycle(0, b.reshape(b.shape[0], -1)).reshape(b.shape)
+
+    def operator(self) -> spla.LinearOperator:
+        size = self.sizes[0]
+        return spla.LinearOperator((size, size), matvec=self.apply, matmat=self.apply,
+                                   dtype=np.float64)
+
+
+def _lobpcg_form(operator: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray, _VCycle]:
+    """(A, s, V-cycle) of `operator`, built once per grid and assembled matrix.
+
+    The cached value holds the matrix, so its id names it while the grid lives.
+    """
+    matrix = operator.matrix
+
+    def build():
+        A, s = _symmetric_form(operator)
+        return matrix, A, s, _VCycle(A, s, operator.grid.node_multi)
+
+    return operator.grid._cached(("lobpcg_form", id(matrix)), build)[1:]
 
 
 def _check_weighted_symmetry(handle: OperatorHandle, rng):
@@ -115,10 +180,11 @@ def lowest_eigenpairs(
     """Lowest eigenpairs of a weighted-symmetric PSD operator, sorted ascending.
 
     Path selection: dense solve up to `DENSE_CAP` unknowns (the oracle),
-    shift-invert Lanczos up to the direct-factorization cap, and Jacobi-
-    preconditioned LOBPCG above it. `guesses` warm-start LOBPCG, and only
-    LOBPCG; closed-form near-kernel fields make it converge quickly. Its
-    worst residual must end at or below 10 * `tolerance`, else SolverError.
+    shift-invert Lanczos up to the direct-factorization cap, and LOBPCG
+    preconditioned by the V-cycle `_VCycle` above it. `guesses` warm-start
+    LOBPCG, and only LOBPCG; closed-form near-kernel fields make it converge
+    quickly. Its worst residual must end at or below 10 * `tolerance`, else
+    SolverError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -135,7 +201,10 @@ def lowest_eigenpairs(
     rng = np.random.default_rng(seed)
     _check_weighted_symmetry(operator, rng)
 
-    A, s = _symmetric_form(operator)
+    if method == "lobpcg":
+        A, s, cycle = _lobpcg_form(operator)
+    else:
+        A, s = _symmetric_form(operator)
     if method == "dense":
         dense = A.toarray()
         dense = (dense + dense.T) * 0.5
@@ -169,7 +238,7 @@ def lowest_eigenpairs(
             cols.append(rng.standard_normal(size))
         X, _ = np.linalg.qr(np.stack(cols[:count], axis=1))
         vals, vecs = spla.lobpcg(
-            A, X, M=_jacobi(A.diagonal()), largest=False, tol=max(tolerance, 1e-10),
+            A, X, M=cycle.operator(), largest=False, tol=max(tolerance, 1e-10),
             maxiter=LOBPCG_MAXITER,
         )
         order = np.argsort(vals)
@@ -230,7 +299,11 @@ class NearKernelBlock:
         """What the solve did, for reports; deterministic, so no timings.
 
         The guard run's values differ with the BLAS thread count from
-        about the 11th digit on; six significant digits keep reports equal.
+        about the 11th digit on; six significant digits keep them equal.
+        The block's values are reported in full. Between thread counts its
+        eigenvalues can differ by about 1e-13 relative, and its round-off
+        sized worst residual from the 7th digit on, once LOBPCG's active set
+        has shrunk to one vector, whose inner products BLAS splits by thread.
         """
         return {
             "method": "lobpcg",
@@ -251,17 +324,19 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
     alone; the dense and shift-invert paths cannot use that start. A guard
     follows: LOBPCG with `GUARD_SPAN - len(pairs)` seeded random vectors (at
     least one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
-    `GUARD_MAXITER` iterations. (A dilation start vector would converge to its
-    1/2 eigenvalue first; LOBPCG's soft locking then retires the guard before
-    the random vectors reach the bottom of the complement's spectrum.)
+    `GUARD_MAXITER` iterations. Both runs share the symmetric form and its
+    V-cycle preconditioner, cached on the grid. (A dilation start vector would
+    converge to its 1/2 eigenvalue first; LOBPCG's soft locking then retires
+    the guard before the random vectors reach the bottom of the complement's
+    spectrum.)
 
     Raises SolverError when the block does not converge (a residual above
-    10 * `tolerance`), or when a guard Ritz value is at or below `BLOCK_TOL`.
+    10 * `tolerance`), when a guard Ritz value is at or below `BLOCK_TOL`, or
+    when the guard ends with a residual above `GUARD_TOL`.
     The guard check is one-sided: Ritz values are upper bounds on the
     eigenvalues of P on the complement of the block, so a value at or below
-    `BLOCK_TOL` proves the block incomplete. Values above it prove nothing:
-    they speak for the block only as far as the guard has converged (see
-    `guard_residuals`).
+    `BLOCK_TOL` proves the block incomplete. Values above it speak for the
+    block only as far as the guard has converged, hence the residual check.
     """
     key = ("near_kernel_block", tolerance, seed)
     return grid._cached(key, lambda: _solve_near_kernel_block(grid, tolerance, seed))
@@ -269,8 +344,10 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
 
 def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     handle = grid.ops().handle(OperatorKind.OP_P)
-    P = handle.matrix
-    size = P.shape[0]
+    # the block solve below builds nothing: it finds this form in the grid's cache
+    A, s, cycle = _lobpcg_form(handle)
+    size = A.shape[0]
+    started = cycle.applications
     starts = killing_basis(grid)
     try:
         pairs = lowest_eigenpairs(
@@ -279,19 +356,12 @@ def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     except SolverError as exc:
         raise SolverError(f"near-kernel block did not converge: {exc}") from exc
 
-    # the guard applies the symmetric form S^-1 (G P) S^-1 = S P S^-1 (G = S^2)
-    # matrix-free instead of assembling it a second time; its diagonal is P's
-    s = np.sqrt(grid.ops().gram(handle.in_rank))
-    A = spla.LinearOperator(
-        P.shape,
-        matvec=lambda x: s * (P @ (x.ravel() / s)),
-        matmat=lambda X: s[:, None] * (P @ (X / s[:, None])),
-    )
+    block_iterations = cycle.applications - started
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((size, max(1, GUARD_SPAN - len(pairs))))
     Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
     vals, vecs = spla.lobpcg(
-        A, X, Y=Y, M=_jacobi(P.diagonal()), largest=False,
+        A, X, Y=Y, M=cycle.operator(), largest=False,
         tol=GUARD_TOL, maxiter=GUARD_MAXITER,
     )
     order = np.argsort(vals)
@@ -303,16 +373,24 @@ def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
         guard_mus=[float(v) for v in vals],
         guard_residuals=[float(r) for r in resid],
     )
+    guard_iterations = cycle.applications - started - block_iterations
     print(
         f"near-kernel block: lobpcg, {size} unknowns, {len(pairs)} pairs, "
         f"worst residual {block.worst_residual:.2e}; guard Ritz values "
-        f"{', '.join(f'{v:.4g}' for v in block.guard_mus)} (residual <= {max(resid):.2e})",
+        f"{', '.join(f'{v:.4g}' for v in block.guard_mus)} (residual <= {max(resid):.2e}); "
+        f"V-cycle levels {'/'.join(map(str, cycle.sizes))}, "
+        f"{block_iterations} block and {guard_iterations} guard iterations",
         file=sys.stderr,
     )
     if vals[0] <= BLOCK_TOL:
         raise SolverError(
             f"near-kernel block incomplete: guard Ritz value {vals[0]:.3g} is at or "
             f"below BLOCK_TOL {BLOCK_TOL:g}"
+        )
+    if max(resid) > GUARD_TOL:
+        raise SolverError(
+            f"near-kernel block guard did not converge (worst residual {max(resid):.2e}, "
+            f"GUARD_TOL {GUARD_TOL:g})"
         )
     return block
 

@@ -255,8 +255,8 @@ def test_near_kernel_block_selects_pairs_below_block_tol(grid56, monkeypatch):
 
 def test_near_kernel_block_not_converged_raises(gaussian2, monkeypatch):
     grid, _ = build_grid(gaussian2, 56, 6.0)
-    # 20 iterations leave the block residual near 5e-4: above 10 * tolerance
-    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 20)
+    # 5 iterations leave the block residual near 1e-3: above 10 * tolerance
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 5)
     with pytest.raises(SolverError, match="near-kernel block did not converge"):
         near_kernel_block(grid)
 
@@ -265,10 +265,60 @@ def test_lobpcg_not_converged_raises(gaussian2, monkeypatch):
     # the rule of near_kernel_block holds on the LOBPCG path of every caller:
     # a worst residual above 10 * tolerance raises
     grid, _ = build_grid(gaussian2, 56, 6.0)
-    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 20)
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 5)
     with pytest.raises(SolverError, match="did not converge"):
         lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 3, method="lobpcg",
                           guesses=list(killing_fields(grid).values()))
+
+
+def test_near_kernel_guard_not_converged_raises(gaussian2, monkeypatch):
+    # two iterations leave the guard far above GUARD_TOL; its Ritz values,
+    # upper bounds near 1/4, prove nothing about the block
+    grid, _ = build_grid(gaussian2, 56, 6.0)
+    monkeypatch.setattr(spectral, "GUARD_MAXITER", 2)
+    with pytest.raises(SolverError, match="guard did not converge"):
+        near_kernel_block(grid)
+
+
+def test_vcycle_is_symmetric_positive_definite(gaussian2):
+    grid, _ = build_grid(gaussian2, 120, 6.0)
+    _, _, cycle = spectral._lobpcg_form(grid.ops().handle(OperatorKind.OP_P))
+    assert len(cycle.levels) >= 2
+    rng = np.random.default_rng(7)
+    U = rng.standard_normal((cycle.sizes[0], 4))
+    V = rng.standard_normal((cycle.sizes[0], 4))
+    MU, MV = cycle.apply(U), cycle.apply(V)
+    # u.(M v) = v.(M u) for every probe pair, relative to |u| |M v|
+    scale = np.linalg.norm(U, axis=0)[:, None] * np.linalg.norm(MV, axis=0)[None, :]
+    assert np.max(np.abs(U.T @ MV - (V.T @ MU).T) / scale) <= 1e-12
+    assert np.min(np.einsum("ij,ij->j", U, MU)) > 0
+    assert np.min(np.einsum("ij,ij->j", V, MV)) > 0
+    # a column at a time applies the same cycle as the block
+    np.testing.assert_allclose(cycle.apply(U[:, 0]), MU[:, 0],
+                               rtol=0, atol=1e-14 * np.abs(MU).max())
+
+
+def test_near_kernel_block_preconditioned_iterations(gaussian2, monkeypatch):
+    # both LOBPCG runs apply their preconditioner once per iteration; the
+    # V-cycle keeps that count flat as the grid grows (Jacobi took 101 and 100)
+    grid, _ = build_grid(gaussian2, 80, 6.0)
+    assert grid.n_nodes * 2 == 10048
+    lobpcg, applications = spectral.spla.lobpcg, []
+
+    def counted(A, X, M, **kwargs):
+        applications.append(0)
+
+        def pre(x):
+            applications[-1] += 1
+            return M @ x
+
+        wrapped = spectral.spla.LinearOperator(M.shape, matvec=pre, matmat=pre, dtype=M.dtype)
+        return lobpcg(A, X, M=wrapped, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "lobpcg", counted)
+    near_kernel_block(grid)
+    assert len(applications) == 2
+    assert max(applications) <= 40
 
 
 @pytest.mark.parametrize("method", ["dense", "sparse"])
