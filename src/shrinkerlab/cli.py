@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import resource
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -356,6 +357,14 @@ def run_verify(cfg: RunConfig) -> list[dict]:
             {"c1": rep.c1, "c2": rep.c2, "c3": rep.c3},
             insufficient=rep.insufficient,
         )
+    # on stderr, not in the report, so that reruns stay byte-identical
+    held = ops.stored_matrices()
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    print(
+        f"operator storage: {', '.join(held)}; {sum(held.values()):,} nnz; "
+        f"ru_maxrss {peak_mb:.0f} MB",
+        file=sys.stderr,
+    )
     return checks
 
 

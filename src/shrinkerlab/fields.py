@@ -36,6 +36,15 @@ def components_for(rank: str, n: int) -> int:
     raise FieldError(f"unknown rank {rank!r}")
 
 
+def _sym2_contraction(grid: Grid) -> np.ndarray:
+    """Per-node weights mult * g^{ii} g^{jj} of the packed sym2 contraction."""
+    ginv = grid.inv_metric_diag
+    pairs = sym_pairs(grid.n)
+    gi = np.stack([ginv[:, i] for i, _ in pairs], axis=1)
+    gj = np.stack([ginv[:, j] for _, j in pairs], axis=1)
+    return pair_multiplicity(grid.n) * gi * gj
+
+
 @dataclass
 class Field:
     """Values sampled at grid nodes, shaped (N,) or (N, components)."""
@@ -81,12 +90,8 @@ class Field:
             return self.values * other.values
         if self.rank == VECTOR:
             return np.sum(g * self.values * other.values, axis=1)
-        ginv = self.grid.inv_metric_diag
-        pairs = sym_pairs(self.grid.n)
-        mult = pair_multiplicity(self.grid.n)
-        gi = np.stack([ginv[:, i] for i, _ in pairs], axis=1)
-        gj = np.stack([ginv[:, j] for _, j in pairs], axis=1)
-        return np.sum(mult * gi * gj * self.values * other.values, axis=1)
+        weights = self.grid._cached("sym2_contraction", lambda: _sym2_contraction(self.grid))
+        return np.sum(weights * self.values * other.values, axis=1)
 
     def pointwise_norm_sq(self) -> np.ndarray:
         return self.contract(self)

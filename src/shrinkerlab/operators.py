@@ -38,15 +38,25 @@ Laplacian; the tensor operator L adds the pointwise action 2 R(h) explicitly.
 
 Application
 -----------
-Only first-order operators are stored. A composite is applied factor by
-factor, right to left (`Operators.matvec`): P y = div_f(div_f^* y), the drift
-Laplacians as -nabla^adj(nabla x), and L adds 2 R(h). Each weighted adjoint
-is applied as (1/G_in) M^T (G_out x) with the Gram diagonals G, and M^T of a
-CSR matrix is a CSC view, so no adjoint is stored either. The products are
-multiplied out only when something needs their entries (a factorization, a
-dense solve, a diagonal): the cached properties `op_p`, `op_l`, `lap_*`,
-`div_f_vec` and `div_f_tensor`, which `OperatorHandle.matrix` returns. A test
-pins the factored application to those matrices.
+Every first-order operator is one term list over the per-axis difference
+matrices D_a (`FirstOrder`): out[o] += left D_a(right x[i]), plus pointwise
+Christoffel couplings out[o] += c x[i]. The gradient, div_f^*, the covariant
+derivatives of vectors and sym2 tensors are each defined once that way; the
+Hessian is -div_f^* applied to the gradient, (1/2) L_{grad u} g. A term list
+is applied with one sparse matvec per derivative term, and its transpose
+through D_a^T, a CSC view of the stored CSR matrix. (A multi-column pass per
+axis is no faster: scipy's CSR kernel costs the same per column, and the
+block adds strided copies.) A composite
+is applied factor by factor, right to left (`Operators.matvec`):
+P y = div_f(div_f^* y), the drift Laplacians as -nabla^adj(nabla x), and L
+adds 2 R(h). Each weighted adjoint is applied as (1/G_in) M^T (G_out x) with
+the Gram diagonals G. So a suite that only applies holds no sparse matrix but
+the D_a and the pointwise curvature block. A matrix is assembled from the
+term lists, in one COO pass, only when something needs its entries (a
+factorization, a dense solve, a diagonal): the cached properties `op_p`,
+`op_l`, `lap_*`, `div_f_*`, `gradient` and `hessian`, which
+`OperatorHandle.matrix` returns. A test pins the factored application to
+those matrices.
 
 Sign conventions: the drift Laplacian satisfies L x_1 = -x_1/2 on the Gaussian
 model (drift term -<grad f, grad .>), pinned by tests.
@@ -249,9 +259,86 @@ def _diag(values: np.ndarray) -> sp.csr_matrix:
     return sp.diags(values).tocsr()
 
 
+def _scaled(factor, x: np.ndarray) -> np.ndarray:
+    return x if factor is None else factor * x
+
+
+def _at(factor, idx: np.ndarray):
+    """A per-node factor (or a constant) read at the nodes `idx`."""
+    return factor if np.ndim(factor) == 0 else factor[idx]
+
+
+class FirstOrder:
+    """A first-order operator between component-major flat vectors, as a term
+    list over the per-axis difference matrices `diffs`:
+
+        out[o] += left * D_a(right * x[i])    for (o, i, a, left, right) in derivs
+        out[o] += coef * x[i]                 for (o, i, coef) in points
+
+    `left` and `right` are per-node arrays, constants, or None (one).
+    """
+
+    def __init__(self, diffs: list[sp.csr_matrix], n_in: int, n_out: int):
+        self.diffs = diffs
+        self.n_in = n_in
+        self.n_out = n_out
+        self.derivs: list[tuple] = []
+        self.points: list[tuple] = []
+
+    def derive(self, o: int, i: int, axis: int, left=None, right=None) -> None:
+        self.derivs.append((o, i, axis, left, right))
+
+    def couple(self, o: int, i: int, coef: np.ndarray) -> None:
+        self.points.append((o, i, coef))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        N = self.diffs[0].shape[0]
+        x = x.reshape(self.n_in, N)
+        out = np.zeros((self.n_out, N))
+        for o, i, a, left, right in self.derivs:
+            out[o] += _scaled(left, self.diffs[a] @ _scaled(right, x[i]))
+        for o, i, coef in self.points:
+            out[o] += coef * x[i]
+        return out.ravel()
+
+    def rapply(self, y: np.ndarray) -> np.ndarray:
+        """The matrix transpose, through D_a^T: a CSC view, nothing stored."""
+        N = self.diffs[0].shape[0]
+        y = y.reshape(self.n_out, N)
+        out = np.zeros((self.n_in, N))
+        for o, i, a, left, right in self.derivs:
+            out[i] += _scaled(right, self.diffs[a].T @ _scaled(left, y[o]))
+        for o, i, coef in self.points:
+            out[i] += coef * y[o]
+        return out.ravel()
+
+    def assemble(self) -> sp.csr_matrix:
+        """The operator's matrix, from one COO pass over every term."""
+        N = self.diffs[0].shape[0]
+        ids = np.arange(N)
+        coos = [D.tocoo() for D in self.diffs]
+        rows, cols, vals = [], [], []
+        for o, i, a, left, right in self.derivs:
+            d = coos[a]
+            v = d.data if left is None else _at(left, d.row) * d.data
+            rows.append(o * N + d.row)
+            cols.append(i * N + d.col)
+            vals.append(v if right is None else v * _at(right, d.col))
+        for o, i, coef in self.points:
+            rows.append(o * N + ids)
+            cols.append(i * N + ids)
+            vals.append(coef)
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n_out * N, self.n_in * N),
+        ).tocsr()
+
+
 class Operators:
-    """Operator suite for one grid: first-order factors, applied by `matvec`;
-    every matrix, composites included, is assembled on first use and cached."""
+    """Operator suite for one grid. The first-order operators are term lists
+    over the difference matrices `diffs`, applied factor by factor by
+    `matvec`; a matrix, first-order or composite, is assembled only when its
+    cached property is read."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -328,14 +415,70 @@ class Operators:
     def _adjoint(mat: sp.csr_matrix, gram_out: np.ndarray, gram_in: np.ndarray) -> sp.csr_matrix:
         return (_diag(1.0 / gram_in) @ mat.T.tocsr() @ _diag(gram_out)).tocsr()
 
-    # ---- first-order operators -------------------------------------------
+    # ---- first-order operators: term lists --------------------------------
+
+    @cached_property
+    def _gradient_terms(self) -> FirstOrder:
+        """Scalar -> contravariant vector, (grad u)^c = g^{cc} D_c u."""
+        ginv = self.grid.inv_metric_diag
+        op = FirstOrder(self.diffs, 1, self.n)
+        for c in range(self.n):
+            op.derive(c, 0, c, left=ginv[:, c])
+        return op
+
+    @cached_property
+    def _div_f_star_terms(self) -> FirstOrder:
+        """Vector -> packed sym2: minus half the symmetrized covariant derivative."""
+        g = self.grid.metric_diag
+        op = FirstOrder(self.diffs, self.n, len(self.pairs))
+        for slot, (i, j) in enumerate(self.pairs):
+            if i == j:
+                op.derive(slot, i, i, left=-1.0, right=g[:, i])
+            else:
+                op.derive(slot, j, i, left=-0.5, right=g[:, j])
+                op.derive(slot, i, j, left=-0.5, right=g[:, i])
+            for l in range(self.n):
+                gamma = self._christoffel(l, i, j)
+                if gamma is not None:
+                    op.couple(slot, l, gamma * g[:, l])
+        return op
+
+    @cached_property
+    def _cov_vector_terms(self) -> FirstOrder:
+        """Full covariant derivative of a vector field, components (a, j)."""
+        op = FirstOrder(self.diffs, self.n, self.n * self.n)
+        for a in range(self.n):
+            for j in range(self.n):
+                op.derive(a * self.n + j, j, a)
+                for l in range(self.n):
+                    gamma = self._christoffel(j, a, l)
+                    if gamma is not None:
+                        op.couple(a * self.n + j, l, gamma)
+        return op
+
+    @cached_property
+    def _cov_sym2_terms(self) -> FirstOrder:
+        """Full covariant derivative of a packed sym2 field, components (a, pair)."""
+        npairs = len(self.pairs)
+        op = FirstOrder(self.diffs, npairs, self.n * npairs)
+        for a in range(self.n):
+            for s, (i, j) in enumerate(self.pairs):
+                out = a * npairs + s
+                op.derive(out, s, a)
+                for l in range(self.n):
+                    gamma_i = self._christoffel(l, a, i)
+                    if gamma_i is not None:
+                        op.couple(out, self.pair_slot[(min(l, j), max(l, j))], -gamma_i)
+                    gamma_j = self._christoffel(l, a, j)
+                    if gamma_j is not None:
+                        op.couple(out, self.pair_slot[(min(i, l), max(i, l))], -gamma_j)
+        return op
+
+    # ---- assembled matrices, for what needs entries ------------------------
 
     @cached_property
     def gradient(self) -> sp.csr_matrix:
-        """Scalar -> contravariant vector, (grad u)^c = g^{cc} D_c u."""
-        ginv = self.grid.inv_metric_diag
-        blocks = [[_diag(ginv[:, c]) @ self.diffs[c]] for c in range(self.n)]
-        return sp.bmat(blocks).tocsr()
+        return self._gradient_terms.assemble()
 
     @cached_property
     def div_f_vec(self) -> sp.csr_matrix:
@@ -344,22 +487,7 @@ class Operators:
 
     @cached_property
     def div_f_star(self) -> sp.csr_matrix:
-        """Vector -> packed sym2: minus half the symmetrized covariant derivative."""
-        g = self.grid.metric_diag
-        npairs = len(self.pairs)
-        blocks = [[None] * self.n for _ in range(npairs)]
-
-        def acc(slot, col, mat):
-            blocks[slot][col] = mat if blocks[slot][col] is None else blocks[slot][col] + mat
-
-        for slot, (i, j) in enumerate(self.pairs):
-            acc(slot, j, -0.5 * (self.diffs[i] @ _diag(g[:, j])))
-            acc(slot, i, -0.5 * (self.diffs[j] @ _diag(g[:, i])))
-            for l in range(self.n):
-                gamma = self._christoffel(l, i, j)
-                if gamma is not None:
-                    acc(slot, l, _diag(gamma * g[:, l]))
-        return sp.bmat(blocks).tocsr()
+        return self._div_f_star_terms.assemble()
 
     @cached_property
     def div_f_tensor(self) -> sp.csr_matrix:
@@ -368,47 +496,9 @@ class Operators:
 
     @cached_property
     def op_p(self) -> sp.csr_matrix:
-        return (self.div_f_tensor @ self.div_f_star).tocsr()
-
-    # ---- covariant derivatives and drift Laplacians -----------------------
-
-    @cached_property
-    def _cov_vector(self) -> sp.csr_matrix:
-        """Full covariant derivative of a vector field, components (a, j)."""
-        blocks = []
-        for a in range(self.n):
-            for j in range(self.n):
-                row = [None] * self.n
-                row[j] = self.diffs[a].copy()
-                for l in range(self.n):
-                    gamma = self._christoffel(j, a, l)
-                    if gamma is not None:
-                        row[l] = _diag(gamma) if row[l] is None else row[l] + _diag(gamma)
-                blocks.append(row)
-        return sp.bmat(blocks).tocsr()
-
-    @cached_property
-    def _cov_sym2(self) -> sp.csr_matrix:
-        """Full covariant derivative of a packed sym2 field, components (a, pair)."""
-        blocks = []
-        for a in range(self.n):
-            for (i, j) in self.pairs:
-                row = [None] * len(self.pairs)
-
-                def acc(pair, mat):
-                    slot = self.pair_slot[(min(pair), max(pair))]
-                    row[slot] = mat if row[slot] is None else row[slot] + mat
-
-                acc((i, j), self.diffs[a].copy())
-                for l in range(self.n):
-                    gamma_i = self._christoffel(l, a, i)
-                    if gamma_i is not None:
-                        acc((l, j), -_diag(gamma_i))
-                    gamma_j = self._christoffel(l, a, j)
-                    if gamma_j is not None:
-                        acc((i, l), -_diag(gamma_j))
-                blocks.append(row)
-        return sp.bmat(blocks).tocsr()
+        # the first-order factor is not kept: a solver needs only P
+        D = self._div_f_star_terms.assemble()
+        return (self._adjoint(D, self.gram_sym2, self.gram_vector) @ D).tocsr()
 
     @cached_property
     def lap_scalar(self) -> sp.csr_matrix:
@@ -416,26 +506,17 @@ class Operators:
 
     @cached_property
     def lap_vector(self) -> sp.csr_matrix:
-        adj = self._adjoint(self._cov_vector, self._gram_cov_vector, self.gram_vector)
-        return (-(adj @ self._cov_vector)).tocsr()
+        cov = self._cov_vector_terms.assemble()
+        return (-(self._adjoint(cov, self._gram_cov_vector, self.gram_vector) @ cov)).tocsr()
 
     @cached_property
     def lap_sym2(self) -> sp.csr_matrix:
-        adj = self._adjoint(self._cov_sym2, self._gram_cov_sym2, self.gram_sym2)
-        return (-(adj @ self._cov_sym2)).tocsr()
+        cov = self._cov_sym2_terms.assemble()
+        return (-(self._adjoint(cov, self._gram_cov_sym2, self.gram_sym2) @ cov)).tocsr()
 
     @cached_property
     def hessian(self) -> sp.csr_matrix:
-        """Scalar -> packed sym2 covariant Hessian."""
-        blocks = []
-        for (i, j) in self.pairs:
-            mat = 0.5 * (self.diffs[i] @ self.diffs[j] + self.diffs[j] @ self.diffs[i])
-            for l in range(self.n):
-                gamma = self._christoffel(l, i, j)
-                if gamma is not None:
-                    mat = mat - _diag(gamma) @ self.diffs[l]
-            blocks.append([mat])
-        return sp.bmat(blocks).tocsr()
+        return (-(self.div_f_star @ self.gradient)).tocsr()
 
     @cached_property
     def riemann_block(self) -> sp.csr_matrix:
@@ -511,35 +592,67 @@ class Operators:
     # ---- factored application -----------------------------------------------
 
     @staticmethod
-    def _adjoint_apply(mat: sp.csr_matrix, gram_out: np.ndarray, gram_in: np.ndarray,
+    def _adjoint_apply(op: FirstOrder, gram_out: np.ndarray, gram_in: np.ndarray,
                        y: np.ndarray) -> np.ndarray:
-        """`_adjoint(mat, gram_out, gram_in) @ y` without assembling the adjoint:
-        the transpose of a CSR matrix is a CSC view, so nothing is stored."""
-        return (1.0 / gram_in) * (mat.T @ (gram_out * y))
+        """`_adjoint(op.assemble(), gram_out, gram_in) @ y`, through the
+        transposed term list: neither the matrix nor its adjoint is built."""
+        return (1.0 / gram_in) * op.rapply(gram_out * y)
 
     def matvec(self, kind: OperatorKind, x: np.ndarray) -> np.ndarray:
         """`kind` applied to a flat component vector through its first-order
-        factors, right to left; no composite operator is multiplied out."""
+        factors, right to left; no matrix is assembled."""
         K = OperatorKind
         adjoint = self._adjoint_apply
         actions = {
-            K.DIV_F_STAR: lambda: self.div_f_star @ x,
-            K.DIV_F_VEC: lambda: -adjoint(self.gradient, self.gram_vector, self.gram_scalar, x),
-            K.DIV_F_TENSOR: lambda: adjoint(self.div_f_star, self.gram_sym2, self.gram_vector, x),
-            K.DRIFT_LAPLACIAN_SCALAR: lambda: self.matvec(K.DIV_F_VEC, self.gradient @ x),
+            K.DIV_F_STAR: lambda: self._div_f_star_terms.apply(x),
+            K.DIV_F_VEC: lambda: -adjoint(
+                self._gradient_terms, self.gram_vector, self.gram_scalar, x
+            ),
+            K.DIV_F_TENSOR: lambda: adjoint(
+                self._div_f_star_terms, self.gram_sym2, self.gram_vector, x
+            ),
+            K.DRIFT_LAPLACIAN_SCALAR: lambda: self.matvec(
+                K.DIV_F_VEC, self._gradient_terms.apply(x)
+            ),
             K.DRIFT_LAPLACIAN_VECTOR: lambda: -adjoint(
-                self._cov_vector, self._gram_cov_vector, self.gram_vector, self._cov_vector @ x
+                self._cov_vector_terms, self._gram_cov_vector, self.gram_vector,
+                self._cov_vector_terms.apply(x),
             ),
             K.DRIFT_LAPLACIAN_SYM2: lambda: -adjoint(
-                self._cov_sym2, self._gram_cov_sym2, self.gram_sym2, self._cov_sym2 @ x
+                self._cov_sym2_terms, self._gram_cov_sym2, self.gram_sym2,
+                self._cov_sym2_terms.apply(x),
             ),
-            K.OP_P: lambda: self.matvec(K.DIV_F_TENSOR, self.div_f_star @ x),
+            K.OP_P: lambda: self.matvec(K.DIV_F_TENSOR, self._div_f_star_terms.apply(x)),
             K.OP_L: lambda: self.matvec(K.DRIFT_LAPLACIAN_SYM2, x)
             + 2.0 * (self.riemann_block @ x),
-            K.GRADIENT: lambda: self.gradient @ x,
-            K.HESSIAN: lambda: self.hessian @ x,
+            K.GRADIENT: lambda: self._gradient_terms.apply(x),
+            # Hess u = (1/2) L_{grad u} g = -div_f^* grad u, as g_jj (grad u)^j = D_j u
+            K.HESSIAN: lambda: -self._div_f_star_terms.apply(self._gradient_terms.apply(x)),
         }
         return actions[kind]()
+
+    def grad_norm_sq(self, Y: Field) -> np.ndarray:
+        """Per-node |nabla Y|^2_g = sum_{a,j} g^{aa} g_jj (nabla_a Y^j)^2 of a vector field."""
+        if Y.grid is not self.grid or Y.rank != VECTOR:
+            raise FieldError("grad_norm_sq expects a vector field on this grid")
+        n, N = self.n, self.grid.n_nodes
+        cov = self._cov_vector_terms.apply(Y.flat()).reshape(n * n, N)
+        ginv = self.grid.inv_metric_diag
+        g = self.grid.metric_diag
+        out = np.zeros(N)
+        for a in range(n):
+            for j in range(n):
+                out += ginv[:, a] * g[:, j] * cov[a * n + j] ** 2
+        return out
+
+    def stored_matrices(self) -> dict[str, int]:
+        """nnz of each sparse matrix (or list of them) the suite holds, by name."""
+        held = {}
+        for name, val in self.__dict__.items():
+            mats = val if isinstance(val, list) else [val]
+            if mats and all(sp.issparse(m) for m in mats):
+                held[name] = sum(m.nnz for m in mats)
+        return held
 
     # ---- field-level conveniences -----------------------------------------
 

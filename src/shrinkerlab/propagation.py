@@ -98,16 +98,7 @@ def measure_defect(Y: Field, r: float) -> DefectReport:
     ds = ops.div_star(Y)
     defect = float(np.sum((w * ds.pointwise_norm_sq())[inside])) / norm_sq
 
-    cov = ops._cov_vector @ Y.flat()
-    n, N = grid.n, grid.n_nodes
-    cov = cov.reshape(n * n, N).T
-    ginv = grid.inv_metric_diag
-    g = grid.metric_diag
-    grad_norm_sq = np.zeros(N)
-    for a in range(n):
-        for j in range(n):
-            grad_norm_sq += ginv[:, a] * g[:, j] * cov[:, a * n + j] ** 2
-    point_bound = np.sqrt(Y.pointwise_norm_sq()) + np.sqrt(grad_norm_sq)
+    point_bound = np.sqrt(Y.pointwise_norm_sq()) + np.sqrt(ops.grad_norm_sq(Y))
     c1 = float(np.max(point_bound[inside]) / r)
     return DefectReport(
         r=float(r),

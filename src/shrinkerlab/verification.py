@@ -161,8 +161,7 @@ def interp_inequality_check(Y: Field) -> InterpReport:
     """Check |grad Y|^2 + |div_f Y|^2 <= 2 |Y| |(2P + 1/2) Y| by quadrature."""
     grid = Y.grid
     ops = grid.ops()
-    flat = ops._cov_vector @ Y.flat()
-    grad_sq = float(np.sum(ops._gram_cov_vector * flat * flat))
+    grad_sq = float(np.sum(grid.weights * ops.grad_norm_sq(Y)))
     lhs = grad_sq + ops.div(Y).norm() ** 2
     rhs_field = ops.p_apply(Y) * 2.0 + Y * grid.model.kappa
     rhs = 2.0 * Y.norm() * rhs_field.norm()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from shrinkerlab import build_grid, cli, propagation, spectral
 from shrinkerlab.cli import (
@@ -359,6 +360,27 @@ def test_composite_operators_assembled_only_for_solvers(tmp_path, monkeypatch):
     )
     assert len(checks) == 2
     assert len(calls) == 1
+
+
+def test_verify_stores_only_difference_matrices(monkeypatch, capsys):
+    # verify applies every operator from the per-axis difference matrices and
+    # the pointwise curvature block; it assembles no block operator
+    grids = []
+
+    def recording_build_grid(*args, **kwargs):
+        built = build_grid(*args, **kwargs)
+        grids.append(built[0])
+        return built
+
+    monkeypatch.setattr(cli, "build_grid", recording_build_grid)
+    cli.run_verify(RunConfig(command="verify", model_kind="cylinder", n=3, k=2,
+                             resolution=16, truncation_radius=4.0))
+    held = {
+        name for name, val in grids[-1].ops().__dict__.items()
+        if sp.issparse(val) or (isinstance(val, list) and any(sp.issparse(m) for m in val))
+    }
+    assert held == {"diffs", "riemann_block"}
+    assert "operator storage: diffs, riemann_block;" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_runs_propagate(tmp_path):

@@ -49,7 +49,12 @@ def test_gradient_divergence_adjoint(grid2_small, rng):
         assert abs(left - right) <= 1e-12 * max(abs(left), abs(right), 1e-30)
 
 
-@pytest.mark.parametrize("grid_name", ["grid2_small", "cyl_grid"])
+@pytest.fixture(scope="module")
+def cyl_grid_order4(cylinder32):
+    return build_grid(cylinder32, 32, 6.0, stencil_order=4)
+
+
+@pytest.mark.parametrize("grid_name", ["grid2_small", "cyl_grid", "cyl_grid_order4"])
 def test_factored_apply_matches_assembled_matrix(grid_name, request, rng):
     # the assembled matrix is the oracle for the factor-by-factor application
     grid, _ = request.getfixturevalue(grid_name)
