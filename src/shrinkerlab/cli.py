@@ -470,7 +470,6 @@ def _propagate_point(
         "div_star_v_norm_sq": result.div_star_v_norm_sq,
         "v_norm_sq": result.v_norm_sq,
         "hypothesis_mu_bar_lt_1": result.hypothesis_mu_bar_lt_1,
-        "block_mus": [p.mu for p in result.near_kernel.block],
         "cosine_with_reference": cosine,
         "eigen_residual": result.z.residual,
         "cutoff_grad_bound": result.cutoff.grad_bound,

@@ -37,12 +37,17 @@ def components_for(rank: str, n: int) -> int:
 
 
 def _sym2_contraction(grid: Grid) -> np.ndarray:
-    """Per-node weights mult * g^{ii} g^{jj} of the packed sym2 contraction."""
-    ginv = grid.inv_metric_diag
-    pairs = sym_pairs(grid.n)
-    gi = np.stack([ginv[:, i] for i, _ in pairs], axis=1)
-    gj = np.stack([ginv[:, j] for _, j in pairs], axis=1)
-    return pair_multiplicity(grid.n) * gi * gj
+    """Per-node weights mult * g^{ii} g^{jj} of the packed sym2 contraction,
+    shape (N, pairs), built once per grid."""
+
+    def build():
+        ginv = grid.inv_metric_diag
+        pairs = sym_pairs(grid.n)
+        gi = np.stack([ginv[:, i] for i, _ in pairs], axis=1)
+        gj = np.stack([ginv[:, j] for _, j in pairs], axis=1)
+        return pair_multiplicity(grid.n) * gi * gj
+
+    return grid._cached("sym2_contraction", build)
 
 
 @dataclass
@@ -90,8 +95,7 @@ class Field:
             return self.values * other.values
         if self.rank == VECTOR:
             return np.sum(g * self.values * other.values, axis=1)
-        weights = self.grid._cached("sym2_contraction", lambda: _sym2_contraction(self.grid))
-        return np.sum(weights * self.values * other.values, axis=1)
+        return np.sum(_sym2_contraction(self.grid) * self.values * other.values, axis=1)
 
     def pointwise_norm_sq(self) -> np.ndarray:
         return self.contract(self)
@@ -100,7 +104,13 @@ class Field:
         return float(np.sqrt(np.sum(self.grid.weights * self.pointwise_norm_sq())))
 
     def norm_where(self, mask: np.ndarray) -> float:
-        """Weighted norm restricted to a node mask (e.g. away from the collar)."""
+        """Weighted norm restricted to a node mask (e.g. away from the collar).
+
+        NaN when the mask selects no node: a residual measured over nothing
+        must fail every `<=` check rather than pass at 0.
+        """
+        if not np.any(mask):
+            return float("nan")
         return float(np.sqrt(np.sum((self.grid.weights * self.pointwise_norm_sq())[mask])))
 
     def inner(self, other: "Field") -> float:

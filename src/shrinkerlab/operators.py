@@ -40,23 +40,25 @@ Application
 -----------
 Every first-order operator is one term list over the per-axis difference
 matrices D_a (`FirstOrder`): out[o] += left D_a(right x[i]), plus pointwise
-Christoffel couplings out[o] += c x[i]. The gradient, div_f^*, the covariant
-derivatives of vectors and sym2 tensors are each defined once that way; the
-Hessian is -div_f^* applied to the gradient, (1/2) L_{grad u} g. A term list
-is applied with one sparse matvec per derivative term, and its transpose
-through D_a^T, a CSC view of the stored CSR matrix. (A multi-column pass per
-axis is no faster: scipy's CSR kernel costs the same per column, and the
-block adds strided copies.) A composite
-is applied factor by factor, right to left (`Operators.matvec`):
-P y = div_f(div_f^* y), the drift Laplacians as -nabla^adj(nabla x), and L
-adds 2 R(h). Each weighted adjoint is applied as (1/G_in) M^T (G_out x) with
-the Gram diagonals G. So a suite that only applies holds no sparse matrix but
-the D_a and the pointwise curvature block. A matrix is assembled from the
-term lists, in one COO pass, only when something needs its entries (a
-factorization, a dense solve, a diagonal): the cached properties `op_p`,
-`op_l`, `lap_*`, `div_f_*`, `gradient` and `hessian`, which
-`OperatorHandle.matrix` returns. A test pins the factored application to
-those matrices.
+couplings out[o] += c x[i]. The gradient, div_f^*, the covariant derivatives
+of vectors and sym2 tensors are each defined once that way, and so is the
+curvature action R, with couplings only. A term list is applied with one
+sparse matvec per derivative term, and its transpose through D_a^T, a CSC
+view of the stored CSR matrix. (A multi-column pass per axis is no faster:
+scipy's CSR kernel costs the same per column, and the block adds strided
+copies.) A weighted adjoint (`WeightedAdjoint`) is (1/G_in) M^T G_out over a
+term list M, with the Gram diagonals G.
+
+Each `OperatorKind` is defined once, in one table (`Operators._chains`), as
+a sum of coef * chain terms whose factors are term lists and weighted
+adjoints: P = div_f o div_f^*, the drift Laplacians -nabla^adj o nabla,
+L = L_drift + 2R, and the Hessian -div_f^* o grad, as
+(1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
+through its factors' `apply`, so a suite that only applies holds no sparse
+matrix but the D_a. `Operators.assemble` multiplies the same factors'
+matrices, for what needs entries (a factorization, a dense solve, a
+diagonal); only P's, `op_p`, which the solvers factor, is kept. A test pins
+the factored application to the assembled matrices.
 
 Sign conventions: the drift Laplacian satisfies L x_1 = -x_1/2 on the Gaussian
 model (drift term -<grad f, grad .>), pinned by tests.
@@ -71,9 +73,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import SCALAR, SYM2, VECTOR, Field, FieldError
+from .fields import SCALAR, SYM2, VECTOR, Field, FieldError, _sym2_contraction
 from .grid import DIRICHLET, ONESIDED, Grid, GridError
-from .models import pair_multiplicity, sym_pairs
+from .models import sym_pairs
 
 
 class OperatorKind(str, Enum):
@@ -103,29 +105,15 @@ _KIND_RANKS = {
 }
 
 
-# the cached property of `Operators` that assembles each kind's matrix
-_ASSEMBLED = {
-    OperatorKind.DIV_F_STAR: "div_f_star",
-    OperatorKind.DIV_F_VEC: "div_f_vec",
-    OperatorKind.DIV_F_TENSOR: "div_f_tensor",
-    OperatorKind.DRIFT_LAPLACIAN_SCALAR: "lap_scalar",
-    OperatorKind.DRIFT_LAPLACIAN_VECTOR: "lap_vector",
-    OperatorKind.DRIFT_LAPLACIAN_SYM2: "lap_sym2",
-    OperatorKind.OP_P: "op_p",
-    OperatorKind.OP_L: "op_l",
-    OperatorKind.GRADIENT: "gradient",
-    OperatorKind.HESSIAN: "hessian",
-}
-
-
 class OperatorHandle:
     """A named operator between field component spaces.
 
     A handle from `Operators.handle` (`ops` given, `matrix` None) applies the
-    operator through its first-order factors (`Operators.matvec`), and its
-    `matrix` is assembled on first access by the suite's cached property, for
-    what needs entries: factorizations, dense solves, diagonals. A handle
-    built from a bare `matrix` applies that matrix.
+    operator through its first-order factors (`Operators.matvec`). Its
+    `matrix`, for what needs entries (factorizations, dense solves,
+    diagonals), is the suite's cached `op_p` for P and is assembled on each
+    read for every other kind. A handle built from a bare `matrix` applies
+    that matrix.
     """
 
     def __init__(
@@ -146,7 +134,9 @@ class OperatorHandle:
     def matrix(self) -> sp.csr_matrix:
         if self._ops is None:
             return self._matrix
-        return getattr(self._ops, _ASSEMBLED[self.kind])
+        if self.kind == OperatorKind.OP_P:
+            return self._ops.op_p
+        return self._ops.assemble(self.kind)
 
     @property
     def in_rank(self) -> str:
@@ -275,7 +265,8 @@ class FirstOrder:
         out[o] += left * D_a(right * x[i])    for (o, i, a, left, right) in derivs
         out[o] += coef * x[i]                 for (o, i, coef) in points
 
-    `left` and `right` are per-node arrays, constants, or None (one).
+    `left` and `right` are per-node arrays, constants, or None (one); `coef`
+    is a per-node array or a constant.
     """
 
     def __init__(self, diffs: list[sp.csr_matrix], n_in: int, n_out: int):
@@ -288,7 +279,7 @@ class FirstOrder:
     def derive(self, o: int, i: int, axis: int, left=None, right=None) -> None:
         self.derivs.append((o, i, axis, left, right))
 
-    def couple(self, o: int, i: int, coef: np.ndarray) -> None:
+    def couple(self, o: int, i: int, coef: np.ndarray | float) -> None:
         self.points.append((o, i, coef))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -315,6 +306,9 @@ class FirstOrder:
     def assemble(self) -> sp.csr_matrix:
         """The operator's matrix, from one COO pass over every term."""
         N = self.diffs[0].shape[0]
+        shape = (self.n_out * N, self.n_in * N)
+        if not self.derivs and not self.points:
+            return sp.csr_matrix(shape)
         ids = np.arange(N)
         coos = [D.tocoo() for D in self.diffs]
         rows, cols, vals = [], [], []
@@ -327,24 +321,41 @@ class FirstOrder:
         for o, i, coef in self.points:
             rows.append(o * N + ids)
             cols.append(i * N + ids)
-            vals.append(coef)
+            vals.append(np.broadcast_to(coef, ids.shape))
         return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_out * N, self.n_in * N),
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
         ).tocsr()
 
 
+class WeightedAdjoint:
+    """The adjoint (1/G_in) M^T G_out of a term list M with respect to the
+    Gram diagonals of its input (G_in) and output (G_out) spaces."""
+
+    def __init__(self, op: FirstOrder, gram_out: np.ndarray, gram_in: np.ndarray):
+        self.op = op
+        self.gram_out = gram_out
+        self.gram_in = gram_in
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Through the transposed term list: neither M nor its adjoint is built."""
+        return (1.0 / self.gram_in) * self.op.rapply(self.gram_out * y)
+
+    def assemble(self, op_matrix: sp.csr_matrix | None = None) -> sp.csr_matrix:
+        """The adjoint's matrix; `op_matrix` is M's, if the caller holds it."""
+        mat = self.op.assemble() if op_matrix is None else op_matrix
+        return (_diag(1.0 / self.gram_in) @ mat.T.tocsr() @ _diag(self.gram_out)).tocsr()
+
+
 class Operators:
-    """Operator suite for one grid. The first-order operators are term lists
-    over the difference matrices `diffs`, applied factor by factor by
-    `matvec`; a matrix, first-order or composite, is assembled only when its
-    cached property is read."""
+    """Operator suite for one grid. Every kind is a sum of chains of term
+    lists over the difference matrices `diffs` and their weighted adjoints
+    (`_chains`), applied factor by factor by `matvec`; `assemble` builds a
+    kind's matrix, and only P's (`op_p`) is kept."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.n = grid.n
         self.pairs = sym_pairs(self.n)
-        self.pair_slot = {p: s for s, p in enumerate(self.pairs)}
         self._gamma = grid.christoffels
 
     # ---- one-dimensional building blocks --------------------------------
@@ -365,6 +376,10 @@ class Operators:
     def _christoffel(self, l: int, i: int, j: int):
         return self._gamma.get((l, min(i, j), max(i, j)))
 
+    def _slot(self, i: int, j: int) -> int:
+        """The packed sym2 slot of the index pair (i, j)."""
+        return self.pairs.index((min(i, j), max(i, j)))
+
     # ---- Gram diagonals ---------------------------------------------------
 
     @cached_property
@@ -379,41 +394,16 @@ class Operators:
 
     @cached_property
     def gram_sym2(self) -> np.ndarray:
-        w = self.grid.weights
-        ginv = self.grid.inv_metric_diag
-        mult = pair_multiplicity(self.n)
-        return np.concatenate(
-            [w * mult[s] * ginv[:, i] * ginv[:, j] for s, (i, j) in enumerate(self.pairs)]
-        )
+        # the per-node weights of the packed contraction that `Field.contract` uses
+        return (self.grid.weights[:, None] * _sym2_contraction(self.grid)).T.ravel()
 
     def gram(self, rank: str) -> np.ndarray:
         return {SCALAR: self.gram_scalar, VECTOR: self.gram_vector, SYM2: self.gram_sym2}[rank]
 
-    @cached_property
-    def _gram_cov_vector(self) -> np.ndarray:
-        w = self.grid.weights
-        g = self.grid.metric_diag
-        ginv = self.grid.inv_metric_diag
-        return np.concatenate(
-            [w * ginv[:, a] * g[:, j] for a in range(self.n) for j in range(self.n)]
-        )
-
-    @cached_property
-    def _gram_cov_sym2(self) -> np.ndarray:
-        w = self.grid.weights
-        ginv = self.grid.inv_metric_diag
-        mult = pair_multiplicity(self.n)
-        return np.concatenate(
-            [
-                w * ginv[:, a] * mult[s] * ginv[:, i] * ginv[:, j]
-                for a in range(self.n)
-                for s, (i, j) in enumerate(self.pairs)
-            ]
-        )
-
-    @staticmethod
-    def _adjoint(mat: sp.csr_matrix, gram_out: np.ndarray, gram_in: np.ndarray) -> sp.csr_matrix:
-        return (_diag(1.0 / gram_in) @ mat.T.tocsr() @ _diag(gram_out)).tocsr()
+    def _gram_cov(self, gram: np.ndarray) -> np.ndarray:
+        """Gram of a covariant derivative's components (a, c): g^{aa} times `gram`'s."""
+        ginv = self.grid.inv_metric_diag.T
+        return (ginv[:, None, :] * gram.reshape(1, -1, self.grid.n_nodes)).ravel()
 
     # ---- first-order operators: term lists --------------------------------
 
@@ -468,94 +458,99 @@ class Operators:
                 for l in range(self.n):
                     gamma_i = self._christoffel(l, a, i)
                     if gamma_i is not None:
-                        op.couple(out, self.pair_slot[(min(l, j), max(l, j))], -gamma_i)
+                        op.couple(out, self._slot(l, j), -gamma_i)
                     gamma_j = self._christoffel(l, a, j)
                     if gamma_j is not None:
-                        op.couple(out, self.pair_slot[(min(i, l), max(i, l))], -gamma_j)
+                        op.couple(out, self._slot(i, l), -gamma_j)
         return op
 
-    # ---- assembled matrices, for what needs entries ------------------------
-
     @cached_property
-    def gradient(self) -> sp.csr_matrix:
-        return self._gradient_terms.assemble()
-
-    @cached_property
-    def div_f_vec(self) -> sp.csr_matrix:
-        """Weighted divergence on vectors, the negative adjoint of the gradient."""
-        return (-self._adjoint(self.gradient, self.gram_vector, self.gram_scalar)).tocsr()
-
-    @cached_property
-    def div_f_star(self) -> sp.csr_matrix:
-        return self._div_f_star_terms.assemble()
-
-    @cached_property
-    def div_f_tensor(self) -> sp.csr_matrix:
-        """Packed sym2 -> vector: the exact weighted adjoint of div_f_star."""
-        return self._adjoint(self.div_f_star, self.gram_sym2, self.gram_vector)
-
-    @cached_property
-    def op_p(self) -> sp.csr_matrix:
-        # the first-order factor is not kept: a solver needs only P
-        D = self._div_f_star_terms.assemble()
-        return (self._adjoint(D, self.gram_sym2, self.gram_vector) @ D).tocsr()
-
-    @cached_property
-    def lap_scalar(self) -> sp.csr_matrix:
-        return (self.div_f_vec @ self.gradient).tocsr()
-
-    @cached_property
-    def lap_vector(self) -> sp.csr_matrix:
-        cov = self._cov_vector_terms.assemble()
-        return (-(self._adjoint(cov, self._gram_cov_vector, self.gram_vector) @ cov)).tocsr()
-
-    @cached_property
-    def lap_sym2(self) -> sp.csr_matrix:
-        cov = self._cov_sym2_terms.assemble()
-        return (-(self._adjoint(cov, self._gram_cov_sym2, self.gram_sym2) @ cov)).tocsr()
-
-    @cached_property
-    def hessian(self) -> sp.csr_matrix:
-        return (-(self.div_f_star @ self.gradient)).tocsr()
-
-    @cached_property
-    def riemann_block(self) -> sp.csr_matrix:
-        """Pointwise curvature action h -> R(h) on packed sym2 fields."""
-        N = self.grid.n_nodes
+    def riemann_block(self) -> FirstOrder:
+        """Pointwise curvature action h -> R(h) on packed sym2 fields: couplings only."""
         npairs = len(self.pairs)
+        op = FirstOrder(self.diffs, npairs, npairs)
         model = self.grid.model
-        shape = (npairs * N, npairs * N)
         if model.kind == "gaussian":
-            return sp.csr_matrix(shape)
+            return op
         K = 1.0 / model.sphere_radius**2
         g = self.grid.metric_diag
         sphere = set(model.angle_axes)
-        ids = np.arange(N)
-        rows, cols, vals = [], [], []
         for slot, (i, j) in enumerate(self.pairs):
             if i not in sphere or j not in sphere:
                 continue
-            rows.append(slot * N + ids)
-            cols.append(slot * N + ids)
-            vals.append(np.full(N, -K))
+            op.couple(slot, slot, -K)
             if i == j:
                 for a in sphere:
-                    s2 = self.pair_slot[(a, a)]
-                    rows.append(slot * N + ids)
-                    cols.append(s2 * N + ids)
-                    vals.append(K * g[:, i] / g[:, a])
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-        ).tocsr()
+                    op.couple(slot, self._slot(a, a), K if a == i else K * g[:, i] / g[:, a])
+        return op
+
+    # ---- every kind, once: sums of coef * chain ----------------------------
 
     @cached_property
-    def op_l(self) -> sp.csr_matrix:
-        return (self.lap_sym2 + 2.0 * self.riemann_block).tocsr()
+    def _chains(self) -> dict:
+        """Each kind as a list of (coef, chain) terms; a chain's factors act
+        right to left. `matvec` and `assemble` both read this table."""
+        K = OperatorKind
+        grad, star = self._gradient_terms, self._div_f_star_terms
+        cov_v, cov_s = self._cov_vector_terms, self._cov_sym2_terms
+        div_vec = WeightedAdjoint(grad, self.gram_vector, self.gram_scalar)
+        div_tensor = WeightedAdjoint(star, self.gram_sym2, self.gram_vector)
+        cov_v_adj = WeightedAdjoint(cov_v, self._gram_cov(self.gram_vector), self.gram_vector)
+        cov_s_adj = WeightedAdjoint(cov_s, self._gram_cov(self.gram_sym2), self.gram_sym2)
+        lap_sym2 = (-1.0, [cov_s_adj, cov_s])
+        return {
+            K.GRADIENT: [(1.0, [grad])],
+            K.DIV_F_STAR: [(1.0, [star])],
+            # the weighted divergence on vectors, the negative adjoint of the gradient
+            K.DIV_F_VEC: [(-1.0, [div_vec])],
+            K.DIV_F_TENSOR: [(1.0, [div_tensor])],
+            K.OP_P: [(1.0, [div_tensor, star])],
+            K.DRIFT_LAPLACIAN_SCALAR: [(-1.0, [div_vec, grad])],
+            K.DRIFT_LAPLACIAN_VECTOR: [(-1.0, [cov_v_adj, cov_v])],
+            K.DRIFT_LAPLACIAN_SYM2: [lap_sym2],
+            K.OP_L: [lap_sym2, (2.0, [self.riemann_block])],
+            # Hess u = (1/2) L_{grad u} g = -div_f^* grad u, as g_jj (grad u)^j = D_j u
+            K.HESSIAN: [(-1.0, [star, grad])],
+        }
+
+    def matvec(self, kind: OperatorKind, x: np.ndarray) -> np.ndarray:
+        """`kind` applied to a flat component vector, each chain folded right
+        to left through its factors; no matrix is assembled."""
+        total = None
+        for coef, chain in self._chains[kind]:
+            y = x
+            for factor in reversed(chain):
+                y = factor.apply(y)
+            term = y if coef == 1.0 else coef * y
+            total = term if total is None else total + term
+        return total
+
+    def assemble(self, kind: OperatorKind) -> sp.csr_matrix:
+        """`kind`'s matrix: the product of each chain's factor matrices,
+        scaled and summed. The term list M of M^adj M is assembled once."""
+        total = None
+        for coef, chain in self._chains[kind]:
+            held = {}
+            product = None
+            for factor in reversed(chain):
+                if isinstance(factor, WeightedAdjoint):
+                    mat = factor.assemble(held.get(factor.op))
+                else:
+                    mat = held[factor] = factor.assemble()
+                product = mat if product is None else mat @ product
+            term = product if coef == 1.0 else coef * product
+            total = term if total is None else total + term
+        return total.tocsr()
+
+    @cached_property
+    def op_p(self) -> sp.csr_matrix:
+        """P's matrix, for the solvers that factor it; the one matrix kept."""
+        return self.assemble(OperatorKind.OP_P)
 
     # ---- reference (non-adjoint) divergence, used in convergence tests ----
 
     @cached_property
-    def div_f_tensor_reference(self) -> sp.csr_matrix:
+    def div_f_tensor_reference(self) -> FirstOrder:
         """Direct discretization of (div_f h)^j = g^{jj}(g^{ii} nabla_i h_ij - h(grad f)_j).
 
         Independent of the adjoint construction; the two must agree to stencil
@@ -563,73 +558,23 @@ class Operators:
         """
         ginv = self.grid.inv_metric_diag
         df = self.grid.model.dpotential(self.grid.coords)
-        npairs = len(self.pairs)
-        blocks = [[None] * npairs for _ in range(self.n)]
-
-        def acc(out_c, slot, mat):
-            blocks[out_c][slot] = mat if blocks[out_c][slot] is None else blocks[out_c][slot] + mat
-
+        op = FirstOrder(self.diffs, len(self.pairs), self.n)
         for jout in range(self.n):
             for i in range(self.n):
                 # g^{ii} nabla_i h_{i jout}
-                slot = self.pair_slot[(min(i, jout), max(i, jout))]
-                acc(jout, slot, _diag(ginv[:, i] * ginv[:, jout]) @ self.diffs[i])
+                gg = ginv[:, i] * ginv[:, jout]
+                op.derive(jout, self._slot(i, jout), i, left=gg)
                 for l in range(self.n):
                     gamma_i = self._christoffel(l, i, i)
                     if gamma_i is not None:
-                        s2 = self.pair_slot[(min(l, jout), max(l, jout))]
-                        acc(jout, s2, _diag(-ginv[:, i] * ginv[:, jout] * gamma_i))
+                        op.couple(jout, self._slot(l, jout), -gg * gamma_i)
                     gamma_j = self._christoffel(l, i, jout)
                     if gamma_j is not None:
-                        s2 = self.pair_slot[(min(i, l), max(i, l))]
-                        acc(jout, s2, _diag(-ginv[:, i] * ginv[:, jout] * gamma_j))
-                # - h(grad f)^jout = - g^{jout jout} h_{jout l} g^{ll} d_l f
+                        op.couple(jout, self._slot(i, l), -gg * gamma_j)
+            # - h(grad f)^jout = - g^{jout jout} h_{jout l} g^{ll} d_l f
             for l in range(self.n):
-                slot = self.pair_slot[(min(l, jout), max(l, jout))]
-                acc(jout, slot, _diag(-ginv[:, jout] * ginv[:, l] * df[:, l]))
-        return sp.bmat(blocks).tocsr()
-
-    # ---- factored application -----------------------------------------------
-
-    @staticmethod
-    def _adjoint_apply(op: FirstOrder, gram_out: np.ndarray, gram_in: np.ndarray,
-                       y: np.ndarray) -> np.ndarray:
-        """`_adjoint(op.assemble(), gram_out, gram_in) @ y`, through the
-        transposed term list: neither the matrix nor its adjoint is built."""
-        return (1.0 / gram_in) * op.rapply(gram_out * y)
-
-    def matvec(self, kind: OperatorKind, x: np.ndarray) -> np.ndarray:
-        """`kind` applied to a flat component vector through its first-order
-        factors, right to left; no matrix is assembled."""
-        K = OperatorKind
-        adjoint = self._adjoint_apply
-        actions = {
-            K.DIV_F_STAR: lambda: self._div_f_star_terms.apply(x),
-            K.DIV_F_VEC: lambda: -adjoint(
-                self._gradient_terms, self.gram_vector, self.gram_scalar, x
-            ),
-            K.DIV_F_TENSOR: lambda: adjoint(
-                self._div_f_star_terms, self.gram_sym2, self.gram_vector, x
-            ),
-            K.DRIFT_LAPLACIAN_SCALAR: lambda: self.matvec(
-                K.DIV_F_VEC, self._gradient_terms.apply(x)
-            ),
-            K.DRIFT_LAPLACIAN_VECTOR: lambda: -adjoint(
-                self._cov_vector_terms, self._gram_cov_vector, self.gram_vector,
-                self._cov_vector_terms.apply(x),
-            ),
-            K.DRIFT_LAPLACIAN_SYM2: lambda: -adjoint(
-                self._cov_sym2_terms, self._gram_cov_sym2, self.gram_sym2,
-                self._cov_sym2_terms.apply(x),
-            ),
-            K.OP_P: lambda: self.matvec(K.DIV_F_TENSOR, self._div_f_star_terms.apply(x)),
-            K.OP_L: lambda: self.matvec(K.DRIFT_LAPLACIAN_SYM2, x)
-            + 2.0 * (self.riemann_block @ x),
-            K.GRADIENT: lambda: self._gradient_terms.apply(x),
-            # Hess u = (1/2) L_{grad u} g = -div_f^* grad u, as g_jj (grad u)^j = D_j u
-            K.HESSIAN: lambda: -self._div_f_star_terms.apply(self._gradient_terms.apply(x)),
-        }
-        return actions[kind]()
+                op.couple(jout, self._slot(l, jout), -ginv[:, jout] * ginv[:, l] * df[:, l])
+        return op
 
     def grad_norm_sq(self, Y: Field) -> np.ndarray:
         """Per-node |nabla Y|^2_g = sum_{a,j} g^{aa} g_jj (nabla_a Y^j)^2 of a vector field."""

@@ -7,6 +7,7 @@ import numpy as np
 
 from shrinkerlab import build_grid, check_soliton_identities, make_model, radial_profile, random_points
 from shrinkerlab.fields import (
+    Field,
     bump_vector,
     dilation,
     euclidean_rotation,
@@ -65,16 +66,15 @@ def test_criterion_02_exact_discrete_structure():
         grid, _ = build_grid(make_model("gaussian", 2), 64, 8.0)
         ops = grid.ops()
         rng = np.random.default_rng(7)
-        D, Dt = ops.div_f_star, ops.div_f_tensor
-        gs, gv = ops.gram_sym2, ops.gram_vector
         min_rayleigh = np.inf
         for _ in range(50):
-            v = rng.standard_normal(D.shape[1])
-            h = rng.standard_normal(D.shape[0])
-            left = float(np.sum(gs * (D @ v) * h))
-            right = float(np.sum(gv * v * (Dt @ h)))
+            v = Field.from_flat(grid, "vector", rng.standard_normal(grid.n_nodes * 2))
+            h = Field.from_flat(grid, "sym2tensor", rng.standard_normal(grid.n_nodes * 3))
+            dv = ops.div_star(v)
+            left = dv.inner(h)
+            right = v.inner(ops.div(h))
             assert abs(left - right) <= 1e-12 * max(abs(left), abs(right))
-            rayleigh = float(np.sum(gs * (D @ v) ** 2) / np.sum(gv * v**2))
+            rayleigh = dv.inner(dv) / v.inner(v)
             min_rayleigh = min(min_rayleigh, rayleigh)
         assert min_rayleigh >= -1e-8
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shrinkerlab import build_grid, cli, propagation, spectral
+from shrinkerlab import build_grid, cli, make_model, propagation, spectral
 from shrinkerlab.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
@@ -65,6 +66,21 @@ def test_verify_cylinder_passes(tmp_path):
     )["verdicts"]
     assert verdicts["translation_0"] == "SplitsLine"
     assert verdicts["polar_rotation"] == "PreservesF"
+
+
+def test_verify_fails_checks_measured_over_no_node(tmp_path):
+    # the truncation collar of interior_mask(3) covers this whole grid: a
+    # residual measured over no node must fail its check, not pass at 0
+    grid, _ = build_grid(make_model("cylinder", 3, 2), 16, 4.0)
+    assert grid.n_nodes == 4704 and not grid.interior_mask(3).any()
+    out = tmp_path / "coarse"
+    code = run_cli(
+        "verify", "--model", "cylinder", "--dim", "3", "--k", "2",
+        "--resolution", "16", "--truncation-radius", "4", "--output", str(out),
+    )
+    assert code == EXIT_CHECK_FAILED
+    checks = {c["check_name"]: c for c in read_report(out)["checks"]}
+    assert not checks["divergence_harmonicity"]["passed"]
 
 
 def test_spectrum_gaussian_1d(tmp_path):
@@ -287,6 +303,8 @@ def test_propagate_sweep(tmp_path):
     for p in points:
         assert p["variational_ok"]
         assert p["mu"] <= p["div_star_v_norm_sq"] + 1e-10
+        # the block's eigenvalues are reported once, under block_solver
+        assert "block_mus" not in p and p["block_solver"]["block_mus"]
     assert (out / "profile_r4_eps0.001.csv").exists()
     assert (out / "plot_r4_eps0.001.csv").exists()
 
@@ -335,9 +353,7 @@ def test_composite_operators_assembled_only_for_solvers(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_grid", recording_build_grid)
     cli.run_verify(RunConfig(command="verify", model_kind="cylinder", n=3, k=2,
                              resolution=16, truncation_radius=4.0))
-    composites = {"op_p", "op_l", "lap_scalar", "lap_vector", "lap_sym2",
-                  "div_f_vec", "div_f_tensor"}
-    assert not composites & set(grids[-1].ops().__dict__)
+    assert "op_p" not in grids[-1].ops().__dict__
 
     calls = []
     assemble_p = Operators.__dict__["op_p"].func
@@ -363,8 +379,8 @@ def test_composite_operators_assembled_only_for_solvers(tmp_path, monkeypatch):
 
 
 def test_verify_stores_only_difference_matrices(monkeypatch, capsys):
-    # verify applies every operator from the per-axis difference matrices and
-    # the pointwise curvature block; it assembles no block operator
+    # verify applies every operator, the curvature action included, from the
+    # per-axis difference matrices; it assembles no block operator
     grids = []
 
     def recording_build_grid(*args, **kwargs):
@@ -379,8 +395,8 @@ def test_verify_stores_only_difference_matrices(monkeypatch, capsys):
         name for name, val in grids[-1].ops().__dict__.items()
         if sp.issparse(val) or (isinstance(val, list) and any(sp.issparse(m) for m in val))
     }
-    assert held == {"diffs", "riemann_block"}
-    assert "operator storage: diffs, riemann_block;" in capsys.readouterr().err
+    assert held == {"diffs"}
+    assert "operator storage: diffs;" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_runs_propagate(tmp_path):
@@ -397,8 +413,12 @@ def test_benchmark_tracer_runs_propagate(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    doc = json.loads(spans.read_text())
+    names = [span[0] for span in doc["spans"]]
     assert names.count("spectral.lowest_eigenpairs") == 1
+    # the tracer reads P's nnz off Operators.op_p, the one matrix a run assembles
+    grid, _ = build_grid(make_model("gaussian", 1), 136, 4.0)
+    assert doc["counters"]["operators.p_nnz"] == grid.ops().op_p.nnz
 
 
 def _propagate_report(resolution, mu, cosine, eigen_residual, exponent):
