@@ -5,11 +5,12 @@ G the diagonal Gram matrix of the vector-field inner product) is conjugated
 by sqrt(G) into a standard symmetric problem, solved densely below a size
 cap (the oracle path), by shift-invert Lanczos up to the direct-factorization
 cap, and by warm-started LOBPCG beyond that. Shift-invert factors the SPD
-matrix A - SHIFT*I once, as a symmetric-mode LU with an A^T + A minimum-degree
-ordering and no pivoting, and hands its solve to ARPACK. LOBPCG is
-preconditioned by an aggregation V-cycle built on the grid's tensor structure
-(`_VCycle`); the symmetric form and its cycle are built once per grid. All
-three paths assemble P (`OperatorHandle.matrix`). Eigenfields come
+matrix A - SHIFT*I once, as a banded Cholesky in reverse Cuthill-McKee order
+(`_BandCholesky`), and hands its solve to ARPACK. LOBPCG is preconditioned by
+an aggregation V-cycle built on the grid's tensor structure (`_VCycle`), whose
+bottom level is solved by the same banded Cholesky; the symmetric form and
+its cycle are built once per grid. All three paths assemble P
+(`OperatorHandle.matrix`). Eigenfields come
 back unit-norm in the weighted inner product; pairs are deterministic up to
 sign (fixed here) and up to rotation inside numerically degenerate blocks.
 The near-kernel block of P, which the extension pipeline projects onto, is
@@ -19,12 +20,14 @@ solved once per grid by LOBPCG and checked by a guard run (`near_kernel_block`).
 from __future__ import annotations
 
 import sys
+import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .fields import Field, VECTOR, killing_basis
@@ -87,6 +90,52 @@ def _symmetric_form(handle: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray]:
     return A, s
 
 
+class _BandCholesky:
+    """Banded Cholesky factor of a sparse SPD matrix in reverse Cuthill-McKee order.
+
+    RCM narrows a grid stencil's profile to a band of half-width `bandwidth`.
+    The permuted lower triangle is written straight from COO into the LAPACK
+    lower band `ab[i - j, j]`, Fortran-ordered so that `pbtrf` factors it in
+    place without a copy. `solve` applies M^-1 to a vector or to the columns
+    of a matrix and counts its calls in `solves`.
+    """
+
+    def __init__(self, M: sp.csr_matrix):
+        started = time.perf_counter()
+        size = M.shape[0]
+        self.perm = csgraph.reverse_cuthill_mckee(M, symmetric_mode=True)
+        rank = np.empty(size, dtype=np.intp)
+        rank[self.perm] = np.arange(size)
+        coo = M.tocoo()
+        rows, cols = rank[coo.row], rank[coo.col]
+        lower = rows >= cols
+        rows, cols, data = rows[lower], cols[lower], coo.data[lower]
+        self.bandwidth = int(np.max(rows - cols, initial=0))
+        self.band_mb = (self.bandwidth + 1) * size * 8 / 1e6
+        try:
+            ab = np.zeros((self.bandwidth + 1, size), order="F")
+        except MemoryError as exc:
+            raise SolverError(
+                f"shift-invert band of {self.band_mb:.0f} MB (bandwidth {self.bandwidth}, "
+                f"{size} unknowns) does not fit in memory"
+            ) from exc
+        ab[rows - cols, cols] = data
+        try:
+            self.factor = sla.cholesky_banded(ab, lower=True, overwrite_ab=True,
+                                              check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"shift-invert operator is not positive definite: {exc}") from exc
+        self.factor_s = time.perf_counter() - started
+        self.solves = 0
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        self.solves += 1
+        x = np.empty_like(b)
+        x[self.perm] = sla.cho_solve_banded((self.factor, True), b[self.perm],
+                                            check_finite=False)
+        return x
+
+
 class _VCycle:
     """Aggregation V-cycle for (A + CYCLE_SHIFT*I)^-1 on the grid's tensor structure.
 
@@ -99,8 +148,8 @@ class _VCycle:
     damped-Jacobi sweep smooths before and after the coarse correction, with
     the weight 1 / max_i(Gershgorin row sum / diagonal) of the shifted level
     operator; the cycle is then symmetric positive definite. Levels are
-    coarsened until at most CYCLE_BOTTOM unknowns remain, which `splu` solves
-    exactly. `applications` counts the calls of `apply`.
+    coarsened until at most CYCLE_BOTTOM unknowns remain, which `_BandCholesky`
+    solves exactly. `applications` counts the calls of `apply`.
     """
 
     def __init__(self, A: sp.csr_matrix, s: np.ndarray, node_multi: np.ndarray):
@@ -118,7 +167,7 @@ class _VCycle:
             self.levels.append((A, smooth[:, None], T))
             A = (T.T @ A @ T).tocsr()
             s, node_multi = norms, cells
-        self.bottom = spla.splu((A + CYCLE_SHIFT * sp.identity(A.shape[0])).tocsc())
+        self.bottom = _BandCholesky(A + CYCLE_SHIFT * sp.identity(A.shape[0], format="csr"))
         self.sizes = [level[0].shape[0] for level in self.levels] + [A.shape[0]]
         self.applications = 0
 
@@ -180,8 +229,11 @@ def lowest_eigenpairs(
     """Lowest eigenpairs of a weighted-symmetric PSD operator, sorted ascending.
 
     Path selection: dense solve up to `DENSE_CAP` unknowns (the oracle),
-    shift-invert Lanczos up to the direct-factorization cap, and LOBPCG
-    preconditioned by the V-cycle `_VCycle` above it. `guesses` warm-start
+    shift-invert Lanczos up to `DIRECT_CAP`, and LOBPCG preconditioned by the
+    V-cycle `_VCycle` above it. Shift-invert factors A - SHIFT*I once with
+    `_BandCholesky`, prints the factor's size and time and the solve count
+    on stderr, and raises SolverError when the shifted operator is not
+    positive definite or its band does not fit in memory. `guesses` warm-start
     LOBPCG, and only LOBPCG; closed-form near-kernel fields make it converge
     quickly. Its worst residual must end at or below 10 * `tolerance`, else
     SolverError.
@@ -211,23 +263,26 @@ def lowest_eigenpairs(
         vals, vecs = sla.eigh(dense, subset_by_index=[0, count - 1])
     elif method == "sparse":
         # A - SHIFT*I is SPD (A is PSD and SHIFT < 0), so it is factored once,
-        # symmetrically ordered and without pivoting, and eigsh runs on its solve
-        lu = spla.splu(
-            (A - SHIFT * sp.identity(size, format="csr")).tocsc(),
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        # as a banded Cholesky, and eigsh runs on its solve
+        chol = _BandCholesky(A - SHIFT * sp.identity(size, format="csr"))
         try:
             vals, vecs = spla.eigsh(
                 A, k=count, sigma=SHIFT, which="LM", tol=tolerance,
                 v0=rng.standard_normal(size),
-                OPinv=spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype),
+                OPinv=spla.LinearOperator(A.shape, matvec=chol.solve, dtype=A.dtype),
             )
         except spla.ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             raise SolverError(
                 f"eigensolver did not converge (best: {got}/{count} pairs)"
             ) from exc
+        finally:
+            print(
+                f"shift-invert: banded Cholesky (RCM), {size} unknowns, bandwidth "
+                f"{chol.bandwidth}, band {chol.band_mb:.0f} MB, factor {chol.factor_s:.2f} s, "
+                f"{chol.solves} solves",
+                file=sys.stderr,
+            )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     else:

@@ -60,7 +60,9 @@ def classify_killing(Y: Field) -> DichotomyVerdict:
     v = ops.div(Yn)
     hess_divf_norm = ops.hess(v).norm_where(interior)
 
-    if killing_residual > tol:
+    # Killing only when the defect is shown to be within tol: NaN evidence (an
+    # empty interior mask) gives NOT_KILLING
+    if not killing_residual <= tol:
         verdict = NOT_KILLING
     elif df_pairing_norm <= tol:
         verdict = PRESERVES_F
@@ -125,7 +127,7 @@ def drift_bochner_residual(v: Field, mu: float) -> BochnerReport:
     if vn <= 0.0:
         raise FieldError("zero field")
     eig_resid = (ops.lap(v) + v * mu).norm_where(grid.interior_mask(2)) / ((abs(mu) + 0.5) * vn)
-    warned = eig_resid > 0.1
+    warned = not eig_resid <= 0.1  # a NaN residual (empty mask) warns too
 
     gv = ops.grad(v)
     q = Field(grid, SCALAR, gv.pointwise_norm_sq())

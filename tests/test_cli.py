@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import cached_property
@@ -81,6 +82,10 @@ def test_verify_fails_checks_measured_over_no_node(tmp_path):
     assert code == EXIT_CHECK_FAILED
     checks = {c["check_name"]: c for c in read_report(out)["checks"]}
     assert not checks["divergence_harmonicity"]["passed"]
+    # NaN evidence shows no field to be Killing, so none is line-splitting
+    verdicts = checks["killing_dichotomy"]["verdicts"]
+    assert set(verdicts.values()) == {"NotKilling"}
+    assert not checks["killing_dichotomy"]["passed"]
 
 
 def test_spectrum_gaussian_1d(tmp_path):
@@ -97,6 +102,22 @@ def test_spectrum_gaussian_1d(tmp_path):
     assert (out / "eigenfield_0.csv").exists()
     ortho = next(c for c in doc["checks"] if c["check_name"] == "orthonormality")
     assert ortho["residuals"]["gram_error"] <= 1e-8
+
+
+def test_spectrum_reports_shift_invert_factor(tmp_path, capsys):
+    # 6,456 unknowns: above DENSE_CAP, so the shift-invert path factors once
+    code = run_cli(
+        "spectrum", "--dim", "2", "--resolution", "64", "--truncation-radius", "8",
+        "--eigs", "4", "--output", str(tmp_path / "spec"),
+    )
+    assert code == EXIT_OK
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("shift-invert:")]
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"shift-invert: banded Cholesky \(RCM\), 6456 unknowns, bandwidth \d+, "
+        r"band \d+ MB, factor \d+\.\d\d s, \d+ solves", lines[0]
+    ), lines[0]
 
 
 RERUN_CASES = (

@@ -383,3 +383,48 @@ def test_near_kernel_guard_catches_missing_rotations_3d(monkeypatch):
     monkeypatch.setattr(spectral, "killing_basis", lambda g: named)
     with pytest.raises(SolverError, match="incomplete"):
         near_kernel_block(grid)
+
+
+@pytest.mark.parametrize(
+    "kind, n, k",
+    [("cylinder", 3, 2), ("gaussian", 3, None)],
+    ids=["cylinder32", "gaussian3"],
+)
+def test_band_cholesky_solves_shift_invert_system(kind, n, k):
+    # the cylinder's periodic longitude couples the first and last rows of
+    # each ring, which the reverse Cuthill-McKee order must fold into the band
+    grid, _ = build_grid(make_model(kind, n, k), 16, 6.0)
+    A, _ = spectral._symmetric_form(grid.ops().handle(OperatorKind.OP_P))
+    M = A - spectral.SHIFT * spectral.sp.identity(A.shape[0], format="csr")
+    chol = spectral._BandCholesky(M)
+    assert 0 < chol.bandwidth < A.shape[0] // 4
+    B = np.random.default_rng(3).standard_normal((A.shape[0], 3))
+    X = chol.solve(B)
+    assert np.max(np.linalg.norm(M @ X - B, axis=0) / np.linalg.norm(B, axis=0)) <= 1e-12
+    np.testing.assert_allclose(chol.solve(B[:, 1]), X[:, 1], rtol=0,
+                               atol=1e-14 * np.abs(X[:, 1]).max())
+    assert chol.solves == 2
+
+
+def test_shift_invert_not_positive_definite_raises(grid1_256, monkeypatch):
+    # with SHIFT = 1/2 the kernel of A becomes the eigenvalue -1/2 of
+    # A - SHIFT*I, so its Cholesky factor breaks down
+    grid, _ = grid1_256
+    monkeypatch.setattr(spectral, "SHIFT", 0.5)
+    with pytest.raises(SolverError, match="not positive definite"):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 3, method="sparse")
+
+
+def test_band_too_large_raises_with_its_size(grid1_256, monkeypatch):
+    grid, _ = grid1_256
+    A, _ = spectral._symmetric_form(grid.ops().handle(OperatorKind.OP_P))
+    zeros = np.zeros
+
+    def no_band(shape, *args, order="C", **kwargs):
+        if order == "F":
+            raise MemoryError
+        return zeros(shape, *args, order=order, **kwargs)
+
+    monkeypatch.setattr(spectral.np, "zeros", no_band)
+    with pytest.raises(SolverError, match=r"band of \d+ MB"):
+        spectral._BandCholesky(A + spectral.sp.identity(A.shape[0], format="csr"))
