@@ -34,10 +34,6 @@ class Cutoff:
     transition_band: tuple[float, float]
     grad_bound: float
 
-    @property
-    def band_width(self) -> float:
-        return self.transition_band[1] - self.transition_band[0]
-
 
 def build_cutoff(grid: Grid, r: float) -> Cutoff:
     """Build the radial cutoff; the transition band must span >= 4 cells."""

@@ -3,18 +3,18 @@
 The generalized problem B y = mu G y (B the weighted quadratic form of P,
 G the diagonal Gram matrix of the vector-field inner product) is conjugated
 by sqrt(G) into a standard symmetric problem, solved densely below a size
-cap (the oracle path), by shift-invert Lanczos up to the direct-factorization
-cap, and by warm-started LOBPCG beyond that. Shift-invert factors the SPD
-matrix A - SHIFT*I once, as a banded Cholesky in reverse Cuthill-McKee order
-(`_BandCholesky`), and hands its solve to ARPACK. LOBPCG is preconditioned by
-an aggregation V-cycle built on the grid's tensor structure (`_VCycle`), whose
-bottom level is solved by the same banded Cholesky; the symmetric form and
-its cycle are built once per grid. All three paths assemble P
-(`OperatorHandle.matrix`). Eigenfields come
-back unit-norm in the weighted inner product; pairs are deterministic up to
-sign (fixed here) and up to rotation inside numerically degenerate blocks.
-The near-kernel block of P, which the extension pipeline projects onto, is
-solved once per grid by LOBPCG and checked by a guard run (`near_kernel_block`).
+cap (the oracle path) and by shift-invert Lanczos above it. Shift-invert
+factors the SPD matrix A - SHIFT*I once, as a banded Cholesky in reverse
+Cuthill-McKee order (`_BandCholesky`), and hands its solve to ARPACK. A third
+path, LOBPCG warm-started from one guess per pair, serves the near-kernel
+block of P, which the extension pipeline projects onto: it is solved once
+per grid and checked by a guard run (`near_kernel_block`). Both LOBPCG runs
+are preconditioned by an aggregation V-cycle built on the grid's tensor
+structure (`_VCycle`), whose bottom level is solved by the same banded
+Cholesky; the symmetric form and its cycle are built once per grid. All
+paths assemble P (`OperatorHandle.matrix`). Eigenfields come back unit-norm
+in the weighted inner product; pairs are deterministic up to sign (fixed
+here) and up to rotation inside numerically degenerate blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .grid import Grid
 from .operators import OperatorHandle, OperatorKind
 
 DENSE_CAP = 5000
-DIRECT_CAP = 60_000
 SHIFT = -0.5
 LOBPCG_MAXITER = 700
 # both LOBPCG runs are preconditioned by a V-cycle (`_VCycle`) for
@@ -218,6 +217,19 @@ def _check_weighted_symmetry(handle: OperatorHandle, rng):
             raise SolverError("adjointness broken: operator is not weighted-symmetric")
 
 
+def _lobpcg(A, X, cycle: _VCycle, tol: float, maxiter: int, Y=None):
+    """LOBPCG for the lowest eigenpairs of A from the block X, held orthogonal to Y.
+
+    Returns the Ritz values ascending (a stable sort keeps tied values in
+    order), their vectors and the residual norms |A v - mu v|.
+    """
+    vals, vecs = spla.lobpcg(A, X, Y=Y, M=cycle.operator(), largest=False,
+                             tol=tol, maxiter=maxiter)
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    return vals, vecs, np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
+
+
 def lowest_eigenpairs(
     operator: OperatorHandle,
     count: int,
@@ -228,15 +240,16 @@ def lowest_eigenpairs(
 ) -> list[SpectralPair]:
     """Lowest eigenpairs of a weighted-symmetric PSD operator, sorted ascending.
 
-    Path selection: dense solve up to `DENSE_CAP` unknowns (the oracle),
-    shift-invert Lanczos up to `DIRECT_CAP`, and LOBPCG preconditioned by the
-    V-cycle `_VCycle` above it. Shift-invert factors A - SHIFT*I once with
+    `auto` takes the dense solve up to `DENSE_CAP` unknowns (the oracle) and
+    shift-invert Lanczos above it. Shift-invert factors A - SHIFT*I once with
     `_BandCholesky`, prints the factor's size and time and the solve count
     on stderr, and raises SolverError when the shifted operator is not
-    positive definite or its band does not fit in memory. `guesses` warm-start
-    LOBPCG, and only LOBPCG; closed-form near-kernel fields make it converge
-    quickly. Its worst residual must end at or below 10 * `tolerance`, else
-    SolverError.
+    positive definite or its band does not fit in memory. `method="lobpcg"`
+    runs LOBPCG, preconditioned by the V-cycle `_VCycle`, from exactly
+    `count` `guesses`; closed-form near-kernel fields make it converge
+    quickly, and `near_kernel_block` calls it so. Its worst residual must end
+    at or below 10 * `tolerance`, else SolverError. `guesses` on another
+    path, or a guess count other than `count`, is a ValueError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -244,11 +257,13 @@ def lowest_eigenpairs(
     if count >= size:
         raise ValueError("count must be smaller than the number of unknowns")
     if method == "auto":
-        method = "dense" if size <= DENSE_CAP else "sparse" if size <= DIRECT_CAP else "lobpcg"
+        method = "dense" if size <= DENSE_CAP else "sparse"
     if method not in ("dense", "sparse", "lobpcg"):
         raise ValueError(f"unknown method {method!r}")
     if guesses is not None and method != "lobpcg":
         raise ValueError(f"guesses warm-start only the lobpcg path, not {method!r}")
+    if method == "lobpcg" and len(guesses or []) != count:
+        raise ValueError(f"the lobpcg path runs from exactly count={count} guesses")
     grid = operator.grid
     rng = np.random.default_rng(seed)
     _check_weighted_symmetry(operator, rng)
@@ -283,24 +298,12 @@ def lowest_eigenpairs(
                 f"{chol.solves} solves",
                 file=sys.stderr,
             )
-        order = np.argsort(vals)
+        order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
     else:
-        cols = []
-        for g in guesses or []:
-            cols.append(g.flat() * s)
-        while len(cols) < count:
-            cols.append(rng.standard_normal(size))
-        X, _ = np.linalg.qr(np.stack(cols[:count], axis=1))
-        vals, vecs = spla.lobpcg(
-            A, X, M=cycle.operator(), largest=False, tol=max(tolerance, 1e-10),
-            maxiter=LOBPCG_MAXITER,
-        )
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        worst = float(
-            np.max(np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0))
-        )
+        X, _ = np.linalg.qr(np.stack([g.flat() * s for g in guesses], axis=1))
+        vals, vecs, resid = _lobpcg(A, X, cycle, max(tolerance, 1e-10), LOBPCG_MAXITER)
+        worst = float(np.max(resid))
         if worst > 10.0 * tolerance:
             raise SolverError(
                 f"eigensolver did not converge (worst residual {worst:.2e}, "
@@ -322,7 +325,6 @@ def lowest_eigenpairs(
         pairs.append(
             SpectralPair(mu=float(vals[i]), field=fld, residual=resid_field.norm())
         )
-    pairs.sort(key=lambda p: p.mu)
     return pairs
 
 
@@ -375,15 +377,16 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
 
     P depends only on the grid, so the block is solved once per grid and
     argument set and cached on the grid. At every grid size the solve is the
-    LOBPCG path of `lowest_eigenpairs`, warm-started with `killing_basis(grid)`
-    alone; the dense and shift-invert paths cannot use that start. A guard
-    follows: LOBPCG with `GUARD_SPAN - len(pairs)` seeded random vectors (at
-    least one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
-    `GUARD_MAXITER` iterations. Both runs share the symmetric form and its
-    V-cycle preconditioner, cached on the grid. (A dilation start vector would
-    converge to its 1/2 eigenvalue first; LOBPCG's soft locking then retires
-    the guard before the random vectors reach the bottom of the complement's
-    spectrum.)
+    LOBPCG path of `lowest_eigenpairs`, with one guess per pair:
+    `killing_basis(grid)`. The dense and shift-invert paths, which
+    `method="auto"` takes, cannot use that start. A guard follows:
+    LOBPCG with `GUARD_SPAN - len(pairs)` seeded random vectors (at least
+    one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
+    `GUARD_MAXITER` iterations. Both runs go through `_lobpcg` and share the
+    symmetric form and its V-cycle preconditioner, cached on the grid. (A
+    dilation start vector would converge to its 1/2 eigenvalue first;
+    LOBPCG's soft locking then retires the guard before the random vectors
+    reach the bottom of the complement's spectrum.)
 
     Raises SolverError when the block does not converge (a residual above
     10 * `tolerance`), when a guard Ritz value is at or below `BLOCK_TOL`, or
@@ -415,13 +418,7 @@ def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((size, max(1, GUARD_SPAN - len(pairs))))
     Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
-    vals, vecs = spla.lobpcg(
-        A, X, Y=Y, M=cycle.operator(), largest=False,
-        tol=GUARD_TOL, maxiter=GUARD_MAXITER,
-    )
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    resid = np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
+    vals, _, resid = _lobpcg(A, X, cycle, GUARD_TOL, GUARD_MAXITER, Y=Y)
     block = NearKernelBlock(
         pairs=pairs,
         unknowns=size,

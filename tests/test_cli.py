@@ -120,6 +120,19 @@ def test_spectrum_reports_shift_invert_factor(tmp_path, capsys):
     ), lines[0]
 
 
+def test_spectrum_above_60k_unknowns_runs_shift_invert(tmp_path, capsys):
+    # 62,856 unknowns: every spectrum above DENSE_CAP takes the banded
+    # shift-invert path, which solves this grid at every seed
+    code = run_cli(
+        "spectrum", "--dim", "2", "--resolution", "200", "--truncation-radius", "6",
+        "--eigs", "6", "--seed", "1", "--output", str(tmp_path / "spec"),
+    )
+    assert code == EXIT_OK
+    err = capsys.readouterr().err
+    assert "shift-invert: banded Cholesky (RCM), 62856 unknowns" in err
+    assert read_report(tmp_path / "spec")["passed"]
+
+
 RERUN_CASES = (
     ("verify", "--model", "gaussian", "--dim", "2",
      "--resolution", "24", "--truncation-radius", "6",

@@ -329,6 +329,17 @@ def test_guesses_rejected_off_lobpcg(grid1_256, method):
                           guesses=[dilation(grid)])
 
 
+def test_lobpcg_runs_only_from_count_guesses(grid56):
+    # the lobpcg path has no random fill: no guesses, or a number of guesses
+    # other than count, is an error rather than a silently padded block
+    handle = grid56.ops().handle(OperatorKind.OP_P)
+    starts = list(killing_fields(grid56).values())
+    assert len(starts) == 3
+    for guesses in (None, starts[:2], starts + [dilation(grid56)]):
+        with pytest.raises(ValueError, match="guesses"):
+            lowest_eigenpairs(handle, 3, method="lobpcg", guesses=guesses)
+
+
 def test_near_kernel_guard_catches_block_tol_above_guard(gaussian2, monkeypatch):
     # the guard's Ritz values sit near 1/4: a BLOCK_TOL of 1 claims them for the
     # block. A fresh grid, since grid56 already caches its block
