@@ -50,7 +50,8 @@ copies.) A weighted adjoint (`WeightedAdjoint`) is (1/G_in) M^T G_out over a
 term list M, with the Gram diagonals G.
 
 Each `OperatorKind` is defined once, in one table (`Operators._chains`), as
-a sum of coef * chain terms whose factors are term lists and weighted
+a sum of coef * chain terms whose factors, named there and built on the
+first use of a kind that needs them, are term lists and weighted
 adjoints: P = div_f o div_f^*, the drift Laplacians -nabla^adj o nabla,
 L = L_drift + 2R, and the Hessian -div_f^* o grad, as
 (1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
@@ -484,40 +485,58 @@ class Operators:
                     op.couple(slot, self._slot(a, a), K if a == i else K * g[:, i] / g[:, a])
         return op
 
-    # ---- every kind, once: sums of coef * chain ----------------------------
+    # ---- weighted adjoints of the term lists -------------------------------
 
     @cached_property
-    def _chains(self) -> dict:
-        """Each kind as a list of (coef, chain) terms; a chain's factors act
-        right to left. `matvec` and `assemble` both read this table."""
-        K = OperatorKind
-        grad, star = self._gradient_terms, self._div_f_star_terms
-        cov_v, cov_s = self._cov_vector_terms, self._cov_sym2_terms
-        div_vec = WeightedAdjoint(grad, self.gram_vector, self.gram_scalar)
-        div_tensor = WeightedAdjoint(star, self.gram_sym2, self.gram_vector)
-        cov_v_adj = WeightedAdjoint(cov_v, self._gram_cov(self.gram_vector), self.gram_vector)
-        cov_s_adj = WeightedAdjoint(cov_s, self._gram_cov(self.gram_sym2), self.gram_sym2)
-        lap_sym2 = (-1.0, [cov_s_adj, cov_s])
-        return {
-            K.GRADIENT: [(1.0, [grad])],
-            K.DIV_F_STAR: [(1.0, [star])],
-            # the weighted divergence on vectors, the negative adjoint of the gradient
-            K.DIV_F_VEC: [(-1.0, [div_vec])],
-            K.DIV_F_TENSOR: [(1.0, [div_tensor])],
-            K.OP_P: [(1.0, [div_tensor, star])],
-            K.DRIFT_LAPLACIAN_SCALAR: [(-1.0, [div_vec, grad])],
-            K.DRIFT_LAPLACIAN_VECTOR: [(-1.0, [cov_v_adj, cov_v])],
-            K.DRIFT_LAPLACIAN_SYM2: [lap_sym2],
-            K.OP_L: [lap_sym2, (2.0, [self.riemann_block])],
-            # Hess u = (1/2) L_{grad u} g = -div_f^* grad u, as g_jj (grad u)^j = D_j u
-            K.HESSIAN: [(-1.0, [star, grad])],
-        }
+    def _div_vec(self) -> WeightedAdjoint:
+        return WeightedAdjoint(self._gradient_terms, self.gram_vector, self.gram_scalar)
+
+    @cached_property
+    def _div_tensor(self) -> WeightedAdjoint:
+        return WeightedAdjoint(self._div_f_star_terms, self.gram_sym2, self.gram_vector)
+
+    @cached_property
+    def _cov_vector_adj(self) -> WeightedAdjoint:
+        gram = self.gram_vector
+        return WeightedAdjoint(self._cov_vector_terms, self._gram_cov(gram), gram)
+
+    @cached_property
+    def _cov_sym2_adj(self) -> WeightedAdjoint:
+        gram = self.gram_sym2
+        return WeightedAdjoint(self._cov_sym2_terms, self._gram_cov(gram), gram)
+
+    # ---- every kind, once: sums of coef * chain ----------------------------
+
+    # Each kind as a list of (coef, chain) terms; a chain names its factors,
+    # which act right to left. `matvec` and `assemble` both read this table
+    # through `_terms`, so a factor is built on the first use of a kind that
+    # needs it: P alone builds no sym2 derivative and no curvature action.
+    _chains = {
+        OperatorKind.GRADIENT: [(1.0, ("_gradient_terms",))],
+        OperatorKind.DIV_F_STAR: [(1.0, ("_div_f_star_terms",))],
+        # the weighted divergence on vectors, the negative adjoint of the gradient
+        OperatorKind.DIV_F_VEC: [(-1.0, ("_div_vec",))],
+        OperatorKind.DIV_F_TENSOR: [(1.0, ("_div_tensor",))],
+        OperatorKind.OP_P: [(1.0, ("_div_tensor", "_div_f_star_terms"))],
+        OperatorKind.DRIFT_LAPLACIAN_SCALAR: [(-1.0, ("_div_vec", "_gradient_terms"))],
+        OperatorKind.DRIFT_LAPLACIAN_VECTOR: [(-1.0, ("_cov_vector_adj", "_cov_vector_terms"))],
+        OperatorKind.DRIFT_LAPLACIAN_SYM2: [(-1.0, ("_cov_sym2_adj", "_cov_sym2_terms"))],
+        OperatorKind.OP_L: [(-1.0, ("_cov_sym2_adj", "_cov_sym2_terms")),
+                            (2.0, ("riemann_block",))],
+        # Hess u = (1/2) L_{grad u} g = -div_f^* grad u, as g_jj (grad u)^j = D_j u
+        OperatorKind.HESSIAN: [(-1.0, ("_div_f_star_terms", "_gradient_terms"))],
+    }
+
+    def _terms(self, kind: OperatorKind) -> list[tuple]:
+        """`kind`'s (coef, chain) terms, each factor name resolved on the suite."""
+        return [(coef, [getattr(self, name) for name in chain])
+                for coef, chain in self._chains[kind]]
 
     def matvec(self, kind: OperatorKind, x: np.ndarray) -> np.ndarray:
         """`kind` applied to a flat component vector, each chain folded right
         to left through its factors; no matrix is assembled."""
         total = None
-        for coef, chain in self._chains[kind]:
+        for coef, chain in self._terms(kind):
             y = x
             for factor in reversed(chain):
                 y = factor.apply(y)
@@ -529,7 +548,7 @@ class Operators:
         """`kind`'s matrix: the product of each chain's factor matrices,
         scaled and summed. The term list M of M^adj M is assembled once."""
         total = None
-        for coef, chain in self._chains[kind]:
+        for coef, chain in self._terms(kind):
             held = {}
             product = None
             for factor in reversed(chain):

@@ -72,6 +72,17 @@ def test_factored_apply_matches_assembled_matrix(grid_name, request, rng):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), kind
 
 
+def test_assembling_p_builds_only_its_factors(gaussian2):
+    # P = div_f o div_f^* needs the div_f^* term list and its weighted adjoint;
+    # the sym2 covariant derivative and the curvature action are left unbuilt
+    grid, _ = build_grid(gaussian2, 24, 6.0)
+    ops = grid.ops()
+    ops.handle(OperatorKind.OP_P).matrix
+    assert "_div_f_star_terms" in ops.__dict__
+    for name in ("_cov_sym2_terms", "riemann_block", "_cov_vector_terms", "_gradient_terms"):
+        assert name not in ops.__dict__, name
+
+
 def test_p_positive_semidefinite(grid2_small, rng):
     grid, _ = grid2_small
     ops = grid.ops()
