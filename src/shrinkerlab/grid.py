@@ -6,10 +6,9 @@ Grids are cell-centered tensor products in chart coordinates, truncated to
     w_node = (volume element) * exp(-f) * prod(cell spacings).
 
 Fields beyond the truncation radius are treated as zero; the quadrature error
-this introduces is bounded by the Gaussian tail of the weight and reported on
-the measure (`tail_fraction`). On cylinders a polar cap of one grid cell is
-excluded around each pole of the latitude chart; the omitted cap measure is
-reported as well (`cap_fraction`).
+this introduces is bounded by the Gaussian tail of the weight. On cylinders a
+polar cap of one grid cell is excluded around each pole of the latitude chart;
+the omitted cap measure is reported on the measure (`cap_fraction`).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .models import GAUSSIAN, ModelShrinker
 
@@ -187,17 +185,11 @@ class WeightedMeasure:
 
     node_weights: np.ndarray
     total_mass: float
-    tail_fraction: float
     cap_fraction: float = 0.0
 
     def __post_init__(self):
         if np.any(self.node_weights <= 0):
             raise GridError("quadrature weights must be positive")
-
-
-def _gaussian_tail_fraction(n: int, radius: float) -> float:
-    # fraction of the full-space weighted mass outside {|x| < R}
-    return float(gammaincc(n / 2.0, radius**2 / 4.0))
 
 
 def build_grid(
@@ -277,14 +269,9 @@ def build_grid(
         node_index=node_index,
         node_multi=node_multi,
     )
-    if model.kind == GAUSSIAN:
-        tail = _gaussian_tail_fraction(model.n, R)
-    else:
-        tail = _gaussian_tail_fraction(model.n_euclidean, np.sqrt(span))
     measure = WeightedMeasure(
         node_weights=grid.weights,
         total_mass=float(np.sum(grid.weights)),
-        tail_fraction=tail,
         cap_fraction=cap_fraction,
     )
     return grid, measure

@@ -57,8 +57,9 @@ L = L_drift + 2R, and the Hessian -div_f^* o grad, as
 (1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
 through its factors' `apply`, so a suite that only applies holds no sparse
 matrix but the D_a. `Operators.assemble` multiplies the same factors'
-matrices, for what needs entries (a factorization, a dense solve, a
-diagonal); only P's, `op_p`, which the solvers factor, is kept. A test pins
+matrices, for what needs entries (the eigensolvers' symmetric form, built
+from div_f^*'s matrix, or a diagonal); only P's, `op_p`, is kept, for the
+spectral layer's weighted-symmetry probe and eigen-residuals. A test pins
 the factored application to the assembled matrices.
 
 Sign conventions: the drift Laplacian satisfies L x_1 = -x_1/2 on the Gaussian
@@ -107,34 +108,21 @@ _KIND_RANKS = {
 
 
 class OperatorHandle:
-    """A named operator between field component spaces.
+    """A named operator between field component spaces, on one suite's grid.
 
-    A handle from `Operators.handle` (`ops` given, `matrix` None) applies the
-    operator through its first-order factors (`Operators.matvec`). Its
-    `matrix`, for what needs entries (factorizations, dense solves,
-    diagonals), is the suite's cached `op_p` for P and is assembled on each
-    read for every other kind. A handle built from a bare `matrix` applies
-    that matrix.
+    `apply` goes through the operator's first-order factors
+    (`Operators.matvec`). `matrix`, for what needs entries (diagonals, the
+    spectral layer's weighted-symmetry probe and residuals), is the suite's
+    cached `op_p` for P and is assembled on each read for every other kind.
     """
 
-    def __init__(
-        self,
-        kind: OperatorKind,
-        matrix: sp.spmatrix | None,
-        grid: Grid,
-        ops: Operators | None = None,
-    ):
-        if (matrix is None) == (ops is None):
-            raise ValueError("an OperatorHandle takes either a matrix or an operator suite")
+    def __init__(self, kind: OperatorKind, ops: Operators):
         self.kind = kind
-        self.grid = grid
-        self._matrix = matrix
+        self.grid = ops.grid
         self._ops = ops
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        if self._ops is None:
-            return self._matrix
         if self.kind == OperatorKind.OP_P:
             return self._ops.op_p
         return self._ops.assemble(self.kind)
@@ -152,9 +140,7 @@ class OperatorHandle:
             raise GridError("field lives on a different grid")
         if field.rank != self.in_rank:
             raise FieldError(f"{self.kind.value} expects a {self.in_rank} field")
-        x = field.flat()
-        y = self._matrix @ x if self._ops is None else self._ops.matvec(self.kind, x)
-        return Field.from_flat(self.grid, self.out_rank, y)
+        return Field.from_flat(self.grid, self.out_rank, self._ops.matvec(self.kind, field.flat()))
 
 
 # Interior stencils over (offset, coefficient * h). Both couple the even and
@@ -563,7 +549,7 @@ class Operators:
 
     @cached_property
     def op_p(self) -> sp.csr_matrix:
-        """P's matrix, for the solvers that factor it; the one matrix kept."""
+        """P's matrix, for the eigensolvers' symmetry probe and residuals; the one matrix kept."""
         return self.assemble(OperatorKind.OP_P)
 
     # ---- reference (non-adjoint) divergence, used in convergence tests ----
@@ -621,7 +607,7 @@ class Operators:
     # ---- field-level conveniences -----------------------------------------
 
     def handle(self, kind: OperatorKind) -> OperatorHandle:
-        return OperatorHandle(kind=kind, matrix=None, grid=self.grid, ops=self)
+        return OperatorHandle(kind, self)
 
     def apply(self, kind: OperatorKind, field: Field) -> Field:
         return self.handle(kind).apply(field)

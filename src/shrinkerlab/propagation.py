@@ -29,7 +29,6 @@ class PropagationError(RuntimeError):
 class Cutoff:
     """C^2 radial cutoff: 1 on {b <= r - 2/r}, 0 on {b >= r - 1/r}."""
 
-    r: float
     eta: Field
     transition_band: tuple[float, float]
     grad_bound: float
@@ -62,14 +61,13 @@ def build_cutoff(grid: Grid, r: float) -> Cutoff:
     plateau = grid.b <= inner - h_b
     if np.any(plateau) and np.min(eta_vals[plateau]) < 1.0 - 1e-12:
         raise PropagationError("cutoff is not identically 1 on the plateau")
-    return Cutoff(r=float(r), eta=eta, transition_band=(inner, outer), grad_bound=grad_bound)
+    return Cutoff(eta=eta, transition_band=(inner, outer), grad_bound=grad_bound)
 
 
 @dataclass(frozen=True)
 class DefectReport:
     """Restricted norm and symmetry defect of a field on {f < r^2/4}."""
 
-    r: float
     norm: float
     mu_bar: float
     c1_measured: float
@@ -97,7 +95,6 @@ def measure_defect(Y: Field, r: float) -> DefectReport:
     point_bound = np.sqrt(Y.pointwise_norm_sq()) + np.sqrt(ops.grad_norm_sq(Y))
     c1 = float(np.max(point_bound[inside]) / r)
     return DefectReport(
-        r=float(r),
         norm=float(np.sqrt(norm_sq)),
         mu_bar=defect,
         c1_measured=c1,
@@ -284,7 +281,6 @@ class GrowthFit:
     slope: float
     intercept: float
     max_residual: float
-    n_used: int
 
 
 def fit_growth_exponent(profile: RadialProfile) -> GrowthFit:
@@ -305,7 +301,6 @@ def fit_growth_exponent(profile: RadialProfile) -> GrowthFit:
         slope=float(coef[0]),
         intercept=float(coef[1]),
         max_residual=float(np.max(np.abs(resid))),
-        n_used=int(pos.sum()),
     )
 
 

@@ -1,22 +1,25 @@
 """Weighted symmetric eigensolver for P and the eigenfield decomposition.
 
-The generalized problem B y = mu G y (B the weighted quadratic form of P,
-G the diagonal Gram matrix of the vector-field inner product) is conjugated
-by sqrt(G) into a standard symmetric problem, solved densely below a size
-cap (the oracle path) and by shift-invert Lanczos above it. Shift-invert
-factors the SPD matrix A - SHIFT*I once, as a banded Cholesky in reverse
-Cuthill-McKee order (`_BandCholesky`), and hands its solve to ARPACK; SHIFT
-sits just below the kernel of P, which keeps ARPACK's solve count low while
-the shifted matrix stays well conditioned. A third
-path, LOBPCG warm-started from one guess per pair, serves the near-kernel
-block of P, which the extension pipeline projects onto: it is solved once
-per grid and checked by a guard run (`near_kernel_block`). Both LOBPCG runs
-are preconditioned by an aggregation V-cycle built on the grid's tensor
-structure (`_VCycle`), whose bottom level is solved by the same banded
-Cholesky; the symmetric form and its cycle are built once per grid. All
-paths assemble P (`OperatorHandle.matrix`). Eigenfields come back unit-norm
-in the weighted inner product; pairs are deterministic up to sign (fixed
-here) and up to rotation inside numerically degenerate blocks.
+P = div_f o div_f^* is weighted-symmetric because div_f is the weighted
+adjoint of div_f^*. Conjugated by S = sqrt(G) (G the diagonal Gram matrix of
+the vector-field inner product) it is the standard symmetric A = K^T K, with
+K = sqrt(G_sym2) div_f^* S^-1 built from the first-order factor, once per
+grid (`_p_form`). Every path solves A: densely below a size cap (the oracle
+path) and by shift-invert Lanczos above it. Shift-invert factors the SPD
+matrix A - SHIFT*I once, as a banded Cholesky in reverse Cuthill-McKee order
+(`_BandCholesky`), and hands its solve to ARPACK; SHIFT sits just below the
+kernel of P, which keeps ARPACK's solve count low while the shifted matrix
+stays well conditioned. A third path, LOBPCG warm-started from one guess per
+pair, serves the near-kernel block of P, which the extension pipeline
+projects onto: it is solved once per grid and checked by a guard run
+(`near_kernel_block`). Both LOBPCG runs are preconditioned by an aggregation
+V-cycle built on the grid's tensor structure (`_VCycle`), whose bottom level
+is solved by the same banded Cholesky; the cycle too is built once per grid
+(`_vcycle`). P's assembled matrix (`Operators.op_p`) is read only by the
+weighted-symmetry probe and by the residuals |P y - mu y|, which every path
+checks against 10 times its tolerance. Eigenfields come back unit-norm in
+the weighted inner product; pairs are deterministic up to sign (fixed here)
+and up to rotation inside numerically degenerate blocks.
 """
 
 from __future__ import annotations
@@ -88,14 +91,22 @@ class SpectralPair:
 
 
 def _symmetric_form(handle: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Return (A, s): A = S^-1 B S^-1 symmetric, fields recovered as y/s."""
+    """Return (A, s) for P: A = K^T K with K = sqrt(G_sym2) div_f^* S^-1, S = diag(s).
+
+    P = (1/G_vec) M^T G_sym2 M for M = div_f^*, so with s = sqrt(G_vec)
+    A = S P S^-1, symmetric by construction, and eigenfields are recovered
+    as y/s. `handle` names P on its grid; the form is built from the
+    factor M, so it never reads P's assembled matrix.
+    """
     ops = handle.grid.ops()
-    gram = ops.gram(handle.in_rank)
-    B = sp.diags(gram) @ handle.matrix
-    B = ((B + B.T) * 0.5).tocsr()
-    s = np.sqrt(gram)
-    A = (sp.diags(1.0 / s) @ B @ sp.diags(1.0 / s)).tocsr()
-    return A, s
+    s = np.sqrt(ops.gram_vector)
+    K = sp.diags(np.sqrt(ops.gram_sym2)) @ ops.assemble(OperatorKind.DIV_F_STAR) @ sp.diags(1.0 / s)
+    return (K.T @ K).tocsr(), s
+
+
+def _p_form(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """P's symmetric form (A, s) on `grid`, built on first use and cached on it."""
+    return grid._cached("p_form", lambda: _symmetric_form(grid.ops().handle(OperatorKind.OP_P)))
 
 
 class _BandCholesky:
@@ -197,18 +208,9 @@ class _VCycle:
                                    dtype=np.float64)
 
 
-def _lobpcg_form(operator: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray, _VCycle]:
-    """(A, s, V-cycle) of `operator`, built once per grid and assembled matrix.
-
-    The cached value holds the matrix, so its id names it while the grid lives.
-    """
-    matrix = operator.matrix
-
-    def build():
-        A, s = _symmetric_form(operator)
-        return matrix, A, s, _VCycle(A, s, operator.grid.node_multi)
-
-    return operator.grid._cached(("lobpcg_form", id(matrix)), build)[1:]
+def _vcycle(grid: Grid) -> _VCycle:
+    """The V-cycle of P's symmetric form on `grid`, built on first use and cached on it."""
+    return grid._cached("vcycle", lambda: _VCycle(*_p_form(grid), grid.node_multi))
 
 
 def _check_weighted_symmetry(handle: OperatorHandle, rng):
@@ -247,19 +249,24 @@ def lowest_eigenpairs(
     seed: int = 0,
     guesses: Optional[list[Field]] = None,
 ) -> list[SpectralPair]:
-    """Lowest eigenpairs of a weighted-symmetric PSD operator, sorted ascending.
+    """Lowest eigenpairs of P (`operator` is an `OP_P` handle), sorted ascending.
 
+    Every path solves P's symmetric form from `_p_form`, built once per grid.
     `auto` takes the dense solve up to `DENSE_CAP` unknowns (the oracle) and
     shift-invert Lanczos above it. Shift-invert factors A - SHIFT*I once with
     `_BandCholesky`, prints the factor's size and time and the solve count
     on stderr, and raises SolverError when the shifted operator is not
     positive definite or its band does not fit in memory. `method="lobpcg"`
-    runs LOBPCG, preconditioned by the V-cycle `_VCycle`, from exactly
-    `count` `guesses`; closed-form near-kernel fields make it converge
-    quickly, and `near_kernel_block` calls it so. Its worst residual must end
-    at or below 10 * `tolerance`, else SolverError. `guesses` on another
-    path, or a guess count other than `count`, is a ValueError.
+    runs LOBPCG, preconditioned by the grid's V-cycle (`_vcycle`), from
+    exactly `count` `guesses`; closed-form near-kernel fields make it
+    converge quickly, and `near_kernel_block` calls it so. On every path the
+    worst residual |P y - mu y|, measured with P's assembled matrix, must end
+    at or below 10 * `tolerance`, else SolverError. Another operator kind,
+    `guesses` on another path, or a guess count other than `count`, is a
+    ValueError.
     """
+    if operator.kind != OperatorKind.OP_P:
+        raise ValueError(f"lowest_eigenpairs solves P only, not {operator.kind.value}")
     if count < 1:
         raise ValueError("count must be >= 1")
     size = operator.matrix.shape[0]
@@ -277,14 +284,9 @@ def lowest_eigenpairs(
     rng = np.random.default_rng(seed)
     _check_weighted_symmetry(operator, rng)
 
-    if method == "lobpcg":
-        A, s, cycle = _lobpcg_form(operator)
-    else:
-        A, s = _symmetric_form(operator)
+    A, s = _p_form(grid)
     if method == "dense":
-        dense = A.toarray()
-        dense = (dense + dense.T) * 0.5
-        vals, vecs = sla.eigh(dense, subset_by_index=[0, count - 1])
+        vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, count - 1])
     elif method == "sparse":
         # A - SHIFT*I is SPD (A is PSD and SHIFT < 0), so it is factored once,
         # as a banded Cholesky, and eigsh runs on its solve
@@ -311,13 +313,7 @@ def lowest_eigenpairs(
         vals, vecs = vals[order], vecs[:, order]
     else:
         X, _ = np.linalg.qr(np.stack([g.flat() * s for g in guesses], axis=1))
-        vals, vecs, resid = _lobpcg(A, X, cycle, max(tolerance, 1e-10), LOBPCG_MAXITER)
-        worst = float(np.max(resid))
-        if worst > 10.0 * tolerance:
-            raise SolverError(
-                f"eigensolver did not converge (worst residual {worst:.2e}, "
-                f"tolerance {tolerance:.1e})"
-            )
+        vals, vecs, _ = _lobpcg(A, X, _vcycle(grid), max(tolerance, 1e-10), LOBPCG_MAXITER)
 
     pairs = []
     pmat = operator.matrix
@@ -333,6 +329,12 @@ def lowest_eigenpairs(
         resid_field = Field.from_flat(grid, operator.in_rank, pmat @ fld.flat()) - fld * float(vals[i])
         pairs.append(
             SpectralPair(mu=float(vals[i]), field=fld, residual=resid_field.norm())
+        )
+    worst = max(p.residual for p in pairs)
+    if worst > 10.0 * tolerance:
+        raise SolverError(
+            f"eigensolver did not converge (worst residual {worst:.2e}, "
+            f"tolerance {tolerance:.1e})"
         )
     return pairs
 
@@ -411,8 +413,9 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
 
 def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     handle = grid.ops().handle(OperatorKind.OP_P)
-    # the block solve below builds nothing: it finds this form in the grid's cache
-    A, s, cycle = _lobpcg_form(handle)
+    # the block solve below builds nothing: it finds the form and cycle in the grid's cache
+    A, s = _p_form(grid)
+    cycle = _vcycle(grid)
     size = A.shape[0]
     started = cycle.applications
     starts = killing_basis(grid)
@@ -570,7 +573,6 @@ class EigenfieldDecomposition:
 
     y: Field
     z: Field
-    grad_div: Field
     mu: float
     beta: float
     norm_gap: float
@@ -625,7 +627,6 @@ def decompose_eigenfield(pair: SpectralPair) -> EigenfieldDecomposition:
     return EigenfieldDecomposition(
         y=Y,
         z=Z,
-        grad_div=gv,
         mu=mu,
         beta=beta,
         norm_gap=norm_gap,

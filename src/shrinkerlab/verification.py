@@ -82,7 +82,6 @@ def classify_killing(Y: Field) -> DichotomyVerdict:
 @dataclass(frozen=True)
 class HarmonicityReport:
     residual: float
-    divf_norm: float
     passed: bool
 
 
@@ -101,9 +100,7 @@ def harmonicity_check(Y: Field) -> HarmonicityReport:
     lap_plain = ops.lap(v) + drift
     interior = grid.interior_mask(applications=3)
     residual = lap_plain.norm_where(interior) / max(v.norm(), 1.0)
-    return HarmonicityReport(
-        residual=residual, divf_norm=v.norm(), passed=residual <= grid.stencil_tol
-    )
+    return HarmonicityReport(residual=residual, passed=residual <= grid.stencil_tol)
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,6 @@ class CaoZhouReport:
     c2: float
     c3: float
     radii: np.ndarray
-    volumes: np.ndarray
     insufficient: bool
 
 
@@ -188,7 +184,7 @@ def cao_zhou_check(model: ModelShrinker, grid: Grid, radii=None) -> CaoZhouRepor
     analytic minimum of f.
     """
     if grid.n_nodes < 10:
-        return CaoZhouReport(0.0, 0.0, 0.0, np.array([]), np.array([]), True)
+        return CaoZhouReport(0.0, 0.0, 0.0, np.array([]), True)
     if model.kind == "gaussian":
         base = np.zeros(model.n)
         r_cover = grid.truncation_radius
@@ -210,4 +206,4 @@ def cao_zhou_check(model: ModelShrinker, grid: Grid, radii=None) -> CaoZhouRepor
         [float(np.sum(grid.unweighted_volumes[dist <= r])) for r in radii]
     )
     c3 = float(np.max(vols / radii**model.n))
-    return CaoZhouReport(c1=c1, c2=c2, c3=c3, radii=radii, volumes=vols, insufficient=False)
+    return CaoZhouReport(c1=c1, c2=c2, c3=c3, radii=radii, insufficient=False)

@@ -455,6 +455,20 @@ def test_benchmark_tracer_runs_propagate(tmp_path):
     assert doc["counters"]["operators.p_nnz"] == grid.ops().op_p.nnz
 
 
+def test_cli_import_leaves_scipy_special_unloaded():
+    # nothing in the package needs scipy.special, which lengthens every
+    # start-up; a fresh interpreter shows whether an import brings it back
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, shrinkerlab.cli; print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _propagate_report(resolution, mu, cosine, eigen_residual, exponent):
     point = {"check_name": "propagation_r4_eps0", "mu": mu,
              "cosine_with_reference": cosine, "eigen_residual": eigen_residual,

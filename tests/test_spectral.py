@@ -12,7 +12,7 @@ from shrinkerlab.fields import (
     killing_basis,
     killing_fields,
 )
-from shrinkerlab.operators import OperatorHandle, OperatorKind
+from shrinkerlab.operators import OperatorKind
 from shrinkerlab.spectral import (
     SolverError,
     canonicalize_degenerate,
@@ -86,14 +86,57 @@ def test_dense_and_sparse_paths_agree(gaussian1):
         assert abs(a.mu - b.mu) <= 1e-8
 
 
-def test_broken_adjoint_detected(grid1_256):
+def _grid_with_broken_p_row(gaussian1, row):
+    """A fresh 1D grid whose cached P has `row` zeroed; the solvers' form is intact."""
+    grid, _ = build_grid(gaussian1, 256, 10.0)
+    ops = grid.ops()
+    broken = ops.op_p.tolil()
+    broken[row, :] = 0.0
+    ops.op_p = broken.tocsr()
+    return grid
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [(3, "did not converge"), (128, "adjointness broken")],
+    ids=["low_weight_row", "central_row"],
+)
+def test_broken_adjoint_detected(gaussian1, row, message):
+    # row 3 carries weight 4.2e-12, below what the weighted-symmetry probe can
+    # see; the solve reads the factor form, so the break shows in the residual
+    grid = _grid_with_broken_p_row(gaussian1, row)
+    with pytest.raises(SolverError, match=message):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2)
+
+
+@pytest.mark.parametrize("method", ["dense", "sparse", "lobpcg"])
+def test_every_path_raises_above_ten_times_tolerance(gaussian1, method):
+    # the broken row leaves the dilation pair (mu = 1/2) a residual
+    # |P y - mu y| of about 3e-6 on every path
+    grid = _grid_with_broken_p_row(gaussian1, 3)
+    guesses = killing_basis(grid) + [dilation(grid)] if method == "lobpcg" else None
+    with pytest.raises(SolverError, match="did not converge"):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2, method=method,
+                          guesses=guesses)
+
+
+def test_lowest_eigenpairs_solves_p_only(grid1_256):
     grid, _ = grid1_256
-    handle = grid.ops().handle(OperatorKind.OP_P)
-    broken = handle.matrix.tolil()
-    broken[3, :] = 0.0
-    bad = OperatorHandle(kind=handle.kind, matrix=broken.tocsr(), grid=grid)
-    with pytest.raises(SolverError, match="adjointness broken"):
-        lowest_eigenpairs(bad, 2)
+    with pytest.raises(ValueError, match="P only"):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.DRIFT_LAPLACIAN_VECTOR), 2)
+
+
+@pytest.mark.parametrize("which", ["grid2_small", "cyl_grid", "gaussian3_16"])
+def test_symmetric_form_is_exactly_symmetric(request, which):
+    # A = K^T K is symmetric bit for bit, and equals S P S^-1 to round-off
+    if which == "gaussian3_16":
+        grid, _ = build_grid(make_model("gaussian", 3), 16, 6.0)
+    else:
+        grid, _ = request.getfixturevalue(which)
+    A, s = spectral._symmetric_form(grid.ops().handle(OperatorKind.OP_P))
+    assert (A - A.T).nnz == 0
+    conjugated = spectral.sp.diags(s) @ grid.ops().op_p @ spectral.sp.diags(1.0 / s)
+    assert abs(A - conjugated).max() <= 1e-13 * abs(A).max()
 
 
 def test_count_validation(grid1_256):
@@ -207,10 +250,16 @@ def _largest_angle(grid, a, b) -> float:
     return float(np.max(sla.subspace_angles(*span)))
 
 
-def test_solver_paths_agree_with_dense_oracle(grid56):
+@pytest.fixture(scope="module")
+def dense6(grid56):
+    """The dense oracle's six lowest pairs on grid56, solved once for the module."""
+    return lowest_eigenpairs(grid56.ops().handle(OperatorKind.OP_P), 6, method="dense")
+
+
+def test_solver_paths_agree_with_dense_oracle(grid56, dense6):
     handle = grid56.ops().handle(OperatorKind.OP_P)
     assert handle.matrix.shape[0] == 4944
-    dense = lowest_eigenpairs(handle, 3, method="dense")
+    dense = dense6[:3]
     others = {
         "sparse": lowest_eigenpairs(handle, 3, method="sparse"),
         "lobpcg": lowest_eigenpairs(
@@ -232,18 +281,17 @@ def _reported_solves(capsys) -> int:
     return int(re.search(r"(\d+) solves$", lines[0]).group(1))
 
 
-def test_shift_invert_agrees_with_dense_oracle_at_cluster_cut(grid56, capsys):
+def test_shift_invert_agrees_with_dense_oracle_at_cluster_cut(grid56, dense6, capsys):
     # six pairs take the three Killing pairs and reach into the cluster at 1/2,
     # where the count-3 oracle test does not go; SHIFT = -0.1 takes 50 solves here
     handle = grid56.ops().handle(OperatorKind.OP_P)
-    dense = lowest_eigenpairs(handle, 6, method="dense")
     capsys.readouterr()
     for seed in (0, 1, 2):
         sparse = lowest_eigenpairs(handle, 6, method="sparse", seed=seed)
         assert _reported_solves(capsys) <= 55, seed
-        for a, b in zip(dense, sparse):
+        for a, b in zip(dense6, sparse):
             assert abs(a.mu - b.mu) <= 1e-12, seed
-        assert _largest_angle(grid56, dense, sparse) < 1e-6, seed
+        assert _largest_angle(grid56, dense6, sparse) < 1e-6, seed
         assert max(p.residual for p in sparse) <= 1e-9, seed
 
 
@@ -318,7 +366,7 @@ def test_near_kernel_guard_not_converged_raises(gaussian2, monkeypatch):
 
 def test_vcycle_is_symmetric_positive_definite(gaussian2):
     grid, _ = build_grid(gaussian2, 120, 6.0)
-    _, _, cycle = spectral._lobpcg_form(grid.ops().handle(OperatorKind.OP_P))
+    cycle = spectral._vcycle(grid)
     assert len(cycle.levels) >= 2
     rng = np.random.default_rng(7)
     U = rng.standard_normal((cycle.sizes[0], 4))
