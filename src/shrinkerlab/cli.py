@@ -231,9 +231,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---- verify ----------------------------------------------------------------
 
 
-def run_verify(cfg: RunConfig) -> list[dict]:
-    model = make_model(cfg.model_kind, cfg.n, cfg.k)
-    grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
+def run_verify(cfg: RunConfig, grid: Grid) -> list[dict]:
+    model = grid.model
     ops = grid.ops()
     rng = np.random.default_rng(cfg.seed)
     suites = VERIFY_SUITES if "all" in cfg.suite else cfg.suite
@@ -362,23 +361,13 @@ def run_verify(cfg: RunConfig) -> list[dict]:
             {"c1": rep.c1, "c2": rep.c2, "c3": rep.c3},
             insufficient=rep.insufficient,
         )
-    # on stderr, not in the report, so that reruns stay byte-identical
-    held = ops.stored_matrices()
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-    print(
-        f"operator storage: {', '.join(held)}; {sum(held.values()):,} nnz; "
-        f"ru_maxrss {peak_mb:.0f} MB",
-        file=sys.stderr,
-    )
     return checks
 
 
 # ---- spectrum ---------------------------------------------------------------
 
 
-def run_spectrum(cfg: RunConfig, out_dir: Path) -> list[dict]:
-    model = make_model(cfg.model_kind, cfg.n, cfg.k)
-    grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
+def run_spectrum(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
     ops = grid.ops()
     pairs = lowest_eigenpairs(
         ops.handle(OperatorKind.OP_P), cfg.eigs, tolerance=cfg.tolerance, seed=cfg.seed
@@ -517,11 +506,9 @@ def _propagate_point(
     return point, profile
 
 
-def run_propagate(cfg: RunConfig, out_dir: Path) -> list[dict]:
+def run_propagate(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
     # one grid, and so one operator suite and one near-kernel block, serves
     # every sweep point
-    model = make_model(cfg.model_kind, cfg.n, cfg.k)
-    grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
     checks = []
     for r in cfg.r_values:
         for eps in cfg.epsilons:
@@ -626,12 +613,21 @@ def run(cfg: RunConfig) -> int:
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     model = make_model(cfg.model_kind, cfg.n, cfg.k)
+    grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
     if cfg.command == "verify":
-        checks = run_verify(cfg)
+        checks = run_verify(cfg, grid)
     elif cfg.command == "spectrum":
-        checks = run_spectrum(cfg, out_dir)
+        checks = run_spectrum(cfg, grid, out_dir)
     else:
-        checks = run_propagate(cfg, out_dir)
+        checks = run_propagate(cfg, grid, out_dir)
+    # on stderr, not in the report, so that reruns stay byte-identical
+    held = grid.ops().stored_matrices()
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    print(
+        f"operator storage: {', '.join(held)}; {sum(held.values()):,} nnz; "
+        f"ru_maxrss {peak_mb:.0f} MB",
+        file=sys.stderr,
+    )
     doc = reports.write_report(
         out_dir / "report.json", cfg.command, cfg.to_dict(), model.describe(), checks
     )

@@ -55,12 +55,11 @@ first use of a kind that needs them, are term lists and weighted
 adjoints: P = div_f o div_f^*, the drift Laplacians -nabla^adj o nabla,
 L = L_drift + 2R, and the Hessian -div_f^* o grad, as
 (1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
-through its factors' `apply`, so a suite that only applies holds no sparse
-matrix but the D_a. `Operators.assemble` multiplies the same factors'
-matrices, for what needs entries (the eigensolvers' symmetric form, built
-from div_f^*'s matrix, or a diagonal); only P's, `op_p`, is kept, for the
-spectral layer's weighted-symmetry probe and eigen-residuals. A test pins
-the factored application to the assembled matrices.
+through its factors' `apply`, so a suite holds no sparse matrix but the
+D_a. `Operators.assemble` multiplies the same factors' matrices, for what
+needs entries (the eigensolvers' symmetric form, built from div_f^*'s
+matrix, or a diagonal); the suite keeps none of them. A test pins the
+factored application to the assembled matrices.
 
 Sign conventions: the drift Laplacian satisfies L x_1 = -x_1/2 on the Gaussian
 model (drift term -<grad f, grad .>), pinned by tests.
@@ -111,9 +110,8 @@ class OperatorHandle:
     """A named operator between field component spaces, on one suite's grid.
 
     `apply` goes through the operator's first-order factors
-    (`Operators.matvec`). `matrix`, for what needs entries (diagonals, the
-    spectral layer's weighted-symmetry probe and residuals), is the suite's
-    cached `op_p` for P and is assembled on each read for every other kind.
+    (`Operators.matvec`). `matrix`, for what needs entries (a test oracle, a
+    diagonal), is assembled on each read and not kept.
     """
 
     def __init__(self, kind: OperatorKind, ops: Operators):
@@ -123,8 +121,6 @@ class OperatorHandle:
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        if self.kind == OperatorKind.OP_P:
-            return self._ops.op_p
         return self._ops.assemble(self.kind)
 
     @property
@@ -327,9 +323,8 @@ class WeightedAdjoint:
         """Through the transposed term list: neither M nor its adjoint is built."""
         return (1.0 / self.gram_in) * self.op.rapply(self.gram_out * y)
 
-    def assemble(self, op_matrix: sp.csr_matrix | None = None) -> sp.csr_matrix:
-        """The adjoint's matrix; `op_matrix` is M's, if the caller holds it."""
-        mat = self.op.assemble() if op_matrix is None else op_matrix
+    def assemble(self) -> sp.csr_matrix:
+        mat = self.op.assemble()
         return (_diag(1.0 / self.gram_in) @ mat.T.tocsr() @ _diag(self.gram_out)).tocsr()
 
 
@@ -337,7 +332,7 @@ class Operators:
     """Operator suite for one grid. Every kind is a sum of chains of term
     lists over the difference matrices `diffs` and their weighted adjoints
     (`_chains`), applied factor by factor by `matvec`; `assemble` builds a
-    kind's matrix, and only P's (`op_p`) is kept."""
+    kind's matrix, which the suite does not keep."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -532,25 +527,16 @@ class Operators:
 
     def assemble(self, kind: OperatorKind) -> sp.csr_matrix:
         """`kind`'s matrix: the product of each chain's factor matrices,
-        scaled and summed. The term list M of M^adj M is assembled once."""
+        scaled and summed."""
         total = None
         for coef, chain in self._terms(kind):
-            held = {}
             product = None
             for factor in reversed(chain):
-                if isinstance(factor, WeightedAdjoint):
-                    mat = factor.assemble(held.get(factor.op))
-                else:
-                    mat = held[factor] = factor.assemble()
+                mat = factor.assemble()
                 product = mat if product is None else mat @ product
             term = product if coef == 1.0 else coef * product
             total = term if total is None else total + term
         return total.tocsr()
-
-    @cached_property
-    def op_p(self) -> sp.csr_matrix:
-        """P's matrix, for the eigensolvers' symmetry probe and residuals; the one matrix kept."""
-        return self.assemble(OperatorKind.OP_P)
 
     # ---- reference (non-adjoint) divergence, used in convergence tests ----
 

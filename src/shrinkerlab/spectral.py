@@ -15,11 +15,12 @@ projects onto: it is solved once per grid and checked by a guard run
 (`near_kernel_block`). Both LOBPCG runs are preconditioned by an aggregation
 V-cycle built on the grid's tensor structure (`_VCycle`), whose bottom level
 is solved by the same banded Cholesky; the cycle too is built once per grid
-(`_vcycle`). P's assembled matrix (`Operators.op_p`) is read only by the
-weighted-symmetry probe and by the residuals |P y - mu y|, which every path
-checks against 10 times its tolerance. Eigenfields come back unit-norm in
-the weighted inner product; pairs are deterministic up to sign (fixed here)
-and up to rotation inside numerically degenerate blocks.
+(`_vcycle`). P itself is only applied, factor by factor, never assembled:
+by the weighted-symmetry probe and by the residuals |P y - mu y|, which
+every path checks against 10 times its tolerance. Every pair is built by
+`SpectralPair.of`: eigenfields come back unit-norm in the weighted inner
+product with a fixed sign, so pairs are deterministic up to rotation inside
+numerically degenerate blocks.
 """
 
 from __future__ import annotations
@@ -89,16 +90,36 @@ class SpectralPair:
         if self.mu < -1e-8:
             raise SolverError(f"negative eigenvalue {self.mu}: adjointness broken")
 
+    @classmethod
+    def of(cls, field: Field, mu: Optional[float] = None) -> SpectralPair:
+        """The pair of `field` scaled to unit norm, its lead entry made positive;
+        `mu` is its Rayleigh quotient when None. The residual |P y - mu y| is
+        measured through the factored P.
 
-def _symmetric_form(handle: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Return (A, s) for P: A = K^T K with K = sqrt(G_sym2) div_f^* S^-1, S = diag(s).
+        The lead entry is the first, in storage order, within 1e-6 relative of
+        the largest magnitude: a field odd under a symmetry of the grid, such
+        as a rotation, has its largest entries in pairs of opposite sign that
+        differ by round-off, so the largest alone picks either sign.
+        """
+        ops = field.grid.ops()
+        field = field * (1.0 / field.norm())
+        size = np.abs(field.values)
+        if field.values.flat[np.argmax(size >= (1.0 - 1e-6) * size.max())] < 0:
+            field = field * -1.0
+        if mu is None:
+            mu = ops.rayleigh_p(field)
+        return cls(mu=mu, field=field, residual=(ops.p_apply(field) - field * mu).norm())
+
+
+def _symmetric_form(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Return (A, s) for P on `grid`: A = K^T K with K = sqrt(G_sym2) div_f^* S^-1,
+    S = diag(s).
 
     P = (1/G_vec) M^T G_sym2 M for M = div_f^*, so with s = sqrt(G_vec)
     A = S P S^-1, symmetric by construction, and eigenfields are recovered
-    as y/s. `handle` names P on its grid; the form is built from the
-    factor M, so it never reads P's assembled matrix.
+    as y/s. The form is built from the factor M alone.
     """
-    ops = handle.grid.ops()
+    ops = grid.ops()
     s = np.sqrt(ops.gram_vector)
     K = sp.diags(np.sqrt(ops.gram_sym2)) @ ops.assemble(OperatorKind.DIV_F_STAR) @ sp.diags(1.0 / s)
     return (K.T @ K).tocsr(), s
@@ -106,7 +127,7 @@ def _symmetric_form(handle: OperatorHandle) -> tuple[sp.csr_matrix, np.ndarray]:
 
 def _p_form(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
     """P's symmetric form (A, s) on `grid`, built on first use and cached on it."""
-    return grid._cached("p_form", lambda: _symmetric_form(grid.ops().handle(OperatorKind.OP_P)))
+    return grid._cached("p_form", lambda: _symmetric_form(grid))
 
 
 class _BandCholesky:
@@ -214,15 +235,14 @@ def _vcycle(grid: Grid) -> _VCycle:
 
 
 def _check_weighted_symmetry(handle: OperatorHandle, rng):
+    """Probe <M u, v> = <u, M v> in the weighted product, with M applied factor by factor."""
     ops = handle.grid.ops()
     gram = ops.gram(handle.in_rank)
-    M = handle.matrix
-    size = M.shape[0]
     for _ in range(3):
-        u = rng.standard_normal(size)
-        v = rng.standard_normal(size)
-        left = float(np.sum(gram * (M @ u) * v))
-        right = float(np.sum(gram * u * (M @ v)))
+        u = rng.standard_normal(len(gram))
+        v = rng.standard_normal(len(gram))
+        left = float(np.sum(gram * ops.matvec(handle.kind, u) * v))
+        right = float(np.sum(gram * u * ops.matvec(handle.kind, v)))
         scale = max(abs(left), abs(right), 1e-300)
         if abs(left - right) > 1e-8 * scale:
             raise SolverError("adjointness broken: operator is not weighted-symmetric")
@@ -260,16 +280,17 @@ def lowest_eigenpairs(
     runs LOBPCG, preconditioned by the grid's V-cycle (`_vcycle`), from
     exactly `count` `guesses`; closed-form near-kernel fields make it
     converge quickly, and `near_kernel_block` calls it so. On every path the
-    worst residual |P y - mu y|, measured with P's assembled matrix, must end
-    at or below 10 * `tolerance`, else SolverError. Another operator kind,
-    `guesses` on another path, or a guess count other than `count`, is a
-    ValueError.
+    worst residual |P y - mu y|, measured through the factored P
+    (`SpectralPair.of`), must end at or below 10 * `tolerance`, else
+    SolverError. Another operator kind, `guesses` on another path, or a
+    guess count other than `count`, is a ValueError.
     """
     if operator.kind != OperatorKind.OP_P:
         raise ValueError(f"lowest_eigenpairs solves P only, not {operator.kind.value}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    size = operator.matrix.shape[0]
+    grid = operator.grid
+    size = grid.n_nodes * grid.n
     if count >= size:
         raise ValueError("count must be smaller than the number of unknowns")
     if method == "auto":
@@ -280,7 +301,6 @@ def lowest_eigenpairs(
         raise ValueError(f"guesses warm-start only the lobpcg path, not {method!r}")
     if method == "lobpcg" and len(guesses or []) != count:
         raise ValueError(f"the lobpcg path runs from exactly count={count} guesses")
-    grid = operator.grid
     rng = np.random.default_rng(seed)
     _check_weighted_symmetry(operator, rng)
 
@@ -315,21 +335,8 @@ def lowest_eigenpairs(
         X, _ = np.linalg.qr(np.stack([g.flat() * s for g in guesses], axis=1))
         vals, vecs, _ = _lobpcg(A, X, _vcycle(grid), max(tolerance, 1e-10), LOBPCG_MAXITER)
 
-    pairs = []
-    pmat = operator.matrix
-    for i in range(count):
-        y = vecs[:, i] / s
-        # fix sign on the largest-magnitude entry for reproducibility
-        lead = np.argmax(np.abs(y))
-        if y[lead] < 0:
-            y = -y
-        fld = Field.from_flat(grid, operator.in_rank, y)
-        nrm = fld.norm()
-        fld = fld * (1.0 / nrm)
-        resid_field = Field.from_flat(grid, operator.in_rank, pmat @ fld.flat()) - fld * float(vals[i])
-        pairs.append(
-            SpectralPair(mu=float(vals[i]), field=fld, residual=resid_field.norm())
-        )
+    pairs = [SpectralPair.of(Field.from_flat(grid, VECTOR, vecs[:, i] / s), float(vals[i]))
+             for i in range(count)]
     worst = max(p.residual for p in pairs)
     if worst > 10.0 * tolerance:
         raise SolverError(
@@ -476,8 +483,9 @@ def canonicalize_degenerate(pairs: list[SpectralPair]) -> list[SpectralPair]:
     Individual vectors inside a degenerate block are arbitrary up to rotation;
     this picks the basis aligned with the invariant splitting into
     divergence-free and gradient directions (divergence content ascending), so
-    each member satisfies its own secondary eigen-equations. Eigenvalues and
-    residuals are re-measured on the rotated vectors.
+    each member satisfies its own secondary eigen-equations. Each rotated
+    vector is a new pair (`SpectralPair.of`), its eigenvalue the Rayleigh
+    quotient.
     """
     if not pairs:
         return pairs
@@ -495,17 +503,7 @@ def canonicalize_degenerate(pairs: list[SpectralPair]) -> list[SpectralPair]:
             vals = np.zeros_like(pairs[block[0]].field.values)
             for row, j in enumerate(block):
                 vals += W[row, col] * pairs[j].field.values
-            fld = Field(grid, pairs[i].field.rank, vals)
-            nrm = fld.norm()
-            if nrm <= 0:
-                continue
-            fld = fld * (1.0 / nrm)
-            lead = np.argmax(np.abs(fld.values))
-            if fld.values.flat[lead] < 0:
-                fld = fld * -1.0
-            mu = ops.rayleigh_p(fld)
-            resid = (ops.p_apply(fld) - fld * mu).norm()
-            out[i] = SpectralPair(mu=mu, field=fld, residual=resid)
+            out[i] = SpectralPair.of(Field(grid, pairs[i].field.rank, vals))
     return out
 
 

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +357,8 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
                 monkeypatch.setattr(owner, name, counting)
     cfg = RunConfig(command="propagate", n=1, resolution=512, truncation_radius=8.0,
                     r_values=(4.0,), epsilons=(1e-3, 1e-2))
-    checks = cli.run_propagate(cfg, tmp_path)
+    grid, _ = build_grid(make_model("gaussian", 1), 512, 8.0)
+    checks = cli.run_propagate(cfg, grid, tmp_path)
     assert len(checks) == 2
     # one solve, and the guard reuses P instead of building the symmetric form again;
     # each point measures the defect of Y once, fits the full and the inner
@@ -374,47 +374,44 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     assert len(solvers[0]["guard_mus"]) == 5  # GUARD_SPAN 6, one Killing field
 
 
+# one small run of each command
+SMALL_RUNS = {
+    "verify": dict(command="verify", model_kind="cylinder", n=3, k=2, resolution=16,
+                   truncation_radius=4.0),
+    "spectrum": dict(command="spectrum", resolution=24, truncation_radius=6.0),
+    "propagate": dict(command="propagate", n=1, resolution=136, truncation_radius=4.0,
+                      r_values=(4.0,), epsilons=(1e-3, 1e-2)),
+}
+
+
 def test_composite_operators_assembled_only_for_solvers(tmp_path, monkeypatch):
     # verify applies P, L and the drift Laplacians through their first-order
-    # factors; only a solver that needs entries assembles P, and only once
-    grids = []
-
-    def recording_build_grid(*args, **kwargs):
-        built = build_grid(*args, **kwargs)
-        grids.append(built[0])
-        return built
-
-    monkeypatch.setattr(cli, "build_grid", recording_build_grid)
-    cli.run_verify(RunConfig(command="verify", model_kind="cylinder", n=3, k=2,
-                             resolution=16, truncation_radius=4.0))
-    assert "op_p" not in grids[-1].ops().__dict__
-
+    # factors; spectrum and propagate assemble div_f^* once, for the
+    # eigensolvers' symmetric form, and P never
     calls = []
-    assemble_p = Operators.__dict__["op_p"].func
+    assemble = Operators.assemble
 
-    def counted(self):
-        calls.append(self.grid)
-        return assemble_p(self)
+    def recording(self, kind):
+        calls.append(kind.value)
+        return assemble(self, kind)
 
-    counted_p = cached_property(counted)
-    counted_p.__set_name__(Operators, "op_p")
-    monkeypatch.setattr(Operators, "op_p", counted_p)
-    cli.run_spectrum(RunConfig(command="spectrum", resolution=24, truncation_radius=6.0),
-                     tmp_path / "spec")
-    assert len(calls) == 1
-    calls.clear()
-    checks = cli.run_propagate(
-        RunConfig(command="propagate", n=1, resolution=136, truncation_radius=4.0,
-                  r_values=(4.0,), epsilons=(1e-3, 1e-2)),
-        tmp_path / "prop",
-    )
-    assert len(checks) == 2
-    assert len(calls) == 1
+    monkeypatch.setattr(Operators, "assemble", recording)
+    assembled = {}
+    for command, options in SMALL_RUNS.items():
+        calls.clear()
+        cli.run(RunConfig(output_dir=tmp_path / command, **options))
+        assembled[command] = list(calls)
+    assert assembled == {"verify": [], "spectrum": ["DivFStar"], "propagate": ["DivFStar"]}
+    points = [c for c in read_report(tmp_path / "propagate")["checks"]
+              if c["check_name"].startswith("propagation")]
+    assert len(points) == 2
 
 
-def test_verify_stores_only_difference_matrices(monkeypatch, capsys):
-    # verify applies every operator, the curvature action included, from the
-    # per-axis difference matrices; it assembles no block operator
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_run_stores_only_difference_matrices(command, tmp_path, monkeypatch, capsys):
+    # every command applies its operators, the curvature action included,
+    # from the per-axis difference matrices; it keeps no block operator, and
+    # `run` says so on stderr
     grids = []
 
     def recording_build_grid(*args, **kwargs):
@@ -423,14 +420,14 @@ def test_verify_stores_only_difference_matrices(monkeypatch, capsys):
         return built
 
     monkeypatch.setattr(cli, "build_grid", recording_build_grid)
-    cli.run_verify(RunConfig(command="verify", model_kind="cylinder", n=3, k=2,
-                             resolution=16, truncation_radius=4.0))
+    cli.run(RunConfig(output_dir=tmp_path, **SMALL_RUNS[command]))
+    assert len(grids) == 1
     held = {
-        name for name, val in grids[-1].ops().__dict__.items()
+        name for name, val in grids[0].ops().__dict__.items()
         if sp.issparse(val) or (isinstance(val, list) and any(sp.issparse(m) for m in val))
     }
     assert held == {"diffs"}
-    assert "operator storage: diffs;" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("operator storage: diffs;") == 1
 
 
 def test_benchmark_tracer_runs_propagate(tmp_path):
@@ -450,9 +447,10 @@ def test_benchmark_tracer_runs_propagate(tmp_path):
     doc = json.loads(spans.read_text())
     names = [span[0] for span in doc["spans"]]
     assert names.count("spectral.lowest_eigenpairs") == 1
-    # the tracer reads P's nnz off Operators.op_p, the one matrix a run assembles
-    grid, _ = build_grid(make_model("gaussian", 1), 136, 4.0)
-    assert doc["counters"]["operators.p_nnz"] == grid.ops().op_p.nnz
+    # the tracer sizes the solve off the operator handle; it would read P's
+    # nnz off a cached P, and no run caches P
+    assert doc["counters"]["spectral.unknowns"] == 136
+    assert "operators.p_nnz" not in doc["counters"]
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

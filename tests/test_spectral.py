@@ -87,12 +87,19 @@ def test_dense_and_sparse_paths_agree(gaussian1):
 
 
 def _grid_with_broken_p_row(gaussian1, row):
-    """A fresh 1D grid whose cached P has `row` zeroed; the solvers' form is intact."""
+    """A fresh 1D grid whose applied P has `row` of its output zeroed; the
+    solvers' form is intact."""
     grid, _ = build_grid(gaussian1, 256, 10.0)
     ops = grid.ops()
-    broken = ops.op_p.tolil()
-    broken[row, :] = 0.0
-    ops.op_p = broken.tocsr()
+    matvec = ops.matvec
+
+    def broken(kind, x):
+        y = matvec(kind, x)
+        if kind == OperatorKind.OP_P:
+            y[row] = 0.0
+        return y
+
+    ops.matvec = broken
     return grid
 
 
@@ -133,9 +140,10 @@ def test_symmetric_form_is_exactly_symmetric(request, which):
         grid, _ = build_grid(make_model("gaussian", 3), 16, 6.0)
     else:
         grid, _ = request.getfixturevalue(which)
-    A, s = spectral._symmetric_form(grid.ops().handle(OperatorKind.OP_P))
+    A, s = spectral._symmetric_form(grid)
     assert (A - A.T).nnz == 0
-    conjugated = spectral.sp.diags(s) @ grid.ops().op_p @ spectral.sp.diags(1.0 / s)
+    P = grid.ops().assemble(OperatorKind.OP_P)
+    conjugated = spectral.sp.diags(s) @ P @ spectral.sp.diags(1.0 / s)
     assert abs(A - conjugated).max() <= 1e-13 * abs(A).max()
 
 
@@ -293,6 +301,41 @@ def test_shift_invert_agrees_with_dense_oracle_at_cluster_cut(grid56, dense6, ca
             assert abs(a.mu - b.mu) <= 1e-12, seed
         assert _largest_angle(grid56, dense6, sparse) < 1e-6, seed
         assert max(p.residual for p in sparse) <= 1e-9, seed
+
+
+def _lead(field) -> float:
+    """The entry that `SpectralPair.of` makes positive: the first within 1e-6
+    relative of the largest magnitude."""
+    size = np.abs(field.values)
+    return field.values.flat[np.argmax(size >= (1.0 - 1e-6) * size.max())]
+
+
+def test_pairs_follow_one_sign_convention(grid56, dense6):
+    # every path builds its pairs with SpectralPair.of, so a pair outside a
+    # degenerate block is the same field on every path, not only up to sign
+    handle = grid56.ops().handle(OperatorKind.OP_P)
+    solved = {
+        "dense": dense6,
+        "sparse": lowest_eigenpairs(handle, 6, method="sparse"),
+        "lobpcg": lowest_eigenpairs(handle, 3, method="lobpcg",
+                                    guesses=list(killing_fields(grid56).values())),
+    }
+    for name in list(solved):
+        solved[f"canonical {name}"] = canonicalize_degenerate(solved[name])
+    single = [block[0] for block in group_degenerate(dense6) if len(block) == 1]
+    assert single == [2, 3, 4, 5]
+    # the rotation pair's largest entries come in pairs of opposite sign,
+    # equal up to round-off: the largest entry alone would pick either sign
+    rotation = dense6[2].field.values
+    top = rotation[np.abs(rotation) >= (1.0 - 1e-6) * np.abs(rotation).max()]
+    assert top.min() < 0 < top.max()
+    for name, pairs in solved.items():
+        for i, p in enumerate(pairs):
+            assert abs(p.field.norm() - 1.0) <= 1e-12, (name, i)
+            assert _lead(p.field) > 0, (name, i)
+            if i in single:
+                gap = np.abs(p.field.values - dense6[i].field.values).max()
+                assert gap <= 1e-6, (name, i)
 
 
 def test_shift_invert_solve_count_on_cylinder(capsys):
@@ -490,7 +533,7 @@ def test_band_cholesky_solves_shift_invert_system(kind, n, k):
     # the cylinder's periodic longitude couples the first and last rows of
     # each ring, which the reverse Cuthill-McKee order must fold into the band
     grid, _ = build_grid(make_model(kind, n, k), 16, 6.0)
-    A, _ = spectral._symmetric_form(grid.ops().handle(OperatorKind.OP_P))
+    A, _ = spectral._symmetric_form(grid)
     M = A - spectral.SHIFT * spectral.sp.identity(A.shape[0], format="csr")
     chol = spectral._BandCholesky(M)
     assert 0 < chol.bandwidth < A.shape[0] // 4
@@ -513,7 +556,7 @@ def test_shift_invert_not_positive_definite_raises(grid1_256, monkeypatch):
 
 def test_band_too_large_raises_with_its_size(grid1_256, monkeypatch):
     grid, _ = grid1_256
-    A, _ = spectral._symmetric_form(grid.ops().handle(OperatorKind.OP_P))
+    A, _ = spectral._symmetric_form(grid)
     zeros = np.zeros
 
     def no_band(shape, *args, order="C", **kwargs):
