@@ -49,6 +49,7 @@ from .spectral import (
     decompose_eigenfield,
     eigencheck_divf,
     lowest_eigenpairs,
+    solver_storage,
 )
 from .verification import (
     cao_zhou_check,
@@ -628,6 +629,9 @@ def run(cfg: RunConfig) -> int:
         f"ru_maxrss {peak_mb:.0f} MB",
         file=sys.stderr,
     )
+    solver = solver_storage(grid)
+    named = ", ".join(f"{name} {nnz:,}" for name, nnz in solver.items()) or "none"
+    print(f"solver storage: {named}; {sum(solver.values()):,} nnz", file=sys.stderr)
     doc = reports.write_report(
         out_dir / "report.json", cfg.command, cfg.to_dict(), model.describe(), checks
     )

@@ -57,7 +57,7 @@ L = L_drift + 2R, and the Hessian -div_f^* o grad, as
 (1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
 through its factors' `apply`, so a suite holds no sparse matrix but the
 D_a. `Operators.assemble` multiplies the same factors' matrices, for what
-needs entries (the eigensolvers' symmetric form, built from div_f^*'s
+needs entries (the eigensolvers' factor K of P, built from div_f^*'s
 matrix, or a diagonal); the suite keeps none of them. A test pins the
 factored application to the assembled matrices.
 

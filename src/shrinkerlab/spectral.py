@@ -3,24 +3,26 @@
 P = div_f o div_f^* is weighted-symmetric because div_f is the weighted
 adjoint of div_f^*. Conjugated by S = sqrt(G) (G the diagonal Gram matrix of
 the vector-field inner product) it is the standard symmetric A = K^T K, with
-K = sqrt(G_sym2) div_f^* S^-1 built from the first-order factor, once per
-grid (`_p_form`). Every path solves A: densely below a size cap (the oracle
-path) and by shift-invert Lanczos above it. Shift-invert factors the SPD
-matrix A - SHIFT*I once, as a banded Cholesky in reverse Cuthill-McKee order
-(`_BandCholesky`), and hands its solve to ARPACK; SHIFT sits just below the
-kernel of P, which keeps ARPACK's solve count low while the shifted matrix
-stays well conditioned. A third path, LOBPCG warm-started from one guess per
-pair, serves the near-kernel block of P, which the extension pipeline
-projects onto: it is solved once per grid and checked by a guard run
-(`near_kernel_block`). Both LOBPCG runs are preconditioned by an aggregation
-V-cycle built on the grid's tensor structure (`_VCycle`), whose bottom level
-is solved by the same banded Cholesky; the cycle too is built once per grid
-(`_vcycle`). P itself is only applied, factor by factor, never assembled:
-by the weighted-symmetry probe and by the residuals |P y - mu y|, which
-every path checks against 10 times its tolerance. Every pair is built by
-`SpectralPair.of`: eigenfields come back unit-norm in the weighted inner
-product with a fixed sign, so pairs are deterministic up to rotation inside
-numerically degenerate blocks.
+the factor K = sqrt(G_sym2) div_f^* S^-1 built from the first-order operator
+(`_factor`). A is assembled only where its entries are needed: densely below
+a size cap (the oracle path) and for shift-invert Lanczos above it, both from
+`_p_form`. Shift-invert factors the SPD matrix A - SHIFT*I once, as a banded
+Cholesky in reverse Cuthill-McKee order (`_BandCholesky`), and hands its
+solve to ARPACK; SHIFT sits just below the kernel of P, which keeps ARPACK's
+solve count low while the shifted matrix stays well conditioned. A third
+path, LOBPCG warm-started from one guess per pair, serves the near-kernel
+block of P, which the extension pipeline projects onto: it is solved once per
+grid and checked by a guard run (`near_kernel_block`). That path holds only
+K, cached on the grid (`_p_factor`), and applies A as K^T (K x)
+(`_factored_form`) in both LOBPCG runs and their residuals. Both runs are
+preconditioned by an aggregation V-cycle built from K on the grid's tensor
+structure (`_VCycle`), whose bottom level is solved by the same banded
+Cholesky; the cycle too is built once per grid (`_vcycle`). P itself is only
+applied, factor by factor, never assembled: by the weighted-symmetry probe
+and by the residuals |P y - mu y|, which every path checks against 10 times
+its tolerance. Every pair is built by `SpectralPair.of`: eigenfields come
+back unit-norm in the weighted inner product with a fixed sign, so pairs are
+deterministic up to rotation inside numerically degenerate blocks.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ LOBPCG_MAXITER = 700
 # (A + CYCLE_SHIFT*I)^-1, coarsened down to at most CYCLE_BOTTOM unknowns
 CYCLE_SHIFT = 0.25
 CYCLE_BOTTOM = 2000
+# the cycle's damped-Jacobi sweeps take JACOBI_WEIGHT / rho, rho a bound on
+# lambda_max(D^-1 (A + CYCLE_SHIFT*I)); below 2 the cycle stays SPD (`_VCycle`)
+JACOBI_WEIGHT = 1.9
 # eigenpairs of P at or below BLOCK_TOL form the near-kernel block that an
 # approximate symmetry is projected onto (`NearKernelBlock.block`); a guard
 # Ritz value at or below it proves the block incomplete
@@ -111,23 +116,59 @@ class SpectralPair:
         return cls(mu=mu, field=field, residual=(ops.p_apply(field) - field * mu).norm())
 
 
-def _symmetric_form(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Return (A, s) for P on `grid`: A = K^T K with K = sqrt(G_sym2) div_f^* S^-1,
-    S = diag(s).
+def _factor(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Return (K, s) for P on `grid`: K = sqrt(G_sym2) div_f^* S^-1, S = diag(s).
 
     P = (1/G_vec) M^T G_sym2 M for M = div_f^*, so with s = sqrt(G_vec)
-    A = S P S^-1, symmetric by construction, and eigenfields are recovered
-    as y/s. The form is built from the factor M alone.
+    S P S^-1 = K^T K, symmetric by construction, and eigenfields are
+    recovered as y/s.
     """
     ops = grid.ops()
     s = np.sqrt(ops.gram_vector)
     K = sp.diags(np.sqrt(ops.gram_sym2)) @ ops.assemble(OperatorKind.DIV_F_STAR) @ sp.diags(1.0 / s)
+    return K.tocsr(), s
+
+
+def _symmetric_form(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Return (A, s) for P on `grid`: A = K^T K assembled from a factor (`_factor`)
+    that is built for it and not kept."""
+    K, s = _factor(grid)
     return (K.T @ K).tocsr(), s
 
 
 def _p_form(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
     """P's symmetric form (A, s) on `grid`, built on first use and cached on it."""
     return grid._cached("p_form", lambda: _symmetric_form(grid))
+
+
+def _p_factor(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """P's factor (K, s) on `grid`, built on first use and cached on it."""
+    return grid._cached("p_factor", lambda: _factor(grid))
+
+
+def _factored_form(K: sp.csr_matrix) -> spla.LinearOperator:
+    """A = K^T K as an operator that applies K^T (K x) and never assembles A."""
+    Kt = K.T
+
+    def apply(x):
+        return Kt @ (K @ x)
+
+    return spla.LinearOperator((K.shape[1], K.shape[1]), matvec=apply, matmat=apply,
+                               dtype=K.dtype)
+
+
+def solver_storage(grid: Grid) -> dict[str, int]:
+    """nnz of each solver matrix cached on `grid`, by name: P's factor `K`, its
+    symmetric form `A` where the dense or shift-invert path assembled it, and
+    the V-cycle's coarse operators."""
+    held = {}
+    if "p_factor" in grid._cache:
+        held["K"] = grid._cache["p_factor"][0].nnz
+    if "p_form" in grid._cache:
+        held["A"] = grid._cache["p_form"][0].nnz
+    if "vcycle" in grid._cache:
+        held["V-cycle"] = sum(level[0].nnz for level in grid._cache["vcycle"].levels[1:])
+    return held
 
 
 class _BandCholesky:
@@ -184,29 +225,50 @@ class _VCycle:
     component and coarse cell: the sqrt(Gram)-weighted constant, normalised,
     which is the constant field in A's variables; the column norms are the next
     level's weights. T's columns are orthonormal, so the Galerkin product
-    T^T (A + c I) T is T^T A T + c I and no shifted copy of A is built. One
-    damped-Jacobi sweep smooths before and after the coarse correction, with
-    the weight 1 / max_i(Gershgorin row sum / diagonal) of the shifted level
-    operator; the cycle is then symmetric positive definite. Levels are
-    coarsened until at most CYCLE_BOTTOM unknowns remain, which `_BandCholesky`
-    solves exactly. `applications` counts the calls of `apply`.
+    T^T (A + c I) T is T^T A T + c I and no shifted copy of A is built.
+
+    The cycle is built from P's factor K and never assembles A = K^T K on the
+    finest level: there A is applied as K^T (K x), its diagonal is the squared
+    column norms of K, and the first coarse operator is (K T)^T (K T). Coarser
+    levels are assembled Galerkin products. Levels are coarsened until at most
+    CYCLE_BOTTOM unknowns remain, which `_BandCholesky` solves exactly; only
+    when the finest level is already that small is A itself assembled, there.
+
+    One damped-Jacobi sweep smooths before and after the coarse correction,
+    with the weight JACOBI_WEIGHT / rho, where rho = max_i (b_i + c) / d_i for
+    the shifted diagonal d and a bound b on the row sums of |A|: |K|^T |K| 1
+    on the finest level, since |K^T K| <= |K|^T |K| entrywise, and |A| 1 on
+    the assembled levels. Either way rho bounds lambda_max(D^-1 (A + c I)),
+    so the smoother's eigenvalues lie in (0, JACOBI_WEIGHT) and, for a weight
+    below 2, the cycle is symmetric positive definite. `applications` counts
+    the calls of `apply`.
     """
 
-    def __init__(self, A: sp.csr_matrix, s: np.ndarray, node_multi: np.ndarray):
+    def __init__(self, K: sp.csr_matrix, s: np.ndarray, node_multi: np.ndarray):
         ncomp = len(s) // len(node_multi)
         self.levels = []  # (A, damped inverse diagonal as a column, T) per smoothed level
+        A = _factored_form(K)
+        diagonal = np.bincount(K.indices, weights=K.data**2, minlength=K.shape[1])
+        absK = abs(K)
+        row_sums = absK.T @ (absK @ np.ones(K.shape[1]))
         while A.shape[0] > CYCLE_BOTTOM:
             cells, agg = np.unique(node_multi // 2, axis=0, return_inverse=True)
             cols = (np.arange(ncomp)[:, None] * len(cells) + agg.ravel()[None, :]).ravel()
             norms = np.sqrt(np.bincount(cols, weights=s * s))
             T = sp.csr_matrix((s / norms[cols], (np.arange(len(s)), cols)),
                               shape=(len(s), len(norms)))
-            diagonal = A.diagonal() + CYCLE_SHIFT
-            row_sums = abs(A) @ np.ones(A.shape[0]) + CYCLE_SHIFT
-            smooth = 1.0 / (diagonal * np.max(row_sums / diagonal))
+            diagonal = diagonal + CYCLE_SHIFT
+            smooth = JACOBI_WEIGHT / (diagonal * np.max((row_sums + CYCLE_SHIFT) / diagonal))
             self.levels.append((A, smooth[:, None], T))
-            A = (T.T @ A @ T).tocsr()
+            if len(self.levels) == 1:
+                factor = K @ T
+                A = (factor.T @ factor).tocsr()
+            else:
+                A = (T.T @ A @ T).tocsr()
+            diagonal, row_sums = A.diagonal(), abs(A) @ np.ones(A.shape[0])
             s, node_multi = norms, cells
+        if not self.levels:
+            A = (K.T @ K).tocsr()
         self.bottom = _BandCholesky(A + CYCLE_SHIFT * sp.identity(A.shape[0], format="csr"))
         self.sizes = [level[0].shape[0] for level in self.levels] + [A.shape[0]]
         self.applications = 0
@@ -230,8 +292,9 @@ class _VCycle:
 
 
 def _vcycle(grid: Grid) -> _VCycle:
-    """The V-cycle of P's symmetric form on `grid`, built on first use and cached on it."""
-    return grid._cached("vcycle", lambda: _VCycle(*_p_form(grid), grid.node_multi))
+    """The V-cycle of P's symmetric form on `grid`, built from its factor K on
+    first use and cached on it."""
+    return grid._cached("vcycle", lambda: _VCycle(*_p_factor(grid), grid.node_multi))
 
 
 def _check_weighted_symmetry(handle: OperatorHandle, rng):
@@ -248,12 +311,14 @@ def _check_weighted_symmetry(handle: OperatorHandle, rng):
             raise SolverError("adjointness broken: operator is not weighted-symmetric")
 
 
-def _lobpcg(A, X, cycle: _VCycle, tol: float, maxiter: int, Y=None):
-    """LOBPCG for the lowest eigenpairs of A from the block X, held orthogonal to Y.
+def _lobpcg(K: sp.csr_matrix, X, cycle: _VCycle, tol: float, maxiter: int, Y=None):
+    """LOBPCG for the lowest eigenpairs of A = K^T K, applied as K^T (K x), from
+    the block X, held orthogonal to Y.
 
     Returns the Ritz values ascending (a stable sort keeps tied values in
     order), their vectors and the residual norms |A v - mu v|.
     """
+    A = _factored_form(K)
     vals, vecs = spla.lobpcg(A, X, Y=Y, M=cycle.operator(), largest=False,
                              tol=tol, maxiter=maxiter)
     order = np.argsort(vals, kind="stable")
@@ -271,9 +336,11 @@ def lowest_eigenpairs(
 ) -> list[SpectralPair]:
     """Lowest eigenpairs of P (`operator` is an `OP_P` handle), sorted ascending.
 
-    Every path solves P's symmetric form from `_p_form`, built once per grid.
-    `auto` takes the dense solve up to `DENSE_CAP` unknowns (the oracle) and
-    shift-invert Lanczos above it. Shift-invert factors A - SHIFT*I once with
+    Every path solves P's symmetric form A = K^T K. The dense and
+    shift-invert paths assemble A (`_p_form`, once per grid); the LOBPCG path
+    applies it through the cached factor K (`_p_factor`). `auto` takes the
+    dense solve up to `DENSE_CAP` unknowns (the oracle) and shift-invert
+    Lanczos above it. Shift-invert factors A - SHIFT*I once with
     `_BandCholesky`, prints the factor's size and time and the solve count
     on stderr, and raises SolverError when the shifted operator is not
     positive definite or its band does not fit in memory. `method="lobpcg"`
@@ -304,10 +371,15 @@ def lowest_eigenpairs(
     rng = np.random.default_rng(seed)
     _check_weighted_symmetry(operator, rng)
 
-    A, s = _p_form(grid)
-    if method == "dense":
+    if method == "lobpcg":
+        K, s = _p_factor(grid)
+        X, _ = np.linalg.qr(np.stack([g.flat() * s for g in guesses], axis=1))
+        vals, vecs, _ = _lobpcg(K, X, _vcycle(grid), max(tolerance, 1e-10), LOBPCG_MAXITER)
+    elif method == "dense":
+        A, s = _p_form(grid)
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, count - 1])
-    elif method == "sparse":
+    else:
+        A, s = _p_form(grid)
         # A - SHIFT*I is SPD (A is PSD and SHIFT < 0), so it is factored once,
         # as a banded Cholesky, and eigsh runs on its solve
         chol = _BandCholesky(A - SHIFT * sp.identity(size, format="csr"))
@@ -331,9 +403,6 @@ def lowest_eigenpairs(
             )
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
-    else:
-        X, _ = np.linalg.qr(np.stack([g.flat() * s for g in guesses], axis=1))
-        vals, vecs, _ = _lobpcg(A, X, _vcycle(grid), max(tolerance, 1e-10), LOBPCG_MAXITER)
 
     pairs = [SpectralPair.of(Field.from_flat(grid, VECTOR, vecs[:, i] / s), float(vals[i]))
              for i in range(count)]
@@ -400,8 +469,9 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
     `method="auto"` takes, cannot use that start. A guard follows:
     LOBPCG with `GUARD_SPAN - len(pairs)` seeded random vectors (at least
     one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
-    `GUARD_MAXITER` iterations. Both runs go through `_lobpcg` and share the
-    symmetric form and its V-cycle preconditioner, cached on the grid. (A
+    `GUARD_MAXITER` iterations. Both runs go through `_lobpcg` and share P's
+    factor K and the V-cycle preconditioner built from it, cached on the
+    grid; neither assembles the symmetric form K^T K. (A
     dilation start vector would converge to its 1/2 eigenvalue first;
     LOBPCG's soft locking then retires the guard before the random vectors
     reach the bottom of the complement's spectrum.)
@@ -420,10 +490,10 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
 
 def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     handle = grid.ops().handle(OperatorKind.OP_P)
-    # the block solve below builds nothing: it finds the form and cycle in the grid's cache
-    A, s = _p_form(grid)
+    # the block solve below builds nothing: it finds the factor and cycle in the grid's cache
+    K, s = _p_factor(grid)
     cycle = _vcycle(grid)
-    size = A.shape[0]
+    size = K.shape[1]
     started = cycle.applications
     starts = killing_basis(grid)
     try:
@@ -437,7 +507,7 @@ def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((size, max(1, GUARD_SPAN - len(pairs))))
     Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
-    vals, _, resid = _lobpcg(A, X, cycle, GUARD_TOL, GUARD_MAXITER, Y=Y)
+    vals, _, resid = _lobpcg(K, X, cycle, GUARD_TOL, GUARD_MAXITER, Y=Y)
     block = NearKernelBlock(
         pairs=pairs,
         unknowns=size,

@@ -343,7 +343,7 @@ def test_propagate_sweep(tmp_path):
 
 
 def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
-    counted = {"lowest_eigenpairs": (spectral,), "_symmetric_form": (spectral,),
+    counted = {"lowest_eigenpairs": (spectral,), "_factor": (spectral,),
                "measure_defect": (propagation, cli),
                "fit_growth_exponent": (propagation, cli), "div_star": (Operators,)}
     calls = dict.fromkeys(counted, 0)
@@ -360,10 +360,10 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     grid, _ = build_grid(make_model("gaussian", 1), 512, 8.0)
     checks = cli.run_propagate(cfg, grid, tmp_path)
     assert len(checks) == 2
-    # one solve, and the guard reuses P instead of building the symmetric form again;
+    # one solve, and the guard reuses P's factor instead of building it again;
     # each point measures the defect of Y once, fits the full and the inner
     # profile, and applies div_f^* to Y, V and Z
-    assert calls == {"lowest_eigenpairs": 1, "_symmetric_form": 1, "measure_defect": 2,
+    assert calls == {"lowest_eigenpairs": 1, "_factor": 1, "measure_defect": 2,
                      "fit_growth_exponent": 4, "div_star": 6}
     assert capsys.readouterr().err.count("near-kernel block:") == 1
     solvers = [c["block_solver"] for c in checks]
@@ -386,8 +386,8 @@ SMALL_RUNS = {
 
 def test_composite_operators_assembled_only_for_solvers(tmp_path, monkeypatch):
     # verify applies P, L and the drift Laplacians through their first-order
-    # factors; spectrum and propagate assemble div_f^* once, for the
-    # eigensolvers' symmetric form, and P never
+    # factors; spectrum and propagate assemble div_f^* once, for P's factor K
+    # (spectrum's symmetric form K^T K, propagate's LOBPCG runs), and P never
     calls = []
     assemble = Operators.assemble
 
@@ -428,6 +428,20 @@ def test_run_stores_only_difference_matrices(command, tmp_path, monkeypatch, cap
     }
     assert held == {"diffs"}
     assert capsys.readouterr().err.count("operator storage: diffs;") == 1
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("verify", "solver storage: none; 0 nnz"),
+     ("spectrum", r"solver storage: A [\d,]+; [\d,]+ nnz"),
+     ("propagate", r"solver storage: K [\d,]+, V-cycle 0; [\d,]+ nnz")],
+)
+def test_run_reports_solver_storage(command, line, tmp_path, capsys):
+    # the dense and shift-invert paths keep the assembled A, the near-kernel block only
+    # P's factor K and a V-cycle whose 136 unknowns need no coarse level
+    cli.run(RunConfig(output_dir=tmp_path, **SMALL_RUNS[command]))
+    found = re.findall(r"^solver storage: .*$", capsys.readouterr().err, flags=re.M)
+    assert len(found) == 1 and re.fullmatch(line, found[0])
 
 
 def test_benchmark_tracer_runs_propagate(tmp_path):
