@@ -628,10 +628,6 @@ class Operators:
     def l_apply(self, h: Field) -> Field:
         return self.apply(OperatorKind.OP_L, h)
 
-    def lie_derivative_metric(self, Y: Field) -> Field:
-        """L_Y g = -2 div_f^* Y."""
-        return self.div_star(Y) * (-2.0)
-
     def rayleigh_p(self, Y: Field) -> float:
         """<Y, P Y> / <Y, Y> = |div_f^* Y|^2 / |Y|^2, exact in the discrete product."""
         num = self.div_star(Y)

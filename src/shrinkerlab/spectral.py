@@ -4,31 +4,33 @@ P = div_f o div_f^* is weighted-symmetric because div_f is the weighted
 adjoint of div_f^*. Conjugated by S = sqrt(G) (G the diagonal Gram matrix of
 the vector-field inner product) it is the standard symmetric A = K^T K, with
 the factor K = sqrt(G_sym2) div_f^* S^-1 built from the first-order operator
-(`_factor`). A is assembled only where its entries are needed: densely below
-a size cap (the oracle path) and for shift-invert Lanczos above it, both from
-`_p_form`. Shift-invert factors the SPD matrix A - SHIFT*I once, as a banded
-Cholesky in reverse Cuthill-McKee order (`_BandCholesky`), and hands its
-solve to ARPACK; SHIFT sits just below the kernel of P, which keeps ARPACK's
-solve count low while the shifted matrix stays well conditioned. A third
-path, LOBPCG warm-started from one guess per pair, serves the near-kernel
-block of P, which the extension pipeline projects onto: it is solved once per
-grid and checked by a guard run (`near_kernel_block`). That path holds only
-K, cached on the grid (`_p_factor`), and applies A as K^T (K x)
-(`_factored_form`) in both LOBPCG runs and their residuals. Both runs are
+(`_factor`). A is assembled only for the dense oracle, at or below a size cap
+(`_p_form`). Every other solve is block LOBPCG (Knyazev, SIAM J. Sci.
+Comput. 23, 2001) that holds only K, cached on the grid (`_p_factor`), and
+applies A as K^T (K x) (`_factored_form`). The near-kernel block of P, which
+the extension pipeline projects onto, is solved from the model's Killing
+fields, one guess per pair (`_lobpcg`). Above the cap `lowest_eigenpairs`
+solves that block first and then the pairs above it, by one LOBPCG run held
+orthogonal to the block (`_complement`); the same complement run, at a looser
+tolerance, is the guard that checks the block in `near_kernel_block`. A
+complement run restarts from its last iterate in fixed chunks and stops once
+the pairs it must deliver have converged, so a buffer column that splits an
+eigenvalue cluster does not hold it to its iteration cap. All runs are
 preconditioned by an aggregation V-cycle built from K on the grid's tensor
-structure (`_VCycle`), whose bottom level is solved by the same banded
-Cholesky; the cycle too is built once per grid (`_vcycle`). P itself is only
-applied, factor by factor, never assembled: by the weighted-symmetry probe
-and by the residuals |P y - mu y|, which every path checks against 10 times
-its tolerance. Every pair is built by `SpectralPair.of`: eigenfields come
-back unit-norm in the weighted inner product with a fixed sign, so pairs are
-deterministic up to rotation inside numerically degenerate blocks.
+structure (`_VCycle`), whose bottom level is solved by a banded Cholesky
+factor (`_BandCholesky`); the cycle too is built once per grid (`_vcycle`).
+P itself is only applied, factor by factor, never assembled: by the
+weighted-symmetry probe and by the residuals |P y - mu y|, which every path
+checks against 10 times its tolerance. Every pair is built by
+`SpectralPair.of`: eigenfields come back unit-norm in the weighted inner
+product with a fixed sign, so pairs are deterministic up to rotation inside
+numerically degenerate blocks.
 """
 
 from __future__ import annotations
 
 import sys
-import time
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -38,41 +40,51 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .fields import Field, VECTOR, killing_basis
+from .fields import Field, VECTOR, dilation, killing_basis
 from .grid import Grid
 from .operators import OperatorHandle, OperatorKind
 
 DENSE_CAP = 5000
-# shift-invert factors A - SHIFT*I. ARPACK's step count falls as the shift
-# nears the bottom of the spectrum, where the relative gaps
-# (mu_{k+1} - mu_k) / (mu_k - SHIFT) of the wanted pairs widen: at -0.1 the
-# 40,216-unknown 2D Gaussian takes 52-53 solves for six pairs, against 66-76
-# at -0.5. The price is conditioning: A is PSD, so A - SHIFT*I >= I/10 and its
-# condition number (lambda_max + 0.1) / 0.1 is about 1e3 to 4e3 on the grids
-# measured, which keeps each banded solve accurate to about 1e-12.
-SHIFT = -0.1
 LOBPCG_MAXITER = 700
-# both LOBPCG runs are preconditioned by a V-cycle (`_VCycle`) for
-# (A + CYCLE_SHIFT*I)^-1, coarsened down to at most CYCLE_BOTTOM unknowns
-CYCLE_SHIFT = 0.25
+# scipy's lobpcg runs until every column has converged, so a block whose last
+# column splits an eigenvalue cluster crawls to its iteration cap. On the
+# 40,216-unknown 2D Gaussian the six lowest pairs are three Killing pairs, a
+# pair at 0.2494 and mu_6 = 0.497631, the lowest of a six-member cluster
+# (0.497631-0.499431); mu_12 = mu_13 = 0.745365. A complement run of width 9,
+# whose edge splits that last pair, took 360-701 iterations in one call. So a
+# complement run restarts from its last iterate every RESTART_CHUNK
+# iterations and stops once the count - k pairs it must deliver have
+# converged: widths 7-10 then took 48-102 iterations with restarts every
+# 30-50, and widths below 7 failed. BUFFER columns beyond those pairs give
+# width 8 there, inside that range.
+BUFFER = 5
+RESTART_CHUNK = 50
+# scipy warns when one lobpcg call ends above its tolerance; a complement run
+# expects that at every restart and checks its own residuals instead
+_NOT_CONVERGED = r"(?s).*not reaching the requested tolerance"
+# every LOBPCG run is preconditioned by a V-cycle (`_VCycle`) for
+# (A + CYCLE_MASS*I)^-1, whose mass term keeps it invertible on the kernel
+# of A, coarsened down to at most CYCLE_BOTTOM unknowns
+CYCLE_MASS = 0.25
 CYCLE_BOTTOM = 2000
 # the cycle's damped-Jacobi sweeps take JACOBI_WEIGHT / rho, rho a bound on
-# lambda_max(D^-1 (A + CYCLE_SHIFT*I)); below 2 the cycle stays SPD (`_VCycle`)
+# lambda_max(D^-1 (A + CYCLE_MASS*I)); below 2 the cycle stays SPD (`_VCycle`)
 JACOBI_WEIGHT = 1.9
 # eigenpairs of P at or below BLOCK_TOL form the near-kernel block that an
 # approximate symmetry is projected onto (`NearKernelBlock.block`); a guard
 # Ritz value at or below it proves the block incomplete
 BLOCK_TOL = 1e-2
-# the guard of `near_kernel_block` runs max(1, GUARD_SPAN - len(pairs)) random
-# vectors, where pairs are the solved pairs, one per Killing field
+# the guard of `near_kernel_block` is a complement run of
+# max(1, GUARD_SPAN - len(pairs)) random vectors, where pairs are the solved
+# pairs, one per Killing field
 GUARD_SPAN = 6
 # the guard needs upper bounds on the next eigenvalues that resolve BLOCK_TOL.
 # At residual 0.1 the guard's Ritz values on a 3D Gaussian grid missing two
 # rotations (true eigenvalue 6.4e-4) stopped at 0.010-0.012 and passed the
 # block; at 0.01 they reached 7e-4 to 8e-4. A guard that ends above GUARD_TOL
-# raises. The guard takes about 25 iterations on the 62,856-unknown 2D
-# Gaussian grid of the propagate benchmark; GUARD_MAXITER only bounds a run
-# that stagnates.
+# raises. The guard takes about 22 iterations on the 62,856-unknown 2D
+# Gaussian grid of the propagate benchmark; GUARD_MAXITER, counted over its
+# restarts, only bounds a run that stagnates.
 GUARD_TOL = 0.01
 GUARD_MAXITER = 600
 # eigenvalues closer than this form one degenerate block (`group_degenerate`)
@@ -159,8 +171,8 @@ def _factored_form(K: sp.csr_matrix) -> spla.LinearOperator:
 
 def solver_storage(grid: Grid) -> dict[str, int]:
     """nnz of each solver matrix cached on `grid`, by name: P's factor `K`, its
-    symmetric form `A` where the dense or shift-invert path assembled it, and
-    the V-cycle's coarse operators."""
+    symmetric form `A` where the dense path assembled it, and the V-cycle's
+    coarse operators."""
     held = {}
     if "p_factor" in grid._cache:
         held["K"] = grid._cache["p_factor"][0].nnz
@@ -174,15 +186,17 @@ def solver_storage(grid: Grid) -> dict[str, int]:
 class _BandCholesky:
     """Banded Cholesky factor of a sparse SPD matrix in reverse Cuthill-McKee order.
 
-    RCM narrows a grid stencil's profile to a band of half-width `bandwidth`.
-    The permuted lower triangle is written straight from COO into the LAPACK
-    lower band `ab[i - j, j]`, Fortran-ordered so that `pbtrf` factors it in
-    place without a copy. `solve` applies M^-1 to a vector or to the columns
-    of a matrix and counts its calls in `solves`.
+    It solves the V-cycle's bottom level, at most CYCLE_BOTTOM unknowns. RCM
+    narrows a grid stencil's profile to a band of half-width `bandwidth`: on
+    the 1,066-unknown bottom of the 62,856-unknown 2D Gaussian the band holds
+    0.63 MB, where a dense factor would hold 9.1 MB. The permuted lower
+    triangle is written straight from COO into the LAPACK lower band
+    `ab[i - j, j]`, Fortran-ordered so that `pbtrf` factors it in place
+    without a copy. `solve` applies M^-1 to a vector or to the columns of a
+    matrix.
     """
 
     def __init__(self, M: sp.csr_matrix):
-        started = time.perf_counter()
         size = M.shape[0]
         self.perm = csgraph.reverse_cuthill_mckee(M, symmetric_mode=True)
         rank = np.empty(size, dtype=np.intp)
@@ -192,25 +206,11 @@ class _BandCholesky:
         lower = rows >= cols
         rows, cols, data = rows[lower], cols[lower], coo.data[lower]
         self.bandwidth = int(np.max(rows - cols, initial=0))
-        self.band_mb = (self.bandwidth + 1) * size * 8 / 1e6
-        try:
-            ab = np.zeros((self.bandwidth + 1, size), order="F")
-        except MemoryError as exc:
-            raise SolverError(
-                f"shift-invert band of {self.band_mb:.0f} MB (bandwidth {self.bandwidth}, "
-                f"{size} unknowns) does not fit in memory"
-            ) from exc
+        ab = np.zeros((self.bandwidth + 1, size), order="F")
         ab[rows - cols, cols] = data
-        try:
-            self.factor = sla.cholesky_banded(ab, lower=True, overwrite_ab=True,
-                                              check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"shift-invert operator is not positive definite: {exc}") from exc
-        self.factor_s = time.perf_counter() - started
-        self.solves = 0
+        self.factor = sla.cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        self.solves += 1
         x = np.empty_like(b)
         x[self.perm] = sla.cho_solve_banded((self.factor, True), b[self.perm],
                                             check_finite=False)
@@ -218,7 +218,7 @@ class _BandCholesky:
 
 
 class _VCycle:
-    """Aggregation V-cycle for (A + CYCLE_SHIFT*I)^-1 on the grid's tensor structure.
+    """Aggregation V-cycle for (A + CYCLE_MASS*I)^-1 on the grid's tensor structure.
 
     Each coarser level merges the fine cells whose `node_multi // 2` agree, so
     2^n fine cells make one coarse cell. The prolongator T has one column per
@@ -257,8 +257,8 @@ class _VCycle:
             norms = np.sqrt(np.bincount(cols, weights=s * s))
             T = sp.csr_matrix((s / norms[cols], (np.arange(len(s)), cols)),
                               shape=(len(s), len(norms)))
-            diagonal = diagonal + CYCLE_SHIFT
-            smooth = JACOBI_WEIGHT / (diagonal * np.max((row_sums + CYCLE_SHIFT) / diagonal))
+            diagonal = diagonal + CYCLE_MASS
+            smooth = JACOBI_WEIGHT / (diagonal * np.max((row_sums + CYCLE_MASS) / diagonal))
             self.levels.append((A, smooth[:, None], T))
             if len(self.levels) == 1:
                 factor = K @ T
@@ -269,7 +269,7 @@ class _VCycle:
             s, node_multi = norms, cells
         if not self.levels:
             A = (K.T @ K).tocsr()
-        self.bottom = _BandCholesky(A + CYCLE_SHIFT * sp.identity(A.shape[0], format="csr"))
+        self.bottom = _BandCholesky(A + CYCLE_MASS * sp.identity(A.shape[0], format="csr"))
         self.sizes = [level[0].shape[0] for level in self.levels] + [A.shape[0]]
         self.applications = 0
 
@@ -278,8 +278,8 @@ class _VCycle:
             return self.bottom.solve(b)
         A, smooth, T = self.levels[depth]
         x = smooth * b
-        x += T @ self._cycle(depth + 1, T.T @ (b - A @ x - CYCLE_SHIFT * x))
-        return x + smooth * (b - A @ x - CYCLE_SHIFT * x)
+        x += T @ self._cycle(depth + 1, T.T @ (b - A @ x - CYCLE_MASS * x))
+        return x + smooth * (b - A @ x - CYCLE_MASS * x)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         self.applications += 1
@@ -326,6 +326,45 @@ def _lobpcg(K: sp.csr_matrix, X, cycle: _VCycle, tol: float, maxiter: int, Y=Non
     return vals, vecs, np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
 
 
+@dataclass(frozen=True)
+class _ComplementRun:
+    """Ritz pairs of A on the orthogonal complement of a block, ascending, with
+    their residual norms, the iterations of all chunks and the restarts."""
+
+    vals: np.ndarray
+    vecs: np.ndarray
+    residuals: np.ndarray
+    iterations: int
+    restarts: int
+
+
+def _complement(K: sp.csr_matrix, cycle: _VCycle, Y: np.ndarray, X: np.ndarray,
+                wanted: int, tol: float, maxiter: int) -> _ComplementRun:
+    """LOBPCG from the block X on the orthogonal complement of Y's columns, until
+    its `wanted` lowest columns reach `tol`.
+
+    Each `_lobpcg` call runs at most RESTART_CHUNK iterations; the next starts
+    from the vectors it returned. Iterations are the V-cycle applications,
+    one per iteration, counted over all calls; the run stops once they reach
+    `maxiter`, and also when a call makes no iteration. scipy's warning that a
+    call ended above `tol` is expected at every restart and not passed on:
+    the caller checks the residuals it returns.
+    """
+    started = cycle.applications
+    restarts = 0
+    while True:
+        before = cycle.applications
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _NOT_CONVERGED, UserWarning)
+            vals, X, resid = _lobpcg(K, X, cycle, tol,
+                                     min(RESTART_CHUNK, maxiter - (before - started)), Y=Y)
+        iterations = cycle.applications - started
+        if (np.max(resid[:wanted]) <= tol or iterations >= maxiter
+                or cycle.applications == before):
+            return _ComplementRun(vals, X, resid, iterations, restarts)
+        restarts += 1
+
+
 def lowest_eigenpairs(
     operator: OperatorHandle,
     count: int,
@@ -336,21 +375,24 @@ def lowest_eigenpairs(
 ) -> list[SpectralPair]:
     """Lowest eigenpairs of P (`operator` is an `OP_P` handle), sorted ascending.
 
-    Every path solves P's symmetric form A = K^T K. The dense and
-    shift-invert paths assemble A (`_p_form`, once per grid); the LOBPCG path
-    applies it through the cached factor K (`_p_factor`). `auto` takes the
-    dense solve up to `DENSE_CAP` unknowns (the oracle) and shift-invert
-    Lanczos above it. Shift-invert factors A - SHIFT*I once with
-    `_BandCholesky`, prints the factor's size and time and the solve count
-    on stderr, and raises SolverError when the shifted operator is not
-    positive definite or its band does not fit in memory. `method="lobpcg"`
-    runs LOBPCG, preconditioned by the grid's V-cycle (`_vcycle`), from
-    exactly `count` `guesses`; closed-form near-kernel fields make it
-    converge quickly, and `near_kernel_block` calls it so. On every path the
-    worst residual |P y - mu y|, measured through the factored P
-    (`SpectralPair.of`), must end at or below 10 * `tolerance`, else
-    SolverError. Another operator kind, `guesses` on another path, or a
-    guess count other than `count`, is a ValueError.
+    Every path solves P's symmetric form A = K^T K. `auto` takes the dense
+    solve up to `DENSE_CAP` unknowns (the oracle), which assembles A
+    (`_p_form`, once per grid), and the complement path above it. The LOBPCG
+    paths apply A through the factor K (`_p_factor`), preconditioned by the
+    grid's V-cycle (`_vcycle`), and assemble no A. `method="lobpcg"` runs
+    LOBPCG from exactly `count` `guesses`; closed-form near-kernel fields
+    make it converge quickly, and `near_kernel_block` calls it so.
+    `method="complement"` runs it from the model's k Killing fields
+    (`killing_basis`), then one complement run (`_complement`) held orthogonal
+    to that block, from the dilation field and seeded random vectors,
+    max(count - k, 1) + BUFFER columns in all; it returns the lowest `count`
+    of the block and the complement's max(count - k, 1) lowest pairs, and
+    prints the iterations of both runs, the restarts and the lowest
+    complement Ritz value on stderr. On every path the worst residual
+    |P y - mu y|, measured through the factored P (`SpectralPair.of`), must
+    end at or below 10 * `tolerance`, else SolverError. Another operator
+    kind, `guesses` on another path, or a guess count other than `count`, is
+    a ValueError.
     """
     if operator.kind != OperatorKind.OP_P:
         raise ValueError(f"lowest_eigenpairs solves P only, not {operator.kind.value}")
@@ -361,8 +403,8 @@ def lowest_eigenpairs(
     if count >= size:
         raise ValueError("count must be smaller than the number of unknowns")
     if method == "auto":
-        method = "dense" if size <= DENSE_CAP else "sparse"
-    if method not in ("dense", "sparse", "lobpcg"):
+        method = "dense" if size <= DENSE_CAP else "complement"
+    if method not in ("dense", "complement", "lobpcg"):
         raise ValueError(f"unknown method {method!r}")
     if guesses is not None and method != "lobpcg":
         raise ValueError(f"guesses warm-start only the lobpcg path, not {method!r}")
@@ -371,38 +413,35 @@ def lowest_eigenpairs(
     rng = np.random.default_rng(seed)
     _check_weighted_symmetry(operator, rng)
 
-    if method == "lobpcg":
-        K, s = _p_factor(grid)
-        X, _ = np.linalg.qr(np.stack([g.flat() * s for g in guesses], axis=1))
-        vals, vecs, _ = _lobpcg(K, X, _vcycle(grid), max(tolerance, 1e-10), LOBPCG_MAXITER)
-    elif method == "dense":
+    if method == "dense":
         A, s = _p_form(grid)
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, count - 1])
     else:
-        A, s = _p_form(grid)
-        # A - SHIFT*I is SPD (A is PSD and SHIFT < 0), so it is factored once,
-        # as a banded Cholesky, and eigsh runs on its solve
-        chol = _BandCholesky(A - SHIFT * sp.identity(size, format="csr"))
-        try:
-            vals, vecs = spla.eigsh(
-                A, k=count, sigma=SHIFT, which="LM", tol=tolerance,
-                v0=rng.standard_normal(size),
-                OPinv=spla.LinearOperator(A.shape, matvec=chol.solve, dtype=A.dtype),
-            )
-        except spla.ArpackNoConvergence as exc:
-            got = len(exc.eigenvalues)
-            raise SolverError(
-                f"eigensolver did not converge (best: {got}/{count} pairs)"
-            ) from exc
-        finally:
+        K, s = _p_factor(grid)
+        cycle = _vcycle(grid)
+        started = cycle.applications
+        starts = guesses if method == "lobpcg" else killing_basis(grid)
+        X, _ = np.linalg.qr(np.stack([g.flat() * s for g in starts], axis=1))
+        tol = max(tolerance, 1e-10)
+        vals, vecs, _ = _lobpcg(K, X, cycle, tol, LOBPCG_MAXITER)
+        if method == "complement":
+            block_iterations = cycle.applications - started
+            wanted = max(count - len(starts), 1)
+            X = np.column_stack([dilation(grid).flat() * s,
+                                 rng.standard_normal((size, wanted + BUFFER - 1))])
+            run = _complement(K, cycle, vecs, X, wanted, tol, LOBPCG_MAXITER)
             print(
-                f"shift-invert: banded Cholesky (RCM), {size} unknowns, bandwidth "
-                f"{chol.bandwidth}, band {chol.band_mb:.0f} MB, factor {chol.factor_s:.2f} s, "
-                f"{chol.solves} solves",
+                f"complement: lobpcg, {size} unknowns; block of {len(starts)} in "
+                f"{block_iterations} iterations; complement width {X.shape[1]} ({wanted} "
+                f"wanted) in {run.iterations} iterations, {run.restarts} restarts; lowest "
+                f"Ritz value {run.vals[0]:.6g}, wanted residual <= "
+                f"{np.max(run.residuals[:wanted]):.2e}",
                 file=sys.stderr,
             )
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
+            vals = np.concatenate([vals, run.vals[:wanted]])
+            vecs = np.column_stack([vecs, run.vecs[:, :wanted]])
+            order = np.argsort(vals, kind="stable")[:count]
+            vals, vecs = vals[order], vecs[:, order]
 
     pairs = [SpectralPair.of(Field.from_flat(grid, VECTOR, vecs[:, i] / s), float(vals[i]))
              for i in range(count)]
@@ -465,16 +504,16 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
     P depends only on the grid, so the block is solved once per grid and
     argument set and cached on the grid. At every grid size the solve is the
     LOBPCG path of `lowest_eigenpairs`, with one guess per pair:
-    `killing_basis(grid)`. The dense and shift-invert paths, which
-    `method="auto"` takes, cannot use that start. A guard follows:
-    LOBPCG with `GUARD_SPAN - len(pairs)` seeded random vectors (at least
-    one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
-    `GUARD_MAXITER` iterations. Both runs go through `_lobpcg` and share P's
+    `killing_basis(grid)`. The dense path, which `method="auto"` takes at or
+    below `DENSE_CAP`, cannot use that start. A guard follows: a complement
+    run (`_complement`) of `GUARD_SPAN - len(pairs)` seeded random vectors
+    (at least one), held orthogonal to the pairs, run to `GUARD_TOL` for at
+    most `GUARD_MAXITER` iterations over its restarts. Both runs share P's
     factor K and the V-cycle preconditioner built from it, cached on the
-    grid; neither assembles the symmetric form K^T K. (A
-    dilation start vector would converge to its 1/2 eigenvalue first;
-    LOBPCG's soft locking then retires the guard before the random vectors
-    reach the bottom of the complement's spectrum.)
+    grid; neither assembles the symmetric form K^T K. (A dilation start
+    vector would converge to its 1/2 eigenvalue first; LOBPCG's soft locking
+    then retires the guard before the random vectors reach the bottom of the
+    complement's spectrum.)
 
     Raises SolverError when the block does not converge (a residual above
     10 * `tolerance`), when a guard Ritz value is at or below `BLOCK_TOL`, or
@@ -507,20 +546,21 @@ def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((size, max(1, GUARD_SPAN - len(pairs))))
     Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
-    vals, _, resid = _lobpcg(K, X, cycle, GUARD_TOL, GUARD_MAXITER, Y=Y)
+    guard = _complement(K, cycle, Y, X, X.shape[1], GUARD_TOL, GUARD_MAXITER)
+    vals, resid = guard.vals, guard.residuals
     block = NearKernelBlock(
         pairs=pairs,
         unknowns=size,
         guard_mus=[float(v) for v in vals],
         guard_residuals=[float(r) for r in resid],
     )
-    guard_iterations = cycle.applications - started - block_iterations
     print(
         f"near-kernel block: lobpcg, {size} unknowns, {len(pairs)} pairs, "
         f"worst residual {block.worst_residual:.2e}; guard Ritz values "
         f"{', '.join(f'{v:.4g}' for v in block.guard_mus)} (residual <= {max(resid):.2e}); "
         f"V-cycle levels {'/'.join(map(str, cycle.sizes))}, "
-        f"{block_iterations} block and {guard_iterations} guard iterations",
+        f"{block_iterations} block and {guard.iterations} guard iterations, "
+        f"{guard.restarts} guard restarts",
         file=sys.stderr,
     )
     if vals[0] <= BLOCK_TOL:

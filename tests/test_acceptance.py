@@ -150,7 +150,7 @@ def test_criterion_07_eigenfield_decomposition():
     with Budget("criterion 7: eigenfield decomposition", 120.0):
         grid, _ = build_grid(make_model("gaussian", 2), 64, 8.0, stencil_order=4)
         pairs = canonicalize_degenerate(
-            lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 8, method="sparse")
+            lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 8, method="complement")
         )
         for pair in pairs:
             dec = decompose_eigenfield(pair)
@@ -210,7 +210,7 @@ def test_criterion_10_growth_bounds():
         grid, _ = build_grid(make_model("gaussian", 2), 160, 10.0)
         ops = grid.ops()
         pairs = canonicalize_degenerate(
-            lowest_eigenpairs(ops.handle(OperatorKind.OP_P), 6, method="sparse")
+            lowest_eigenpairs(ops.handle(OperatorKind.OP_P), 6, method="complement")
         )
         # first eigenfield whose Killing defect is genuinely nonzero
         pair = next(p for p in pairs if p.mu > 0.1)

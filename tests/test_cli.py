@@ -103,32 +103,36 @@ def test_spectrum_gaussian_1d(tmp_path):
     assert ortho["residuals"]["gram_error"] <= 1e-8
 
 
-def test_spectrum_reports_shift_invert_factor(tmp_path, capsys):
-    # 6,456 unknowns: above DENSE_CAP, so the shift-invert path factors once
+def test_spectrum_reports_complement_solve(tmp_path, capsys):
+    # 6,456 unknowns: above DENSE_CAP, so the Killing block is solved first and
+    # one complement run, width max(4 - 3, 1) + BUFFER, adds the fourth pair
     code = run_cli(
         "spectrum", "--dim", "2", "--resolution", "64", "--truncation-radius", "8",
         "--eigs", "4", "--output", str(tmp_path / "spec"),
     )
     assert code == EXIT_OK
     lines = [line for line in capsys.readouterr().err.splitlines()
-             if line.startswith("shift-invert:")]
+             if line.startswith("complement:")]
     assert len(lines) == 1
     assert re.fullmatch(
-        r"shift-invert: banded Cholesky \(RCM\), 6456 unknowns, bandwidth \d+, "
-        r"band \d+ MB, factor \d+\.\d\d s, \d+ solves", lines[0]
+        r"complement: lobpcg, 6456 unknowns; block of 3 in \d+ iterations; complement "
+        r"width 6 \(1 wanted\) in \d+ iterations, \d+ restarts; lowest Ritz value "
+        r"0\.24755\d, wanted residual <= \d\.\d\de-\d\d", lines[0]
     ), lines[0]
 
 
-def test_spectrum_above_60k_unknowns_runs_shift_invert(tmp_path, capsys):
-    # 62,856 unknowns: every spectrum above DENSE_CAP takes the banded
-    # shift-invert path, which solves this grid at every seed
+def test_spectrum_above_60k_unknowns(tmp_path, capsys):
+    # 62,856 unknowns: the complement path solves this grid at every seed, and
+    # holds P's factor K and the V-cycle where banded shift-invert held a
+    # 589 MB band
     code = run_cli(
         "spectrum", "--dim", "2", "--resolution", "200", "--truncation-radius", "6",
         "--eigs", "6", "--seed", "1", "--output", str(tmp_path / "spec"),
     )
     assert code == EXIT_OK
     err = capsys.readouterr().err
-    assert "shift-invert: banded Cholesky (RCM), 62856 unknowns" in err
+    assert "complement: lobpcg, 62856 unknowns" in err
+    assert re.search(r"^solver storage: K [\d,]+, V-cycle [\d,]+; [\d,]+ nnz$", err, flags=re.M)
     assert read_report(tmp_path / "spec")["passed"]
 
 
@@ -136,7 +140,7 @@ RERUN_CASES = (
     ("verify", "--model", "gaussian", "--dim", "2",
      "--resolution", "24", "--truncation-radius", "6",
      "--suite", "soliton,structure,identities,cao_zhou", "--seed", "11"),
-    # 6.4k unknowns: the shift-invert (ARPACK) path
+    # 6.4k unknowns: the Killing block and its complement run
     ("spectrum", "--dim", "2", "--resolution", "64", "--truncation-radius", "8", "--eigs", "4"),
     # the tiny propagate of the tracer test: one near-kernel block and guard
     ("propagate", "--model", "gaussian", "--dim", "1", "--resolution", "136",
@@ -374,11 +378,12 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     assert len(solvers[0]["guard_mus"]) == 5  # GUARD_SPAN 6, one Killing field
 
 
-# one small run of each command
+# one small run of each command, and a spectrum above DENSE_CAP (6,456 unknowns)
 SMALL_RUNS = {
     "verify": dict(command="verify", model_kind="cylinder", n=3, k=2, resolution=16,
                    truncation_radius=4.0),
     "spectrum": dict(command="spectrum", resolution=24, truncation_radius=6.0),
+    "spectrum_complement": dict(command="spectrum", resolution=64, truncation_radius=8.0),
     "propagate": dict(command="propagate", n=1, resolution=136, truncation_radius=4.0,
                       r_values=(4.0,), epsilons=(1e-3, 1e-2)),
 }
@@ -386,22 +391,32 @@ SMALL_RUNS = {
 
 def test_composite_operators_assembled_only_for_solvers(tmp_path, monkeypatch):
     # verify applies P, L and the drift Laplacians through their first-order
-    # factors; spectrum and propagate assemble div_f^* once, for P's factor K
-    # (spectrum's symmetric form K^T K, propagate's LOBPCG runs), and P never
-    calls = []
-    assemble = Operators.assemble
+    # factors; spectrum and propagate assemble div_f^* once, for P's factor K,
+    # and P never. Only the dense spectrum builds the symmetric form K^T K:
+    # above DENSE_CAP, as in propagate, the LOBPCG runs apply K^T (K x)
+    calls, forms = [], []
+    assemble, symmetric_form = Operators.assemble, spectral._symmetric_form
 
     def recording(self, kind):
         calls.append(kind.value)
         return assemble(self, kind)
 
+    def recording_form(grid):
+        forms.append(grid.n_nodes * grid.n)
+        return symmetric_form(grid)
+
     monkeypatch.setattr(Operators, "assemble", recording)
-    assembled = {}
+    monkeypatch.setattr(spectral, "_symmetric_form", recording_form)
+    assembled, formed = {}, {}
     for command, options in SMALL_RUNS.items():
         calls.clear()
+        forms.clear()
         cli.run(RunConfig(output_dir=tmp_path / command, **options))
-        assembled[command] = list(calls)
-    assert assembled == {"verify": [], "spectrum": ["DivFStar"], "propagate": ["DivFStar"]}
+        assembled[command], formed[command] = list(calls), list(forms)
+    assert assembled == {"verify": [], "spectrum": ["DivFStar"],
+                         "spectrum_complement": ["DivFStar"], "propagate": ["DivFStar"]}
+    assert formed == {"verify": [], "spectrum": [896], "spectrum_complement": [],
+                      "propagate": []}
     points = [c for c in read_report(tmp_path / "propagate")["checks"]
               if c["check_name"].startswith("propagation")]
     assert len(points) == 2
@@ -427,18 +442,23 @@ def test_run_stores_only_difference_matrices(command, tmp_path, monkeypatch, cap
         if sp.issparse(val) or (isinstance(val, list) and any(sp.issparse(m) for m in val))
     }
     assert held == {"diffs"}
-    assert capsys.readouterr().err.count("operator storage: diffs;") == 1
+    err = capsys.readouterr().err
+    assert err.count("operator storage: diffs;") == 1
+    # a spectrum above DENSE_CAP says how its complement run went, once
+    assert err.count("complement: lobpcg, 6456 unknowns;") == (command == "spectrum_complement")
 
 
 @pytest.mark.parametrize(
     "command, line",
     [("verify", "solver storage: none; 0 nnz"),
      ("spectrum", r"solver storage: A [\d,]+; [\d,]+ nnz"),
+     ("spectrum_complement", r"solver storage: K [\d,]+, V-cycle [\d,]+; [\d,]+ nnz"),
      ("propagate", r"solver storage: K [\d,]+, V-cycle 0; [\d,]+ nnz")],
 )
 def test_run_reports_solver_storage(command, line, tmp_path, capsys):
-    # the dense and shift-invert paths keep the assembled A, the near-kernel block only
-    # P's factor K and a V-cycle whose 136 unknowns need no coarse level
+    # the dense path keeps the assembled A; above DENSE_CAP the spectrum, like
+    # the near-kernel block, holds only P's factor K and the V-cycle, whose
+    # coarse levels start above CYCLE_BOTTOM unknowns: none for propagate's 136
     cli.run(RunConfig(output_dir=tmp_path, **SMALL_RUNS[command]))
     found = re.findall(r"^solver storage: .*$", capsys.readouterr().err, flags=re.M)
     assert len(found) == 1 and re.fullmatch(line, found[0])

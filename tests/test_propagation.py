@@ -246,7 +246,7 @@ def test_polynomial_growth_of_quarter_mode_defect(gaussian2):
     grid, _ = build_grid(gaussian2, 128, 9.0)
     ops = grid.ops()
     pairs = canonicalize_degenerate(
-        lowest_eigenpairs(ops.handle(OperatorKind.OP_P), 5, method="sparse")
+        lowest_eigenpairs(ops.handle(OperatorKind.OP_P), 5, method="complement")
     )
     quarter = next(p for p in pairs if p.mu > 0.1)
     dec = decompose_eigenfield(quarter)
