@@ -153,24 +153,23 @@ class Grid:
         return self.b < self.truncation_radius - collar
 
     def neighbors(self, axis: int, offset: int) -> np.ndarray:
-        """Node id of the neighbor shifted by `offset` along `axis` (-1 if absent)."""
+        """Node id of the neighbor shifted by `offset` along `axis` (-1 if absent).
 
-        def build():
-            mi = self.node_multi.copy()
-            m = self.axes[axis].size
-            col = mi[:, axis] + offset
-            if self.axes[axis].periodic:
-                col = np.mod(col, m)
-                mi[:, axis] = col
-                return self.node_index[tuple(mi.T)]
-            ok = (col >= 0) & (col < m)
-            out = np.full(self.n_nodes, -1, dtype=np.int64)
-            mi_ok = mi[ok]
-            mi_ok[:, axis] = col[ok]
-            out[ok] = self.node_index[tuple(mi_ok.T)]
-            return out
-
-        return self._cached(("nbr", axis, offset), build)
+        Not cached: the difference matrices read each offset once, when they
+        are built."""
+        mi = self.node_multi.copy()
+        m = self.axes[axis].size
+        col = mi[:, axis] + offset
+        if self.axes[axis].periodic:
+            col = np.mod(col, m)
+            mi[:, axis] = col
+            return self.node_index[tuple(mi.T)]
+        ok = (col >= 0) & (col < m)
+        out = np.full(self.n_nodes, -1, dtype=np.int64)
+        mi_ok = mi[ok]
+        mi_ok[:, axis] = col[ok]
+        out[ok] = self.node_index[tuple(mi_ok.T)]
+        return out
 
     def ops(self):
         """Cached operator factory for this grid (see shrinkerlab.operators)."""

@@ -265,9 +265,6 @@ class CurvaturePack:
     riemann_action: np.ndarray
     metric: np.ndarray
 
-    def apply_riemann(self, h_packed: np.ndarray) -> np.ndarray:
-        return self.riemann_action @ h_packed
-
 
 def make_model(kind: str, n: int, k: Optional[int] = None) -> ModelShrinker:
     """Construct a model shrinker, validating the parameter ranges."""

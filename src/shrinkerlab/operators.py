@@ -47,7 +47,10 @@ sparse matvec per derivative term, and its transpose through D_a^T, a CSC
 view of the stored CSR matrix. (A multi-column pass per axis is no faster:
 scipy's CSR kernel costs the same per column, and the block adds strided
 copies.) A weighted adjoint (`WeightedAdjoint`) is (1/G_in) M^T G_out over a
-term list M, with the Gram diagonals G.
+term list M, with the Gram diagonals G. For a covariant derivative G_out is
+g^{aa} times the Gram of the differentiated field; it is applied one axis
+block at a time and never stored. 1/G_in is kept once per rank and
+multiplies M^T's output in place.
 
 Each `OperatorKind` is defined once, in one table (`Operators._chains`), as
 a sum of coef * chain terms whose factors, named there and built on the
@@ -56,8 +59,12 @@ adjoints: P = div_f o div_f^*, the drift Laplacians -nabla^adj o nabla,
 L = L_drift + 2R, and the Hessian -div_f^* o grad, as
 (1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
 through its factors' `apply`, so a suite holds no sparse matrix but the
-D_a. `Operators.assemble` multiplies the same factors' matrices, for what
-needs entries (the eigensolvers' factor K of P, built from div_f^*'s
+D_a. Every factor after a chain's first owns its input, the previous
+factor's output, and an adjoint weights it by G_out in place; a term's
+coefficient and the sum of terms are applied in place too. A chain so
+holds no array beyond its factors' outputs, and the caller's vector is
+only read. `Operators.assemble` multiplies the same factors' matrices, for
+what needs entries (the eigensolvers' factor K of P, built from div_f^*'s
 matrix, or a diagonal); the suite keeps none of them. A test pins the
 factored application to the assembled matrices.
 
@@ -165,11 +172,13 @@ def _raw_diff_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
     N = grid.n_nodes
     h = grid.axes[axis].h
     policy = grid.axes[axis].boundary
-    ids = np.arange(N, dtype=np.int64)
     stencil = _STENCIL_2 if grid.stencil_order == 2 else _STENCIL_4
-    nbrs = {off: (ids if off == 0 else grid.neighbors(axis, off)) for off, _ in stencil}
-    for off in (-2, -1, 1, 2):
-        nbrs.setdefault(off, grid.neighbors(axis, off))
+    # COO indices in the CSR's own index type, so that no index array is
+    # converted on the way
+    index = sp.get_index_dtype(maxval=len(stencil) * N)
+    ids = np.arange(N, dtype=index)
+    offsets = {off for off, _ in stencil} | {-2, -1, 1, 2}
+    nbrs = {off: ids if off == 0 else grid.neighbors(axis, off).astype(index) for off in offsets}
     rows, cols, vals = [], [], []
 
     def add(mask, col_ids, coeff):
@@ -223,7 +232,7 @@ def _raw_diff_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
         cols = np.concatenate(cols)
         vals = np.concatenate(vals)
     else:
-        rows = cols = np.zeros(0, dtype=np.int64)
+        rows = cols = np.zeros(0, dtype=index)
         vals = np.zeros(0)
     return sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
 
@@ -265,7 +274,9 @@ class FirstOrder:
     def couple(self, o: int, i: int, coef: np.ndarray | float) -> None:
         self.points.append((o, i, coef))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The operator on `x`, which it only reads (`overwrite` is accepted
+        for `Operators.matvec`, which passes it to every factor of a chain)."""
         N = self.diffs[0].shape[0]
         x = x.reshape(self.n_in, N)
         out = np.zeros((self.n_out, N))
@@ -312,20 +323,48 @@ class FirstOrder:
 
 class WeightedAdjoint:
     """The adjoint (1/G_in) M^T G_out of a term list M with respect to the
-    Gram diagonals of its input (G_in) and output (G_out) spaces."""
+    Gram diagonals of its input (G_in) and output (G_out) spaces.
 
-    def __init__(self, op: FirstOrder, gram_out: np.ndarray, gram_in: np.ndarray):
+    `inv_gram_in` is 1/G_in, kept once per rank by the suite. With
+    `axis_weights` (per-node g^{aa}, shape (N, n)) M is a covariant
+    derivative with components (a, c), and G_out is g^{aa} times `gram_out`,
+    the Gram of the differentiated field: it is applied one axis block at a
+    time and never stored.
+    """
+
+    def __init__(self, op: FirstOrder, gram_out: np.ndarray, inv_gram_in: np.ndarray,
+                 axis_weights: np.ndarray | None = None):
         self.op = op
         self.gram_out = gram_out
-        self.gram_in = gram_in
+        self.inv_gram_in = inv_gram_in
+        self.axis_weights = axis_weights
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Through the transposed term list: neither M nor its adjoint is built."""
-        return (1.0 / self.gram_in) * self.op.rapply(self.gram_out * y)
+    def _weigh(self, y: np.ndarray) -> None:
+        """y *= G_out, in place."""
+        if self.axis_weights is None:
+            y *= self.gram_out
+            return
+        N = self.axis_weights.shape[0]
+        gram = self.gram_out.reshape(-1, N)
+        blocks = y.reshape(-1, len(gram), N)
+        for a, block in enumerate(blocks):
+            for c, row in enumerate(block):
+                row *= self.axis_weights[:, a] * gram[c]
+
+    def apply(self, y: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Through the transposed term list: neither M nor its adjoint is built.
+        With `overwrite` the caller gives up `y`, which is weighted in place."""
+        y = y if overwrite else y.copy()
+        self._weigh(y)
+        out = self.op.rapply(y)
+        out *= self.inv_gram_in
+        return out
 
     def assemble(self) -> sp.csr_matrix:
+        gram_out = np.ones(self.op.n_out * self.op.diffs[0].shape[0])
+        self._weigh(gram_out)
         mat = self.op.assemble()
-        return (_diag(1.0 / self.gram_in) @ mat.T.tocsr() @ _diag(self.gram_out)).tocsr()
+        return (_diag(self.inv_gram_in) @ mat.T.tocsr() @ _diag(gram_out)).tocsr()
 
 
 class Operators:
@@ -339,6 +378,7 @@ class Operators:
         self.n = grid.n
         self.pairs = sym_pairs(self.n)
         self._gamma = grid.christoffels
+        self._inv_grams: dict[str, np.ndarray] = {}
 
     # ---- one-dimensional building blocks --------------------------------
 
@@ -349,14 +389,17 @@ class Operators:
         df = self.grid.model.dpotential(self.grid.coords)
         out = []
         for a in range(self.n):
-            raw = _raw_diff_matrix(self.grid, a).tocoo()
-            vals = raw.data * np.exp((f[raw.row] - f[raw.col]) / 2.0)
-            conj = sp.coo_matrix((vals, (raw.row, raw.col)), shape=raw.shape).tocsr()
+            # E^{-1} C_a E, scaled in place on C_a's own entries
+            conj = _raw_diff_matrix(self.grid, a)
+            rows = np.repeat(np.arange(conj.shape[0]), np.diff(conj.indptr))
+            conj.data *= np.exp((f[rows] - f[conj.indices]) / 2.0)
             out.append(conj + _diag(df[:, a] / 2.0))
         return out
 
-    def _christoffel(self, l: int, i: int, j: int):
-        return self._gamma.get((l, min(i, j), max(i, j)))
+    def _christoffel(self, l: int, i: int, j: int, symbols: dict | None = None):
+        """Gamma^l_ij, or None where it vanishes; read from `symbols` (the
+        grid's Christoffel table by default) under the same keys."""
+        return (self._gamma if symbols is None else symbols).get((l, min(i, j), max(i, j)))
 
     def _slot(self, i: int, j: int) -> int:
         """The packed sym2 slot of the index pair (i, j)."""
@@ -382,10 +425,11 @@ class Operators:
     def gram(self, rank: str) -> np.ndarray:
         return {SCALAR: self.gram_scalar, VECTOR: self.gram_vector, SYM2: self.gram_sym2}[rank]
 
-    def _gram_cov(self, gram: np.ndarray) -> np.ndarray:
-        """Gram of a covariant derivative's components (a, c): g^{aa} times `gram`'s."""
-        ginv = self.grid.inv_metric_diag.T
-        return (ginv[:, None, :] * gram.reshape(1, -1, self.grid.n_nodes)).ravel()
+    def _inv_gram(self, rank: str) -> np.ndarray:
+        """1/G of `rank`, kept once for every weighted adjoint into that rank."""
+        if rank not in self._inv_grams:
+            self._inv_grams[rank] = 1.0 / self.gram(rank)
+        return self._inv_grams[rank]
 
     # ---- first-order operators: term lists --------------------------------
 
@@ -433,17 +477,19 @@ class Operators:
         """Full covariant derivative of a packed sym2 field, components (a, pair)."""
         npairs = len(self.pairs)
         op = FirstOrder(self.diffs, npairs, self.n * npairs)
+        # one negated array per symbol, shared by all of its couplings
+        negated = {key: -gamma for key, gamma in self._gamma.items()}
         for a in range(self.n):
             for s, (i, j) in enumerate(self.pairs):
                 out = a * npairs + s
                 op.derive(out, s, a)
                 for l in range(self.n):
-                    gamma_i = self._christoffel(l, a, i)
+                    gamma_i = self._christoffel(l, a, i, negated)
                     if gamma_i is not None:
-                        op.couple(out, self._slot(l, j), -gamma_i)
-                    gamma_j = self._christoffel(l, a, j)
+                        op.couple(out, self._slot(l, j), gamma_i)
+                    gamma_j = self._christoffel(l, a, j, negated)
                     if gamma_j is not None:
-                        op.couple(out, self._slot(i, l), -gamma_j)
+                        op.couple(out, self._slot(i, l), gamma_j)
         return op
 
     @cached_property
@@ -470,21 +516,21 @@ class Operators:
 
     @cached_property
     def _div_vec(self) -> WeightedAdjoint:
-        return WeightedAdjoint(self._gradient_terms, self.gram_vector, self.gram_scalar)
+        return WeightedAdjoint(self._gradient_terms, self.gram_vector, self._inv_gram(SCALAR))
 
     @cached_property
     def _div_tensor(self) -> WeightedAdjoint:
-        return WeightedAdjoint(self._div_f_star_terms, self.gram_sym2, self.gram_vector)
+        return WeightedAdjoint(self._div_f_star_terms, self.gram_sym2, self._inv_gram(VECTOR))
 
     @cached_property
     def _cov_vector_adj(self) -> WeightedAdjoint:
-        gram = self.gram_vector
-        return WeightedAdjoint(self._cov_vector_terms, self._gram_cov(gram), gram)
+        return WeightedAdjoint(self._cov_vector_terms, self.gram_vector, self._inv_gram(VECTOR),
+                               self.grid.inv_metric_diag)
 
     @cached_property
     def _cov_sym2_adj(self) -> WeightedAdjoint:
-        gram = self.gram_sym2
-        return WeightedAdjoint(self._cov_sym2_terms, self._gram_cov(gram), gram)
+        return WeightedAdjoint(self._cov_sym2_terms, self.gram_sym2, self._inv_gram(SYM2),
+                               self.grid.inv_metric_diag)
 
     # ---- every kind, once: sums of coef * chain ----------------------------
 
@@ -520,9 +566,14 @@ class Operators:
         for coef, chain in self._terms(kind):
             y = x
             for factor in reversed(chain):
-                y = factor.apply(y)
-            term = y if coef == 1.0 else coef * y
-            total = term if total is None else total + term
+                # every factor after the first owns its input and scales it in place
+                y = factor.apply(y, overwrite=y is not x)
+            if coef != 1.0:
+                y *= coef
+            if total is None:
+                total = y
+            else:
+                total += y
         return total
 
     def assemble(self, kind: OperatorKind) -> sp.csr_matrix:
@@ -658,11 +709,12 @@ class IdentityReport:
         ]
 
 
-def _relative(diff: Field, *references: Field) -> float:
-    den = max((r.norm() for r in references), default=0.0)
+def _residual(lhs: Field, rhs: Field) -> float:
+    """|lhs - rhs| relative to the larger side."""
+    den = max(lhs.norm(), rhs.norm())
     if den == 0.0:
         return 0.0
-    return diff.norm() / den
+    return (lhs - rhs).norm() / den
 
 
 def identity_residuals(Y: Field) -> IdentityReport:
@@ -685,26 +737,22 @@ def identity_residuals(Y: Field) -> IdentityReport:
         and np.max(np.abs(Y.values[near_boundary])) > 1e-13 * scale
     )
 
+    # one identity at a time: each side is dropped once its residual is read
+    residuals = {}
     v = ops.div(Y)
     py = ops.p_apply(Y)
-    divstar = ops.div_star(Y)
-
-    lhs1 = ops.lap(v) + v * kappa
-    rhs1 = ops.div(py) * (-1.0)
+    div_py = ops.div(py)
+    residuals["drift_eigen_of_divergence"] = _residual(ops.lap(v) + v * kappa, div_py * (-1.0))
     grad_v = ops.grad(v)
-    lhs2 = ops.lap(grad_v)
-    rhs2 = ops.grad(ops.div(py)) * (-1.0)
-    lhs3 = py * (-2.0)
-    rhs3 = grad_v + ops.lap(Y) + Y * kappa
-    lhs4 = ops.l_apply(divstar)
-    rhs4 = ops.div_star(ops.lap(Y) + Y * kappa)
-
-    residuals = {
-        "drift_eigen_of_divergence": _relative(lhs1 - rhs1, lhs1, rhs1),
-        "gradient_of_divergence": _relative(lhs2 - rhs2, lhs2, rhs2),
-        "bochner_split_of_P": _relative(lhs3 - rhs3, lhs3, rhs3),
-        "intertwining_of_L": _relative(lhs4 - rhs4, lhs4, rhs4),
-    }
+    residuals["gradient_of_divergence"] = _residual(ops.lap(grad_v), ops.grad(div_py) * (-1.0))
+    lap_y, kappa_y = ops.lap(Y), Y * kappa
+    residuals["bochner_split_of_P"] = _residual(py * (-2.0), grad_v + lap_y + kappa_y)
+    shifted = lap_y + kappa_y
+    del v, py, div_py, grad_v, lap_y, kappa_y
+    # L div_f^* Y on flat vectors, with no sym2 field beside its flat copy
+    lhs = ops.matvec(OperatorKind.OP_L, ops.matvec(OperatorKind.DIV_F_STAR, Y.flat()))
+    residuals["intertwining_of_L"] = _residual(Field.from_flat(grid, SYM2, lhs),
+                                               ops.div_star(shifted))
     return IdentityReport(
         residuals=residuals,
         resolution=grid.axes[0].size,

@@ -170,16 +170,19 @@ def _factored_form(K: sp.csr_matrix) -> spla.LinearOperator:
 
 
 def solver_storage(grid: Grid) -> dict[str, int]:
-    """nnz of each solver matrix cached on `grid`, by name: P's factor `K`, its
-    symmetric form `A` where the dense path assembled it, and the V-cycle's
-    coarse operators."""
+    """Stored entries (nnz, explicit zeros included) of each solver matrix
+    cached on `grid`, by name: P's factor `K`, its symmetric form `A` where
+    the dense path assembled it, and the V-cycle: its coarse operators plus
+    the (bandwidth + 1) * size entries of its bottom level's band."""
     held = {}
     if "p_factor" in grid._cache:
         held["K"] = grid._cache["p_factor"][0].nnz
     if "p_form" in grid._cache:
         held["A"] = grid._cache["p_form"][0].nnz
     if "vcycle" in grid._cache:
-        held["V-cycle"] = sum(level[0].nnz for level in grid._cache["vcycle"].levels[1:])
+        cycle = grid._cache["vcycle"]
+        held["V-cycle"] = (sum(level[0].nnz for level in cycle.levels[1:])
+                           + cycle.bottom.factor.size)
     return held
 
 
@@ -687,9 +690,6 @@ class EigenfieldDecomposition:
     residuals: dict = dc_field(default_factory=dict)
     beta_mismatch: float = 0.0
     trivial: bool = False
-
-    def residuals_ok(self, tol: float) -> bool:
-        return all(v is None or v <= tol for v in self.residuals.values())
 
 
 def decompose_eigenfield(pair: SpectralPair) -> EigenfieldDecomposition:

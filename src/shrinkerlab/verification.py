@@ -151,10 +151,6 @@ class InterpReport:
     rhs: float
     passed: bool
 
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
 
 def interp_inequality_check(Y: Field) -> InterpReport:
     """Check |grad Y|^2 + |div_f Y|^2 <= 2 |Y| |(2P + 1/2) Y| by quadrature."""

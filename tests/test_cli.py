@@ -68,6 +68,20 @@ def test_verify_cylinder_passes(tmp_path):
     assert verdicts["polar_rotation"] == "PreservesF"
 
 
+def test_adjoint_structure_reports_least_rayleigh_quotient(tmp_path):
+    # every |div_f^* V|^2 / |V|^2 of the probe is positive, so the least one
+    # is too: the reported minimum is taken over the probes, not over 0
+    out = tmp_path / "structure"
+    code = run_cli(
+        "verify", "--model", "cylinder", "--dim", "3", "--k", "2", "--resolution", "16",
+        "--truncation-radius", "4", "--suite", "structure", "--output", str(out),
+    )
+    assert code == EXIT_OK
+    (check,) = read_report(out)["checks"]
+    assert check["residuals"]["adjointness"] <= 1e-12
+    assert check["residuals"]["min_rayleigh"] > 1.0
+
+
 def test_verify_fails_checks_measured_over_no_node(tmp_path):
     # the truncation collar of interior_mask(3) covers this whole grid: a
     # residual measured over no node must fail its check, not pass at 0
@@ -453,12 +467,13 @@ def test_run_stores_only_difference_matrices(command, tmp_path, monkeypatch, cap
     [("verify", "solver storage: none; 0 nnz"),
      ("spectrum", r"solver storage: A [\d,]+; [\d,]+ nnz"),
      ("spectrum_complement", r"solver storage: K [\d,]+, V-cycle [\d,]+; [\d,]+ nnz"),
-     ("propagate", r"solver storage: K [\d,]+, V-cycle 0; [\d,]+ nnz")],
+     ("propagate", r"solver storage: K [\d,]+, V-cycle [1-9][\d,]*; [\d,]+ nnz")],
 )
 def test_run_reports_solver_storage(command, line, tmp_path, capsys):
     # the dense path keeps the assembled A; above DENSE_CAP the spectrum, like
-    # the near-kernel block, holds only P's factor K and the V-cycle, whose
-    # coarse levels start above CYCLE_BOTTOM unknowns: none for propagate's 136
+    # the near-kernel block, holds only P's factor K and the V-cycle. The
+    # cycle's coarse levels start above CYCLE_BOTTOM unknowns, so propagate's
+    # 136 have none, but its bottom band is counted on every grid
     cli.run(RunConfig(output_dir=tmp_path, **SMALL_RUNS[command]))
     found = re.findall(r"^solver storage: .*$", capsys.readouterr().err, flags=re.M)
     assert len(found) == 1 and re.fullmatch(line, found[0])

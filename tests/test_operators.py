@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from shrinkerlab.fields import (
     zero_field,
 )
 from shrinkerlab.models import sym_pairs
-from shrinkerlab.operators import OperatorKind, identity_residuals
+from shrinkerlab.operators import (
+    FirstOrder,
+    OperatorKind,
+    WeightedAdjoint,
+    identity_residuals,
+)
 
 
 def stencil_tol(grid, factor=10.0):
@@ -70,6 +77,53 @@ def test_factored_apply_matches_assembled_matrix(grid_name, request, rng):
             got = handle.apply(Field.from_flat(grid, handle.in_rank, x)).flat()
             want = mat @ x
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), kind
+
+
+@pytest.mark.parametrize("grid_name", ["grid2_small", "cyl_grid"])
+def test_matvec_leaves_its_input_unchanged(grid_name, request, rng):
+    # the factors after a chain's first scale their input in place; the
+    # caller's vector is never one of them
+    grid, _ = request.getfixturevalue(grid_name)
+    ops = grid.ops()
+    for kind in OperatorKind:
+        x = rng.standard_normal(grid.n_nodes * components_for(ops.handle(kind).in_rank, grid.n))
+        before = x.copy()
+        ops.matvec(kind, x)
+        assert np.array_equal(x, before), kind
+
+
+def _held_arrays(value):
+    """Every array reachable from `value` through the suite's factors and
+    their containers."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held_arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _held_arrays(item)
+    elif isinstance(value, (FirstOrder, WeightedAdjoint)):
+        yield from _held_arrays(vars(value))
+
+
+def test_identity_residuals_memory_bounded(cylinder32):
+    # no covariant derivative's Gram (n * comps * N entries) is cached, and
+    # the identities, evaluated one at a time, peak within a few sym2 fields
+    grid, _ = build_grid(cylinder32, 24, 6.0)
+    ops = grid.ops()
+    Y = bump_vector(grid, 0, 2.7, 4.32)
+    identity_residuals(Y)  # builds every factor the identities apply
+    biggest = max(a.size for a in _held_arrays(vars(ops)))
+    assert biggest < grid.n * grid.n * grid.n_nodes
+    sym2_bytes = 8 * grid.n_nodes * components_for("sym2tensor", grid.n)
+    tracemalloc.start()
+    try:
+        identity_residuals(Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * sym2_bytes, peak / sym2_bytes
 
 
 def test_assembling_p_builds_only_its_factors(gaussian2):
