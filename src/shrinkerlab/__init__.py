@@ -10,13 +10,10 @@ extension pipeline with polynomial-growth diagnostics.
 from .models import (
     CYLINDER,
     GAUSSIAN,
-    CurvaturePack,
     ModelError,
     ModelShrinker,
     check_soliton_identities,
-    curvature,
     make_model,
-    potential_data,
     random_points,
 )
 from .grid import Grid, GridError, WeightedMeasure, build_grid

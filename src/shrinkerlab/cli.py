@@ -26,8 +26,7 @@ from .fields import (
     dilation,
     euclidean_rotation,
     killing_fields,
-    perturbed_rotation,
-    radial_bump,
+    perturbed,
     scalar_field,
     translation,
     vector_field,
@@ -77,6 +76,11 @@ VERIFY_SUITES = (
 
 class ConfigError(ValueError):
     pass
+
+
+def point_tag(r: float, eps: float) -> str:
+    """The name of a propagate sweep point, as its check and CSV files carry it."""
+    return f"r{r:g}_eps{eps:g}"
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -162,6 +166,12 @@ class RunConfig:
             for eps in self.epsilons:
                 if eps < 0:
                     raise ConfigError("epsilon must be nonnegative")
+            # a point's tag names its check and its CSV files
+            tags = [point_tag(r, eps) for r in self.r_values for eps in self.epsilons]
+            clashes = sorted({t for t in tags if tags.count(t) > 1})
+            if clashes:
+                raise ConfigError(f"r/epsilon values share the sweep point tag(s) "
+                                  f"{', '.join(clashes)}; give values that differ in 6 digits")
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -434,22 +444,13 @@ def _propagate_point(
 ) -> tuple[dict, RadialProfile | None]:
     """One sweep point: its report entry, and the defect profile for the CSVs."""
     model = grid.model
+    # the symmetry that the input perturbs is also the reference
     if model.kind == GAUSSIAN and model.n >= 2:
-        Y = perturbed_rotation(grid, eps)
         reference = euclidean_rotation(grid)
     else:
-        base = translation(grid, 0)
-        pert = vector_field(
-            grid,
-            lambda c: np.stack(
-                [c[:, 0] ** 2] + [np.zeros(len(c))] * (grid.n - 1), axis=1
-            ),
-        )
-        Y = base + pert.scale_by(radial_bump(grid, 2.0, 3.5)) * eps
-        reference = base
-    result = extend_symmetry(
-        Y, r, tolerance=cfg.tolerance, profile_points=cfg.profile_points, seed=cfg.seed
-    )
+        reference = translation(grid, 0)
+    result = extend_symmetry(perturbed(reference, eps), r, tolerance=cfg.tolerance,
+                             profile_points=cfg.profile_points, seed=cfg.seed)
     refn = reference * (1.0 / reference.norm())
     cosine = abs(result.z.field.inner(refn))
     lam = measured_lambda_bar(result.defect_tensor)
@@ -514,7 +515,7 @@ def run_propagate(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
     for r in cfg.r_values:
         for eps in cfg.epsilons:
             point, profile = _propagate_point(cfg, grid, r, eps)
-            tag = f"r{r:g}_eps{eps:g}"
+            tag = point_tag(r, eps)
             if profile is not None:
                 reports.write_profile_csv(out_dir / f"profile_{tag}.csv", profile)
                 radii, values = profile.radii, profile.values
@@ -611,10 +612,12 @@ def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
 
 def run(cfg: RunConfig) -> int:
     cfg.validate()
-    out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = make_model(cfg.model_kind, cfg.n, cfg.k)
     grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
+    if cfg.command == "spectrum" and cfg.eigs >= grid.n_nodes * grid.n:
+        raise ConfigError(f"eigs must be below the {grid.n_nodes * grid.n} unknowns of this grid")
+    out_dir = cfg.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.command == "verify":
         checks = run_verify(cfg, grid)
     elif cfg.command == "spectrum":

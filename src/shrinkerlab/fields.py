@@ -4,6 +4,11 @@ Vector components are contravariant chart components; symmetric two-tensors
 are covariant and packed over the upper triangle (see models.sym_pairs).
 Pointwise contractions insert the model metric explicitly, so one storage
 convention serves both the flat Gaussian chart and the cylinder chart.
+
+Quantities sampled on a grid are implemented here once: the weighted norm
+restricted to a node mask (`Field.norm_where`), the C^2 radial bump in b
+(`radial_bump`, also the cutoff of the extension pipeline) and the perturbed
+symmetry that `propagate` takes as input (`perturbed`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .models import CYLINDER, GAUSSIAN, pair_multiplicity, sym_pairs
+from .models import CYLINDER, GAUSSIAN
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -34,20 +39,6 @@ def components_for(rank: str, n: int) -> int:
     if rank == SYM2:
         return n * (n + 1) // 2
     raise FieldError(f"unknown rank {rank!r}")
-
-
-def _sym2_contraction(grid: Grid) -> np.ndarray:
-    """Per-node weights mult * g^{ii} g^{jj} of the packed sym2 contraction,
-    shape (N, pairs), built once per grid."""
-
-    def build():
-        ginv = grid.inv_metric_diag
-        pairs = sym_pairs(grid.n)
-        gi = np.stack([ginv[:, i] for i, _ in pairs], axis=1)
-        gj = np.stack([ginv[:, j] for _, j in pairs], axis=1)
-        return pair_multiplicity(grid.n) * gi * gj
-
-    return grid._cached("sym2_contraction", build)
 
 
 @dataclass
@@ -95,7 +86,7 @@ class Field:
             return self.values * other.values
         if self.rank == VECTOR:
             return np.sum(g * self.values * other.values, axis=1)
-        return np.sum(_sym2_contraction(self.grid) * self.values * other.values, axis=1)
+        return np.sum(self.grid.sym2_contraction * self.values * other.values, axis=1)
 
     def pointwise_norm_sq(self) -> np.ndarray:
         return self.contract(self)
@@ -257,9 +248,16 @@ def bump_vector(grid: Grid, axis: int = 0, inner: float = 2.0, outer: float = 3.
     return translation(grid, axis).scale_by(radial_bump(grid, inner, outer))
 
 
-def perturbed_rotation(grid: Grid, eps: float) -> Field:
-    """Rotation plus eps * (x_1^2 d_1 bump): the deterministic defect test field."""
+def perturbed(base: Field, eps: float) -> Field:
+    """The deterministic approximate symmetry: the vector field `base` plus
+    eps * x_0^2 d_0 * radial_bump(2, 3.5).
+
+    The perturbation is supported on {b < 3.5}, so outside it the field is
+    `base` exactly; at eps = 0 it is `base` bit for bit. `propagate` perturbs
+    the rotation on Gaussians of dimension >= 2 and translation 0 elsewhere.
+    """
+    grid = base.grid
     pert = np.zeros((grid.n_nodes, grid.n))
     pert[:, 0] = grid.coords[:, 0] ** 2
     bump = radial_bump(grid, 2.0, 3.5)
-    return euclidean_rotation(grid, 0, 1) + Field(grid, VECTOR, pert * bump[:, None]) * eps
+    return base + Field(grid, VECTOR, pert * bump[:, None]) * eps

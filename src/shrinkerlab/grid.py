@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import GAUSSIAN, ModelShrinker
+from .models import GAUSSIAN, ModelShrinker, sym2_contraction_weights
 
 MIN_RESOLUTION = 16
 MIN_TRUNCATION = 4.0
@@ -52,7 +52,6 @@ class Grid:
     axes: list[Axis]
     truncation_radius: float
     stencil_order: int
-    mask: np.ndarray = field(repr=False)
     coords: np.ndarray = field(repr=False)
     node_index: np.ndarray = field(repr=False)
     node_multi: np.ndarray = field(repr=False)
@@ -67,10 +66,6 @@ class Grid:
     @property
     def n_nodes(self) -> int:
         return self.coords.shape[0]
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(ax.size for ax in self.axes)
 
     @property
     def spacing(self) -> np.ndarray:
@@ -129,13 +124,14 @@ class Grid:
         return self._cached("gamma", lambda: self.model.christoffels(self.coords))
 
     @property
-    def grad_b_norm_sq(self) -> np.ndarray:
-        def build():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = self.model.grad_potential_norm_sq(self.coords) / self.f
-            return np.where(self.f > 0, val, 0.0)
+    def sym2_contraction(self) -> np.ndarray:
+        """Per-node weights of the packed sym2 contraction, shape (N, pairs)."""
+        return self._cached("sym2_contraction",
+                            lambda: sym2_contraction_weights(self.inv_metric_diag))
 
-        return self._cached("gb2", build)
+    @property
+    def grad_b_norm_sq(self) -> np.ndarray:
+        return self._cached("gb2", lambda: self.model.grad_b_norm_sq(self.coords))
 
     def b_spacing(self) -> float:
         """Grid spacing as seen by the radial coordinate b (Euclidean axes only)."""
@@ -263,7 +259,6 @@ def build_grid(
         axes=axes,
         truncation_radius=R,
         stencil_order=stencil_order,
-        mask=mask,
         coords=coords,
         node_index=node_index,
         node_multi=node_multi,

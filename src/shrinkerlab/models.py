@@ -15,6 +15,11 @@ with every geometric quantity available in closed form:
 Vector fields are handled in chart components (contravariant); symmetric
 two-tensors are stored covariant and packed over the upper triangle, see
 :func:`sym_pairs`.
+
+This module holds the one implementation of each closed-form pointwise
+quantity: the vectorized `ModelShrinker` methods (among them |grad b|^2)
+and :func:`sym2_contraction_weights`. Grids cache them on their nodes;
+there are no single-point wrappers around them.
 """
 
 from __future__ import annotations
@@ -42,6 +47,15 @@ def sym_pairs(n: int) -> list[tuple[int, int]]:
 def pair_multiplicity(n: int) -> np.ndarray:
     """Contraction multiplicity per packed slot: 1 on the diagonal, 2 off it."""
     return np.array([1.0 if i == j else 2.0 for i, j in sym_pairs(n)])
+
+
+def sym2_contraction_weights(inv_metric: np.ndarray) -> np.ndarray:
+    """Weights mult * g^{ii} g^{jj} of the packed sym2 contraction, shape
+    (points, pairs), from the inverse metric diagonal, shape (points, n)."""
+    rows, cols = np.array(sym_pairs(inv_metric.shape[1])).T
+    # np.take keeps the C order that fancy indexing would turn to Fortran
+    gi, gj = np.take(inv_metric, rows, axis=1), np.take(inv_metric, cols, axis=1)
+    return pair_multiplicity(inv_metric.shape[1]) * gi * gj
 
 
 @dataclass(frozen=True)
@@ -211,12 +225,13 @@ class ModelShrinker:
         f = self.potential(points)
         return 2.0 * np.sqrt(np.maximum(f, 0.0))
 
-    def grad_b_norm(self, points) -> np.ndarray:
-        """|grad b| = |grad f| / sqrt(f); equals 1 on the Gaussian away from 0."""
+    def grad_b_norm_sq(self, points) -> np.ndarray:
+        """|grad b|^2 = |grad f|^2 / f, and 0 where f <= 0, where b is not
+        differentiable; equals 1 on the Gaussian away from 0."""
         f = self.potential(points)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.sqrt(self.grad_potential_norm_sq(points) / f)
-        return val
+            val = self.grad_potential_norm_sq(points) / f
+        return np.where(f > 0, val, 0.0)
 
     def sphere_embedding(self, points) -> np.ndarray:
         """Unit vectors in R^(k+1) for the sphere factor (cylinder only)."""
@@ -256,16 +271,6 @@ class ModelShrinker:
         }
 
 
-@dataclass(frozen=True)
-class CurvaturePack:
-    """Pointwise curvature data: Ric, S, and the action h -> R(h)."""
-
-    ric: np.ndarray
-    scalar: float
-    riemann_action: np.ndarray
-    metric: np.ndarray
-
-
 def make_model(kind: str, n: int, k: Optional[int] = None) -> ModelShrinker:
     """Construct a model shrinker, validating the parameter ranges."""
     if kind not in (GAUSSIAN, CYLINDER):
@@ -288,44 +293,6 @@ def make_model(kind: str, n: int, k: Optional[int] = None) -> ModelShrinker:
         raise ModelError("k must be <= n - 1: the cylinder needs a Euclidean factor")
     radius = np.sqrt(2.0 * (k - 1))
     return ModelShrinker(kind=CYLINDER, n=n, k=k, sphere_radius=radius, f_offset=k / 2.0)
-
-
-def potential_data(model: ModelShrinker, point) -> dict:
-    """Potential, its first two derivatives, and the distance-like b = 2 sqrt(f).
-
-    grad_f and grad_b are covariant components; grad_b is None at f = 0 where
-    b is not differentiable.
-    """
-    model.validate_points(point)
-    f = float(model.potential(point))
-    grad_f = np.asarray(model.dpotential(point))
-    hess_f = np.asarray(model.hess_potential_packed(point))
-    b = 2.0 * np.sqrt(max(f, 0.0))
-    if f <= 0.0:
-        grad_b = None
-        grad_b_norm = None
-    else:
-        grad_b = grad_f / np.sqrt(f)
-        grad_b_norm = float(model.grad_b_norm(point))
-    return {
-        "f": f,
-        "grad_f": grad_f,
-        "hess_f": hess_f,
-        "b": b,
-        "grad_b": grad_b,
-        "grad_b_norm": grad_b_norm,
-    }
-
-
-def curvature(model: ModelShrinker, point) -> CurvaturePack:
-    """Curvature data at a point; the Riemann action is a packed dense matrix."""
-    model.validate_points(point)
-    return CurvaturePack(
-        ric=np.asarray(model.ricci_packed(point)),
-        scalar=float(model.scalar_curvature(point)),
-        riemann_action=model.riemann_action_matrix(point),
-        metric=np.asarray(model.metric_diag(point)),
-    )
 
 
 def random_points(model: ModelShrinker, count: int, rng) -> np.ndarray:
@@ -396,27 +363,21 @@ def check_soliton_identities(model: ModelShrinker, sample_points) -> ResidualRep
     f = model.potential(pts)
 
     pairs = sym_pairs(model.n)
-    mult = pair_multiplicity(model.n)
     half_g = np.zeros_like(hess)
     for slot, (i, j) in enumerate(pairs):
         if i == j:
             half_g[:, slot] = 0.5 * g[:, i]
     resid = ric + hess - half_g
     # pointwise tensor norm with metric contraction
-    ginv_i = np.stack([ginv[:, i] for i, _ in pairs], axis=1)
-    ginv_j = np.stack([ginv[:, j] for _, j in pairs], axis=1)
-    soliton = np.sqrt(np.sum(mult * ginv_i * ginv_j * resid**2, axis=1))
+    soliton = np.sqrt(np.sum(sym2_contraction_weights(ginv) * resid**2, axis=1))
 
-    diag_slots = np.array([1.0 if i == j else 0.0 for i, j in pairs])
-    lap_f = np.sum(ginv_i * hess * diag_slots, axis=1)
+    rows, cols = np.array(pairs).T
+    lap_f = np.sum(np.take(ginv, rows, axis=1) * hess * (rows == cols), axis=1)
     trace = np.abs(lap_f + S - model.n / 2.0)
 
     potential = np.abs(model.grad_potential_norm_sq(pts) + S - f)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gb = model.grad_b_norm(pts)
-    gb = np.where(f > 0, gb, 0.0)
-    gradb_excess = np.maximum(gb - 1.0, 0.0)
+    gradb_excess = np.maximum(np.sqrt(model.grad_b_norm_sq(pts)) - 1.0, 0.0)
 
     return ResidualReport(
         soliton_residual=float(np.max(soliton)),

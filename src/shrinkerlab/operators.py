@@ -81,7 +81,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import SCALAR, SYM2, VECTOR, Field, FieldError, _sym2_contraction
+from .fields import SCALAR, SYM2, VECTOR, Field, FieldError
 from .grid import DIRICHLET, ONESIDED, Grid, GridError
 from .models import sym_pairs
 
@@ -420,7 +420,7 @@ class Operators:
     @cached_property
     def gram_sym2(self) -> np.ndarray:
         # the per-node weights of the packed contraction that `Field.contract` uses
-        return (self.grid.weights[:, None] * _sym2_contraction(self.grid)).T.ravel()
+        return (self.grid.weights[:, None] * self.grid.sym2_contraction).T.ravel()
 
     def gram(self, rank: str) -> np.ndarray:
         return {SCALAR: self.gram_scalar, VECTOR: self.gram_vector, SYM2: self.gram_sym2}[rank]
@@ -676,9 +676,6 @@ class Operators:
     def p_apply(self, Y: Field) -> Field:
         return self.apply(OperatorKind.OP_P, Y)
 
-    def l_apply(self, h: Field) -> Field:
-        return self.apply(OperatorKind.OP_L, h)
-
     def rayleigh_p(self, Y: Field) -> float:
         """<Y, P Y> / <Y, Y> = |div_f^* Y|^2 / |Y|^2, exact in the discrete product."""
         num = self.div_star(Y)
@@ -693,20 +690,7 @@ class IdentityReport:
     """Relative weighted residuals of the first-order commutation identities."""
 
     residuals: dict
-    resolution: int
-    stencil_order: int
     boundary_warning: bool
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "identity_name": name,
-                "residual": float(val),
-                "resolution": self.resolution,
-                "stencil_order": self.stencil_order,
-            }
-            for name, val in self.residuals.items()
-        ]
 
 
 def _residual(lhs: Field, rhs: Field) -> float:
@@ -753,9 +737,4 @@ def identity_residuals(Y: Field) -> IdentityReport:
     lhs = ops.matvec(OperatorKind.OP_L, ops.matvec(OperatorKind.DIV_F_STAR, Y.flat()))
     residuals["intertwining_of_L"] = _residual(Field.from_flat(grid, SYM2, lhs),
                                                ops.div_star(shifted))
-    return IdentityReport(
-        residuals=residuals,
-        resolution=grid.axes[0].size,
-        stencil_order=grid.stencil_order,
-        boundary_warning=boundary_warning,
-    )
+    return IdentityReport(residuals=residuals, boundary_warning=boundary_warning)

@@ -7,6 +7,11 @@ truncated domain (`spectral.near_kernel_block`, solved once per grid), so
 the discrete variational bound mu <= |div_f^* V|^2 / |V|^2 holds exactly.
 Outward control is then quantified by shell profiles of the returned defect
 tensor and fitted growth exponents.
+
+The pipeline derives none of its quantities itself: the cutoff is
+`fields.radial_bump`, the norms on {b < r} are `Field.norm_where`, the
+extended field is measured as an eigenpair by `SpectralPair.of`, and the
+shell profiles weigh by the model's |grad b|^2 through `grid.radial_profile`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Field, smoothstep
+from .fields import Field, radial_bump
 from .grid import Grid, RadialProfile, radial_profile
 from .spectral import NearKernelBlock, SpectralPair, near_kernel_block
 
@@ -27,7 +32,8 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Cutoff:
-    """C^2 radial cutoff: 1 on {b <= r - 2/r}, 0 on {b >= r - 1/r}."""
+    """C^2 radial cutoff: 1 on {b <= r - 2/r}, 0 on {b >= r - 1/r}
+    (`radial_bump` over that band)."""
 
     eta: Field
     transition_band: tuple[float, float]
@@ -49,8 +55,7 @@ def build_cutoff(grid: Grid, r: float) -> Cutoff:
         raise PropagationError(
             f"transition band under-resolved: {band / h_b:.2f} cells, need >= 4"
         )
-    u = (grid.b - inner) * r  # maps [inner, outer] to [0, 1]
-    eta_vals = 1.0 - smoothstep(u)
+    eta_vals = radial_bump(grid, inner, outer)
     eta = Field(grid, "scalar", eta_vals)
     grad_eta = grid.ops().grad(eta)
     grad_bound = float(np.sqrt(np.max(grad_eta.pointwise_norm_sq())))
@@ -85,17 +90,15 @@ def measure_defect(Y: Field, r: float) -> DefectReport:
     inside = grid.b < r
     if not np.any(inside):
         raise PropagationError("no grid nodes inside {b < r}")
-    w = grid.weights
-    norm_sq = float(np.sum((w * Y.pointwise_norm_sq())[inside]))
-    if norm_sq <= 0.0:
+    norm = Y.norm_where(inside)
+    if norm <= 0.0:
         raise PropagationError("zero field on {b < r}")
-    ds = ops.div_star(Y)
-    defect = float(np.sum((w * ds.pointwise_norm_sq())[inside])) / norm_sq
+    defect = (ops.div_star(Y).norm_where(inside) / norm) ** 2
 
     point_bound = np.sqrt(Y.pointwise_norm_sq()) + np.sqrt(ops.grad_norm_sq(Y))
     c1 = float(np.max(point_bound[inside]) / r)
     return DefectReport(
-        norm=float(np.sqrt(norm_sq)),
+        norm=norm,
         mu_bar=defect,
         c1_measured=c1,
         hypothesis_ok=defect <= 0.25,
@@ -164,16 +167,13 @@ def extend_symmetry(
         z_vals += V.inner(p.field) * p.field.values
     Z = Field(grid, "vector", z_vals)
     zn = Z.norm()
-    if zn <= 1e-10:
-        Z = block[0].field
-    else:
-        Z = Z * (1.0 / zn)
+    Z = block[0].field if zn <= 1e-10 else Z * (1.0 / zn)
     # mu = <Z, P Z> / |Z|^2 = |div_f^* Z|^2 / |Z|^2
     w_tensor = ops.div_star(Z)
-    mu = w_tensor.inner(w_tensor) / Z.inner(Z)
-    pz = ops.p_apply(Z)
-    residual = (pz - Z * mu).norm() / Z.norm()
-    zpair = SpectralPair(mu=mu, field=Z, residual=residual)
+    zpair = SpectralPair.of(Z, w_tensor.inner(w_tensor) / Z.inner(Z))
+    if zpair.field.inner(Z) < 0:  # `of` flipped the sign: keep w = div_f^* z.field
+        w_tensor = w_tensor * -1.0
+    mu = zpair.mu
 
     # V has unit norm, so |div_f^* V|^2 is its Rayleigh quotient
     if mu > dsv_sq + 1e-10:

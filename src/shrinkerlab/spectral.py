@@ -301,12 +301,18 @@ def _vcycle(grid: Grid) -> _VCycle:
 
 
 def _check_weighted_symmetry(handle: OperatorHandle, rng):
-    """Probe <M u, v> = <u, M v> in the weighted product, with M applied factor by factor."""
+    """Probe <M u, v> = <u, M v> in the weighted product, with M applied factor by factor.
+
+    The probes are standard normal in the symmetric variables sqrt(G) u, so
+    every row weighs equally: a break in a row of quadrature weight 1e-12
+    shows as plainly as one at the centre.
+    """
     ops = handle.grid.ops()
     gram = ops.gram(handle.in_rank)
+    root = np.sqrt(gram)
     for _ in range(3):
-        u = rng.standard_normal(len(gram))
-        v = rng.standard_normal(len(gram))
+        u = rng.standard_normal(len(gram)) / root
+        v = rng.standard_normal(len(gram)) / root
         left = float(np.sum(gram * ops.matvec(handle.kind, u) * v))
         right = float(np.sum(gram * u * ops.matvec(handle.kind, v)))
         scale = max(abs(left), abs(right), 1e-300)
@@ -374,7 +380,6 @@ def lowest_eigenpairs(
     tolerance: float = 1e-9,
     method: str = "auto",
     seed: int = 0,
-    guesses: Optional[list[Field]] = None,
 ) -> list[SpectralPair]:
     """Lowest eigenpairs of P (`operator` is an `OP_P` handle), sorted ascending.
 
@@ -382,11 +387,11 @@ def lowest_eigenpairs(
     solve up to `DENSE_CAP` unknowns (the oracle), which assembles A
     (`_p_form`, once per grid), and the complement path above it. The LOBPCG
     paths apply A through the factor K (`_p_factor`), preconditioned by the
-    grid's V-cycle (`_vcycle`), and assemble no A. `method="lobpcg"` runs
-    LOBPCG from exactly `count` `guesses`; closed-form near-kernel fields
-    make it converge quickly, and `near_kernel_block` calls it so.
-    `method="complement"` runs it from the model's k Killing fields
-    (`killing_basis`), then one complement run (`_complement`) held orthogonal
+    grid's V-cycle (`_vcycle`), and assemble no A. `method="lobpcg"` solves
+    the Killing block: LOBPCG from the model's k Killing fields
+    (`killing_basis`), which converges quickly, so `count` must be k;
+    `near_kernel_block` calls it so. `method="complement"` runs the same
+    block solve, then one complement run (`_complement`) held orthogonal
     to that block, from the dilation field and seeded random vectors,
     max(count - k, 1) + BUFFER columns in all; it returns the lowest `count`
     of the block and the complement's max(count - k, 1) lowest pairs, and
@@ -394,8 +399,7 @@ def lowest_eigenpairs(
     complement Ritz value on stderr. On every path the worst residual
     |P y - mu y|, measured through the factored P (`SpectralPair.of`), must
     end at or below 10 * `tolerance`, else SolverError. Another operator
-    kind, `guesses` on another path, or a guess count other than `count`, is
-    a ValueError.
+    kind, or a `count` other than k on the lobpcg path, is a ValueError.
     """
     if operator.kind != OperatorKind.OP_P:
         raise ValueError(f"lowest_eigenpairs solves P only, not {operator.kind.value}")
@@ -409,10 +413,10 @@ def lowest_eigenpairs(
         method = "dense" if size <= DENSE_CAP else "complement"
     if method not in ("dense", "complement", "lobpcg"):
         raise ValueError(f"unknown method {method!r}")
-    if guesses is not None and method != "lobpcg":
-        raise ValueError(f"guesses warm-start only the lobpcg path, not {method!r}")
-    if method == "lobpcg" and len(guesses or []) != count:
-        raise ValueError(f"the lobpcg path runs from exactly count={count} guesses")
+    starts = [] if method == "dense" else killing_basis(grid)
+    if method == "lobpcg" and count != len(starts):
+        raise ValueError(f"the lobpcg path solves the {len(starts)} Killing pairs, "
+                         f"not count={count}")
     rng = np.random.default_rng(seed)
     _check_weighted_symmetry(operator, rng)
 
@@ -423,7 +427,6 @@ def lowest_eigenpairs(
         K, s = _p_factor(grid)
         cycle = _vcycle(grid)
         started = cycle.applications
-        starts = guesses if method == "lobpcg" else killing_basis(grid)
         X, _ = np.linalg.qr(np.stack([g.flat() * s for g in starts], axis=1))
         tol = max(tolerance, 1e-10)
         vals, vecs, _ = _lobpcg(K, X, cycle, tol, LOBPCG_MAXITER)
@@ -506,9 +509,9 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
 
     P depends only on the grid, so the block is solved once per grid and
     argument set and cached on the grid. At every grid size the solve is the
-    LOBPCG path of `lowest_eigenpairs`, with one guess per pair:
-    `killing_basis(grid)`. The dense path, which `method="auto"` takes at or
-    below `DENSE_CAP`, cannot use that start. A guard follows: a complement
+    LOBPCG path of `lowest_eigenpairs`, which starts from one Killing field
+    per pair (`killing_basis`). The dense path, which `method="auto"` takes
+    at or below `DENSE_CAP`, cannot use that start. A guard follows: a complement
     run (`_complement`) of `GUARD_SPAN - len(pairs)` seeded random vectors
     (at least one), held orthogonal to the pairs, run to `GUARD_TOL` for at
     most `GUARD_MAXITER` iterations over its restarts. Both runs share P's
@@ -537,11 +540,9 @@ def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     cycle = _vcycle(grid)
     size = K.shape[1]
     started = cycle.applications
-    starts = killing_basis(grid)
     try:
-        pairs = lowest_eigenpairs(
-            handle, len(starts), tolerance=tolerance, method="lobpcg", seed=seed, guesses=starts
-        )
+        pairs = lowest_eigenpairs(handle, len(killing_basis(grid)), tolerance=tolerance,
+                                  method="lobpcg", seed=seed)
     except SolverError as exc:
         raise SolverError(f"near-kernel block did not converge: {exc}") from exc
 

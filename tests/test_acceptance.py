@@ -11,7 +11,7 @@ from shrinkerlab.fields import (
     bump_vector,
     dilation,
     euclidean_rotation,
-    perturbed_rotation,
+    perturbed,
     translation,
     vector_field,
 )
@@ -189,7 +189,7 @@ def test_criterion_09_propagation_pipeline():
         rot = rot * (1.0 / rot.norm())
         results = {}
         for eps in (1e-3, 1e-2):
-            Y = perturbed_rotation(grid, eps)
+            Y = perturbed(euclidean_rotation(grid), eps)
             result = extend_symmetry(Y, 5.0, seed=1)
             # (a) discrete variational bound, exact up to round-off
             assert result.mu <= result.div_star_v_norm_sq + 1e-10

@@ -313,6 +313,30 @@ def test_bad_config_value_is_config_error(tmp_path, capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+def test_spectrum_eigs_at_unknown_count_is_config_error(tmp_path, capsys):
+    # the 1D grid at resolution 16, R 4 has 16 unknowns
+    code = run_cli("spectrum", "--dim", "1", "--resolution", "16", "--truncation-radius", "4",
+                   "--eigs", "16", "--output", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "16 unknowns" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, values", [("--epsilon", "1e-7,1.0000001e-7"),
+                                          ("--epsilon", "1e-3,0.001"),
+                                          ("--r", "4,4.0000001")])
+def test_propagate_rejects_colliding_point_tags(tmp_path, capsys, flag, values):
+    # each point's tag names its check and its CSV files: two points with one
+    # tag would overwrite each other's profiles
+    code = run_cli("propagate", "--dim", "1", "--resolution", "136", "--truncation-radius", "5",
+                   flag, values, "--output", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "tag" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _benchmark_module(monkeypatch):
     path = REPO / "perfbench" / "run.py"
     spec = importlib.util.spec_from_file_location("perfbench_run", path)

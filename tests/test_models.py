@@ -4,12 +4,10 @@ import pytest
 from shrinkerlab import (
     ModelError,
     check_soliton_identities,
-    curvature,
     make_model,
-    potential_data,
     random_points,
 )
-from shrinkerlab.models import pair_multiplicity, sym_pairs
+from shrinkerlab.models import sym2_contraction_weights, sym_pairs
 import dataclasses
 
 
@@ -48,46 +46,46 @@ def test_make_model_rejects_bad_dimension():
 
 
 def test_potential_data_gaussian_unit_gradb():
-    data = potential_data(make_model("gaussian", 2), [2.0, 0.0])
-    assert data["f"] == pytest.approx(1.0)
-    assert data["b"] == pytest.approx(2.0)
-    assert data["grad_b_norm"] == pytest.approx(1.0, abs=1e-12)
+    m = make_model("gaussian", 2)
+    assert m.potential([2.0, 0.0]) == pytest.approx(1.0)
+    assert m.b_value([2.0, 0.0]) == pytest.approx(2.0)
+    assert m.grad_b_norm_sq([2.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_potential_data_singular_at_origin():
-    data = potential_data(make_model("gaussian", 2), [0.0, 0.0])
-    assert data["f"] == 0.0
-    assert data["b"] == 0.0
-    assert data["grad_b"] is None
-    np.testing.assert_allclose(data["grad_f"], 0.0)
+    m = make_model("gaussian", 2)
+    assert m.potential([0.0, 0.0]) == 0.0
+    assert m.b_value([0.0, 0.0]) == 0.0
+    # b is not differentiable at f = 0: |grad b|^2 reads 0 there
+    assert m.grad_b_norm_sq([0.0, 0.0]) == 0.0
+    np.testing.assert_allclose(m.dpotential([0.0, 0.0]), 0.0)
     # Hess f = g/2 at the origin
-    np.testing.assert_allclose(data["hess_f"], [0.5, 0.0, 0.5])
+    np.testing.assert_allclose(m.hess_potential_packed([0.0, 0.0]), [0.5, 0.0, 0.5])
 
 
 def test_potential_data_cylinder_axis_point():
     m = make_model("cylinder", 3, 2)
-    data = potential_data(m, [0.0, np.pi / 2, 0.3])
-    assert data["f"] == pytest.approx(1.0)
-    assert data["b"] == pytest.approx(2.0)
-    np.testing.assert_allclose(data["grad_f"], 0.0, atol=1e-15)
+    pt = [0.0, np.pi / 2, 0.3]
+    assert m.potential(pt) == pytest.approx(1.0)
+    assert m.b_value(pt) == pytest.approx(2.0)
+    np.testing.assert_allclose(m.dpotential(pt), 0.0, atol=1e-15)
 
 
 def test_curvature_gaussian_flat(rng):
     m = make_model("gaussian", 3)
-    pack = curvature(m, rng.uniform(-3, 3, size=3))
-    np.testing.assert_allclose(pack.ric, 0.0)
-    assert pack.scalar == 0.0
-    np.testing.assert_allclose(pack.riemann_action, 0.0)
+    pt = rng.uniform(-3, 3, size=3)
+    np.testing.assert_allclose(m.ricci_packed(pt), 0.0)
+    assert m.scalar_curvature(pt) == 0.0
+    np.testing.assert_allclose(m.riemann_action_matrix(pt), 0.0)
 
 
 def test_curvature_cylinder_riemann_action_on_sphere_metric():
     m = make_model("cylinder", 3, 2)
     pt = [0.4, 1.1, 2.0]
-    pack = curvature(m, pt)
     g = m.metric_diag(pt)
     pairs = sym_pairs(3)
     h = np.array([g[i] if (i == j and i >= 1) else 0.0 for i, j in pairs])
-    rh = pack.riemann_action @ h
+    rh = m.riemann_action_matrix(pt) @ h
     # constant-curvature sphere factor: R(g_sph) = g_sph / 2
     np.testing.assert_allclose(rh, 0.5 * h, atol=1e-14)
 
@@ -95,17 +93,14 @@ def test_curvature_cylinder_riemann_action_on_sphere_metric():
 def test_riemann_action_self_adjoint(rng):
     m = make_model("cylinder", 4, 2)
     pairs = sym_pairs(4)
-    mult = pair_multiplicity(4)
     for _ in range(10):
-        pt = random_points(m, 1, rng)[0]
-        pack = curvature(m, pt)
-        ginv = 1.0 / m.metric_diag(pt)
-        gi = np.array([ginv[i] for i, _ in pairs])
-        gj = np.array([ginv[j] for _, j in pairs])
+        pt = random_points(m, 1, rng)
+        action = m.riemann_action_matrix(pt)
+        weights = sym2_contraction_weights(1.0 / m.metric_diag(pt))[0]
         h = rng.standard_normal(len(pairs))
         k = rng.standard_normal(len(pairs))
-        left = np.sum(mult * gi * gj * (pack.riemann_action @ h) * k)
-        right = np.sum(mult * gi * gj * h * (pack.riemann_action @ k))
+        left = np.sum(weights * (action @ h) * k)
+        right = np.sum(weights * h * (action @ k))
         assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
 
 

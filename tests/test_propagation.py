@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shrinkerlab import build_grid, make_model, radial_profile
-from shrinkerlab.fields import euclidean_rotation, perturbed_rotation, zero_field
+from shrinkerlab.fields import euclidean_rotation, perturbed, translation, zero_field
 from shrinkerlab.grid import RadialProfile
 from shrinkerlab.operators import OperatorKind
 from shrinkerlab.propagation import (
@@ -27,8 +27,30 @@ def cutoff_grid():
 def extend_run():
     # moderate full pipeline: r = 4 needs band 1/4 >= 4 cells
     grid, _ = build_grid(make_model("gaussian", 2), 256, 8.0)
-    Y = perturbed_rotation(grid, 1e-2)
+    Y = perturbed(euclidean_rotation(grid), 1e-2)
     return grid, extend_symmetry(Y, 4.0, seed=3)
+
+
+# ---- input --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["rotation", "translation_1d", "translation_cylinder"])
+def test_perturbed_input(request, which):
+    # the input of every propagate run: the rotation on a Gaussian of
+    # dimension >= 2, else translation 0
+    if which == "rotation":
+        grid, _ = request.getfixturevalue("grid2_64")
+        base = euclidean_rotation(grid)
+    else:
+        grid, _ = request.getfixturevalue("grid1_256" if which == "translation_1d" else "cyl_grid")
+        base = translation(grid, 0)
+    np.testing.assert_array_equal(perturbed(base, 0.0).values, base.values)
+    diff = (perturbed(base, 1e-2) - base).values
+    np.testing.assert_array_equal(diff[grid.b >= 3.5], 0.0)
+    # x_0^2 d_0 at full strength on {b <= 2}
+    core = grid.b <= 2.0
+    np.testing.assert_allclose(diff[core, 0], 1e-2 * grid.coords[core, 0] ** 2, rtol=1e-12)
+    np.testing.assert_array_equal(diff[:, 1:], 0.0)
 
 
 # ---- cutoff -------------------------------------------------------------------
@@ -121,7 +143,7 @@ def test_measure_defect_scales_with_epsilon_squared(cutoff_grid):
     grid, _ = cutoff_grid
     r = 5.0
     eps = 1e-2
-    rep = measure_defect(perturbed_rotation(grid, eps), r)
+    rep = measure_defect(perturbed(euclidean_rotation(grid), eps), r)
     assert rep.mu_bar == pytest.approx(eps**2 * _defect_quadrature(grid, r), rel=0.05)
     assert rep.c1_measured > 0
 
@@ -186,7 +208,7 @@ def test_extend_defect_bound_shape(extend_run):
 
 def test_extend_requires_small_defect(cutoff_grid):
     grid, _ = cutoff_grid
-    Y = perturbed_rotation(grid, 2.0)  # defect above 1/4
+    Y = perturbed(euclidean_rotation(grid), 2.0)  # defect above 1/4
     with pytest.raises(PropagationError, match="1/4"):
         extend_symmetry(Y, 5.0)
 

@@ -89,14 +89,18 @@ def test_dense_and_sparse_paths_agree(gaussian1):
         assert abs(a.mu - b.mu) <= 1e-8
 
 
-def _grid_with_broken_p_row(gaussian1, row):
-    """A fresh 1D grid whose applied P has `row` of its output zeroed; the
-    solvers' form is intact."""
+def _grid_with_broken_p_row(gaussian1, row, column=False):
+    """A fresh 1D grid whose applied P has `row` of its output zeroed, and
+    with `column` the same column of its input, a weighted-symmetric break;
+    the solvers' form is intact."""
     grid, _ = build_grid(gaussian1, 256, 10.0)
     ops = grid.ops()
     matvec = ops.matvec
 
     def broken(kind, x):
+        if kind == OperatorKind.OP_P and column:
+            x = x.copy()
+            x[row] = 0.0
         y = matvec(kind, x)
         if kind == OperatorKind.OP_P:
             y[row] = 0.0
@@ -106,28 +110,26 @@ def _grid_with_broken_p_row(gaussian1, row):
     return grid
 
 
-@pytest.mark.parametrize(
-    "row, message",
-    [(3, "did not converge"), (128, "adjointness broken")],
-    ids=["low_weight_row", "central_row"],
-)
-def test_broken_adjoint_detected(gaussian1, row, message):
-    # row 3 carries weight 4.2e-12, below what the weighted-symmetry probe can
-    # see; the solve reads the factor form, so the break shows in the residual
+@pytest.mark.parametrize("row", [3, 128], ids=["low_weight_row", "central_row"])
+def test_broken_adjoint_detected(gaussian1, row):
+    # the probe draws its vectors in the symmetric variables, where every row
+    # weighs equally: row 3, of quadrature weight 4.2e-12, shows as plainly
+    # as the central row 128
     grid = _grid_with_broken_p_row(gaussian1, row)
-    with pytest.raises(SolverError, match=message):
+    with pytest.raises(SolverError, match="adjointness broken"):
         lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2)
 
 
 @pytest.mark.parametrize("method", ["dense", "complement", "lobpcg"])
 def test_every_path_raises_above_ten_times_tolerance(gaussian1, method):
-    # the broken row leaves the dilation pair (mu = 1/2) a residual
-    # |P y - mu y| of about 3e-6 on every path
-    grid = _grid_with_broken_p_row(gaussian1, 3)
-    guesses = killing_basis(grid) + [dilation(grid)] if method == "lobpcg" else None
+    # zeroing row and column 3 keeps P weighted-symmetric, so the probe
+    # passes; the solve reads the intact factor form, and the break leaves
+    # its pairs a residual |P y - mu y| far above 10 * tolerance. The lobpcg
+    # path solves the one Killing pair of the 1D model
+    grid = _grid_with_broken_p_row(gaussian1, 3, column=True)
+    count = 1 if method == "lobpcg" else 2
     with pytest.raises(SolverError, match="did not converge"):
-        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2, method=method,
-                          guesses=guesses)
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), count, method=method)
 
 
 def test_lowest_eigenpairs_solves_p_only(grid1_256):
@@ -301,9 +303,7 @@ def test_solver_paths_agree_with_dense_oracle(grid56, dense6):
     dense = dense6[:3]
     others = {
         "complement": lowest_eigenpairs(handle, 3, method="complement"),
-        "lobpcg": lowest_eigenpairs(
-            handle, 3, method="lobpcg", guesses=list(killing_fields(grid56).values())
-        ),
+        "lobpcg": lowest_eigenpairs(handle, 3, method="lobpcg"),
         "near_kernel_block": near_kernel_block(grid56).pairs,
     }
     for name, pairs in others.items():
@@ -352,8 +352,7 @@ def test_pairs_follow_one_sign_convention(grid56, dense6):
     solved = {
         "dense": dense6,
         "complement": lowest_eigenpairs(handle, 6, method="complement"),
-        "lobpcg": lowest_eigenpairs(handle, 3, method="lobpcg",
-                                    guesses=list(killing_fields(grid56).values())),
+        "lobpcg": lowest_eigenpairs(handle, 3, method="lobpcg"),
     }
     for name in list(solved):
         solved[f"canonical {name}"] = canonicalize_degenerate(solved[name])
@@ -486,8 +485,7 @@ def test_lobpcg_not_converged_raises(gaussian2, monkeypatch):
     grid, _ = build_grid(gaussian2, 56, 6.0)
     monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 5)
     with pytest.warns(UserWarning), pytest.raises(SolverError, match="did not converge"):
-        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 3, method="lobpcg",
-                          guesses=list(killing_fields(grid).values()))
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 3, method="lobpcg")
 
 
 def test_near_kernel_guard_not_converged_raises(gaussian2, monkeypatch):
@@ -581,25 +579,15 @@ def test_near_kernel_block_preconditioned_iterations_cylinder(cylinder32, monkey
     assert all(a <= spectral.RESTART_CHUNK + 1 for a in applications[1:])
 
 
-@pytest.mark.parametrize("method", ["dense", "complement"])
-def test_guesses_rejected_off_lobpcg(grid1_256, method):
-    # the dense path cannot use a warm start, and the complement path starts
-    # from the model's own fields
-    grid, _ = grid1_256
-    with pytest.raises(ValueError, match="guesses"):
-        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2, method=method,
-                          guesses=[dilation(grid)])
-
-
 def test_lobpcg_runs_only_from_count_guesses(grid56):
-    # the lobpcg path has no random fill: no guesses, or a number of guesses
-    # other than count, is an error rather than a silently padded block
+    # the lobpcg path starts from the model's Killing fields and has no random
+    # fill: a count other than theirs is an error rather than a silently
+    # padded or truncated block
     handle = grid56.ops().handle(OperatorKind.OP_P)
-    starts = list(killing_fields(grid56).values())
-    assert len(starts) == 3
-    for guesses in (None, starts[:2], starts + [dilation(grid56)]):
-        with pytest.raises(ValueError, match="guesses"):
-            lowest_eigenpairs(handle, 3, method="lobpcg", guesses=guesses)
+    assert len(killing_basis(grid56)) == 3
+    for count in (2, 4):
+        with pytest.raises(ValueError, match="Killing pairs"):
+            lowest_eigenpairs(handle, count, method="lobpcg")
 
 
 def test_near_kernel_guard_catches_block_tol_above_guard(gaussian2, monkeypatch):
