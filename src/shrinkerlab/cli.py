@@ -11,6 +11,7 @@ import argparse
 import configparser
 import resource
 import sys
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -60,19 +61,6 @@ from .verification import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-
-VERIFY_SUITES = (
-    "soliton",
-    "structure",
-    "identities",
-    "kernel",
-    "dichotomy",
-    "harmonicity",
-    "bochner",
-    "interp",
-    "cao_zhou",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -241,137 +229,180 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---- verify ----------------------------------------------------------------
 
 
-def run_verify(cfg: RunConfig, grid: Grid) -> list[dict]:
-    model = grid.model
+def _check(name: str, passed, residuals: dict, **extra) -> dict:
+    return {"check_name": name, "residuals": residuals, "passed": bool(passed), **extra}
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+# Each verify suite draws from the run's generator in the order of
+# VERIFY_SUITES and returns its one check, or None where it does not apply.
+# Its fields and draws are its own locals, released when it returns.
+
+
+def _verify_soliton(cfg: RunConfig, grid: Grid, rng) -> dict:
+    rep = check_soliton_identities(grid.model, random_points(grid.model, 100, rng))
+    return _check(
+        "soliton_identities",
+        rep.passed,
+        {
+            "soliton": rep.soliton_residual,
+            "trace": rep.trace_residual,
+            "potential": rep.potential_residual,
+            "gradb_excess": rep.gradb_excess,
+        },
+        failures=rep.failures(),
+    )
+
+
+def _verify_structure(cfg: RunConfig, grid: Grid, rng) -> dict:
+    # through `matvec`, so the adjoint checked is the one every run applies,
+    # on flat component vectors with their Gram diagonals
     ops = grid.ops()
+    gram_v, gram_h = ops.gram(VECTOR), ops.gram(SYM2)
+    worst_adj = 0.0
+    worst_ray = float("inf")
+    for _ in range(20):
+        V = rng.standard_normal(grid.n_nodes * grid.n)
+        DV = ops.matvec(OperatorKind.DIV_F_STAR, V)
+        ray = float(np.sum(gram_h * DV * DV)) / float(np.sum(gram_v * V * V))
+        worst_ray = min(worst_ray, ray)
+        H = rng.standard_normal(grid.n_nodes * components_for(SYM2, grid.n))
+        # gram_h * DV * H, formed in DV: at most two sym2 draws are live
+        DV *= gram_h
+        DV *= H
+        left = float(np.sum(DV))
+        del DV
+        right = float(np.sum(gram_v * V * ops.matvec(OperatorKind.DIV_F_TENSOR, H)))
+        scale = max(abs(left), abs(right), 1e-300)
+        worst_adj = max(worst_adj, abs(left - right) / scale)
+    return _check(
+        "adjoint_structure",
+        worst_adj <= 1e-12 and worst_ray >= -1e-8,
+        {"adjointness": worst_adj, "min_rayleigh": worst_ray},
+    )
+
+
+def _verify_identities(cfg: RunConfig, grid: Grid, rng) -> dict:
+    inner = 0.45 * cfg.truncation_radius
+    outer = 0.72 * cfg.truncation_radius
+    rep = identity_residuals(bump_vector(grid, 0, inner, outer))
+    return _check(
+        "commutation_identities",
+        max(rep.residuals.values()) <= max(0.05, grid.stencil_tol),
+        rep.residuals,
+        boundary_warning=rep.boundary_warning,
+    )
+
+
+def _verify_kernel(cfg: RunConfig, grid: Grid, rng) -> dict:
+    ops = grid.ops()
+    resids = {}
+    for name, Y in killing_fields(grid).items():
+        resids[name] = ops.p_apply(Y).norm() / Y.norm()
+    return _check("kernel_of_P", max(resids.values()) <= grid.stencil_tol, resids)
+
+
+def _verify_dichotomy(cfg: RunConfig, grid: Grid, rng) -> dict:
+    verdicts = {}
+    ok = True
+    for name, Y in killing_fields(grid).items():
+        v = classify_killing(Y)
+        verdicts[name] = v.verdict
+        ok &= v.consistent and v.verdict != "NotKilling"
+    # a stretched coordinate field is never Killing
+    stretched = vector_field(
+        grid, lambda c: np.stack([c[:, 0]] + [np.zeros(len(c))] * (grid.n - 1), axis=1)
+    )
+    v = classify_killing(stretched)
+    verdicts["coordinate_stretch"] = v.verdict
+    ok &= v.verdict == "NotKilling"
+    return _check("killing_dichotomy", ok, {}, verdicts=verdicts)
+
+
+def _verify_harmonicity(cfg: RunConfig, grid: Grid, rng) -> dict:
+    resids = {}
+    for name, Y in killing_fields(grid).items():
+        try:
+            resids[name] = harmonicity_check(Y).residual
+        except FieldError:  # not shown to be Killing: its check fails
+            resids[name] = float("nan")
+    return _check("divergence_harmonicity",
+                  all(r <= grid.stencil_tol for r in resids.values()), resids)
+
+
+def _verify_bochner(cfg: RunConfig, grid: Grid, rng) -> dict | None:
+    if grid.model.kind != GAUSSIAN:
+        return None
+    v1 = scalar_field(grid, lambda c: c[:, 0])
+    rep1 = drift_bochner_residual(v1, 0.5)
+    v2 = scalar_field(grid, lambda c: c[:, 0] ** 2 - 2.0)
+    rep2 = drift_bochner_residual(v2, 1.0)
+    return _check(
+        "drift_bochner",
+        max(rep1.residual, rep2.residual) <= max(0.05, grid.stencil_tol),
+        {"linear": rep1.residual, "quadratic": rep2.residual},
+    )
+
+
+def _interp_fields(cfg: RunConfig, grid: Grid):
+    """The interpolation suite's fields, each built when its check is reached."""
+    yield from killing_fields(grid).items()
+    yield "bump", bump_vector(grid, 0, 0.45 * cfg.truncation_radius, 0.7 * cfg.truncation_radius)
+    yield "dilation", dilation(grid)
+
+
+def _verify_interp(cfg: RunConfig, grid: Grid, rng) -> dict:
+    results = {}
+    ok = True
+    for name, Y in _interp_fields(cfg, grid):
+        rep = interp_inequality_check(Y)
+        results[name] = {"lhs": rep.lhs, "rhs": rep.rhs}
+        ok &= rep.passed
+    return _check("interpolation_inequality", ok, {}, values=results)
+
+
+def _verify_cao_zhou(cfg: RunConfig, grid: Grid, rng) -> dict:
+    rep = cao_zhou_check(grid.model, grid)
+    return _check(
+        "distance_volume_growth",
+        not rep.insufficient,
+        {"c1": rep.c1, "c2": rep.c2, "c3": rep.c3},
+        insufficient=rep.insufficient,
+    )
+
+
+VERIFY_SUITES = {
+    "soliton": _verify_soliton,
+    "structure": _verify_structure,
+    "identities": _verify_identities,
+    "kernel": _verify_kernel,
+    "dichotomy": _verify_dichotomy,
+    "harmonicity": _verify_harmonicity,
+    "bochner": _verify_bochner,
+    "interp": _verify_interp,
+    "cao_zhou": _verify_cao_zhou,
+}
+
+
+def run_verify(cfg: RunConfig, grid: Grid) -> list[dict]:
+    """The selected suites in the order of VERIFY_SUITES; each prints its time
+    and the process's peak RSS so far to stderr as it finishes."""
     rng = np.random.default_rng(cfg.seed)
-    suites = VERIFY_SUITES if "all" in cfg.suite else cfg.suite
     checks = []
-
-    def record(name, passed, residuals, **extra):
-        checks.append(
-            {
-                "check_name": name,
-                "model": model.describe(),
-                "resolution": cfg.resolution,
-                "stencil_order": cfg.stencil_order,
-                "residuals": residuals,
-                "passed": bool(passed),
-                **extra,
-            }
-        )
-
-    if "soliton" in suites:
-        pts = random_points(model, 100, rng)
-        rep = check_soliton_identities(model, pts)
-        record(
-            "soliton_identities",
-            rep.passed,
-            {
-                "soliton": rep.soliton_residual,
-                "trace": rep.trace_residual,
-                "potential": rep.potential_residual,
-                "gradb_excess": rep.gradb_excess,
-            },
-            failures=rep.failures(),
-        )
-
-    if "structure" in suites:
-        # through `matvec`, so the adjoint checked is the one every run applies,
-        # on flat component vectors with their Gram diagonals
-        gram_v, gram_h = ops.gram(VECTOR), ops.gram(SYM2)
-        worst_adj = 0.0
-        worst_ray = float("inf")
-        for _ in range(20):
-            V = rng.standard_normal(grid.n_nodes * grid.n)
-            H = rng.standard_normal(grid.n_nodes * components_for(SYM2, grid.n))
-            DV = ops.matvec(OperatorKind.DIV_F_STAR, V)
-            left = float(np.sum(gram_h * DV * H))
-            right = float(np.sum(gram_v * V * ops.matvec(OperatorKind.DIV_F_TENSOR, H)))
-            scale = max(abs(left), abs(right), 1e-300)
-            worst_adj = max(worst_adj, abs(left - right) / scale)
-            ray = float(np.sum(gram_h * DV * DV)) / float(np.sum(gram_v * V * V))
-            worst_ray = min(worst_ray, ray)
-        record(
-            "adjoint_structure",
-            worst_adj <= 1e-12 and worst_ray >= -1e-8,
-            {"adjointness": worst_adj, "min_rayleigh": worst_ray},
-        )
-
-    if "identities" in suites:
-        inner = 0.45 * cfg.truncation_radius
-        outer = 0.72 * cfg.truncation_radius
-        rep = identity_residuals(bump_vector(grid, 0, inner, outer))
-        record(
-            "commutation_identities",
-            max(rep.residuals.values()) <= max(0.05, grid.stencil_tol),
-            rep.residuals,
-            boundary_warning=rep.boundary_warning,
-        )
-
-    if "kernel" in suites:
-        resids = {}
-        for name, Y in killing_fields(grid).items():
-            resids[name] = ops.p_apply(Y).norm() / Y.norm()
-        record("kernel_of_P", max(resids.values()) <= grid.stencil_tol, resids)
-
-    if "dichotomy" in suites:
-        verdicts = {}
-        ok = True
-        for name, Y in killing_fields(grid).items():
-            v = classify_killing(Y)
-            verdicts[name] = v.verdict
-            ok &= v.consistent and v.verdict != "NotKilling"
-        # a stretched coordinate field is never Killing
-        stretched = vector_field(
-            grid, lambda c: np.stack([c[:, 0]] + [np.zeros(len(c))] * (grid.n - 1), axis=1)
-        )
-        v = classify_killing(stretched)
-        verdicts["coordinate_stretch"] = v.verdict
-        ok &= v.verdict == "NotKilling"
-        record("killing_dichotomy", ok, {}, verdicts=verdicts)
-
-    if "harmonicity" in suites:
-        resids = {}
-        for name, Y in killing_fields(grid).items():
-            try:
-                resids[name] = harmonicity_check(Y).residual
-            except FieldError:  # not shown to be Killing: its check fails
-                resids[name] = float("nan")
-        record("divergence_harmonicity",
-               all(r <= grid.stencil_tol for r in resids.values()), resids)
-
-    if "bochner" in suites and model.kind == GAUSSIAN:
-        v1 = scalar_field(grid, lambda c: c[:, 0])
-        rep1 = drift_bochner_residual(v1, 0.5)
-        v2 = scalar_field(grid, lambda c: c[:, 0] ** 2 - 2.0)
-        rep2 = drift_bochner_residual(v2, 1.0)
-        record(
-            "drift_bochner",
-            max(rep1.residual, rep2.residual) <= max(0.05, grid.stencil_tol),
-            {"linear": rep1.residual, "quadratic": rep2.residual},
-        )
-
-    if "interp" in suites:
-        results = {}
-        ok = True
-        for name, Y in list(killing_fields(grid).items()) + [
-            ("bump", bump_vector(grid, 0, 0.45 * cfg.truncation_radius, 0.7 * cfg.truncation_radius)),
-            ("dilation", dilation(grid)),
-        ]:
-            rep = interp_inequality_check(Y)
-            results[name] = {"lhs": rep.lhs, "rhs": rep.rhs}
-            ok &= rep.passed
-        record("interpolation_inequality", ok, {}, values=results)
-
-    if "cao_zhou" in suites:
-        rep = cao_zhou_check(model, grid)
-        record(
-            "distance_volume_growth",
-            not rep.insufficient,
-            {"c1": rep.c1, "c2": rep.c2, "c3": rep.c3},
-            insufficient=rep.insufficient,
-        )
+    for name, suite in VERIFY_SUITES.items():
+        if name not in cfg.suite and "all" not in cfg.suite:
+            continue
+        started = time.perf_counter()
+        check = suite(cfg, grid, rng)
+        if check is None:
+            continue
+        print(f"verify suite {name}: {time.perf_counter() - started:.2f} s, "
+              f"ru_maxrss {_peak_rss_mb():.0f} MB", file=sys.stderr)
+        checks.append({"model": grid.model.describe(), "resolution": cfg.resolution,
+                       "stencil_order": cfg.stencil_order, **check})
     return checks
 
 
@@ -626,10 +657,9 @@ def run(cfg: RunConfig) -> int:
         checks = run_propagate(cfg, grid, out_dir)
     # on stderr, not in the report, so that reruns stay byte-identical
     held = grid.ops().stored_matrices()
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     print(
         f"operator storage: {', '.join(held)}; {sum(held.values()):,} nnz; "
-        f"ru_maxrss {peak_mb:.0f} MB",
+        f"ru_maxrss {_peak_rss_mb():.0f} MB",
         file=sys.stderr,
     )
     solver = solver_storage(grid)

@@ -81,12 +81,12 @@ class Field:
         """Pointwise metric contraction <self, other>_g at every node."""
         if other.grid is not self.grid or other.rank != self.rank:
             raise FieldError("contract requires matching rank and grid")
-        g = self.grid.metric_diag
         if self.rank == SCALAR:
             return self.values * other.values
-        if self.rank == VECTOR:
-            return np.sum(g * self.values * other.values, axis=1)
-        return np.sum(self.grid.sym2_contraction * self.values * other.values, axis=1)
+        w = self.grid.metric_diag if self.rank == VECTOR else self.grid.sym2_contraction
+        # no (N, components) temporary; the same sums as np.sum(w * a * b, axis=1)
+        # up to 7 components, where that sum runs in order
+        return np.einsum("ij,ij,ij->i", w, self.values, other.values)
 
     def pointwise_norm_sq(self) -> np.ndarray:
         return self.contract(self)

@@ -40,23 +40,30 @@ Application
 -----------
 Every first-order operator is one term list over the per-axis difference
 matrices D_a (`FirstOrder`): out[o] += left D_a(right x[i]), plus pointwise
-couplings out[o] += c x[i]. The gradient, div_f^*, the covariant derivatives
-of vectors and sym2 tensors are each defined once that way, and so is the
-curvature action R, with couplings only. A term list is applied with one
-sparse matvec per derivative term, and its transpose through D_a^T, a CSC
-view of the stored CSR matrix. (A multi-column pass per axis is no faster:
+couplings out[o] += c x[i]. The gradient and div_f^* are each defined once
+that way, the covariant derivatives of vectors and sym2 tensors as one term
+list nabla_a per axis, and the curvature action R with couplings only. A
+term list is applied with one sparse matvec per derivative term, and its
+transpose through D_a^T, a CSC view of the stored CSR matrix, summed into
+an output the caller holds. (A multi-column pass per axis is no faster:
 scipy's CSR kernel costs the same per column, and the block adds strided
 copies.) A weighted adjoint (`WeightedAdjoint`) is (1/G_in) M^T G_out over a
-term list M, with the Gram diagonals G. For a covariant derivative G_out is
-g^{aa} times the Gram of the differentiated field; it is applied one axis
-block at a time and never stored. 1/G_in is kept once per rank and
+term list M, with the Gram diagonals G; 1/G_in is kept once per rank and
 multiplies M^T's output in place.
+
+Both rough Laplacians nabla^adj nabla, on vectors and on sym2 tensors
+(`RoughLaplacian`), are applied one axis block at a time: nabla_a x, weighted
+in place by g^{aa} G, then nabla_a^T of it summed into the output, and 1/G
+last. A Laplacian so holds one derivative block, a field of its rank, beside
+its input and output; neither the whole derivative (n blocks) nor its Gram
+g^{aa} G is ever formed. `Operators.grad_norm_sq` reads the vector
+derivative one block at a time too.
 
 Each `OperatorKind` is defined once, in one table (`Operators._chains`), as
 a sum of coef * chain terms whose factors, named there and built on the
-first use of a kind that needs them, are term lists and weighted
-adjoints: P = div_f o div_f^*, the drift Laplacians -nabla^adj o nabla,
-L = L_drift + 2R, and the Hessian -div_f^* o grad, as
+first use of a kind that needs them, are term lists, weighted adjoints and
+rough Laplacians: P = div_f o div_f^*, the drift Laplacians
+-nabla^adj nabla, L = L_drift + 2R, and the Hessian -div_f^* o grad, as
 (1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
 through its factors' `apply`, so a suite holds no sparse matrix but the
 D_a. Every factor after a chain's first owns its input, the previous
@@ -168,73 +175,86 @@ _STENCIL_4 = (  # 4th-order central plus a 5th-difference coupling term, O(h^4)
 
 
 def _raw_diff_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
-    """Finite difference along one axis with the grid's boundary policy."""
+    """Finite difference along one axis with the grid's boundary policy.
+
+    Built straight into CSR: one slot per neighbor offset holds every row's
+    column, and a code into a table of coefficients (0: no entry). A row's
+    entries ascend with the offset, and so do their columns except across a
+    periodic seam, where `sort_indices` reorders them in place.
+    """
     N = grid.n_nodes
     h = grid.axes[axis].h
     policy = grid.axes[axis].boundary
     stencil = _STENCIL_2 if grid.stencil_order == 2 else _STENCIL_4
-    # COO indices in the CSR's own index type, so that no index array is
-    # converted on the way
-    index = sp.get_index_dtype(maxval=len(stencil) * N)
-    ids = np.arange(N, dtype=index)
-    offsets = {off for off, _ in stencil} | {-2, -1, 1, 2}
-    nbrs = {off: ids if off == 0 else grid.neighbors(axis, off).astype(index) for off in offsets}
-    rows, cols, vals = [], [], []
+    slots = sorted({off for off, _ in stencil} | {-2, -1, 1, 2})
+    index = sp.get_index_dtype(maxval=len(slots) * N)
+    cols = np.empty((N, len(slots)), dtype=index)
+    for s, off in enumerate(slots):
+        cols[:, s] = np.arange(N) if off == 0 else grid.neighbors(axis, off)
+    has = {off: cols[:, s] >= 0 for s, off in enumerate(slots)}
+    code = np.zeros(cols.shape, dtype=np.uint8)
+    table = [0.0]
 
-    def add(mask, col_ids, coeff):
-        idx = np.where(mask)[0]
-        rows.append(ids[idx])
-        cols.append(col_ids[idx])
-        vals.append(np.full(len(idx), coeff))
+    def put(mask, off, coeff):
+        code[mask, slots.index(off)] = len(table)
+        table.append(coeff)
 
-    full = np.ones(N, dtype=bool)
-    for off, _ in stencil:
-        full &= nbrs[off] >= 0
-    for off, c in stencil:
-        add(full, nbrs[off], c / h)
-
-    rest = ~full
+    full = np.logical_and.reduce([has[off] for off, _ in stencil])
     if policy == DIRICHLET:
         # zero-extension: keep whichever stencil terms exist
         for off, c in stencil:
-            if off == 0:
-                add(rest, ids, c / h)
-            else:
-                add(rest & (nbrs[off] >= 0), nbrs[off], c / h)
+            put(has[off], off, c / h)
     elif policy == ONESIDED:
-        p1, m1 = nbrs[1], nbrs[-1]
-        p2, m2 = nbrs[2], nbrs[-2]
-        central = rest & (p1 >= 0) & (m1 >= 0)
-        add(central, p1, 0.5 / h)
-        add(central, m1, -0.5 / h)
-        rest = rest & ~central
-        fwd = rest & (m1 < 0) & (p1 >= 0)
-        fwd2 = fwd & (p2 >= 0)
-        add(fwd2, ids, -1.5 / h)
-        add(fwd2, p1, 2.0 / h)
-        add(fwd2, p2, -0.5 / h)
-        fwd1 = fwd & (p2 < 0)
-        add(fwd1, ids, -1.0 / h)
-        add(fwd1, p1, 1.0 / h)
-        bwd = rest & (p1 < 0) & (m1 >= 0)
-        bwd2 = bwd & (m2 >= 0)
-        add(bwd2, ids, 1.5 / h)
-        add(bwd2, m1, -2.0 / h)
-        add(bwd2, m2, 0.5 / h)
-        bwd1 = bwd & (m2 < 0)
-        add(bwd1, ids, 1.0 / h)
-        add(bwd1, m1, -1.0 / h)
+        for off, c in stencil:
+            put(full, off, c / h)
+        rest = ~full
+        central = rest & has[1] & has[-1]
+        put(central, 1, 0.5 / h)
+        put(central, -1, -0.5 / h)
+        fwd = rest & ~central & ~has[-1] & has[1]
+        put(fwd & has[2], 0, -1.5 / h)
+        put(fwd & has[2], 1, 2.0 / h)
+        put(fwd & has[2], 2, -0.5 / h)
+        put(fwd & ~has[2], 0, -1.0 / h)
+        put(fwd & ~has[2], 1, 1.0 / h)
+        bwd = rest & ~central & ~has[1] & has[-1]
+        put(bwd & has[-2], 0, 1.5 / h)
+        put(bwd & has[-2], -1, -2.0 / h)
+        put(bwd & has[-2], -2, 0.5 / h)
+        put(bwd & ~has[-2], 0, 1.0 / h)
+        put(bwd & ~has[-2], -1, -1.0 / h)
     else:
         raise GridError(f"unknown boundary policy {policy!r}")
 
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:
-        rows = cols = np.zeros(0, dtype=index)
-        vals = np.zeros(0)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+    valid = code > 0
+    indptr = np.zeros(N + 1, dtype=index)
+    np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
+    out = sp.csr_matrix((np.array(table)[code[valid]], cols[valid], indptr), shape=(N, N))
+    out.sort_indices()
+    return out
+
+
+def _weighted_diff(grid: Grid, axis: int) -> sp.csr_matrix:
+    """D_a = E^{-1} C_a E + diag(d_a f / 2), formed in place on C_a's entries."""
+    f = grid.f
+    d = _raw_diff_matrix(grid, axis)
+    counts = np.diff(d.indptr)
+    # E^{-1} C_a E: entry (r, c) times exp((f_r - f_c) / 2)
+    scale = np.repeat(f, counts)
+    scale -= f[d.indices]
+    scale /= 2.0
+    d.data *= np.exp(scale, out=scale)
+    del scale
+    # + diag(d_a f / 2) on the stored diagonal: f varies only along axes on
+    # which every row holds its own node, so no entry needs inserting
+    half_df = grid.model.dpotential(grid.coords)[:, axis] / 2.0
+    diag = np.flatnonzero(d.indices == np.repeat(np.arange(len(f), dtype=d.indices.dtype), counts))
+    rows = d.indices[diag]
+    d.data[diag] += half_df[rows]
+    half_df[rows] = 0.0
+    if np.any(half_df):
+        raise GridError(f"d_{axis} f is nonzero on a row without a diagonal entry")
+    return d
 
 
 def _diag(values: np.ndarray) -> sp.csr_matrix:
@@ -286,16 +306,16 @@ class FirstOrder:
             out[o] += coef * x[i]
         return out.ravel()
 
-    def rapply(self, y: np.ndarray) -> np.ndarray:
-        """The matrix transpose, through D_a^T: a CSC view, nothing stored."""
+    def rapply(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Add the matrix transpose applied to `y` into the flat `out`, through
+        D_a^T: a CSC view, nothing stored."""
         N = self.diffs[0].shape[0]
         y = y.reshape(self.n_out, N)
-        out = np.zeros((self.n_in, N))
+        out = out.reshape(self.n_in, N)
         for o, i, a, left, right in self.derivs:
             out[i] += _scaled(right, self.diffs[a].T @ _scaled(left, y[o]))
         for o, i, coef in self.points:
             out[i] += coef * y[o]
-        return out.ravel()
 
     def assemble(self) -> sp.csr_matrix:
         """The operator's matrix, from one COO pass over every term."""
@@ -325,46 +345,74 @@ class WeightedAdjoint:
     """The adjoint (1/G_in) M^T G_out of a term list M with respect to the
     Gram diagonals of its input (G_in) and output (G_out) spaces.
 
-    `inv_gram_in` is 1/G_in, kept once per rank by the suite. With
-    `axis_weights` (per-node g^{aa}, shape (N, n)) M is a covariant
-    derivative with components (a, c), and G_out is g^{aa} times `gram_out`,
-    the Gram of the differentiated field: it is applied one axis block at a
-    time and never stored.
+    `inv_gram_in` is 1/G_in, kept once per rank by the suite.
     """
 
-    def __init__(self, op: FirstOrder, gram_out: np.ndarray, inv_gram_in: np.ndarray,
-                 axis_weights: np.ndarray | None = None):
+    def __init__(self, op: FirstOrder, gram_out: np.ndarray, inv_gram_in: np.ndarray):
         self.op = op
         self.gram_out = gram_out
         self.inv_gram_in = inv_gram_in
-        self.axis_weights = axis_weights
-
-    def _weigh(self, y: np.ndarray) -> None:
-        """y *= G_out, in place."""
-        if self.axis_weights is None:
-            y *= self.gram_out
-            return
-        N = self.axis_weights.shape[0]
-        gram = self.gram_out.reshape(-1, N)
-        blocks = y.reshape(-1, len(gram), N)
-        for a, block in enumerate(blocks):
-            for c, row in enumerate(block):
-                row *= self.axis_weights[:, a] * gram[c]
 
     def apply(self, y: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Through the transposed term list: neither M nor its adjoint is built.
         With `overwrite` the caller gives up `y`, which is weighted in place."""
         y = y if overwrite else y.copy()
-        self._weigh(y)
-        out = self.op.rapply(y)
+        y *= self.gram_out
+        out = np.zeros(len(self.inv_gram_in))
+        self.op.rapply(y, out)
         out *= self.inv_gram_in
         return out
 
     def assemble(self) -> sp.csr_matrix:
-        gram_out = np.ones(self.op.n_out * self.op.diffs[0].shape[0])
-        self._weigh(gram_out)
         mat = self.op.assemble()
-        return (_diag(self.inv_gram_in) @ mat.T.tocsr() @ _diag(gram_out)).tocsr()
+        return (_diag(self.inv_gram_in) @ mat.T.tocsr() @ _diag(self.gram_out)).tocsr()
+
+
+class RoughLaplacian:
+    """nabla^adj nabla on a rank with Gram diagonal G, as the sum over axes a
+    of (1/G) nabla_a^T (g^{aa} G) nabla_a.
+
+    `blocks[a]` is the term list of nabla_a, the covariant derivative along
+    axis a, and `axis_weights` the per-node g^{aa}, shape (N, n). The sum is
+    applied one axis block at a time, so no more than one derivative block,
+    a field of the rank, is held beside the output.
+    """
+
+    def __init__(self, blocks: list[FirstOrder], gram: np.ndarray, inv_gram: np.ndarray,
+                 axis_weights: np.ndarray):
+        self.blocks = blocks
+        self.gram = gram
+        self.inv_gram = inv_gram
+        self.axis_weights = axis_weights
+
+    def _weigh(self, y: np.ndarray, a: int) -> None:
+        """y *= g^{aa} G, in place, for a block of axis a."""
+        N = self.axis_weights.shape[0]
+        gram = self.gram.reshape(-1, N)
+        for c, row in enumerate(y.reshape(-1, N)):
+            row *= self.axis_weights[:, a] * gram[c]
+
+    def apply(self, x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The operator on `x`, which it only reads (`overwrite` is accepted
+        for `Operators.matvec`)."""
+        out = np.zeros(len(self.gram))
+        for a, block in enumerate(self.blocks):
+            y = block.apply(x)
+            self._weigh(y, a)
+            block.rapply(y, out)
+            del y  # before the next block is allocated
+        out *= self.inv_gram
+        return out
+
+    def assemble(self) -> sp.csr_matrix:
+        total = None
+        for a, block in enumerate(self.blocks):
+            mat = block.assemble()
+            weights = np.ones(mat.shape[0])
+            self._weigh(weights, a)
+            term = mat.T.tocsr() @ _diag(weights) @ mat
+            total = term if total is None else total + term
+        return (_diag(self.inv_gram) @ total).tocsr()
 
 
 class Operators:
@@ -385,16 +433,7 @@ class Operators:
     @cached_property
     def diffs(self) -> list[sp.csr_matrix]:
         """Half-density-weighted first derivatives along each axis."""
-        f = self.grid.f
-        df = self.grid.model.dpotential(self.grid.coords)
-        out = []
-        for a in range(self.n):
-            # E^{-1} C_a E, scaled in place on C_a's own entries
-            conj = _raw_diff_matrix(self.grid, a)
-            rows = np.repeat(np.arange(conj.shape[0]), np.diff(conj.indptr))
-            conj.data *= np.exp((f[rows] - f[conj.indices]) / 2.0)
-            out.append(conj + _diag(df[:, a] / 2.0))
-        return out
+        return [_weighted_diff(self.grid, a) for a in range(self.n)]
 
     def _christoffel(self, l: int, i: int, j: int, symbols: dict | None = None):
         """Gamma^l_ij, or None where it vanishes; read from `symbols` (the
@@ -460,37 +499,42 @@ class Operators:
         return op
 
     @cached_property
-    def _cov_vector_terms(self) -> FirstOrder:
-        """Full covariant derivative of a vector field, components (a, j)."""
-        op = FirstOrder(self.diffs, self.n, self.n * self.n)
+    def _cov_vector_terms(self) -> list[FirstOrder]:
+        """Covariant derivative of a vector field, one term list per axis a:
+        nabla_a Y, components j."""
+        blocks = []
         for a in range(self.n):
+            op = FirstOrder(self.diffs, self.n, self.n)
             for j in range(self.n):
-                op.derive(a * self.n + j, j, a)
+                op.derive(j, j, a)
                 for l in range(self.n):
                     gamma = self._christoffel(j, a, l)
                     if gamma is not None:
-                        op.couple(a * self.n + j, l, gamma)
-        return op
+                        op.couple(j, l, gamma)
+            blocks.append(op)
+        return blocks
 
     @cached_property
-    def _cov_sym2_terms(self) -> FirstOrder:
-        """Full covariant derivative of a packed sym2 field, components (a, pair)."""
+    def _cov_sym2_terms(self) -> list[FirstOrder]:
+        """Covariant derivative of a packed sym2 field, one term list per axis
+        a: nabla_a h, components pair."""
         npairs = len(self.pairs)
-        op = FirstOrder(self.diffs, npairs, self.n * npairs)
         # one negated array per symbol, shared by all of its couplings
         negated = {key: -gamma for key, gamma in self._gamma.items()}
+        blocks = []
         for a in range(self.n):
+            op = FirstOrder(self.diffs, npairs, npairs)
             for s, (i, j) in enumerate(self.pairs):
-                out = a * npairs + s
-                op.derive(out, s, a)
+                op.derive(s, s, a)
                 for l in range(self.n):
                     gamma_i = self._christoffel(l, a, i, negated)
                     if gamma_i is not None:
-                        op.couple(out, self._slot(l, j), gamma_i)
+                        op.couple(s, self._slot(l, j), gamma_i)
                     gamma_j = self._christoffel(l, a, j, negated)
                     if gamma_j is not None:
-                        op.couple(out, self._slot(i, l), gamma_j)
-        return op
+                        op.couple(s, self._slot(i, l), gamma_j)
+            blocks.append(op)
+        return blocks
 
     @cached_property
     def riemann_block(self) -> FirstOrder:
@@ -523,14 +567,14 @@ class Operators:
         return WeightedAdjoint(self._div_f_star_terms, self.gram_sym2, self._inv_gram(VECTOR))
 
     @cached_property
-    def _cov_vector_adj(self) -> WeightedAdjoint:
-        return WeightedAdjoint(self._cov_vector_terms, self.gram_vector, self._inv_gram(VECTOR),
-                               self.grid.inv_metric_diag)
+    def _rough_vector(self) -> RoughLaplacian:
+        return RoughLaplacian(self._cov_vector_terms, self.gram_vector, self._inv_gram(VECTOR),
+                              self.grid.inv_metric_diag)
 
     @cached_property
-    def _cov_sym2_adj(self) -> WeightedAdjoint:
-        return WeightedAdjoint(self._cov_sym2_terms, self.gram_sym2, self._inv_gram(SYM2),
-                               self.grid.inv_metric_diag)
+    def _rough_sym2(self) -> RoughLaplacian:
+        return RoughLaplacian(self._cov_sym2_terms, self.gram_sym2, self._inv_gram(SYM2),
+                              self.grid.inv_metric_diag)
 
     # ---- every kind, once: sums of coef * chain ----------------------------
 
@@ -546,10 +590,9 @@ class Operators:
         OperatorKind.DIV_F_TENSOR: [(1.0, ("_div_tensor",))],
         OperatorKind.OP_P: [(1.0, ("_div_tensor", "_div_f_star_terms"))],
         OperatorKind.DRIFT_LAPLACIAN_SCALAR: [(-1.0, ("_div_vec", "_gradient_terms"))],
-        OperatorKind.DRIFT_LAPLACIAN_VECTOR: [(-1.0, ("_cov_vector_adj", "_cov_vector_terms"))],
-        OperatorKind.DRIFT_LAPLACIAN_SYM2: [(-1.0, ("_cov_sym2_adj", "_cov_sym2_terms"))],
-        OperatorKind.OP_L: [(-1.0, ("_cov_sym2_adj", "_cov_sym2_terms")),
-                            (2.0, ("riemann_block",))],
+        OperatorKind.DRIFT_LAPLACIAN_VECTOR: [(-1.0, ("_rough_vector",))],
+        OperatorKind.DRIFT_LAPLACIAN_SYM2: [(-1.0, ("_rough_sym2",))],
+        OperatorKind.OP_L: [(-1.0, ("_rough_sym2",)), (2.0, ("riemann_block",))],
         # Hess u = (1/2) L_{grad u} g = -div_f^* grad u, as g_jj (grad u)^j = D_j u
         OperatorKind.HESSIAN: [(-1.0, ("_div_f_star_terms", "_gradient_terms"))],
     }
@@ -623,13 +666,16 @@ class Operators:
         if Y.grid is not self.grid or Y.rank != VECTOR:
             raise FieldError("grad_norm_sq expects a vector field on this grid")
         n, N = self.n, self.grid.n_nodes
-        cov = self._cov_vector_terms.apply(Y.flat()).reshape(n * n, N)
+        flat = Y.flat()
         ginv = self.grid.inv_metric_diag
         g = self.grid.metric_diag
         out = np.zeros(N)
-        for a in range(n):
+        # one axis block of the derivative at a time
+        for a, block in enumerate(self._cov_vector_terms):
+            cov = block.apply(flat).reshape(n, N)
             for j in range(n):
-                out += ginv[:, a] * g[:, j] * cov[a * n + j] ** 2
+                out += ginv[:, a] * g[:, j] * cov[j] ** 2
+            del cov
         return out
 
     def stored_matrices(self) -> dict[str, int]:
@@ -694,11 +740,13 @@ class IdentityReport:
 
 
 def _residual(lhs: Field, rhs: Field) -> float:
-    """|lhs - rhs| relative to the larger side."""
+    """|lhs - rhs| relative to the larger side. Both fields are the caller's
+    temporaries: the difference is formed in place in `lhs`."""
     den = max(lhs.norm(), rhs.norm())
     if den == 0.0:
         return 0.0
-    return (lhs - rhs).norm() / den
+    lhs.values -= rhs.values
+    return lhs.norm() / den
 
 
 def identity_residuals(Y: Field) -> IdentityReport:
@@ -730,11 +778,20 @@ def identity_residuals(Y: Field) -> IdentityReport:
     grad_v = ops.grad(v)
     residuals["gradient_of_divergence"] = _residual(ops.lap(grad_v), ops.grad(div_py) * (-1.0))
     lap_y, kappa_y = ops.lap(Y), Y * kappa
-    residuals["bochner_split_of_P"] = _residual(py * (-2.0), grad_v + lap_y + kappa_y)
-    shifted = lap_y + kappa_y
-    del v, py, div_py, grad_v, lap_y, kappa_y
-    # L div_f^* Y on flat vectors, with no sym2 field beside its flat copy
-    lhs = ops.matvec(OperatorKind.OP_L, ops.matvec(OperatorKind.DIV_F_STAR, Y.flat()))
-    residuals["intertwining_of_L"] = _residual(Field.from_flat(grid, SYM2, lhs),
-                                               ops.div_star(shifted))
+    # the sides of the last two identities are summed in place, in fields
+    # that are not read again, in the association order of the identities
+    py.values *= -2.0
+    grad_v.values += lap_y.values
+    grad_v.values += kappa_y.values
+    residuals["bochner_split_of_P"] = _residual(py, grad_v)
+    del v, py, div_py, grad_v
+    lap_y.values += kappa_y.values  # now lap Y + kappa Y
+    del kappa_y
+    # L div_f^* Y on flat vectors, with no sym2 field beside its flat copy;
+    # only the two sides are live when the residual is read
+    lhs = Field.from_flat(grid, SYM2, ops.matvec(OperatorKind.OP_L,
+                                                 ops.matvec(OperatorKind.DIV_F_STAR, Y.flat())))
+    rhs = ops.div_star(lap_y)
+    del lap_y
+    residuals["intertwining_of_L"] = _residual(lhs, rhs)
     return IdentityReport(residuals=residuals, boundary_warning=boundary_warning)

@@ -54,10 +54,10 @@ def classify_killing(Y: Field) -> DichotomyVerdict:
     interior = grid.interior_mask(applications=3)
 
     killing_residual = ops.div_star(Yn).norm_where(interior)
-    df = grid.model.dpotential(grid.coords)
-    pairing = Field(grid, SCALAR, np.sum(df * Yn.values, axis=1))
+    pairing = Field(grid, SCALAR, np.sum(grid.model.dpotential(grid.coords) * Yn.values, axis=1))
     df_pairing_norm = pairing.norm_where(interior)
     v = ops.div(Yn)
+    del Yn  # released before the Hessian, the largest step
     hess_divf_norm = ops.hess(v).norm_where(interior)
 
     # Killing only when the defect is shown to be within tol: NaN evidence (an
@@ -92,11 +92,9 @@ def harmonicity_check(Y: Field) -> HarmonicityReport:
         raise FieldError("harmonicity check requires a Killing field")
     grid = Y.grid
     ops = grid.ops()
-    Yn = Y * (1.0 / Y.norm())
-    v = ops.div(Yn)
-    grad_v = ops.grad(v)
-    df = grid.model.dpotential(grid.coords)
-    drift = Field(grid, SCALAR, np.sum(df * grad_v.values, axis=1))
+    v = ops.div(Y * (1.0 / Y.norm()))
+    drift = Field(grid, SCALAR,
+                  np.sum(grid.model.dpotential(grid.coords) * ops.grad(v).values, axis=1))
     lap_plain = ops.lap(v) + drift
     interior = grid.interior_mask(applications=3)
     residual = lap_plain.norm_where(interior) / max(v.norm(), 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,21 @@ def cyl_grid(cylinder32):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def traced_peak(fn, *args):
+    """Call `fn(*args)` under tracemalloc (started for the call unless it is
+    already tracing). Returns the result, the peak of traced memory above its
+    level at the call, and how much the call left live, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - entry, current - entry

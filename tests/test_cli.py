@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import traced_peak
 from shrinkerlab import build_grid, cli, make_model, propagation, spectral
 from shrinkerlab.cli import (
     EXIT_CHECK_FAILED,
@@ -21,6 +23,7 @@ from shrinkerlab.cli import (
     load_config_file,
     main,
 )
+from shrinkerlab.fields import components_for
 from shrinkerlab.operators import Operators
 from shrinkerlab.reports import load_report
 
@@ -80,6 +83,51 @@ def test_adjoint_structure_reports_least_rayleigh_quotient(tmp_path):
     (check,) = read_report(out)["checks"]
     assert check["residuals"]["adjointness"] <= 1e-12
     assert check["residuals"]["min_rayleigh"] > 1.0
+
+
+def test_verify_prints_one_line_per_suite(tmp_path, capsys):
+    # each suite that runs prints its time and the peak RSS so far to stderr,
+    # in suite order; a cylinder runs no Bochner suite, so it prints no line
+    line = re.compile(r"^verify suite (\w+): \d+\.\d\d s, ru_maxrss \d+ MB$", flags=re.M)
+    for argv, suites in (
+        (["--model", "gaussian", "--dim", "2", "--suite", "all"], list(cli.VERIFY_SUITES)),
+        (["--model", "cylinder", "--dim", "3", "--k", "2", "--suite", "bochner,identities,soliton"],
+         ["soliton", "identities"]),
+    ):
+        run_cli("verify", *argv, "--resolution", "24", "--truncation-radius", "6",
+                "--output", str(tmp_path / argv[1]))
+        err = capsys.readouterr().err
+        assert line.findall(err) == suites
+        assert err.count("verify suite") == len(suites)
+        assert len(read_report(tmp_path / argv[1])["checks"]) == len(suites)
+
+
+def test_verify_suites_memory_bounded(tmp_path, monkeypatch):
+    # every suite holds at most a few sym2 fields at a time (no n * comps * N
+    # covariant derivative), and nothing of it stays live once it returns, the
+    # structure probe's draws included. Measured on a second run, once the
+    # first has built the operator suite's caches
+    cfg = RunConfig(output_dir=tmp_path, model_kind="cylinder", n=3, k=2, resolution=24,
+                    truncation_radius=6.0)
+    grid, _ = build_grid(make_model("cylinder", 3, 2), 24, 6.0)
+    cli.run_verify(cfg, grid)
+    measured = {}
+    for name, suite in cli.VERIFY_SUITES.items():
+        def traced(*args, name=name, suite=suite):
+            entry = tracemalloc.get_traced_memory()[0]  # what the run holds so far
+            check, peak, kept = traced_peak(suite, *args)
+            measured[name] = entry, peak, kept
+            return check
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, traced)
+    traced_peak(cli.run_verify, cfg, grid)
+    assert list(measured) == list(cli.VERIFY_SUITES)
+    sym2_bytes = 8 * grid.n_nodes * components_for("sym2tensor", grid.n)
+    for name, (entry, peak, kept) in measured.items():
+        # 4.2 sym2 fields at most (identities), 6.2 before L was applied by axis blocks
+        assert peak <= 4.5 * sym2_bytes, (name, peak / sym2_bytes)
+        # under half a vector field: scipy keeps a few kB, a probe draw is 0.5 or 1
+        assert entry <= 0.25 * sym2_bytes, (name, entry / sym2_bytes)
+        assert kept <= 0.25 * sym2_bytes, (name, kept / sym2_bytes)
 
 
 def test_verify_fails_checks_measured_over_no_node(tmp_path):

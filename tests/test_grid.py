@@ -7,6 +7,7 @@ from shrinkerlab import GridError, build_grid, radial_profile
 from shrinkerlab.fields import (
     Field,
     FieldError,
+    components_for,
     constant_scalar,
     radial_bump,
     scalar_field,
@@ -107,6 +108,17 @@ def test_inner_product_gram_schmidt_exact(grid2_64, rng):
     b_orth = b - a * proj
     val = a.inner(b_orth)
     assert abs(val) <= 1e-12 * a.norm() * b_orth.norm()
+
+
+@pytest.mark.parametrize("grid_name", ["grid2_small", "cyl_grid"])
+def test_contract_equals_summed_products_bit_for_bit(grid_name, request, rng):
+    # the contraction forms no (N, components) product, yet it sums the
+    # components in the same order as np.sum over the product
+    grid, _ = request.getfixturevalue(grid_name)
+    for rank, w in (("vector", grid.metric_diag), ("sym2tensor", grid.sym2_contraction)):
+        shape = (grid.n_nodes, components_for(rank, grid.n))
+        a, b = (Field(grid, rank, rng.standard_normal(shape)) for _ in range(2))
+        assert np.array_equal(a.contract(b), np.sum(w * a.values * b.values, axis=1)), rank
 
 
 def test_inner_product_rank_mismatch(grid2_64):

@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from shrinkerlab import build_grid, make_model
 from shrinkerlab.fields import (
     Field,
@@ -20,6 +19,7 @@ from shrinkerlab.models import sym_pairs
 from shrinkerlab.operators import (
     FirstOrder,
     OperatorKind,
+    RoughLaplacian,
     WeightedAdjoint,
     identity_residuals,
 )
@@ -103,13 +103,14 @@ def _held_arrays(value):
     elif isinstance(value, dict):
         for item in value.values():
             yield from _held_arrays(item)
-    elif isinstance(value, (FirstOrder, WeightedAdjoint)):
+    elif isinstance(value, (FirstOrder, WeightedAdjoint, RoughLaplacian)):
         yield from _held_arrays(vars(value))
 
 
 def test_identity_residuals_memory_bounded(cylinder32):
     # no covariant derivative's Gram (n * comps * N entries) is cached, and
-    # the identities, evaluated one at a time, peak within a few sym2 fields
+    # the identities, evaluated one at a time with L applied one axis block
+    # at a time, peak within four sym2 fields (3.7 measured)
     grid, _ = build_grid(cylinder32, 24, 6.0)
     ops = grid.ops()
     Y = bump_vector(grid, 0, 2.7, 4.32)
@@ -117,13 +118,8 @@ def test_identity_residuals_memory_bounded(cylinder32):
     biggest = max(a.size for a in _held_arrays(vars(ops)))
     assert biggest < grid.n * grid.n * grid.n_nodes
     sym2_bytes = 8 * grid.n_nodes * components_for("sym2tensor", grid.n)
-    tracemalloc.start()
-    try:
-        identity_residuals(Y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7 * sym2_bytes, peak / sym2_bytes
+    _, peak, _ = traced_peak(identity_residuals, Y)
+    assert peak <= 4 * sym2_bytes, peak / sym2_bytes
 
 
 def test_assembling_p_builds_only_its_factors(gaussian2):
@@ -133,7 +129,8 @@ def test_assembling_p_builds_only_its_factors(gaussian2):
     ops = grid.ops()
     ops.handle(OperatorKind.OP_P).matrix
     assert "_div_f_star_terms" in ops.__dict__
-    for name in ("_cov_sym2_terms", "riemann_block", "_cov_vector_terms", "_gradient_terms"):
+    for name in ("_cov_sym2_terms", "riemann_block", "_cov_vector_terms", "_gradient_terms",
+                 "_rough_sym2", "_rough_vector"):
         assert name not in ops.__dict__, name
 
 
