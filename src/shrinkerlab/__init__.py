@@ -38,12 +38,10 @@ from .operators import (
 )
 from .spectral import (
     EigenfieldDecomposition,
-    DivfEigenCheck,
     NearKernelBlock,
     SolverError,
     SpectralPair,
     decompose_eigenfield,
-    eigencheck_divf,
     lowest_eigenpairs,
     near_kernel_block,
 )

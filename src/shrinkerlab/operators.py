@@ -48,8 +48,9 @@ transpose through D_a^T, a CSC view of the stored CSR matrix, summed into
 an output the caller holds. (A multi-column pass per axis is no faster:
 scipy's CSR kernel costs the same per column, and the block adds strided
 copies.) A weighted adjoint (`WeightedAdjoint`) is (1/G_in) M^T G_out over a
-term list M, with the Gram diagonals G; 1/G_in is kept once per rank and
-multiplies M^T's output in place.
+term list M, with the Gram diagonals G: M^T reads each row of its input
+weighted by G_out, one term at a time, so the input is neither copied nor
+changed, and 1/G_in, kept once per rank, multiplies M^T's output in place.
 
 Both rough Laplacians nabla^adj nabla, on vectors and on sym2 tensors
 (`RoughLaplacian`), are applied one axis block at a time: nabla_a x, weighted
@@ -66,13 +67,12 @@ rough Laplacians: P = div_f o div_f^*, the drift Laplacians
 -nabla^adj nabla, L = L_drift + 2R, and the Hessian -div_f^* o grad, as
 (1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
 through its factors' `apply`, so a suite holds no sparse matrix but the
-D_a. Every factor after a chain's first owns its input, the previous
-factor's output, and an adjoint weights it by G_out in place; a term's
-coefficient and the sum of terms are applied in place too. A chain so
-holds no array beyond its factors' outputs, and the caller's vector is
-only read. `Operators.assemble` multiplies the same factors' matrices, for
-what needs entries (the eigensolvers' factor K of P, built from div_f^*'s
-matrix, or a diagonal); the suite keeps none of them. A test pins the
+D_a. Every factor only reads its input; a term's coefficient and the sum
+of terms are applied in place. A chain so holds no array beyond its
+factors' outputs and a few rows, and the caller's vector is only read.
+`Operators.assemble` multiplies the same factors' matrices, for what needs
+entries (the eigensolvers' factor K of P, built from div_f^*'s matrix, or a
+diagonal); the suite keeps none of them. A test pins the
 factored application to the assembled matrices.
 
 Sign conventions: the drift Laplacian satisfies L x_1 = -x_1/2 on the Gaussian
@@ -294,9 +294,8 @@ class FirstOrder:
     def couple(self, o: int, i: int, coef: np.ndarray | float) -> None:
         self.points.append((o, i, coef))
 
-    def apply(self, x: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """The operator on `x`, which it only reads (`overwrite` is accepted
-        for `Operators.matvec`, which passes it to every factor of a chain)."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator on `x`, which it only reads."""
         N = self.diffs[0].shape[0]
         x = x.reshape(self.n_in, N)
         out = np.zeros((self.n_out, N))
@@ -306,16 +305,18 @@ class FirstOrder:
             out[o] += coef * x[i]
         return out.ravel()
 
-    def rapply(self, y: np.ndarray, out: np.ndarray) -> None:
+    def rapply(self, y: np.ndarray, out: np.ndarray, weight: np.ndarray | None = None) -> None:
         """Add the matrix transpose applied to `y` into the flat `out`, through
-        D_a^T: a CSC view, nothing stored."""
+        D_a^T: a CSC view, nothing stored. With `weight`, each row y[o] is
+        read as weight[o] * y[o], one term at a time; `y` is only read."""
         N = self.diffs[0].shape[0]
         y = y.reshape(self.n_out, N)
         out = out.reshape(self.n_in, N)
+        w = [None] * self.n_out if weight is None else weight.reshape(self.n_out, N)
         for o, i, a, left, right in self.derivs:
-            out[i] += _scaled(right, self.diffs[a].T @ _scaled(left, y[o]))
+            out[i] += _scaled(right, self.diffs[a].T @ _scaled(left, _scaled(w[o], y[o])))
         for o, i, coef in self.points:
-            out[i] += coef * y[o]
+            out[i] += coef * _scaled(w[o], y[o])
 
     def assemble(self) -> sp.csr_matrix:
         """The operator's matrix, from one COO pass over every term."""
@@ -353,13 +354,12 @@ class WeightedAdjoint:
         self.gram_out = gram_out
         self.inv_gram_in = inv_gram_in
 
-    def apply(self, y: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Through the transposed term list: neither M nor its adjoint is built.
-        With `overwrite` the caller gives up `y`, which is weighted in place."""
-        y = y if overwrite else y.copy()
-        y *= self.gram_out
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Through the transposed term list, which weights each row of `y` by
+        G_out as it reads it: neither M nor its adjoint is built, and `y` is
+        neither copied nor changed."""
         out = np.zeros(len(self.inv_gram_in))
-        self.op.rapply(y, out)
+        self.op.rapply(y, out, self.gram_out)
         out *= self.inv_gram_in
         return out
 
@@ -392,9 +392,8 @@ class RoughLaplacian:
         for c, row in enumerate(y.reshape(-1, N)):
             row *= self.axis_weights[:, a] * gram[c]
 
-    def apply(self, x: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """The operator on `x`, which it only reads (`overwrite` is accepted
-        for `Operators.matvec`)."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator on `x`, which it only reads."""
         out = np.zeros(len(self.gram))
         for a, block in enumerate(self.blocks):
             y = block.apply(x)
@@ -609,8 +608,7 @@ class Operators:
         for coef, chain in self._terms(kind):
             y = x
             for factor in reversed(chain):
-                # every factor after the first owns its input and scales it in place
-                y = factor.apply(y, overwrite=y is not x)
+                y = factor.apply(y)
             if coef != 1.0:
                 y *= coef
             if total is None:

@@ -4,10 +4,11 @@ P = div_f o div_f^* is weighted-symmetric because div_f is the weighted
 adjoint of div_f^*. Conjugated by S = sqrt(G) (G the diagonal Gram matrix of
 the vector-field inner product) it is the standard symmetric A = K^T K, with
 the factor K = sqrt(G_sym2) div_f^* S^-1 built from the first-order operator
-(`_factor`). A is assembled only for the dense oracle, at or below a size cap
-(`_p_form`). Every other solve is block LOBPCG (Knyazev, SIAM J. Sci.
-Comput. 23, 2001) that holds only K, cached on the grid (`_p_factor`), and
-applies A as K^T (K x) (`_factored_form`). The near-kernel block of P, which
+and cached on the grid (`_p_factor`), the one solver form of P that every
+path keeps. A is assembled from it, and not kept, only for the dense oracle,
+at or below a size cap (`_symmetric_form`). Every other solve is block
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) that applies A as
+K^T (K x) (`_factored_form`). The near-kernel block of P, which
 the extension pipeline projects onto, is solved from the model's Killing
 fields, one guess per pair (`_lobpcg`). Above the cap `lowest_eigenpairs`
 solves that block first and then the pairs above it, by one LOBPCG run held
@@ -24,14 +25,16 @@ weighted-symmetry probe and by the residuals |P y - mu y|, which every path
 checks against 10 times its tolerance. Every pair is built by
 `SpectralPair.of`: eigenfields come back unit-norm in the weighted inner
 product with a fixed sign, so pairs are deterministic up to rotation inside
-numerically degenerate blocks.
+numerically degenerate blocks. `decompose_eigenfield` splits an eigenfield
+into its divergence-free and gradient parts and checks the scalar
+eigen-equation of its div_f, from one div_f Y and one floor test.
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -128,34 +131,29 @@ class SpectralPair:
         return cls(mu=mu, field=field, residual=(ops.p_apply(field) - field * mu).norm())
 
 
-def _factor(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Return (K, s) for P on `grid`: K = sqrt(G_sym2) div_f^* S^-1, S = diag(s).
+def _p_factor(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """P's factor (K, s) on `grid`, built on first use and cached on it:
+    K = sqrt(G_sym2) div_f^* S^-1, S = diag(s).
 
     P = (1/G_vec) M^T G_sym2 M for M = div_f^*, so with s = sqrt(G_vec)
     S P S^-1 = K^T K, symmetric by construction, and eigenfields are
     recovered as y/s.
     """
-    ops = grid.ops()
-    s = np.sqrt(ops.gram_vector)
-    K = sp.diags(np.sqrt(ops.gram_sym2)) @ ops.assemble(OperatorKind.DIV_F_STAR) @ sp.diags(1.0 / s)
-    return K.tocsr(), s
+
+    def build():
+        ops = grid.ops()
+        s = np.sqrt(ops.gram_vector)
+        M = ops.assemble(OperatorKind.DIV_F_STAR)
+        return (sp.diags(np.sqrt(ops.gram_sym2)) @ M @ sp.diags(1.0 / s)).tocsr(), s
+
+    return grid._cached("p_factor", build)
 
 
 def _symmetric_form(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Return (A, s) for P on `grid`: A = K^T K assembled from a factor (`_factor`)
-    that is built for it and not kept."""
-    K, s = _factor(grid)
+    """P's symmetric form (A, s) on `grid`: A = K^T K from the cached factor
+    (`_p_factor`). A is not kept; only the dense oracle assembles it."""
+    K, s = _p_factor(grid)
     return (K.T @ K).tocsr(), s
-
-
-def _p_form(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """P's symmetric form (A, s) on `grid`, built on first use and cached on it."""
-    return grid._cached("p_form", lambda: _symmetric_form(grid))
-
-
-def _p_factor(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """P's factor (K, s) on `grid`, built on first use and cached on it."""
-    return grid._cached("p_factor", lambda: _factor(grid))
 
 
 def _factored_form(K: sp.csr_matrix) -> spla.LinearOperator:
@@ -171,14 +169,12 @@ def _factored_form(K: sp.csr_matrix) -> spla.LinearOperator:
 
 def solver_storage(grid: Grid) -> dict[str, int]:
     """Stored entries (nnz, explicit zeros included) of each solver matrix
-    cached on `grid`, by name: P's factor `K`, its symmetric form `A` where
-    the dense path assembled it, and the V-cycle: its coarse operators plus
-    the (bandwidth + 1) * size entries of its bottom level's band."""
+    cached on `grid`, by name: P's factor `K` and the V-cycle: its coarse
+    operators plus the (bandwidth + 1) * size entries of its bottom level's
+    band."""
     held = {}
     if "p_factor" in grid._cache:
         held["K"] = grid._cache["p_factor"][0].nnz
-    if "p_form" in grid._cache:
-        held["A"] = grid._cache["p_form"][0].nnz
     if "vcycle" in grid._cache:
         cycle = grid._cache["vcycle"]
         held["V-cycle"] = (sum(level[0].nnz for level in cycle.levels[1:])
@@ -384,13 +380,13 @@ def lowest_eigenpairs(
     """Lowest eigenpairs of P (`operator` is an `OP_P` handle), sorted ascending.
 
     Every path solves P's symmetric form A = K^T K. `auto` takes the dense
-    solve up to `DENSE_CAP` unknowns (the oracle), which assembles A
-    (`_p_form`, once per grid), and the complement path above it. The LOBPCG
-    paths apply A through the factor K (`_p_factor`), preconditioned by the
-    grid's V-cycle (`_vcycle`), and assemble no A. `method="lobpcg"` solves
-    the Killing block: LOBPCG from the model's k Killing fields
-    (`killing_basis`), which converges quickly, so `count` must be k;
-    `near_kernel_block` calls it so. `method="complement"` runs the same
+    solve up to `DENSE_CAP` unknowns (the oracle), which assembles A from the
+    grid's factor K (`_symmetric_form`) and keeps only K, and the complement
+    path above it. The LOBPCG paths apply A through K (`_p_factor`),
+    preconditioned by the grid's V-cycle (`_vcycle`), and assemble no A.
+    `method="lobpcg"` solves the Killing block: LOBPCG from the model's k
+    Killing fields (`killing_basis`), which converges quickly, so `count`
+    must be k; `near_kernel_block` calls it so. `method="complement"` runs the same
     block solve, then one complement run (`_complement`) held orthogonal
     to that block, from the dilation field and seeded random vectors,
     max(count - k, 1) + BUFFER columns in all; it returns the lowest `count`
@@ -421,7 +417,7 @@ def lowest_eigenpairs(
     _check_weighted_symmetry(operator, rng)
 
     if method == "dense":
-        A, s = _p_form(grid)
+        A, s = _symmetric_form(grid)
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, count - 1])
     else:
         K, s = _p_factor(grid)
@@ -621,56 +617,10 @@ def canonicalize_degenerate(pairs: list[SpectralPair]) -> list[SpectralPair]:
     return out
 
 
-@dataclass(frozen=True)
-class DivfEigenCheck:
-    """Check of the induced scalar eigen-equation for div_f of an eigenfield."""
-
-    mu: float
-    divf_norm_sq: float
-    bound: float
-    bound_ok: bool
-    eigen_residual: Optional[float]
-    skipped: bool
-
-
-def eigencheck_divf(pair: SpectralPair) -> DivfEigenCheck:
-    """Verify L_drift(div_f Z) = -(1/2 + mu) div_f Z and |div_f Z|^2 <= 4 mu + 1.
-
-    Pairs whose weighted divergence is pure discretization noise (below the
-    stencil-order floor `Grid.stencil_tol`) are reported as skipped.
-    """
-    grid = pair.field.grid
-    ops = grid.ops()
-    v = ops.div(pair.field)
-    vn = v.norm()
-    zn = pair.field.norm()
-    bound = 4.0 * pair.mu + 1.0
-    if vn <= grid.stencil_tol * zn:
-        return DivfEigenCheck(
-            mu=pair.mu,
-            divf_norm_sq=(vn / zn) ** 2,
-            bound=bound,
-            bound_ok=True,
-            eigen_residual=None,
-            skipped=True,
-        )
-    lam = 0.5 + pair.mu
-    interior = grid.interior_mask(applications=3)
-    resid = (ops.lap(v) + v * lam).norm_where(interior) / (lam * vn)
-    norm_sq = (vn / zn) ** 2
-    return DivfEigenCheck(
-        mu=pair.mu,
-        divf_norm_sq=norm_sq,
-        bound=bound,
-        bound_ok=norm_sq <= bound + 1e-3,
-        eigen_residual=resid,
-        skipped=False,
-    )
-
-
 @dataclass
 class EigenfieldDecomposition:
-    """Split of an eigenfield into a divergence-free part and a gradient part.
+    """Split of an eigenfield into a divergence-free part and a gradient part,
+    with the checks on div_f of the eigenfield.
 
     Z = Y + beta * grad(div_f Y) with beta = |div_f Y|^2 / |grad div_f Y|^2,
     the unique coefficient for which the discrete Pythagorean identity
@@ -681,6 +631,12 @@ class EigenfieldDecomposition:
     mismatch is reported as a diagnostic. Eigen-equation residuals whose
     subject field is below the discretization-noise floor are reported as
     None (the equation is vacuous there, e.g. Z for pure gradient fields).
+
+    div_f Y satisfies the induced scalar eigen-equation
+    L_drift(div_f Y) = -(1/2 + mu) div_f Y, whose residual is
+    `divf_eigen_residual`, and |div_f Y|^2 <= (4 mu + 1) |Y|^2. Where
+    div_f Y is below the floor, the equation is skipped (residual None) and
+    the bound holds by default.
     """
 
     y: Field
@@ -688,18 +644,32 @@ class EigenfieldDecomposition:
     mu: float
     beta: float
     norm_gap: float
-    residuals: dict = dc_field(default_factory=dict)
-    beta_mismatch: float = 0.0
-    trivial: bool = False
+    residuals: dict
+    beta_mismatch: float
+    trivial: bool
+    divf_norm_sq: float
+    divf_eigen_residual: Optional[float]
+
+    @property
+    def divf_bound(self) -> float:
+        return 4.0 * self.mu + 1.0
+
+    @property
+    def divf_skipped(self) -> bool:
+        return self.divf_eigen_residual is None
+
+    @property
+    def divf_bound_ok(self) -> bool:
+        return self.divf_skipped or self.divf_norm_sq <= self.divf_bound + 1e-3
 
 
 def decompose_eigenfield(pair: SpectralPair) -> EigenfieldDecomposition:
-    """Decompose an eigenpair of P and report the three eigen-equation residuals."""
+    """Decompose an eigenpair of P and report the four eigen-equation residuals:
+    the three of the decomposition and that of div_f Y. Both floor tests read
+    one div_f Y against the stencil-order floor `Grid.stencil_tol`."""
     grid = pair.field.grid
     ops = grid.ops()
     mu = pair.mu
-    if mu < -0.25:
-        raise SolverError("eigenvalue below -1/4: decomposition coefficient undefined")
     Y = pair.field
     yn = Y.norm()
     v = ops.div(Y)
@@ -710,8 +680,14 @@ def decompose_eigenfield(pair: SpectralPair) -> EigenfieldDecomposition:
 
     lam_z = 2.0 * mu + 0.5
     lam_g = mu + 0.5
+    skipped = vn <= floor * yn
+    res_divf = (
+        None
+        if skipped
+        else (ops.lap(v) + v * lam_g).norm_where(grid.interior_mask(3)) / (lam_g * vn)
+    )
     interior = grid.interior_mask(applications=4)
-    trivial = vn <= floor * yn or gv_norm <= 1e-12 * yn
+    trivial = skipped or gv_norm <= 1e-12 * yn
     if trivial:
         beta = 0.0
         Z = Field(grid, VECTOR, Y.values.copy())
@@ -742,4 +718,6 @@ def decompose_eigenfield(pair: SpectralPair) -> EigenfieldDecomposition:
         residuals={"div_free": res_div_free, "grad_div_eigen": res_grad, "z_eigen": res_z},
         beta_mismatch=0.0 if trivial else abs(beta - 1.0 / lam_g) * lam_g,
         trivial=trivial,
+        divf_norm_sq=(vn / yn) ** 2,
+        divf_eigen_residual=res_divf,
     )

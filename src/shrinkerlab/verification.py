@@ -4,7 +4,9 @@ and the distance/volume growth constants.
 Vanishing verdicts use the stencil-order floor `Grid.stencil_tol`, 10 h^order,
 which separates identities that hold exactly on the continuum from plain
 discretization error; every check is a pure function of sampled fields and
-closed-form geometry.
+closed-form geometry. Whether a field is Killing is one test
+(`_killing_test`), the Killing defect alone: the dichotomy adds its other
+evidence to it, and the harmonicity check runs it and nothing more.
 """
 
 from __future__ import annotations
@@ -37,32 +39,40 @@ class DichotomyVerdict:
         return self.evidence["hess_divf_norm"] <= self.tolerance
 
 
-def classify_killing(Y: Field) -> DichotomyVerdict:
-    """Classify a sampled field: not Killing, f-preserving, or line-splitting.
-
-    Evidence (on the unit-normalized field): the Killing defect |div_f^* Y|,
-    the pairing |<grad f, Y>|, and |Hess(div_f Y)| whose vanishing witnesses a
-    parallel gradient field. The verdict is scale-invariant.
-    """
-    grid = Y.grid
-    ops = grid.ops()
+def _killing_test(Y: Field) -> tuple[Field, float, bool]:
+    """The test that `Y` is Killing: Y scaled to unit norm, its Killing defect
+    |div_f^* Y| over interior_mask(3), and whether that defect is shown to be
+    within `Grid.stencil_tol` (a NaN defect, from an empty mask, is not)."""
     nrm = Y.norm()
     if nrm <= 0.0:
         raise FieldError("cannot classify the zero field")
     Yn = Y * (1.0 / nrm)
+    grid = Y.grid
+    residual = grid.ops().div_star(Yn).norm_where(grid.interior_mask(applications=3))
+    return Yn, residual, residual <= grid.stencil_tol
+
+
+def classify_killing(Y: Field) -> DichotomyVerdict:
+    """Classify a sampled field: not Killing, f-preserving, or line-splitting.
+
+    Evidence (on the unit-normalized field): the Killing defect |div_f^* Y|
+    (`_killing_test`), the pairing |<grad f, Y>|, and |Hess(div_f Y)| whose
+    vanishing witnesses a parallel gradient field. The verdict is
+    scale-invariant.
+    """
+    grid = Y.grid
+    ops = grid.ops()
+    Yn, killing_residual, killing = _killing_test(Y)
     tol = grid.stencil_tol
     interior = grid.interior_mask(applications=3)
 
-    killing_residual = ops.div_star(Yn).norm_where(interior)
     pairing = Field(grid, SCALAR, np.sum(grid.model.dpotential(grid.coords) * Yn.values, axis=1))
     df_pairing_norm = pairing.norm_where(interior)
     v = ops.div(Yn)
     del Yn  # released before the Hessian, the largest step
     hess_divf_norm = ops.hess(v).norm_where(interior)
 
-    # Killing only when the defect is shown to be within tol: NaN evidence (an
-    # empty interior mask) gives NOT_KILLING
-    if not killing_residual <= tol:
+    if not killing:
         verdict = NOT_KILLING
     elif df_pairing_norm <= tol:
         verdict = PRESERVES_F
@@ -86,13 +96,16 @@ class HarmonicityReport:
 
 
 def harmonicity_check(Y: Field) -> HarmonicityReport:
-    """For a Killing field, div_f Y is harmonic for the unweighted Laplacian."""
-    verdict = classify_killing(Y)
-    if verdict.verdict == NOT_KILLING:
+    """For a Killing field, div_f Y is harmonic for the unweighted Laplacian.
+
+    A field that `_killing_test` does not show to be Killing is a FieldError.
+    """
+    Yn, _, killing = _killing_test(Y)
+    if not killing:
         raise FieldError("harmonicity check requires a Killing field")
     grid = Y.grid
     ops = grid.ops()
-    v = ops.div(Y * (1.0 / Y.norm()))
+    v = ops.div(Yn)
     drift = Field(grid, SCALAR,
                   np.sum(grid.model.dpotential(grid.coords) * ops.grad(v).values, axis=1))
     lap_plain = ops.lap(v) + drift

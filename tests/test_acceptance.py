@@ -26,7 +26,6 @@ from shrinkerlab.propagation import (
 from shrinkerlab.spectral import (
     canonicalize_degenerate,
     decompose_eigenfield,
-    eigencheck_divf,
     lowest_eigenpairs,
 )
 from shrinkerlab.verification import cao_zhou_check, classify_killing
@@ -140,10 +139,10 @@ def test_criterion_06_divergence_eigenvalue_bound():
             lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 4)
         )
         for pair in pairs:
-            chk = eigencheck_divf(pair)
-            assert chk.divf_norm_sq <= 4.0 * pair.mu + 1.0 + 1e-3
-            if not chk.skipped:
-                assert chk.eigen_residual <= 1e-2
+            dec = decompose_eigenfield(pair)
+            assert dec.divf_norm_sq <= 4.0 * pair.mu + 1.0 + 1e-3
+            if not dec.divf_skipped:
+                assert dec.divf_eigen_residual <= 1e-2
 
 
 def test_criterion_07_eigenfield_decomposition():

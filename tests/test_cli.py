@@ -371,6 +371,23 @@ def test_spectrum_eigs_at_unknown_count_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, ini, message", [
+    (("--resolution", "8"), None, "resolution below minimum"),
+    (("--truncation-radius", "3"), None, "truncation_radius must be"),
+    ((), "[grid]\nstencil_order = 3\n", "stencil_order must be 2 or 4"),
+])
+def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
+    # build_grid checks the grid's bounds before `run` makes the output directory
+    if ini is not None:
+        (tmp_path / "run.cfg").write_text(ini)
+        argv = ("--config", str(tmp_path / "run.cfg"))
+    code = run_cli("verify", *argv, "--output", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, values", [("--epsilon", "1e-7,1.0000001e-7"),
                                           ("--epsilon", "1e-3,0.001"),
                                           ("--r", "4,4.0000001")])
@@ -433,7 +450,7 @@ def test_propagate_sweep(tmp_path):
 
 
 def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
-    counted = {"lowest_eigenpairs": (spectral,), "_factor": (spectral,),
+    counted = {"lowest_eigenpairs": (spectral,), "assemble": (Operators,),
                "measure_defect": (propagation, cli),
                "fit_growth_exponent": (propagation, cli), "div_star": (Operators,)}
     calls = dict.fromkeys(counted, 0)
@@ -450,10 +467,11 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     grid, _ = build_grid(make_model("gaussian", 1), 512, 8.0)
     checks = cli.run_propagate(cfg, grid, tmp_path)
     assert len(checks) == 2
-    # one solve, and the guard reuses P's factor instead of building it again;
-    # each point measures the defect of Y once, fits the full and the inner
-    # profile, and applies div_f^* to Y, V and Z
-    assert calls == {"lowest_eigenpairs": 1, "_factor": 1, "measure_defect": 2,
+    # one solve, and one assembly of div_f^*, for P's factor, which the guard
+    # reuses instead of building it again; each point measures the defect of
+    # Y once, fits the full and the inner profile, and applies div_f^* to Y,
+    # V and Z
+    assert calls == {"lowest_eigenpairs": 1, "assemble": 1, "measure_defect": 2,
                      "fit_growth_exponent": 4, "div_star": 6}
     assert capsys.readouterr().err.count("near-kernel block:") == 1
     solvers = [c["block_solver"] for c in checks]
@@ -537,13 +555,14 @@ def test_run_stores_only_difference_matrices(command, tmp_path, monkeypatch, cap
 @pytest.mark.parametrize(
     "command, line",
     [("verify", "solver storage: none; 0 nnz"),
-     ("spectrum", r"solver storage: A [\d,]+; [\d,]+ nnz"),
+     ("spectrum", r"solver storage: K [\d,]+; [\d,]+ nnz"),
      ("spectrum_complement", r"solver storage: K [\d,]+, V-cycle [\d,]+; [\d,]+ nnz"),
      ("propagate", r"solver storage: K [\d,]+, V-cycle [1-9][\d,]*; [\d,]+ nnz")],
 )
 def test_run_reports_solver_storage(command, line, tmp_path, capsys):
-    # the dense path keeps the assembled A; above DENSE_CAP the spectrum, like
-    # the near-kernel block, holds only P's factor K and the V-cycle. The
+    # every path keeps P's factor K and no assembled A: the dense path forms A
+    # from K and drops it; above DENSE_CAP the spectrum, like the near-kernel
+    # block, holds K and the V-cycle. The
     # cycle's coarse levels start above CYCLE_BOTTOM unknowns, so propagate's
     # 136 have none, but its bottom band is counted on every grid
     cli.run(RunConfig(output_dir=tmp_path, **SMALL_RUNS[command]))
@@ -572,6 +591,26 @@ def test_benchmark_tracer_runs_propagate(tmp_path):
     # nnz off a cached P, and no run caches P
     assert doc["counters"]["spectral.unknowns"] == 136
     assert "operators.p_nnz" not in doc["counters"]
+
+
+@pytest.mark.parametrize("run, formed", [(("24", "6"), 1), (("64", "8"), 0)])
+def test_benchmark_tracer_runs_spectrum(tmp_path, run, formed):
+    # each pair is decomposed once, its div_f checked by the same call; only
+    # the dense path (896 unknowns; 6,456 take the complement) forms K^T K
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "trace.py"), str(spans), "spectrum",
+         "--model", "gaussian", "--dim", "2", "--resolution", run[0],
+         "--truncation-radius", run[1], "--eigs", "4", "--output", str(tmp_path / "spec")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    assert names.count("spectral.decompose_eigenfield") == 4
+    assert "spectral.eigencheck_divf" not in names
+    assert names.count("spectral._symmetric_form") == formed
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

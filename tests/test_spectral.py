@@ -18,7 +18,6 @@ from shrinkerlab.spectral import (
     SolverError,
     canonicalize_degenerate,
     decompose_eigenfield,
-    eigencheck_divf,
     group_degenerate,
     lowest_eigenpairs,
     near_kernel_block,
@@ -177,7 +176,6 @@ def test_near_kernel_block_assembles_no_symmetric_form(gaussian2, monkeypatch):
     monkeypatch.setattr(spectral, "_symmetric_form", assembled)
     block = near_kernel_block(grid)
     assert len(block.pairs) == 3 and block.worst_residual <= 1e-8
-    assert "p_form" not in grid._cache
 
 
 def test_count_validation(grid1_256):
@@ -200,21 +198,21 @@ def test_group_degenerate_blocks(pairs1):
     assert [len(b) for b in blocks] == [1, 1, 1, 1]
 
 
-def test_eigencheck_divf_bound_and_equation(pairs1):
+def test_decompose_divf_bound_and_equation(pairs1):
     _, pairs = pairs1
     for p in pairs:
-        chk = eigencheck_divf(p)
-        assert chk.bound_ok
-        assert chk.divf_norm_sq <= 4.0 * p.mu + 1.0 + 1e-3
-        if not chk.skipped:
-            assert chk.eigen_residual <= 1e-2
+        dec = decompose_eigenfield(p)
+        assert dec.divf_bound_ok
+        assert dec.divf_norm_sq <= 4.0 * p.mu + 1.0 + 1e-3
+        if not dec.divf_skipped:
+            assert dec.divf_eigen_residual <= 1e-2
 
 
-def test_eigencheck_divf_translation_value(pairs1):
+def test_decompose_divf_translation_value(pairs1):
     # |div_f(d_x)|^2 / |d_x|^2 = 1/2 on the Gaussian
     _, pairs = pairs1
-    chk = eigencheck_divf(pairs[0])
-    assert chk.divf_norm_sq == pytest.approx(0.5, abs=5e-3)
+    dec = decompose_eigenfield(pairs[0])
+    assert dec.divf_norm_sq == pytest.approx(0.5, abs=5e-3)
 
 
 def test_decompose_norm_identity_exact(pairs1):

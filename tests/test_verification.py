@@ -13,6 +13,7 @@ from shrinkerlab.fields import (
     vector_field,
     zero_field,
 )
+from shrinkerlab.operators import Operators
 from shrinkerlab.verification import (
     cao_zhou_check,
     classify_killing,
@@ -107,6 +108,20 @@ def test_harmonicity_residual_decreases(gaussian2):
         grid, _ = build_grid(gaussian2, res, 8.0)
         vals.append(harmonicity_check(translation(grid, 0)).residual)
     assert vals[1] <= vals[0] / 2.0
+
+
+def test_harmonicity_check_runs_no_hessian(grid2_small, monkeypatch):
+    # the Killing test that gates it is the defect alone: the dichotomy's
+    # Hessian evidence is not computed
+    grid, _ = grid2_small
+
+    def hess(self, u):
+        raise AssertionError("harmonicity_check applied the Hessian")
+
+    monkeypatch.setattr(Operators, "hess", hess)
+    assert harmonicity_check(translation(grid, 0)).passed
+    with pytest.raises(FieldError, match="Killing"):
+        harmonicity_check(coordinate_stretch(grid))
 
 
 def test_harmonicity_rejects_non_killing(grid2_small):
