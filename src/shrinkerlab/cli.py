@@ -134,13 +134,23 @@ class RunConfig:
             make_model(self.model_kind, self.n, self.k)
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigError("tolerance must be finite and positive")
         if self.command == "verify":
+            if not self.suite:
+                raise ConfigError("suite names no verify suite")
             bad = [s for s in self.suite if s != "all" and s not in VERIFY_SUITES]
             if bad:
                 raise ConfigError(f"unknown verify suite(s): {', '.join(bad)}")
         if self.command == "spectrum" and self.eigs < 1:
             raise ConfigError("eigs must be >= 1")
         if self.command == "propagate":
+            if not self.r_values or not self.epsilons:
+                raise ConfigError("r and epsilon each need at least one value")
+            if not np.all(np.isfinite(self.r_values + self.epsilons)):
+                raise ConfigError("r and epsilon values must be finite")
             for r in self.r_values:
                 if r > self.truncation_radius:
                     raise ConfigError("r exceeds truncation_radius")
@@ -254,23 +264,18 @@ def _verify_soliton(cfg: RunConfig, grid: Grid, rng) -> dict:
 
 def _verify_structure(cfg: RunConfig, grid: Grid, rng) -> dict:
     # through `matvec`, so the adjoint checked is the one every run applies,
-    # on flat component vectors with their Gram diagonals
+    # in the weighted product that every norm reads (`Grid.inner`)
     ops = grid.ops()
-    gram_v, gram_h = ops.gram(VECTOR), ops.gram(SYM2)
     worst_adj = 0.0
     worst_ray = float("inf")
     for _ in range(20):
         V = rng.standard_normal(grid.n_nodes * grid.n)
         DV = ops.matvec(OperatorKind.DIV_F_STAR, V)
-        ray = float(np.sum(gram_h * DV * DV)) / float(np.sum(gram_v * V * V))
-        worst_ray = min(worst_ray, ray)
+        worst_ray = min(worst_ray, grid.inner(SYM2, DV, DV) / grid.inner(VECTOR, V, V))
         H = rng.standard_normal(grid.n_nodes * components_for(SYM2, grid.n))
-        # gram_h * DV * H, formed in DV: at most two sym2 draws are live
-        DV *= gram_h
-        DV *= H
-        left = float(np.sum(DV))
+        left = grid.inner(SYM2, DV, H)
         del DV
-        right = float(np.sum(gram_v * V * ops.matvec(OperatorKind.DIV_F_TENSOR, H)))
+        right = grid.inner(VECTOR, V, ops.matvec(OperatorKind.DIV_F_TENSOR, H))
         scale = max(abs(left), abs(right), 1e-300)
         worst_adj = max(worst_adj, abs(left - right) / scale)
     return _check(
@@ -309,7 +314,7 @@ def _verify_dichotomy(cfg: RunConfig, grid: Grid, rng) -> dict:
         ok &= v.consistent and v.verdict != "NotKilling"
     # a stretched coordinate field is never Killing
     stretched = vector_field(
-        grid, lambda c: np.stack([c[:, 0]] + [np.zeros(len(c))] * (grid.n - 1), axis=1)
+        grid, lambda c: np.stack([c[:, 0]] + [np.zeros(len(c))] * (grid.n - 1))
     )
     v = classify_killing(stretched)
     verdicts["coordinate_stretch"] = v.verdict
@@ -652,7 +657,7 @@ def run(cfg: RunConfig) -> int:
     # on stderr, not in the report, so that reruns stay byte-identical
     held = grid.ops().stored_matrices()
     print(
-        f"operator storage: {', '.join(held)}; {sum(held.values()):,} nnz; "
+        f"operator storage: {', '.join(held) or 'none'}; {sum(held.values()):,} nnz; "
         f"ru_maxrss {_peak_rss_mb():.0f} MB",
         file=sys.stderr,
     )

@@ -2,11 +2,16 @@
 
 Vector components are contravariant chart components; symmetric two-tensors
 are covariant and packed over the upper triangle (see models.sym_pairs).
-Pointwise contractions insert the model metric explicitly, so one storage
-convention serves both the flat Gaussian chart and the cylinder chart.
+Values are stored as the operators read them: a scalar as (N,), every other
+rank component-major, (components, N) and C-contiguous, so `Field.flat` is a
+view and `Field.from_flat` keeps its argument. Pointwise contractions insert
+the model metric explicitly, so one storage convention serves both the flat
+Gaussian chart and the cylinder chart.
 
 Quantities sampled on a grid are implemented here once: the weighted norm
-restricted to a node mask (`Field.norm_where`), the C^2 radial bump in b
+restricted to a node mask (`Field.norm_where`; it and every other inner
+product and norm read the grid's one weighted product, `Grid.inner`), the
+C^2 radial bump in b
 (`radial_bump`, also the cutoff of the extension pipeline) and the perturbed
 symmetry that `propagate` takes as input (`perturbed`).
 """
@@ -17,14 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
-from .models import CYLINDER, GAUSSIAN
-
-SCALAR = "scalar"
-VECTOR = "vector"
-SYM2 = "sym2tensor"
-
-RANKS = (SCALAR, VECTOR, SYM2)
+from .grid import SCALAR, SYM2, VECTOR, Grid
+from .models import CYLINDER, GAUSSIAN, sym2_contraction_weights
 
 
 class FieldError(ValueError):
@@ -43,39 +42,29 @@ def components_for(rank: str, n: int) -> int:
 
 @dataclass
 class Field:
-    """Values sampled at grid nodes, shaped (N,) or (N, components)."""
+    """Values sampled at grid nodes, shaped (N,) or (components, N)."""
 
     grid: Grid
     rank: str
     values: np.ndarray
 
     def __post_init__(self):
-        if self.rank not in RANKS:
-            raise FieldError(f"unknown rank {self.rank!r}")
-        vals = np.asarray(self.values, dtype=float)
-        n = self.grid.n
-        want = components_for(self.rank, n)
-        if self.rank == SCALAR:
-            if vals.shape != (self.grid.n_nodes,):
-                raise FieldError(f"scalar field needs shape ({self.grid.n_nodes},)")
-        elif vals.shape != (self.grid.n_nodes, want):
-            raise FieldError(
-                f"{self.rank} field needs shape ({self.grid.n_nodes}, {want}), got {vals.shape}"
-            )
+        vals = np.ascontiguousarray(self.values, dtype=float)
+        N = self.grid.n_nodes
+        # components_for rejects an unknown rank
+        want = (N,) if self.rank == SCALAR else (components_for(self.rank, self.grid.n), N)
+        if vals.shape != want:
+            raise FieldError(f"{self.rank} field needs shape {want}, got {vals.shape}")
         self.values = vals
 
-    # flat component-major vector used by the sparse operators
     def flat(self) -> np.ndarray:
-        if self.rank == SCALAR:
-            return self.values.copy()
-        return self.values.T.ravel()
+        """The component-major flat vector the sparse operators read: a view."""
+        return self.values.reshape(-1)
 
     @classmethod
     def from_flat(cls, grid: Grid, rank: str, flat: np.ndarray) -> "Field":
-        ncomp = components_for(rank, grid.n)
-        if rank == SCALAR:
-            return cls(grid, rank, flat.copy())
-        return cls(grid, rank, flat.reshape(ncomp, grid.n_nodes).T.copy())
+        """The field whose values are `flat`, reshaped without a copy."""
+        return cls(grid, rank, flat if rank == SCALAR else flat.reshape(-1, grid.n_nodes))
 
     def contract(self, other: "Field") -> np.ndarray:
         """Pointwise metric contraction <self, other>_g at every node."""
@@ -83,16 +72,23 @@ class Field:
             raise FieldError("contract requires matching rank and grid")
         if self.rank == SCALAR:
             return self.values * other.values
-        w = self.grid.metric_diag if self.rank == VECTOR else self.grid.sym2_contraction
-        # no (N, components) temporary; the same sums as np.sum(w * a * b, axis=1)
-        # up to 7 components, where that sum runs in order
-        return np.einsum("ij,ij,ij->i", w, self.values, other.values)
+        if self.rank == VECTOR:
+            w = self.grid.metric_diag.T
+        else:
+            w = sym2_contraction_weights(self.grid.inv_metric_diag)
+        # no (components, N) product; the same sums as np.sum(w * a * b, axis=0)
+        return np.einsum("ij,ij,ij->j", w, self.values, other.values)
 
     def pointwise_norm_sq(self) -> np.ndarray:
         return self.contract(self)
 
+    def inner(self, other: "Field") -> float:
+        if other.grid is not self.grid or other.rank != self.rank:
+            raise FieldError("inner product requires matching rank and grid")
+        return self.grid.inner(self.rank, self.values, other.values)
+
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.weights * self.pointwise_norm_sq())))
+        return float(np.sqrt(self.inner(self)))
 
     def norm_where(self, mask: np.ndarray) -> float:
         """Weighted norm restricted to a node mask (e.g. away from the collar).
@@ -102,10 +98,7 @@ class Field:
         """
         if not np.any(mask):
             return float("nan")
-        return float(np.sqrt(np.sum((self.grid.weights * self.pointwise_norm_sq())[mask])))
-
-    def inner(self, other: "Field") -> float:
-        return float(np.sum(self.grid.weights * self.contract(other)))
+        return float(np.sqrt(self.grid.inner(self.rank, self.values, self.values, mask)))
 
     def __add__(self, other: "Field") -> "Field":
         if other.grid is not self.grid or other.rank != self.rank:
@@ -124,16 +117,7 @@ class Field:
 
     def scale_by(self, scalar_values: np.ndarray) -> "Field":
         """Multiply by a per-node scalar (cutoffs, bumps)."""
-        s = np.asarray(scalar_values, dtype=float)
-        if self.rank == SCALAR:
-            return Field(self.grid, self.rank, self.values * s)
-        return Field(self.grid, self.rank, self.values * s[:, None])
-
-
-def zero_field(grid: Grid, rank: str) -> Field:
-    ncomp = components_for(rank, grid.n)
-    shape = (grid.n_nodes,) if rank == SCALAR else (grid.n_nodes, ncomp)
-    return Field(grid, rank, np.zeros(shape))
+        return Field(self.grid, self.rank, self.values * np.asarray(scalar_values, dtype=float))
 
 
 def scalar_field(grid: Grid, fn) -> Field:
@@ -142,20 +126,16 @@ def scalar_field(grid: Grid, fn) -> Field:
 
 
 def vector_field(grid: Grid, fn) -> Field:
-    """Sample fn(coords) -> (N, n) contravariant components."""
+    """Sample fn(coords) -> (n, N) contravariant components."""
     return Field(grid, VECTOR, np.asarray(fn(grid.coords), dtype=float))
-
-
-def constant_scalar(grid: Grid, value: float = 1.0) -> Field:
-    return Field(grid, SCALAR, np.full(grid.n_nodes, float(value)))
 
 
 def translation(grid: Grid, axis: int = 0) -> Field:
     """Coordinate translation field along a flat axis (a Killing field)."""
     if axis >= grid.model.n_euclidean:
         raise FieldError("translation axis must be a Euclidean axis")
-    vals = np.zeros((grid.n_nodes, grid.n))
-    vals[:, axis] = 1.0
+    vals = np.zeros((grid.n, grid.n_nodes))
+    vals[axis] = 1.0
     return Field(grid, VECTOR, vals)
 
 
@@ -164,9 +144,9 @@ def euclidean_rotation(grid: Grid, a: int = 0, b: int = 1) -> Field:
     m = grid.model.n_euclidean
     if a >= m or b >= m or a == b:
         raise FieldError("rotation needs two distinct Euclidean axes")
-    vals = np.zeros((grid.n_nodes, grid.n))
-    vals[:, b] = grid.coords[:, a]
-    vals[:, a] = -grid.coords[:, b]
+    vals = np.zeros((grid.n, grid.n_nodes))
+    vals[b] = grid.coords[:, a]
+    vals[a] = -grid.coords[:, b]
     return Field(grid, VECTOR, vals)
 
 
@@ -174,8 +154,8 @@ def angular_rotation(grid: Grid) -> Field:
     """Rotation about the polar axis of the cylinder's sphere factor."""
     if grid.model.kind != CYLINDER:
         raise FieldError("angular rotation requires a cylinder grid")
-    vals = np.zeros((grid.n_nodes, grid.n))
-    vals[:, grid.n - 1] = 1.0
+    vals = np.zeros((grid.n, grid.n_nodes))
+    vals[grid.n - 1] = 1.0
     return Field(grid, VECTOR, vals)
 
 
@@ -215,17 +195,17 @@ def killing_basis(grid: Grid) -> list[Field]:
             (-np.sin(phi), -cot * np.cos(phi)),
             (np.cos(phi), -cot * np.sin(phi)),
         ):
-            vals = np.zeros((grid.n_nodes, grid.n))
-            vals[:, m], vals[:, m + 1] = d_theta, d_phi
+            vals = np.zeros((grid.n, grid.n_nodes))
+            vals[m], vals[m + 1] = d_theta, d_phi
             out.append(Field(grid, VECTOR, vals))
     return out
 
 
 def dilation(grid: Grid) -> Field:
     """Radial field x^i d_i on the flat factor (not Killing; eigenfield at 1/2)."""
-    vals = np.zeros((grid.n_nodes, grid.n))
+    vals = np.zeros((grid.n, grid.n_nodes))
     m = grid.model.n_euclidean
-    vals[:, :m] = grid.coords[:, :m]
+    vals[:m] = grid.coords[:, :m].T
     return Field(grid, VECTOR, vals)
 
 
@@ -257,7 +237,7 @@ def perturbed(base: Field, eps: float) -> Field:
     the rotation on Gaussians of dimension >= 2 and translation 0 elsewhere.
     """
     grid = base.grid
-    pert = np.zeros((grid.n_nodes, grid.n))
-    pert[:, 0] = grid.coords[:, 0] ** 2
-    bump = radial_bump(grid, 2.0, 3.5)
-    return base + Field(grid, VECTOR, pert * bump[:, None]) * eps
+    pert = np.zeros((grid.n, grid.n_nodes))
+    pert[0] = grid.coords[:, 0] ** 2
+    pert *= radial_bump(grid, 2.0, 3.5)
+    return base + Field(grid, VECTOR, pert) * eps

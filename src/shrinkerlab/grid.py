@@ -9,6 +9,12 @@ Fields beyond the truncation radius are treated as zero; the quadrature error
 this introduces is bounded by the Gaussian tail of the weight. On cylinders a
 polar cap of one grid cell is excluded around each pole of the latitude chart;
 the omitted cap measure is reported on the measure (`cap_fraction`).
+
+The weighted inner product of a field rank is sum G x y over component-major
+values, with the rank's Gram diagonal G (`Grid.gram`: the weights times the
+metric contraction of the rank), kept once per grid. `Grid.inner` is its one
+implementation: every norm, masked norm and adjointness probe reads it, and
+the operators' weighted adjoints are taken with respect to the same G.
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .models import GAUSSIAN, ModelShrinker, sym2_contraction_weights
+
+# field ranks: values of shape (N,) for scalars, (components, N) otherwise
+SCALAR = "scalar"
+VECTOR = "vector"
+SYM2 = "sym2tensor"
 
 MIN_RESOLUTION = 16
 MIN_TRUNCATION = 4.0
@@ -123,11 +134,38 @@ class Grid:
     def christoffels(self) -> dict:
         return self._cached("gamma", lambda: self.model.christoffels(self.coords))
 
-    @property
-    def sym2_contraction(self) -> np.ndarray:
-        """Per-node weights of the packed sym2 contraction, shape (N, pairs)."""
-        return self._cached("sym2_contraction",
-                            lambda: sym2_contraction_weights(self.inv_metric_diag))
+    def gram(self, rank: str) -> np.ndarray:
+        """The Gram diagonal G of `rank`, shaped as a field's values and built on
+        first use: the weights w for scalars, w g_cc for vector component c and
+        w mult g^{ii} g^{jj} for the packed sym2 slot (i, j)."""
+
+        def build():
+            w = self.weights
+            if rank == SCALAR:
+                return w
+            if rank == VECTOR:
+                return np.stack([w * g for g in self.metric_diag.T])
+            if rank == SYM2:
+                gram = sym2_contraction_weights(self.inv_metric_diag)
+                gram *= w
+                return gram
+            raise GridError(f"unknown rank {rank!r}")
+
+        return self._cached(("gram", rank), build)
+
+    def inner(self, rank: str, x: np.ndarray, y: np.ndarray,
+              mask: np.ndarray | None = None) -> float:
+        """The weighted inner product sum G x y of two component-major arrays of
+        `rank`, flat or shaped as a field's values, over the nodes of `mask`
+        (all when None). It is summed one component at a time, so no temporary
+        is larger than a node array."""
+        N = self.n_nodes
+        total = 0.0
+        for g, a, b in zip(self.gram(rank).reshape(-1, N), np.reshape(x, (-1, N)),
+                           np.reshape(y, (-1, N))):
+            term = g * a * b
+            total += np.sum(term if mask is None else term[mask])
+        return float(total)
 
     @property
     def grad_b_norm_sq(self) -> np.ndarray:

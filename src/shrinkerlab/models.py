@@ -18,8 +18,9 @@ two-tensors are stored covariant and packed over the upper triangle, see
 
 This module holds the one implementation of each closed-form pointwise
 quantity: the vectorized `ModelShrinker` methods (among them |grad b|^2)
-and :func:`sym2_contraction_weights`. Grids cache them on their nodes;
-there are no single-point wrappers around them.
+and :func:`sym2_contraction_weights`. Grids cache them on their nodes, the
+contraction weights inside the sym2 Gram diagonal (`Grid.gram`); there are
+no single-point wrappers around them.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ def pair_multiplicity(n: int) -> np.ndarray:
 
 
 def sym2_contraction_weights(inv_metric: np.ndarray) -> np.ndarray:
-    """Weights mult * g^{ii} g^{jj} of the packed sym2 contraction, shape
-    (points, pairs), from the inverse metric diagonal, shape (points, n)."""
-    rows, cols = np.array(sym_pairs(inv_metric.shape[1])).T
-    # np.take keeps the C order that fancy indexing would turn to Fortran
-    gi, gj = np.take(inv_metric, rows, axis=1), np.take(inv_metric, cols, axis=1)
-    return pair_multiplicity(inv_metric.shape[1]) * gi * gj
+    """Weights mult * g^{ii} g^{jj} of the packed sym2 contraction, one row
+    per slot, shape (pairs, points), from the inverse metric diagonal, shape
+    (points, n)."""
+    n = inv_metric.shape[1]
+    return np.stack([m * inv_metric[:, i] * inv_metric[:, j]
+                     for m, (i, j) in zip(pair_multiplicity(n), sym_pairs(n))])
 
 
 @dataclass(frozen=True)
@@ -369,7 +370,7 @@ def check_soliton_identities(model: ModelShrinker, sample_points) -> ResidualRep
             half_g[:, slot] = 0.5 * g[:, i]
     resid = ric + hess - half_g
     # pointwise tensor norm with metric contraction
-    soliton = np.sqrt(np.sum(sym2_contraction_weights(ginv) * resid**2, axis=1))
+    soliton = np.sqrt(np.sum(sym2_contraction_weights(ginv).T * resid**2, axis=1))
 
     rows, cols = np.array(pairs).T
     lap_f = np.sum(np.take(ginv, rows, axis=1) * hess * (rows == cols), axis=1)

@@ -48,16 +48,19 @@ transpose through D_a^T, a CSC view of the stored CSR matrix, summed into
 an output the caller holds. (A multi-column pass per axis is no faster:
 scipy's CSR kernel costs the same per column, and the block adds strided
 copies.) A weighted adjoint (`WeightedAdjoint`) is (1/G_in) M^T G_out over a
-term list M, with the Gram diagonals G: M^T reads each row of its input
-weighted by G_out, one term at a time, so the input is neither copied nor
-changed, and 1/G_in, kept once per rank, multiplies M^T's output in place.
+term list M, with the grid's Gram diagonals G (`Grid.gram`, kept once per
+grid; the suite holds none): M^T reads each row of its input weighted by
+G_out, one term at a time, so the input is neither copied nor changed, and
+M^T's output is divided by G_in in place. Flat vectors are component-major,
+the layout of `Field.values`, so a field enters and leaves a chain without a
+copy.
 
 Both rough Laplacians nabla^adj nabla, on vectors and on sym2 tensors
 (`RoughLaplacian`), are applied one axis block at a time: nabla_a x, weighted
-in place by g^{aa} G, then nabla_a^T of it summed into the output, and 1/G
-last. A Laplacian so holds one derivative block, a field of its rank, beside
-its input and output; neither the whole derivative (n blocks) nor its Gram
-g^{aa} G is ever formed. `Operators.grad_norm_sq` reads the vector
+in place by g^{aa} G, then nabla_a^T of it summed into the output, divided
+by G last. A Laplacian so holds one derivative block, a field of its rank,
+beside its input and output; neither the whole derivative (n blocks) nor its
+Gram g^{aa} G is ever formed. `Operators.grad_norm_sq` reads the vector
 derivative one block at a time too.
 
 Each `OperatorKind` is defined once, in one table (`Operators._chains`), as
@@ -343,65 +346,62 @@ class FirstOrder:
 
 
 class WeightedAdjoint:
-    """The adjoint (1/G_in) M^T G_out of a term list M with respect to the
-    Gram diagonals of its input (G_in) and output (G_out) spaces.
+    """The adjoint (1/G_in) M^T G_out of a term list M from rank `in_rank` to
+    `out_rank`, with respect to the grid's Gram diagonals of those ranks."""
 
-    `inv_gram_in` is 1/G_in, kept once per rank by the suite.
-    """
-
-    def __init__(self, op: FirstOrder, gram_out: np.ndarray, inv_gram_in: np.ndarray):
+    def __init__(self, op: FirstOrder, grid: Grid, in_rank: str, out_rank: str):
         self.op = op
-        self.gram_out = gram_out
-        self.inv_gram_in = inv_gram_in
+        self.grid = grid
+        self.in_rank = in_rank
+        self.out_rank = out_rank
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Through the transposed term list, which weights each row of `y` by
         G_out as it reads it: neither M nor its adjoint is built, and `y` is
         neither copied nor changed."""
-        out = np.zeros(len(self.inv_gram_in))
-        self.op.rapply(y, out, self.gram_out)
-        out *= self.inv_gram_in
-        return out
+        out = np.zeros((self.op.n_in, self.grid.n_nodes))
+        self.op.rapply(y, out, self.grid.gram(self.out_rank))
+        out /= self.grid.gram(self.in_rank)
+        return out.ravel()
 
     def assemble(self) -> sp.csr_matrix:
         mat = self.op.assemble()
-        return (_diag(self.inv_gram_in) @ mat.T.tocsr() @ _diag(self.gram_out)).tocsr()
+        gram_in, gram_out = (self.grid.gram(r).ravel() for r in (self.in_rank, self.out_rank))
+        return (_diag(1.0 / gram_in) @ mat.T.tocsr() @ _diag(gram_out)).tocsr()
 
 
 class RoughLaplacian:
-    """nabla^adj nabla on a rank with Gram diagonal G, as the sum over axes a
-    of (1/G) nabla_a^T (g^{aa} G) nabla_a.
+    """nabla^adj nabla on `rank`, whose Gram diagonal on `grid` is G, as the
+    sum over axes a of (1/G) nabla_a^T (g^{aa} G) nabla_a.
 
     `blocks[a]` is the term list of nabla_a, the covariant derivative along
-    axis a, and `axis_weights` the per-node g^{aa}, shape (N, n). The sum is
-    applied one axis block at a time, so no more than one derivative block,
-    a field of the rank, is held beside the output.
+    axis a. The sum is applied one axis block at a time, so no more than one
+    derivative block, a field of the rank, is held beside the output.
     """
 
-    def __init__(self, blocks: list[FirstOrder], gram: np.ndarray, inv_gram: np.ndarray,
-                 axis_weights: np.ndarray):
+    def __init__(self, blocks: list[FirstOrder], grid: Grid, rank: str):
         self.blocks = blocks
-        self.gram = gram
-        self.inv_gram = inv_gram
-        self.axis_weights = axis_weights
+        self.grid = grid
+        self.rank = rank
 
     def _weigh(self, y: np.ndarray, a: int) -> None:
         """y *= g^{aa} G, in place, for a block of axis a."""
-        N = self.axis_weights.shape[0]
-        gram = self.gram.reshape(-1, N)
-        for c, row in enumerate(y.reshape(-1, N)):
-            row *= self.axis_weights[:, a] * gram[c]
+        gram = self.grid.gram(self.rank)
+        ginv = self.grid.inv_metric_diag[:, a]
+        for c, row in enumerate(y.reshape(gram.shape)):
+            row *= ginv * gram[c]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator on `x`, which it only reads."""
-        out = np.zeros(len(self.gram))
+        gram = self.grid.gram(self.rank)
+        out = np.zeros(gram.shape)
         for a, block in enumerate(self.blocks):
             y = block.apply(x)
             self._weigh(y, a)
             block.rapply(y, out)
             del y  # before the next block is allocated
-        out *= self.inv_gram
-        return out
+        out /= gram
+        return out.ravel()
 
     def assemble(self) -> sp.csr_matrix:
         total = None
@@ -411,7 +411,7 @@ class RoughLaplacian:
             self._weigh(weights, a)
             term = mat.T.tocsr() @ _diag(weights) @ mat
             total = term if total is None else total + term
-        return (_diag(self.inv_gram) @ total).tocsr()
+        return (_diag(1.0 / self.grid.gram(self.rank).ravel()) @ total).tocsr()
 
 
 class Operators:
@@ -425,7 +425,6 @@ class Operators:
         self.n = grid.n
         self.pairs = sym_pairs(self.n)
         self._gamma = grid.christoffels
-        self._inv_grams: dict[str, np.ndarray] = {}
 
     # ---- one-dimensional building blocks --------------------------------
 
@@ -442,32 +441,6 @@ class Operators:
     def _slot(self, i: int, j: int) -> int:
         """The packed sym2 slot of the index pair (i, j)."""
         return self.pairs.index((min(i, j), max(i, j)))
-
-    # ---- Gram diagonals ---------------------------------------------------
-
-    @cached_property
-    def gram_scalar(self) -> np.ndarray:
-        return self.grid.weights
-
-    @cached_property
-    def gram_vector(self) -> np.ndarray:
-        w = self.grid.weights
-        g = self.grid.metric_diag
-        return np.concatenate([w * g[:, c] for c in range(self.n)])
-
-    @cached_property
-    def gram_sym2(self) -> np.ndarray:
-        # the per-node weights of the packed contraction that `Field.contract` uses
-        return (self.grid.weights[:, None] * self.grid.sym2_contraction).T.ravel()
-
-    def gram(self, rank: str) -> np.ndarray:
-        return {SCALAR: self.gram_scalar, VECTOR: self.gram_vector, SYM2: self.gram_sym2}[rank]
-
-    def _inv_gram(self, rank: str) -> np.ndarray:
-        """1/G of `rank`, kept once for every weighted adjoint into that rank."""
-        if rank not in self._inv_grams:
-            self._inv_grams[rank] = 1.0 / self.gram(rank)
-        return self._inv_grams[rank]
 
     # ---- first-order operators: term lists --------------------------------
 
@@ -559,21 +532,19 @@ class Operators:
 
     @cached_property
     def _div_vec(self) -> WeightedAdjoint:
-        return WeightedAdjoint(self._gradient_terms, self.gram_vector, self._inv_gram(SCALAR))
+        return WeightedAdjoint(self._gradient_terms, self.grid, SCALAR, VECTOR)
 
     @cached_property
     def _div_tensor(self) -> WeightedAdjoint:
-        return WeightedAdjoint(self._div_f_star_terms, self.gram_sym2, self._inv_gram(VECTOR))
+        return WeightedAdjoint(self._div_f_star_terms, self.grid, VECTOR, SYM2)
 
     @cached_property
     def _rough_vector(self) -> RoughLaplacian:
-        return RoughLaplacian(self._cov_vector_terms, self.gram_vector, self._inv_gram(VECTOR),
-                              self.grid.inv_metric_diag)
+        return RoughLaplacian(self._cov_vector_terms, self.grid, VECTOR)
 
     @cached_property
     def _rough_sym2(self) -> RoughLaplacian:
-        return RoughLaplacian(self._cov_sym2_terms, self.gram_sym2, self._inv_gram(SYM2),
-                              self.grid.inv_metric_diag)
+        return RoughLaplacian(self._cov_sym2_terms, self.grid, SYM2)
 
     # ---- every kind, once: sums of coef * chain ----------------------------
 
@@ -764,7 +735,7 @@ def identity_residuals(Y: Field) -> IdentityReport:
     boundary_warning = bool(
         np.any(near_boundary)
         and scale > 0
-        and np.max(np.abs(Y.values[near_boundary])) > 1e-13 * scale
+        and np.max(np.abs(Y.values[:, near_boundary])) > 1e-13 * scale
     )
 
     # one identity at a time: each side is dropped once its residual is read

@@ -68,7 +68,7 @@ def write_plot_data(path: Path, header: list[str], rows) -> None:
 def write_field_csv(path: Path, field) -> None:
     """Node table of a sampled field: coordinates then components."""
     grid = field.grid
-    vals = field.values if field.values.ndim == 2 else field.values[:, None]
+    vals = np.atleast_2d(field.values).T  # one row per node
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

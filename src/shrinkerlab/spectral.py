@@ -43,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .fields import Field, VECTOR, dilation, killing_basis
+from .fields import SYM2, VECTOR, Field, dilation, killing_basis
 from .grid import Grid
 from .operators import OperatorHandle, OperatorKind
 
@@ -116,10 +116,12 @@ class SpectralPair:
         `mu` is its Rayleigh quotient when None. The residual |P y - mu y| is
         measured through the factored P.
 
-        The lead entry is the first, in storage order, within 1e-6 relative of
-        the largest magnitude: a field odd under a symmetry of the grid, such
-        as a rotation, has its largest entries in pairs of opposite sign that
-        differ by round-off, so the largest alone picks either sign.
+        The lead entry is the first within 1e-6 relative of the largest
+        magnitude in component-major storage order (every node of component
+        0, then of component 1, and so on): a field odd under a symmetry of
+        the grid, such as a rotation, has its largest entries in pairs of
+        opposite sign that differ by round-off, so the largest alone picks
+        either sign.
         """
         ops = field.grid.ops()
         field = field * (1.0 / field.norm())
@@ -141,10 +143,9 @@ def _p_factor(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
     """
 
     def build():
-        ops = grid.ops()
-        s = np.sqrt(ops.gram_vector)
-        M = ops.assemble(OperatorKind.DIV_F_STAR)
-        return (sp.diags(np.sqrt(ops.gram_sym2)) @ M @ sp.diags(1.0 / s)).tocsr(), s
+        s = np.sqrt(grid.gram(VECTOR)).ravel()
+        M = grid.ops().assemble(OperatorKind.DIV_F_STAR)
+        return (sp.diags(np.sqrt(grid.gram(SYM2)).ravel()) @ M @ sp.diags(1.0 / s)).tocsr(), s
 
     return grid._cached("p_factor", build)
 
@@ -297,20 +298,21 @@ def _vcycle(grid: Grid) -> _VCycle:
 
 
 def _check_weighted_symmetry(handle: OperatorHandle, rng):
-    """Probe <M u, v> = <u, M v> in the weighted product, with M applied factor by factor.
+    """Probe <M u, v> = <u, M v> in the weighted product that every norm reads
+    (`Grid.inner`), with M applied factor by factor.
 
     The probes are standard normal in the symmetric variables sqrt(G) u, so
     every row weighs equally: a break in a row of quadrature weight 1e-12
     shows as plainly as one at the centre.
     """
-    ops = handle.grid.ops()
-    gram = ops.gram(handle.in_rank)
-    root = np.sqrt(gram)
+    grid, rank = handle.grid, handle.in_rank
+    ops = grid.ops()
+    root = np.sqrt(grid.gram(rank)).ravel()
     for _ in range(3):
-        u = rng.standard_normal(len(gram)) / root
-        v = rng.standard_normal(len(gram)) / root
-        left = float(np.sum(gram * ops.matvec(handle.kind, u) * v))
-        right = float(np.sum(gram * u * ops.matvec(handle.kind, v)))
+        u = rng.standard_normal(root.size) / root
+        v = rng.standard_normal(root.size) / root
+        left = grid.inner(rank, ops.matvec(handle.kind, u), v)
+        right = grid.inner(rank, u, ops.matvec(handle.kind, v))
         scale = max(abs(left), abs(right), 1e-300)
         if abs(left - right) > 1e-8 * scale:
             raise SolverError("adjointness broken: operator is not weighted-symmetric")

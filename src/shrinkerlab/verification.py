@@ -66,7 +66,7 @@ def classify_killing(Y: Field) -> DichotomyVerdict:
     tol = grid.stencil_tol
     interior = grid.interior_mask(applications=3)
 
-    pairing = Field(grid, SCALAR, np.sum(grid.model.dpotential(grid.coords) * Yn.values, axis=1))
+    pairing = Field(grid, SCALAR, np.sum(grid.model.dpotential(grid.coords).T * Yn.values, axis=0))
     df_pairing_norm = pairing.norm_where(interior)
     v = ops.div(Yn)
     del Yn  # released before the Hessian, the largest step
@@ -107,7 +107,7 @@ def harmonicity_check(Y: Field) -> HarmonicityReport:
     ops = grid.ops()
     v = ops.div(Yn)
     drift = Field(grid, SCALAR,
-                  np.sum(grid.model.dpotential(grid.coords) * ops.grad(v).values, axis=1))
+                  np.sum(grid.model.dpotential(grid.coords).T * ops.grad(v).values, axis=0))
     lap_plain = ops.lap(v) + drift
     interior = grid.interior_mask(applications=3)
     residual = lap_plain.norm_where(interior) / max(v.norm(), 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shrinkerlab import build_grid, make_model
+from shrinkerlab.operators import FirstOrder, RoughLaplacian, WeightedAdjoint
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,18 @@ def traced_peak(fn, *args):
         if started:
             tracemalloc.stop()
     return result, peak - entry, current - entry
+
+
+def held_arrays(value):
+    """Every array reachable from `value` through an operator suite's factors
+    and their containers."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from held_arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from held_arrays(item)
+    elif isinstance(value, (FirstOrder, WeightedAdjoint, RoughLaplacian)):
+        yield from held_arrays(vars(value))

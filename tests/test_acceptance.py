@@ -165,7 +165,7 @@ def test_criterion_08_killing_dichotomy():
         for res in (64, 128):
             grid, _ = build_grid(gauss, res, 6.0)
             stretch = vector_field(
-                grid, lambda c: np.stack([c[:, 0], np.zeros(len(c))], axis=1)
+                grid, lambda c: np.stack([c[:, 0], np.zeros(len(c))])
             )
             for Y, expected in (
                 (euclidean_rotation(grid), "PreservesF"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import traced_peak
+from conftest import held_arrays, traced_peak
 from shrinkerlab import build_grid, cli, make_model, propagation, spectral
 from shrinkerlab.cli import (
     EXIT_CHECK_FAILED,
@@ -128,6 +128,29 @@ def test_verify_suites_memory_bounded(tmp_path, monkeypatch):
         # under half a vector field: scipy keeps a few kB, a probe draw is 0.5 or 1
         assert entry <= 0.25 * sym2_bytes, (name, entry / sym2_bytes)
         assert kept <= 0.25 * sym2_bytes, (name, kept / sym2_bytes)
+
+
+def test_verify_holds_one_sym2_weight_array(tmp_path):
+    # the Gram diagonals are the grid's, one per rank: contract forms its sym2
+    # weights on use, and the operator suite's factors read G off the grid
+    cfg = RunConfig(output_dir=tmp_path, model_kind="cylinder", n=3, k=2, resolution=24,
+                    truncation_radius=6.0)
+    grid, _ = build_grid(make_model("cylinder", 3, 2), 24, 6.0)
+    cli.run_verify(cfg, grid)
+    sym2_size = grid.n_nodes * components_for("sym2tensor", grid.n)
+    cached = [key for key, val in grid._cache.items()
+              if isinstance(val, np.ndarray) and val.size >= sym2_size]
+    assert cached == [("gram", "sym2tensor")]
+    assert not [a.shape for a in held_arrays(vars(grid.ops())) if a.size >= sym2_size]
+
+
+def test_operator_storage_line_says_none(tmp_path, capsys):
+    # the soliton suite builds no operator, so the suite holds no matrix
+    code = run_cli("verify", "--model", "cylinder", "--dim", "3", "--k", "2",
+                   "--resolution", "16", "--truncation-radius", "4", "--suite", "soliton",
+                   "--output", str(tmp_path / "o"))
+    assert code == EXIT_OK
+    assert re.search(r"^operator storage: none; 0 nnz; ", capsys.readouterr().err, flags=re.M)
 
 
 def test_verify_fails_checks_measured_over_no_node(tmp_path):
@@ -388,6 +411,26 @@ def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--suite", ""), "suite names no verify suite"),
+    (("propagate", "--r", ""), "at least one value"),
+    (("propagate", "--epsilon", ""), "at least one value"),
+    (("spectrum", "--tolerance", "nan"), "tolerance must be finite and positive"),
+    (("spectrum", "--tolerance", "-1"), "tolerance must be finite and positive"),
+    (("propagate", "--r", "nan"), "must be finite"),
+    (("propagate", "--epsilon", "inf"), "must be finite"),
+    (("verify", "--seed", "-1"), "seed must be >= 0"),
+])
+def test_invalid_run_options_are_config_errors(tmp_path, capsys, argv, message):
+    # an empty list would run no check and pass, a NaN tolerance would turn
+    # the residual check off; each is refused before the output directory exists
+    code = run_cli(*argv, "--output", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, values", [("--epsilon", "1e-7,1.0000001e-7"),
                                           ("--epsilon", "1e-3,0.001"),
                                           ("--r", "4,4.0000001")])
@@ -591,6 +634,29 @@ def test_benchmark_tracer_runs_propagate(tmp_path):
     # nnz off a cached P, and no run caches P
     assert doc["counters"]["spectral.unknowns"] == 136
     assert "operators.p_nnz" not in doc["counters"]
+
+
+def test_benchmark_tracer_runs_verify(tmp_path):
+    # the tracer wraps every cached property of Operators and
+    # OperatorHandle.apply; an all-suite verify builds and applies them (on
+    # the (3,2) cylinder at R 6, res 24, 32 and 40 fail the dichotomy check)
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "trace.py"), str(spans), "verify",
+         "--model", "cylinder", "--dim", "3", "--k", "2", "--resolution", "48",
+         "--truncation-radius", "6", "--output", str(tmp_path / "verify")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    built = {name for name in names if name.startswith("operators.Operators.")}
+    for factor in ("diffs", "_div_f_star_terms", "_div_tensor", "_rough_sym2", "riemann_block"):
+        assert f"operators.Operators.{factor}" in built, factor
+    # each factor is built once per grid
+    assert all(names.count(name) == 1 for name in built)
+    assert names.count("operators.OperatorHandle.apply") > 0
 
 
 @pytest.mark.parametrize("run, formed", [(("24", "6"), 1), (("64", "8"), 0)])

@@ -8,12 +8,11 @@ from shrinkerlab.fields import (
     Field,
     FieldError,
     components_for,
-    constant_scalar,
     radial_bump,
     scalar_field,
     translation,
-    zero_field,
 )
+from shrinkerlab.models import sym2_contraction_weights
 
 
 def test_mass_gaussian_1d_close_to_full_line(gaussian1):
@@ -90,7 +89,7 @@ def test_quadrature_refinement_order(gaussian2):
 
 def test_inner_product_constant_mass(grid1_256):
     grid, _ = grid1_256
-    one = constant_scalar(grid)
+    one = Field(grid, "scalar", np.ones(grid.n_nodes))
     assert one.inner(one) == pytest.approx(2.0 * np.sqrt(np.pi), abs=1e-6)
 
 
@@ -112,33 +111,47 @@ def test_inner_product_gram_schmidt_exact(grid2_64, rng):
 
 @pytest.mark.parametrize("grid_name", ["grid2_small", "cyl_grid"])
 def test_contract_equals_summed_products_bit_for_bit(grid_name, request, rng):
-    # the contraction forms no (N, components) product, yet it sums the
+    # the contraction forms no (components, N) product, yet it sums the
     # components in the same order as np.sum over the product
     grid, _ = request.getfixturevalue(grid_name)
-    for rank, w in (("vector", grid.metric_diag), ("sym2tensor", grid.sym2_contraction)):
-        shape = (grid.n_nodes, components_for(rank, grid.n))
+    sym2 = sym2_contraction_weights(grid.inv_metric_diag)
+    for rank, w in (("vector", grid.metric_diag.T), ("sym2tensor", sym2)):
+        shape = (components_for(rank, grid.n), grid.n_nodes)
         a, b = (Field(grid, rank, rng.standard_normal(shape)) for _ in range(2))
-        assert np.array_equal(a.contract(b), np.sum(w * a.values * b.values, axis=1)), rank
+        assert np.array_equal(a.contract(b), np.sum(w * a.values * b.values, axis=0)), rank
+
+
+@pytest.mark.parametrize("rank", ["scalar", "vector", "sym2tensor"])
+def test_flat_and_from_flat_share_memory_with_values(grid2_small, rng, rank):
+    # values are stored component-major, the layout the operators read, so a
+    # field enters and leaves an operator chain without a copy
+    grid, _ = grid2_small
+    flat = rng.standard_normal(grid.n_nodes * components_for(rank, grid.n))
+    field = Field.from_flat(grid, rank, flat)
+    assert np.shares_memory(field.values, flat)
+    assert np.shares_memory(field.flat(), field.values)
+    assert np.array_equal(field.flat(), flat)
 
 
 def test_inner_product_rank_mismatch(grid2_64):
     grid, _ = grid2_64
     with pytest.raises(FieldError, match="rank"):
-        constant_scalar(grid).inner(translation(grid, 0))
+        Field(grid, "scalar", np.ones(grid.n_nodes)).inner(translation(grid, 0))
 
 
 def test_inner_product_positive_definite(grid2_small, rng):
     grid, _ = grid2_small
     for _ in range(5):
-        f = Field(grid, "vector", rng.standard_normal((grid.n_nodes, 2)))
+        f = Field(grid, "vector", rng.standard_normal((2, grid.n_nodes)))
         assert f.inner(f) > 0
-    z = zero_field(grid, "vector")
+    z = Field(grid, "vector", np.zeros((grid.n, grid.n_nodes)))
     assert z.inner(z) == 0.0
 
 
 def test_radial_profile_constant_scalar(grid2_64):
     grid, _ = grid2_64
-    prof = radial_profile(constant_scalar(grid), np.linspace(2.0, 6.0, 7))
+    one = Field(grid, "scalar", np.ones(grid.n_nodes))
+    prof = radial_profile(one, np.linspace(2.0, 6.0, 7))
     np.testing.assert_allclose(prof.values, 2.0 * np.pi, rtol=0.08)
 
 
@@ -152,20 +165,21 @@ def test_radial_profile_coordinate_squared(grid2_64):
 
 def test_radial_profile_zero_field(grid2_64):
     grid, _ = grid2_64
-    prof = radial_profile(zero_field(grid, "scalar"), [2.0, 3.0, 4.0])
+    prof = radial_profile(Field(grid, "scalar", np.zeros(grid.n_nodes)), [2.0, 3.0, 4.0])
     np.testing.assert_allclose(prof.values, 0.0)
 
 
 def test_radial_profile_empty_shell_names_radius(grid2_64):
     grid, _ = grid2_64
     with pytest.raises(GridError, match="radius ladder|truncation"):
-        radial_profile(constant_scalar(grid), [0.05, 3.0])
+        radial_profile(Field(grid, "scalar", np.ones(grid.n_nodes)), [0.05, 3.0])
 
 
 def test_radial_profile_shell_thickness_floor(grid2_64):
     grid, _ = grid2_64
     with pytest.raises(GridError, match="shell thickness"):
-        radial_profile(constant_scalar(grid), [2.0, 3.0], shell_thickness=0.5 * grid.max_spacing)
+        radial_profile(Field(grid, "scalar", np.ones(grid.n_nodes)), [2.0, 3.0],
+                       shell_thickness=0.5 * grid.max_spacing)
 
 
 def test_radial_profile_localized_support_vanishes_outside(grid2_64):
@@ -178,4 +192,4 @@ def test_radial_profile_localized_support_vanishes_outside(grid2_64):
 def test_profile_requires_ascending_radii(grid2_64):
     grid, _ = grid2_64
     with pytest.raises(GridError):
-        radial_profile(constant_scalar(grid), [3.0, 2.0])
+        radial_profile(Field(grid, "scalar", np.ones(grid.n_nodes)), [3.0, 2.0])

@@ -96,7 +96,7 @@ def test_riemann_action_self_adjoint(rng):
     for _ in range(10):
         pt = random_points(m, 1, rng)
         action = m.riemann_action_matrix(pt)
-        weights = sym2_contraction_weights(1.0 / m.metric_diag(pt))[0]
+        weights = sym2_contraction_weights(1.0 / m.metric_diag(pt))[:, 0]
         h = rng.standard_normal(len(pairs))
         k = rng.standard_normal(len(pairs))
         left = np.sum(weights * (action @ h) * k)

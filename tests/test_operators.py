@@ -1,28 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import held_arrays, traced_peak
 from shrinkerlab import build_grid, make_model
 from shrinkerlab.fields import (
     Field,
     bump_vector,
     components_for,
-    constant_scalar,
     dilation,
     euclidean_rotation,
     radial_bump,
     scalar_field,
     translation,
-    zero_field,
 )
 from shrinkerlab.models import sym_pairs
-from shrinkerlab.operators import (
-    FirstOrder,
-    OperatorKind,
-    RoughLaplacian,
-    WeightedAdjoint,
-    identity_residuals,
-)
+from shrinkerlab.operators import OperatorKind, identity_residuals
 
 
 def stencil_tol(grid, factor=10.0):
@@ -92,21 +84,6 @@ def test_matvec_leaves_its_input_unchanged(grid_name, request, rng):
         assert np.array_equal(x, before), kind
 
 
-def _held_arrays(value):
-    """Every array reachable from `value` through the suite's factors and
-    their containers."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _held_arrays(item)
-    elif isinstance(value, dict):
-        for item in value.values():
-            yield from _held_arrays(item)
-    elif isinstance(value, (FirstOrder, WeightedAdjoint, RoughLaplacian)):
-        yield from _held_arrays(vars(value))
-
-
 def test_identity_residuals_memory_bounded(cylinder32):
     # no covariant derivative's Gram (n * comps * N entries) is cached, and
     # the identities, evaluated one at a time with L applied one axis block
@@ -115,7 +92,7 @@ def test_identity_residuals_memory_bounded(cylinder32):
     ops = grid.ops()
     Y = bump_vector(grid, 0, 2.7, 4.32)
     identity_residuals(Y)  # builds every factor the identities apply
-    biggest = max(a.size for a in _held_arrays(vars(ops)))
+    biggest = max(a.size for a in held_arrays(vars(ops)))
     assert biggest < grid.n * grid.n * grid.n_nodes
     sym2_bytes = 8 * grid.n_nodes * components_for("sym2tensor", grid.n)
     _, peak, _ = traced_peak(identity_residuals, Y)
@@ -155,7 +132,7 @@ def test_p_positive_semidefinite(grid2_small, rng):
     grid, _ = grid2_small
     ops = grid.ops()
     for _ in range(20):
-        Y = Field(grid, "vector", rng.standard_normal((grid.n_nodes, 2)))
+        Y = Field(grid, "vector", rng.standard_normal((2, grid.n_nodes)))
         assert ops.rayleigh_p(Y) >= -1e-8
 
 
@@ -195,18 +172,18 @@ def test_div_f_star_dilation_is_minus_metric(grid1_256):
     ops = grid.ops()
     ds = ops.div_star(dilation(grid))
     core = grid.b <= 4.0
-    np.testing.assert_allclose(ds.values[core, 0], -1.0, atol=5e-3)
+    np.testing.assert_allclose(ds.values[0, core], -1.0, atol=5e-3)
 
 
 def test_div_f_tensor_on_minus_metric(grid1_256):
     # h = -g maps to the gradient of the potential, x/2
     grid, _ = grid1_256
     ops = grid.ops()
-    h = Field(grid, "sym2tensor", -np.ones((grid.n_nodes, 1)))
+    h = Field(grid, "sym2tensor", -np.ones((1, grid.n_nodes)))
     out = ops.div(h)
     core = grid.b <= 4.0
     x = grid.coords[core, 0]
-    np.testing.assert_allclose(out.values[core, 0], x / 2.0, atol=5e-3)
+    np.testing.assert_allclose(out.values[0, core], x / 2.0, atol=5e-3)
 
 
 def test_div_f_tensor_matches_reference_formula(gaussian2):
@@ -216,7 +193,7 @@ def test_div_f_tensor_matches_reference_formula(gaussian2):
         grid, _ = build_grid(gaussian2, res, 6.0)
         ops = grid.ops()
         bump = radial_bump(grid, 2.0, 4.0)
-        vals = np.stack([bump * np.sin(grid.coords[:, 1]), bump * grid.coords[:, 0]], axis=1)
+        vals = np.stack([bump * np.sin(grid.coords[:, 1]), bump * grid.coords[:, 0]])
         h = ops.div_star(Field(grid, "vector", vals))
         adjoint_route = ops.div(h)
         direct = Field.from_flat(grid, "vector", ops.div_f_tensor_reference.apply(h.flat()))
@@ -248,7 +225,7 @@ def test_drift_laplacian_sign_convention(grid1_256):
 def test_drift_laplacian_constant(grid2_64):
     grid, _ = grid2_64
     ops = grid.ops()
-    lu = ops.lap(constant_scalar(grid))
+    lu = ops.lap(Field(grid, "scalar", np.ones(grid.n_nodes)))
     assert lu.norm_where(grid.interior_mask()) <= stencil_tol(grid)
 
 
@@ -259,7 +236,7 @@ def test_op_p_dilation_eigenfield(grid1_256):
     assert ops.rayleigh_p(Y) == pytest.approx(0.5, abs=2e-3)
     py = ops.p_apply(Y)
     core = grid.b <= 4.0
-    err = py.values[core, 0] - 0.5 * Y.values[core, 0]
+    err = py.values[0, core] - 0.5 * Y.values[0, core]
     assert np.max(np.abs(err)) <= 1e-2
 
 
@@ -294,10 +271,10 @@ def test_op_l_fixes_sphere_metric(cylinder32):
         grid, _ = build_grid(cylinder32, res, 8.0)
         ops = grid.ops()
         pairs = sym_pairs(3)
-        vals = np.zeros((grid.n_nodes, len(pairs)))
+        vals = np.zeros((len(pairs), grid.n_nodes))
         for slot, (i, j) in enumerate(pairs):
             if i == j and i >= 1:
-                vals[:, slot] = grid.metric_diag[:, i]
+                vals[slot] = grid.metric_diag[:, i]
         h = Field(grid, "sym2tensor", vals)
         # the polar caps carry the chart-degeneracy penalty; measure away
         theta = grid.coords[:, 1]
@@ -329,7 +306,7 @@ def test_riemann_block_matches_pointwise_action(shape, cyl_grid, rng):
 def test_op_l_zero(grid2_small):
     grid, _ = grid2_small
     ops = grid.ops()
-    out = ops.apply(OperatorKind.OP_L, zero_field(grid, "sym2tensor"))
+    out = ops.apply(OperatorKind.OP_L, Field(grid, "sym2tensor", np.zeros((3, grid.n_nodes))))
     assert out.norm() == 0.0
 
 
@@ -339,8 +316,8 @@ def test_lie_derivative_alias(grid2_small):
     grid, _ = grid2_small
     lie = grid.ops().div_star(dilation(grid)) * (-2.0)
     core = grid.b <= 3.0
-    want = np.broadcast_to([2.0, 0.0, 2.0], lie.values[core].shape)
-    np.testing.assert_allclose(lie.values[core], want, atol=0.05)
+    want = np.broadcast_to([[2.0], [0.0], [2.0]], lie.values[:, core].shape)
+    np.testing.assert_allclose(lie.values[:, core], want, atol=0.05)
 
 
 def test_hessian_of_quadratic(gaussian2):
@@ -349,9 +326,9 @@ def test_hessian_of_quadratic(gaussian2):
     u = scalar_field(grid, lambda c: c[:, 0] * c[:, 1])
     hess = ops.hess(u)
     core = grid.b <= 4.0
-    np.testing.assert_allclose(hess.values[core, 0], 0.0, atol=2e-2)
-    np.testing.assert_allclose(hess.values[core, 1], 1.0, atol=2e-2)
-    np.testing.assert_allclose(hess.values[core, 2], 0.0, atol=2e-2)
+    np.testing.assert_allclose(hess.values[0, core], 0.0, atol=2e-2)
+    np.testing.assert_allclose(hess.values[1, core], 1.0, atol=2e-2)
+    np.testing.assert_allclose(hess.values[2, core], 0.0, atol=2e-2)
 
 
 # ---- rank/grid guards -------------------------------------------------------
@@ -361,7 +338,7 @@ def test_apply_rejects_wrong_rank(grid2_small):
     grid, _ = grid2_small
     ops = grid.ops()
     with pytest.raises(Exception, match="expects"):
-        ops.handle(OperatorKind.DIV_F_STAR).apply(constant_scalar(grid))
+        ops.handle(OperatorKind.DIV_F_STAR).apply(Field(grid, "scalar", np.ones(grid.n_nodes)))
 
 
 def test_apply_rejects_wrong_grid(grid2_small, grid2_64):
@@ -376,7 +353,7 @@ def test_apply_rejects_wrong_grid(grid2_small, grid2_64):
 
 def test_identity_residuals_zero_field(grid2_small):
     grid, _ = grid2_small
-    rep = identity_residuals(zero_field(grid, "vector"))
+    rep = identity_residuals(Field(grid, "vector", np.zeros((grid.n, grid.n_nodes))))
     assert all(v == 0.0 for v in rep.residuals.values())
 
 

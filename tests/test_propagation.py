@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shrinkerlab import build_grid, make_model, radial_profile
-from shrinkerlab.fields import euclidean_rotation, perturbed, translation, zero_field
+from shrinkerlab.fields import Field, euclidean_rotation, perturbed, translation
 from shrinkerlab.grid import RadialProfile
 from shrinkerlab.operators import OperatorKind
 from shrinkerlab.propagation import (
@@ -46,11 +46,11 @@ def test_perturbed_input(request, which):
         base = translation(grid, 0)
     np.testing.assert_array_equal(perturbed(base, 0.0).values, base.values)
     diff = (perturbed(base, 1e-2) - base).values
-    np.testing.assert_array_equal(diff[grid.b >= 3.5], 0.0)
+    np.testing.assert_array_equal(diff[:, grid.b >= 3.5], 0.0)
     # x_0^2 d_0 at full strength on {b <= 2}
     core = grid.b <= 2.0
-    np.testing.assert_allclose(diff[core, 0], 1e-2 * grid.coords[core, 0] ** 2, rtol=1e-12)
-    np.testing.assert_array_equal(diff[:, 1:], 0.0)
+    np.testing.assert_allclose(diff[0, core], 1e-2 * grid.coords[core, 0] ** 2, rtol=1e-12)
+    np.testing.assert_array_equal(diff[1:], 0.0)
 
 
 # ---- cutoff -------------------------------------------------------------------
@@ -180,7 +180,7 @@ def _defect_quadrature(grid, r):
 def test_measure_defect_zero_field(grid2_small):
     grid, _ = grid2_small
     with pytest.raises(PropagationError, match="zero"):
-        measure_defect(zero_field(grid, "vector"), 4.0)
+        measure_defect(Field(grid, "vector", np.zeros((grid.n, grid.n_nodes))), 4.0)
 
 
 # ---- extension pipeline ----------------------------------------------------------

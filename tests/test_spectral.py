@@ -284,7 +284,7 @@ def grid56(gaussian2):
 
 def _largest_angle(grid, a, b) -> float:
     """Largest principal angle between two pair spans, in the weighted inner product."""
-    s = np.sqrt(grid.ops().gram_vector)
+    s = np.sqrt(grid.gram("vector")).ravel()
     span = [np.stack([p.field.flat() * s for p in pairs], axis=1) for pairs in (a, b)]
     return float(np.max(sla.subspace_angles(*span)))
 
@@ -337,8 +337,9 @@ def test_complement_agrees_with_dense_oracle_at_cluster_cut(grid56, dense6, caps
 
 
 def _lead(field) -> float:
-    """The entry that `SpectralPair.of` makes positive: the first within 1e-6
-    relative of the largest magnitude."""
+    """The entry that `SpectralPair.of` makes positive: the first, in
+    component-major storage order, within 1e-6 relative of the largest
+    magnitude."""
     size = np.abs(field.values)
     return field.values.flat[np.argmax(size >= (1.0 - 1e-6) * size.max())]
 

@@ -3,6 +3,7 @@ import pytest
 
 from shrinkerlab import build_grid, make_model
 from shrinkerlab.fields import (
+    Field,
     FieldError,
     angular_rotation,
     bump_vector,
@@ -11,7 +12,6 @@ from shrinkerlab.fields import (
     scalar_field,
     translation,
     vector_field,
-    zero_field,
 )
 from shrinkerlab.operators import Operators
 from shrinkerlab.verification import (
@@ -26,7 +26,7 @@ from shrinkerlab.verification import (
 def coordinate_stretch(grid):
     return vector_field(
         grid,
-        lambda c: np.stack([c[:, 0]] + [np.zeros(len(c))] * (grid.n - 1), axis=1),
+        lambda c: np.stack([c[:, 0]] + [np.zeros(len(c))] * (grid.n - 1)),
     )
 
 
@@ -88,7 +88,7 @@ def test_polar_rotation_preserves_f(cyl_grid):
 def test_classify_zero_field_rejected(grid2_small):
     grid, _ = grid2_small
     with pytest.raises(FieldError):
-        classify_killing(zero_field(grid, "vector"))
+        classify_killing(Field(grid, "vector", np.zeros((grid.n, grid.n_nodes))))
 
 
 # ---- harmonicity --------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_interp_inequality_eigenfield_scale(grid1_256):
 
 def test_interp_inequality_zero_field(grid2_small):
     grid, _ = grid2_small
-    rep = interp_inequality_check(zero_field(grid, "vector"))
+    rep = interp_inequality_check(Field(grid, "vector", np.zeros((grid.n, grid.n_nodes))))
     assert rep.passed
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 
