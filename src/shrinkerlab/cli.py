@@ -50,6 +50,7 @@ from .spectral import (
     solver_storage,
 )
 from .verification import (
+    HarmonicityReport,
     cao_zhou_check,
     classify_killing,
     drift_bochner_residual,
@@ -123,7 +124,6 @@ class RunConfig:
                               help="comma list of cutoff scales (propagate)")
     epsilons: tuple = _option((1e-3,), "propagate", "epsilon", _parse_float_list, "--epsilon",
                               help="comma list of perturbation sizes (propagate)")
-    profile_points: int = _option(10, "propagate", "profile_points", int)
 
     def validate(self) -> None:
         # the grid's bounds (resolution, stencil order, truncation radius) are
@@ -323,14 +323,14 @@ def _verify_dichotomy(cfg: RunConfig, grid: Grid, rng) -> dict:
 
 
 def _verify_harmonicity(cfg: RunConfig, grid: Grid, rng) -> dict:
-    resids = {}
+    reps = {}
     for name, Y in killing_fields(grid).items():
         try:
-            resids[name] = harmonicity_check(Y).residual
+            reps[name] = harmonicity_check(Y)
         except FieldError:  # not shown to be Killing: its check fails
-            resids[name] = float("nan")
-    return _check("divergence_harmonicity",
-                  all(r <= grid.stencil_tol for r in resids.values()), resids)
+            reps[name] = HarmonicityReport(residual=float("nan"), passed=False)
+    return _check("divergence_harmonicity", all(r.passed for r in reps.values()),
+                  {name: r.residual for name, r in reps.items()})
 
 
 def _verify_bochner(cfg: RunConfig, grid: Grid, rng) -> dict | None:
@@ -365,7 +365,7 @@ def _verify_interp(cfg: RunConfig, grid: Grid, rng) -> dict:
 
 
 def _verify_cao_zhou(cfg: RunConfig, grid: Grid, rng) -> dict:
-    rep = cao_zhou_check(grid.model, grid)
+    rep = cao_zhou_check(grid)
     return _check(
         "distance_volume_growth",
         not rep.insufficient,
@@ -472,7 +472,7 @@ def run_spectrum(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
 def _propagate_point(
     cfg: RunConfig, grid: Grid, r: float, eps: float
 ) -> tuple[dict, RadialProfile | None]:
-    """One sweep point: its report entry, and the defect profile for the CSVs."""
+    """One sweep point: its report entry, and the defect profile for its plot CSV."""
     model = grid.model
     # the symmetry that the input perturbs is also the reference
     if model.kind == GAUSSIAN and model.n >= 2:
@@ -480,7 +480,7 @@ def _propagate_point(
     else:
         reference = translation(grid, 0)
     result = extend_symmetry(perturbed(reference, eps), r, tolerance=cfg.tolerance,
-                             profile_points=cfg.profile_points, seed=cfg.seed)
+                             seed=cfg.seed)
     refn = reference * (1.0 / reference.norm())
     cosine = abs(result.z.field.inner(refn))
     lam = measured_lambda_bar(result.defect_tensor)
@@ -547,7 +547,6 @@ def run_propagate(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
             point, profile = _propagate_point(cfg, grid, r, eps)
             tag = point_tag(r, eps)
             if profile is not None:
-                reports.write_profile_csv(out_dir / f"profile_{tag}.csv", profile)
                 radii, values = profile.radii, profile.values
                 lam = point["lambda_bar"]
                 rows = [
@@ -595,6 +594,10 @@ def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
     """
     if report_a.get("command") != report_b.get("command"):
         raise ConfigError("cannot compare reports from different commands")
+    # an error ratio measures convergence only if resolution is all that differs
+    for key in ("model", "truncation_radius", "stencil_order"):
+        if report_a.get("config", {}).get(key) != report_b.get("config", {}).get(key):
+            raise ConfigError(f"cannot compare reports with different {key}")
     res_a = report_a.get("config", {}).get("resolution")
     res_b = report_b.get("config", {}).get("resolution")
     if not res_a or not res_b or res_a == res_b:

@@ -8,7 +8,9 @@ Grids are cell-centered tensor products in chart coordinates, truncated to
 Fields beyond the truncation radius are treated as zero; the quadrature error
 this introduces is bounded by the Gaussian tail of the weight. On cylinders a
 polar cap of one grid cell is excluded around each pole of the latitude chart;
-the omitted cap measure is reported on the measure (`cap_fraction`).
+the omitted cap measure is reported on the measure (`cap_fraction`). Each
+axis has one boundary policy (`Axis.boundary`): DIRICHLET on Euclidean axes,
+ONESIDED on the latitude, PERIODIC on the longitude.
 
 The weighted inner product of a field rank is sum G x y over component-major
 values, with the rank's Gram diagonal G (`Grid.gram`: the weights times the
@@ -20,7 +22,6 @@ the operators' weighted adjoints are taken with respect to the same G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -37,6 +38,7 @@ DEFAULT_NODE_CAP = 4_000_000
 
 DIRICHLET = "dirichlet"
 ONESIDED = "onesided"
+PERIODIC = "periodic"
 
 
 class GridError(ValueError):
@@ -47,8 +49,7 @@ class GridError(ValueError):
 class Axis:
     coords: np.ndarray
     h: float
-    periodic: bool = False
-    boundary: str = DIRICHLET
+    boundary: str
 
     @property
     def size(self) -> int:
@@ -194,7 +195,7 @@ class Grid:
         mi = self.node_multi.copy()
         m = self.axes[axis].size
         col = mi[:, axis] + offset
-        if self.axes[axis].periodic:
+        if self.axes[axis].boundary == PERIODIC:
             col = np.mod(col, m)
             mi[:, axis] = col
             return self.node_index[tuple(mi.T)]
@@ -230,12 +231,12 @@ def build_grid(
     resolution: int,
     truncation_radius: float = 8.0,
     stencil_order: int = 2,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> tuple[Grid, WeightedMeasure]:
     """Build the truncated grid and its weighted quadrature measure.
 
     `resolution` is the node count along each Euclidean axis; on cylinders the
-    angular resolutions are derived so metric spacings are comparable.
+    angular resolutions are derived so metric spacings are comparable. A box
+    of more than DEFAULT_NODE_CAP nodes is refused before it is allocated.
     """
     if stencil_order not in (2, 4):
         raise GridError("stencil_order must be 2 or 4")
@@ -273,13 +274,13 @@ def build_grid(
         m_phi = max(MIN_RESOLUTION, int(np.ceil(2.0 * np.pi * r_sph / h_t)))
         h_phi = 2.0 * np.pi / m_phi
         phi = (np.arange(m_phi) + 0.5) * h_phi
-        axes.append(Axis(coords=phi, h=h_phi, periodic=True))
+        axes.append(Axis(coords=phi, h=h_phi, boundary=PERIODIC))
         cap_fraction = 1.0 - np.cos(h_theta)  # omitted sphere-area fraction, both caps
 
     shape = tuple(ax.size for ax in axes)
     total = int(np.prod(shape))
-    if total > node_cap:
-        raise GridError(f"grid would allocate {total} nodes, above the cap {node_cap}")
+    if total > DEFAULT_NODE_CAP:
+        raise GridError(f"grid would allocate {total} nodes, above the cap {DEFAULT_NODE_CAP}")
 
     mesh = np.meshgrid(*[ax.coords for ax in axes], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -315,7 +316,6 @@ class RadialProfile:
 
     radii: np.ndarray
     values: np.ndarray
-    w_label: str
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -324,17 +324,12 @@ class RadialProfile:
         if np.any(np.asarray(self.values) < -1e-14):
             raise GridError("profile values must be nonnegative")
 
-    def to_rows(self):
-        return [
-            {"radius": float(r), "value": float(v), "w_label": self.w_label}
-            for r, v in zip(self.radii, self.values)
-        ]
 
-
-def radial_profile(w, radii, shell_thickness: Optional[float] = None, label: str = "w") -> RadialProfile:
+def radial_profile(w, radii) -> RadialProfile:
     """Shell-binned estimate of I_w(r) = r^(1-n) * integral_{b=r} |w|^2 |grad b|.
 
-    Co-area binning over {|b - r| < dr/2} with the unweighted volume element:
+    Co-area binning over {|b - r| < dr/2}, dr = 3 grid spacings, with the
+    unweighted volume element:
 
         I_w(r) ~ r^(1-n) dr^(-1) * sum_shell |w|^2 |grad b|^2 vol,
 
@@ -344,9 +339,7 @@ def radial_profile(w, radii, shell_thickness: Optional[float] = None, label: str
     radii = np.asarray(radii, dtype=float)
     if len(radii) == 0 or np.any(np.diff(radii) <= 0):
         raise GridError("radii must be a nonempty strictly ascending ladder")
-    dr = shell_thickness if shell_thickness is not None else 3.0 * grid.max_spacing
-    if dr < 2.0 * grid.max_spacing:
-        raise GridError("shell thickness must be at least 2 grid spacings")
+    dr = 3.0 * grid.max_spacing
     if radii[0] - dr / 2 <= 0 or radii[-1] >= grid.truncation_radius:
         raise GridError("radii must lie within (0, truncation_radius)")
 
@@ -359,4 +352,4 @@ def radial_profile(w, radii, shell_thickness: Optional[float] = None, label: str
         if not np.any(in_shell):
             raise GridError(f"empty shell at radius {r:g}: radius ladder too fine")
         values[i] = r ** (1 - n) / dr * float(np.sum(density[in_shell]))
-    return RadialProfile(radii=radii, values=values, w_label=label)
+    return RadialProfile(radii=radii, values=values)

@@ -20,13 +20,15 @@ This module holds the one implementation of each closed-form pointwise
 quantity: the vectorized `ModelShrinker` methods (among them |grad b|^2)
 and :func:`sym2_contraction_weights`. Grids cache them on their nodes, the
 contraction weights inside the sym2 Gram diagonal (`Grid.gram`); there are
-no single-point wrappers around them.
+no single-point wrappers around them. A model stores its kind, n and k
+only; each evaluator takes an (m, n) array of points and nothing else, so
+a new model kind overrides one input form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -61,14 +63,13 @@ def sym2_contraction_weights(inv_metric: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelShrinker:
-    """Immutable closed-form model; all evaluators are pure and vectorized."""
+    """Immutable closed-form model. Every evaluator is pure and takes an (m, n)
+    point array (`riemann_action_matrix` takes one point); a 1-D one is a ModelError."""
 
     kind: str
     n: int
     k: Optional[int] = None
-    kappa: float = 0.5
-    sphere_radius: Optional[float] = None
-    f_offset: float = 0.0
+    kappa: ClassVar[float] = 0.5
 
     # ---- chart layout -------------------------------------------------
 
@@ -80,16 +81,24 @@ class ModelShrinker:
     def angle_axes(self) -> range:
         return range(self.n_euclidean, self.n)
 
+    @property
+    def sphere_radius(self) -> Optional[float]:
+        """r = sqrt(2(k-1)), so that S^k(r) has Ric = g/2; None on the Gaussian."""
+        return None if self.kind == GAUSSIAN else np.sqrt(2.0 * (self.k - 1))
+
+    @property
+    def f_offset(self) -> float:
+        """The constant term of f: k/2 on the cylinder, 0 on the Gaussian."""
+        return 0.0 if self.kind == GAUSSIAN else self.k / 2.0
+
     def _pts(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        squeeze = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[-1] != self.n:
-            raise ModelError(f"expected points with {self.n} coordinates, got {pts.shape[-1]}")
-        return pts, squeeze
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise ModelError(f"expected points of shape (m, {self.n}), got {pts.shape}")
+        return pts
 
     def validate_points(self, points) -> None:
-        pts, _ = self._pts(points)
+        pts = self._pts(points)
         if not np.all(np.isfinite(pts)):
             raise ModelError("non-finite point coordinates")
         if self.kind == CYLINDER:
@@ -100,39 +109,34 @@ class ModelShrinker:
     # ---- potential ----------------------------------------------------
 
     def potential(self, points) -> np.ndarray:
-        pts, squeeze = self._pts(points)
-        t = pts[:, : self.n_euclidean]
-        f = np.sum(t * t, axis=1) / 4.0 + self.f_offset
-        return f[0] if squeeze else f
+        t = self._pts(points)[:, : self.n_euclidean]
+        return np.sum(t * t, axis=1) / 4.0 + self.f_offset
 
     def dpotential(self, points) -> np.ndarray:
         """Covariant differential of f (equals d f / d coordinate)."""
-        pts, squeeze = self._pts(points)
+        pts = self._pts(points)
         out = np.zeros_like(pts)
         out[:, : self.n_euclidean] = pts[:, : self.n_euclidean] / 2.0
-        return out[0] if squeeze else out
+        return out
 
     def grad_potential_norm_sq(self, points) -> np.ndarray:
-        pts, squeeze = self._pts(points)
-        df = np.atleast_2d(self.dpotential(pts))
-        ginv = np.atleast_2d(self.inv_metric_diag(pts))
-        val = np.sum(ginv * df * df, axis=1)
-        return val[0] if squeeze else val
+        df = self.dpotential(points)
+        return np.sum((1.0 / self.metric_diag(points)) * df * df, axis=1)
 
     def hess_potential_packed(self, points) -> np.ndarray:
         """Hess f in packed covariant components; (1/2) delta on the flat block."""
-        pts, squeeze = self._pts(points)
+        pts = self._pts(points)
         pairs = sym_pairs(self.n)
         out = np.zeros((pts.shape[0], len(pairs)))
         for slot, (i, j) in enumerate(pairs):
             if i == j and i < self.n_euclidean:
                 out[:, slot] = 0.5
-        return out[0] if squeeze else out
+        return out
 
     # ---- metric -------------------------------------------------------
 
     def metric_diag(self, points) -> np.ndarray:
-        pts, squeeze = self._pts(points)
+        pts = self._pts(points)
         g = np.ones_like(pts)
         if self.kind == CYLINDER:
             r2 = self.sphere_radius**2
@@ -140,22 +144,14 @@ class ModelShrinker:
             for axis in self.angle_axes:
                 g[:, axis] = running
                 running = running * np.sin(pts[:, axis]) ** 2
-        return g[0] if squeeze else g
-
-    def inv_metric_diag(self, points) -> np.ndarray:
-        pts, squeeze = self._pts(points)
-        g = np.atleast_2d(self.metric_diag(pts))
-        return (1.0 / g)[0] if squeeze else 1.0 / g
+        return g
 
     def volume_element(self, points) -> np.ndarray:
-        pts, squeeze = self._pts(points)
-        g = np.atleast_2d(self.metric_diag(pts))
-        vol = np.sqrt(np.prod(g, axis=1))
-        return vol[0] if squeeze else vol
+        return np.sqrt(np.prod(self.metric_diag(points), axis=1))
 
     def christoffels(self, points) -> dict[tuple[int, int, int], np.ndarray]:
         """Nonzero Christoffel symbols {(l, i, j): Gamma^l_ij} with i <= j."""
-        pts, _ = self._pts(points)
+        pts = self._pts(points)
         out: dict[tuple[int, int, int], np.ndarray] = {}
         if self.kind == GAUSSIAN:
             return out
@@ -176,39 +172,36 @@ class ModelShrinker:
     # ---- curvature ----------------------------------------------------
 
     def scalar_curvature(self, points) -> np.ndarray:
-        pts, squeeze = self._pts(points)
+        m = self._pts(points).shape[0]
         if self.kind == GAUSSIAN:
-            val = np.zeros(pts.shape[0])
-        else:
-            val = np.full(pts.shape[0], self.k * (self.k - 1) / self.sphere_radius**2)
-        return val[0] if squeeze else val
+            return np.zeros(m)
+        return np.full(m, self.k * (self.k - 1) / self.sphere_radius**2)
 
     def ricci_packed(self, points) -> np.ndarray:
         """Ric in packed covariant components; (k-1)/r^2 times the sphere metric."""
-        pts, squeeze = self._pts(points)
+        pts = self._pts(points)
         pairs = sym_pairs(self.n)
         out = np.zeros((pts.shape[0], len(pairs)))
         if self.kind == CYLINDER:
-            g = np.atleast_2d(self.metric_diag(pts))
+            g = self.metric_diag(pts)
             coeff = (self.k - 1) / self.sphere_radius**2
             for slot, (i, j) in enumerate(pairs):
                 if i == j and i >= self.n_euclidean:
                     out[:, slot] = coeff * g[:, i]
-        return out[0] if squeeze else out
+        return out
 
     def riemann_action_matrix(self, point) -> np.ndarray:
-        """Dense packed matrix of h -> R(h) at one point.
+        """Dense packed matrix of h -> R(h) at one point of n coordinates.
 
         On the constant-curvature sphere factor R(h) = K (g_sph tr_sph(h) - h_sph)
         with K = 1/r^2; the action vanishes on components with a flat index.
         """
-        pts, _ = self._pts(point)
+        g = self.metric_diag(np.reshape(point, (1, -1)))[0]
         pairs = sym_pairs(self.n)
         mat = np.zeros((len(pairs), len(pairs)))
         if self.kind == GAUSSIAN:
             return mat
         K = 1.0 / self.sphere_radius**2
-        g = np.atleast_2d(self.metric_diag(pts))[0]
         sphere = set(self.angle_axes)
         slot_of = {p: s for s, p in enumerate(pairs)}
         for slot, (i, j) in enumerate(pairs):
@@ -236,7 +229,7 @@ class ModelShrinker:
 
     def sphere_embedding(self, points) -> np.ndarray:
         """Unit vectors in R^(k+1) for the sphere factor (cylinder only)."""
-        pts, _ = self._pts(points)
+        pts = self._pts(points)
         ang = pts[:, self.n_euclidean :]
         k = self.k
         u = np.ones((pts.shape[0], k + 1))
@@ -246,20 +239,18 @@ class ModelShrinker:
         return u
 
     def distance(self, points, base) -> np.ndarray:
-        """Geodesic distance to a base point, in closed form."""
-        pts, squeeze = self._pts(points)
-        basep = np.atleast_2d(np.asarray(base, dtype=float))
+        """Geodesic distance to one base point, shape (n,), in closed form."""
+        pts = self._pts(points)
+        basep = np.reshape(np.asarray(base, dtype=float), (1, -1))
         if self.kind == GAUSSIAN:
-            d = np.linalg.norm(pts - basep, axis=1)
-        else:
-            m = self.n_euclidean
-            dt = np.linalg.norm(pts[:, :m] - basep[:, :m], axis=1)
-            u = self.sphere_embedding(pts)
-            u0 = self.sphere_embedding(basep)
-            cosang = np.clip(u @ u0[0], -1.0, 1.0)
-            arc = self.sphere_radius * np.arccos(cosang)
-            d = np.hypot(dt, arc)
-        return d[0] if squeeze else d
+            return np.linalg.norm(pts - basep, axis=1)
+        m = self.n_euclidean
+        dt = np.linalg.norm(pts[:, :m] - basep[:, :m], axis=1)
+        u = self.sphere_embedding(pts)
+        u0 = self.sphere_embedding(basep)
+        cosang = np.clip(u @ u0[0], -1.0, 1.0)
+        arc = self.sphere_radius * np.arccos(cosang)
+        return np.hypot(dt, arc)
 
     def describe(self) -> dict:
         """Plain-data description used by the JSON report schema."""
@@ -292,8 +283,7 @@ def make_model(kind: str, n: int, k: Optional[int] = None) -> ModelShrinker:
         raise ModelError("sphere dimension k must be >= 2")
     if k >= n:
         raise ModelError("k must be <= n - 1: the cylinder needs a Euclidean factor")
-    radius = np.sqrt(2.0 * (k - 1))
-    return ModelShrinker(kind=CYLINDER, n=n, k=k, sphere_radius=radius, f_offset=k / 2.0)
+    return ModelShrinker(kind=CYLINDER, n=n, k=k)
 
 
 def random_points(model: ModelShrinker, count: int, rng) -> np.ndarray:
@@ -351,10 +341,10 @@ def check_soliton_identities(model: ModelShrinker, sample_points) -> ResidualRep
     Residuals above SOLITON_TOL indicate a model-construction bug (or an
     intentionally perturbed model in tests).
     """
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    pts = np.asarray(sample_points, dtype=float)
+    model.validate_points(pts)
     if pts.shape[0] == 0:
         raise ModelError("empty sample set")
-    model.validate_points(pts)
 
     g = model.metric_diag(pts)
     ginv = 1.0 / g

@@ -92,7 +92,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import SCALAR, SYM2, VECTOR, Field, FieldError
-from .grid import DIRICHLET, ONESIDED, Grid, GridError
+from .grid import DIRICHLET, ONESIDED, PERIODIC, Grid, GridError
 from .models import sym_pairs
 
 
@@ -203,8 +203,9 @@ def _raw_diff_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
         table.append(coeff)
 
     full = np.logical_and.reduce([has[off] for off, _ in stencil])
-    if policy == DIRICHLET:
-        # zero-extension: keep whichever stencil terms exist
+    if policy in (DIRICHLET, PERIODIC):
+        # zero-extension: keep whichever stencil terms exist (on a periodic
+        # axis, every one)
         for off, c in stencil:
             put(has[off], off, c / h)
     elif policy == ONESIDED:

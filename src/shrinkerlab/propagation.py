@@ -5,8 +5,9 @@ with a C^2 spline in b, renormalized, and projected by the weighted inner
 product onto the lowest near-degenerate eigen-block of P on the full
 truncated domain (`spectral.near_kernel_block`, solved once per grid), so
 the discrete variational bound mu <= |div_f^* V|^2 / |V|^2 holds exactly.
-Outward control is then quantified by shell profiles of the returned defect
-tensor and fitted growth exponents.
+Outward control is then quantified by the shell profile of the returned
+defect tensor, on a ladder of PROFILE_POINTS radii, and fitted growth
+exponents.
 
 The pipeline derives none of its quantities itself: the cutoff is
 `fields.radial_bump`, the norms on {b < r} are `Field.norm_where`, the
@@ -24,6 +25,10 @@ import numpy as np
 from .fields import Field, radial_bump
 from .grid import Grid, RadialProfile, radial_profile
 from .spectral import NearKernelBlock, SpectralPair, near_kernel_block
+
+
+# radii on the ladder of the defect tensor's shell profile
+PROFILE_POINTS = 10
 
 
 class PropagationError(RuntimeError):
@@ -135,7 +140,6 @@ def extend_symmetry(
     Y_local: Field,
     r: float,
     tolerance: float = 1e-9,
-    profile_points: int = 10,
     seed: int = 0,
 ) -> PropagationResult:
     """Extend an approximate symmetry on {b < r} to an eigenfield of P.
@@ -191,8 +195,8 @@ def extend_symmetry(
     hi = min(2.0 * r, grid.truncation_radius) - 1.5 * dr
     profile = fit = note = slope_inner = None
     if hi > lo + 2 * dr:
-        ladder = np.linspace(lo, hi, profile_points)
-        profile = radial_profile(w_tensor, ladder, label="div_f_star(Z)")
+        ladder = np.linspace(lo, hi, PROFILE_POINTS)
+        profile = radial_profile(w_tensor, ladder)
         try:
             fit = fit_growth_exponent(profile)
         except PropagationError as exc:
@@ -201,9 +205,7 @@ def extend_symmetry(
             # the outermost 10% of the range is boundary-contaminated
             cut = lo + 0.9 * (hi - lo)
             keep = profile.radii <= cut
-            inner_profile = RadialProfile(
-                radii=profile.radii[keep], values=profile.values[keep], w_label=profile.w_label
-            )
+            inner_profile = RadialProfile(radii=profile.radii[keep], values=profile.values[keep])
             try:
                 slope_inner = fit_growth_exponent(inner_profile).slope
             except PropagationError:

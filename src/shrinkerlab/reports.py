@@ -1,4 +1,4 @@
-"""JSON report and CSV profile writers shared by the command-line workflows."""
+"""JSON report and CSV writers shared by the command-line workflows."""
 
 from __future__ import annotations
 
@@ -43,16 +43,6 @@ def write_report(path: Path, command: str, config: dict, model_desc: dict, check
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc
-
-
-def write_profile_csv(path: Path, profile) -> None:
-    """RadialProfile -> CSV with columns radius, value, w_label."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["radius", "value", "w_label"])
-        writer.writeheader()
-        for row in profile.to_rows():
-            writer.writerow(row)
 
 
 def write_plot_data(path: Path, header: list[str], rows) -> None:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .fields import Field, FieldError, SCALAR
 from .grid import Grid
-from .models import ModelShrinker
 
 PRESERVES_F = "PreservesF"
 SPLITS_LINE = "SplitsLine"
@@ -183,7 +182,7 @@ class CaoZhouReport:
     insufficient: bool
 
 
-def cao_zhou_check(model: ModelShrinker, grid: Grid, radii=None) -> CaoZhouReport:
+def cao_zhou_check(grid: Grid, radii=None) -> CaoZhouReport:
     """Fit the smallest constants in the distance and volume growth bounds.
 
     c1, c2 make (r - c1)^2/4 <= f <= (r + c2)^2/4 hold over the grid; c3 is
@@ -192,6 +191,7 @@ def cao_zhou_check(model: ModelShrinker, grid: Grid, radii=None) -> CaoZhouRepor
     """
     if grid.n_nodes < 10:
         return CaoZhouReport(0.0, 0.0, 0.0, np.array([]), True)
+    model = grid.model
     if model.kind == "gaussian":
         base = np.zeros(model.n)
         r_cover = grid.truncation_radius

@@ -216,7 +216,7 @@ def test_criterion_10_growth_bounds():
         dec = decompose_eigenfield(pair)
         w = ops.div_star(dec.z)
         radii = np.linspace(r + 0.2, 1.8 * r, 10)
-        profile = radial_profile(w, radii, label="div_f_star(Z)")
+        profile = radial_profile(w, radii)
         fit = fit_growth_exponent(profile)
         assert fit.max_residual <= 0.5, fit
         lam = measured_lambda_bar(w)
@@ -225,7 +225,6 @@ def test_criterion_10_growth_bounds():
         synth = RadialProfile(
             radii=np.linspace(4.0, 8.0, 6),
             values=np.exp(np.linspace(4.0, 8.0, 6)),
-            w_label="synthetic",
         )
         assert not check_growth_bound(synth, 0.1, 4.0).passed
 
@@ -234,7 +233,7 @@ def test_criterion_11_distance_volume_constants():
     with Budget("criterion 11: distance and volume growth constants", 60.0):
         gauss = make_model("gaussian", 2)
         grid, _ = build_grid(gauss, 128, 8.0)
-        rep = cao_zhou_check(gauss, grid)
+        rep = cao_zhou_check(grid)
         assert rep.c1 <= 1e-8
         assert rep.c2 <= 1e-8
         assert abs(rep.c3 - np.pi) <= 0.05 * np.pi
@@ -243,7 +242,7 @@ def test_criterion_11_distance_volume_constants():
         c3s = []
         for R, res in ((8.0, 64), (10.0, 80), (12.0, 96)):
             cgrid, _ = build_grid(cyl, res, R)
-            crep = cao_zhou_check(cyl, cgrid, radii=radii)
+            crep = cao_zhou_check(cgrid, radii=radii)
             assert np.isfinite(crep.c1) and np.isfinite(crep.c2) and np.isfinite(crep.c3)
             c3s.append(crep.c3)
         assert max(c3s) <= 1.1 * min(c3s)

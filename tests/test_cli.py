@@ -26,6 +26,7 @@ from shrinkerlab.cli import (
 from shrinkerlab.fields import components_for
 from shrinkerlab.operators import Operators
 from shrinkerlab.reports import load_report
+from shrinkerlab.verification import HarmonicityReport
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -172,6 +173,14 @@ def test_verify_fails_checks_measured_over_no_node(tmp_path):
     assert not checks["killing_dichotomy"]["passed"]
 
 
+def test_harmonicity_suite_gates_on_the_report_verdict(monkeypatch):
+    # the suite passes exactly the fields that harmonicity_check passes
+    grid, _ = build_grid(make_model("gaussian", 2), 32, 4.0)
+    monkeypatch.setattr(cli, "harmonicity_check",
+                        lambda Y: HarmonicityReport(residual=0.0, passed=False))
+    assert not cli._verify_harmonicity(RunConfig(), grid, None)["passed"]
+
+
 def test_spectrum_gaussian_1d(tmp_path):
     out = tmp_path / "spec"
     code = run_cli(
@@ -294,7 +303,7 @@ INI_VALUES = {
     "grid": {"resolution": "20", "truncation_radius": "5", "stencil_order": "4"},
     "verify": {"suite": "soliton, structure"},
     "spectrum": {"eigs": "3", "tolerance": "1e-7", "dump_fields": "yes"},
-    "propagate": {"r": "4.5", "epsilon": "0.01, 0.02", "profile_points": "7"},
+    "propagate": {"r": "4.5", "epsilon": "0.01, 0.02"},
 }
 
 
@@ -328,7 +337,6 @@ def test_config_round_trip_ini_and_flags(tmp_path):
         "dump_fields": True,
         "r": [4.5],
         "epsilon": [0.01, 0.02],
-        "profile_points": 7,
     }
     # every flag lands in the report and overrides the INI value
     values = {**values, "model": {"kind": "gaussian", "n": "1"},
@@ -359,12 +367,30 @@ def test_config_round_trip_ini_and_flags(tmp_path):
         "dump_fields": True,
         "r": [4.0, 4.25],
         "epsilon": [0.005],
-        "profile_points": 7,
     }
     parser_flags = {
         opt for action in cli.build_arg_parser()._actions for opt in action.option_strings
     }
     assert parser_flags == {"-h", "--help", "--config", "--dump-fields", *flags}
+
+
+def test_profile_points_key_rejected(tmp_path, capsys):
+    # the profile ladder has a fixed length, propagation.PROFILE_POINTS
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[propagate]\nprofile_points = 7\n")
+    assert run_cli("propagate", "--config", str(cfg), "--output", str(tmp_path / "o")) == EXIT_CONFIG
+    assert "unknown key 'profile_points' in section [propagate]" in capsys.readouterr().err
+
+
+def test_readme_ini_block_is_a_valid_config(tmp_path):
+    # the documented config loads and validates, so it names no retired key
+    block = re.search(r"```ini\n(.*?)```", (REPO / "README.md").read_text(), flags=re.S)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block.group(1))
+    cfg = load_config_file(path)
+    cfg.validate()
+    assert (cfg.command, cfg.r_values, cfg.epsilons, cfg.resolution) == (
+        "propagate", (5.0,), (1e-3, 1e-2), 512)
 
 
 def test_jobs_flag_and_key_rejected(tmp_path, capsys):
@@ -488,8 +514,9 @@ def test_propagate_sweep(tmp_path):
         assert p["mu"] <= p["div_star_v_norm_sq"] + 1e-10
         # the block's eigenvalues are reported once, under block_solver
         assert "block_mus" not in p and p["block_solver"]["block_mus"]
-    assert (out / "profile_r4_eps0.001.csv").exists()
-    assert (out / "plot_r4_eps0.001.csv").exists()
+    # the profile is in report.json and the plot CSVs, and written nowhere else
+    assert sorted(p.name for p in out.iterdir()) == [
+        "plot_r4_eps0.001.csv", "plot_r4_eps0.01.csv", "report.json"]
 
 
 def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
@@ -759,6 +786,22 @@ def test_compare_rejects_equal_resolutions():
     b = {"command": "verify", "config": {"resolution": 32}, "checks": []}
     with pytest.raises(ConfigError, match="resolution"):
         compare_runs(a, b)
+
+
+@pytest.mark.parametrize("key, value", [("model", {"kind": "cylinder", "n": 3, "k": 2}),
+                                        ("truncation_radius", 8.0), ("stencil_order", 4)])
+def test_compare_rejects_different_discretizations(tmp_path, capsys, key, value):
+    # runs that differ in more than resolution give ratios, not convergence orders
+    config = {"model": {"kind": "gaussian", "n": 2, "k": None}, "truncation_radius": 6.0,
+              "stencil_order": 2}
+    check = {"check_name": "kernel_of_P", "residuals": {"translation_0": 1e-3}}
+    paths = []
+    for res, changed in ((32, {}), (48, {key: value})):
+        paths.append(tmp_path / f"r{res}.json")
+        paths[-1].write_text(json.dumps({"command": "verify", "checks": [check],
+                                         "config": {**config, **changed, "resolution": res}}))
+    assert run_cli("compare", *map(str, paths)) == EXIT_CONFIG
+    assert f"config error: cannot compare reports with different {key}" in capsys.readouterr().err
 
 
 def test_compare_cli_entry(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import erf
 from scipy import integrate
 
+import shrinkerlab.grid as grid_module
 from shrinkerlab import GridError, build_grid, radial_profile
 from shrinkerlab.fields import (
     Field,
@@ -53,9 +54,11 @@ def test_truncation_radius_minimum(gaussian2):
         build_grid(gaussian2, 32, 2.0)
 
 
-def test_node_cap_guard(gaussian2):
-    with pytest.raises(GridError, match="cap"):
-        build_grid(gaussian2, 64, 8.0, node_cap=100)
+def test_node_cap_guard(gaussian2, monkeypatch):
+    # the cap is read when the grid is built, not bound at import
+    monkeypatch.setattr(grid_module, "DEFAULT_NODE_CAP", 100)
+    with pytest.raises(GridError, match="above the cap 100"):
+        build_grid(gaussian2, 64, 8.0)
 
 
 def test_all_nodes_inside_truncation(grid2_64):
@@ -173,13 +176,6 @@ def test_radial_profile_empty_shell_names_radius(grid2_64):
     grid, _ = grid2_64
     with pytest.raises(GridError, match="radius ladder|truncation"):
         radial_profile(Field(grid, "scalar", np.ones(grid.n_nodes)), [0.05, 3.0])
-
-
-def test_radial_profile_shell_thickness_floor(grid2_64):
-    grid, _ = grid2_64
-    with pytest.raises(GridError, match="shell thickness"):
-        radial_profile(Field(grid, "scalar", np.ones(grid.n_nodes)), [2.0, 3.0],
-                       shell_thickness=0.5 * grid.max_spacing)
 
 
 def test_radial_profile_localized_support_vanishes_outside(grid2_64):

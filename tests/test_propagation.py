@@ -218,7 +218,7 @@ def test_extend_requires_small_defect(cutoff_grid):
 
 def test_fit_growth_exponent_exact_power_law():
     radii = np.array([4.0, 5.0, 6.0, 8.0])
-    prof = RadialProfile(radii=radii, values=7.0 * radii**3, w_label="cubic")
+    prof = RadialProfile(radii=radii, values=7.0 * radii**3)
     fit = fit_growth_exponent(prof)
     assert fit.slope == pytest.approx(3.0, abs=1e-10)
     assert fit.intercept == pytest.approx(np.log(7.0), abs=1e-10)
@@ -226,21 +226,19 @@ def test_fit_growth_exponent_exact_power_law():
 
 
 def test_fit_growth_exponent_no_positive_samples():
-    prof = RadialProfile(radii=np.array([4.0, 5.0, 6.0, 7.0]), values=np.zeros(4), w_label="z")
+    prof = RadialProfile(radii=np.array([4.0, 5.0, 6.0, 7.0]), values=np.zeros(4))
     with pytest.raises(PropagationError, match="no positive samples"):
         fit_growth_exponent(prof)
 
 
 def test_fit_growth_exponent_needs_four_points():
-    prof = RadialProfile(
-        radii=np.array([4.0, 5.0, 6.0, 7.0]), values=np.array([1.0, 1.0, 0.0, 0.0]), w_label="p"
-    )
+    prof = RadialProfile(radii=np.array([4.0, 5.0, 6.0, 7.0]), values=np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(PropagationError, match="fewer than 4"):
         fit_growth_exponent(prof)
 
 
 def test_growth_bound_constant_profile_passes():
-    prof = RadialProfile(radii=np.linspace(4, 8, 5), values=np.full(5, 2.0), w_label="c")
+    prof = RadialProfile(radii=np.linspace(4, 8, 5), values=np.full(5, 2.0))
     rep = check_growth_bound(prof, 0.0, 4.0)
     assert rep.passed
     assert rep.worst_ratio <= 0.5 + 1e-12
@@ -248,7 +246,7 @@ def test_growth_bound_constant_profile_passes():
 
 def test_growth_bound_exponential_fails():
     radii = np.linspace(4, 8, 6)
-    prof = RadialProfile(radii=radii, values=np.exp(radii), w_label="exp")
+    prof = RadialProfile(radii=radii, values=np.exp(radii))
     rep = check_growth_bound(prof, 0.1, 4.0)
     assert not rep.passed
     assert rep.worst_pair is not None
@@ -256,9 +254,7 @@ def test_growth_bound_exponential_fails():
 
 
 def test_growth_bound_skips_zero_values():
-    prof = RadialProfile(
-        radii=np.array([4.0, 5.0, 6.0]), values=np.array([0.0, 1.0, 1.0]), w_label="p"
-    )
+    prof = RadialProfile(radii=np.array([4.0, 5.0, 6.0]), values=np.array([0.0, 1.0, 1.0]))
     rep = check_growth_bound(prof, 0.0, 4.0)
     assert rep.skipped_pairs == 2
 
@@ -274,7 +270,7 @@ def test_polynomial_growth_of_quarter_mode_defect(gaussian2):
     dec = decompose_eigenfield(quarter)
     w = ops.div_star(dec.z)
     radii = np.linspace(4.0, 7.2, 8)
-    prof = radial_profile(w, radii, label="div_f_star(Z)")
+    prof = radial_profile(w, radii)
     fit = fit_growth_exponent(prof)
     assert fit.max_residual <= 0.5
     lam = measured_lambda_bar(w)

@@ -198,7 +198,7 @@ def test_interp_inequality_zero_field(grid2_small):
 
 def test_cao_zhou_gaussian_constants(gaussian2):
     grid, _ = build_grid(gaussian2, 128, 8.0)
-    rep = cao_zhou_check(gaussian2, grid)
+    rep = cao_zhou_check(grid)
     assert rep.c1 <= 1e-8
     assert rep.c2 <= 1e-8
     assert rep.c3 == pytest.approx(np.pi, rel=0.05)
@@ -209,7 +209,7 @@ def test_cao_zhou_cylinder_stable(cylinder32):
     c3s = []
     for R, res in ((8.0, 64), (10.0, 80), (12.0, 96)):
         grid, _ = build_grid(cylinder32, res, R)
-        rep = cao_zhou_check(cylinder32, grid, radii=radii)
+        rep = cao_zhou_check(grid, radii=radii)
         assert np.isfinite(rep.c1) and np.isfinite(rep.c2) and np.isfinite(rep.c3)
         assert rep.c1 > 0.5  # sphere diameter enters the distance comparison
         c3s.append(rep.c3)
@@ -219,10 +219,10 @@ def test_cao_zhou_cylinder_stable(cylinder32):
 def test_cao_zhou_insufficient_data(gaussian2):
     grid, _ = build_grid(gaussian2, 16, 4.0)
     # carve the grid down to almost nothing by masking via a tiny radius ladder
-    small = cao_zhou_check(gaussian2, grid, radii=[1.0, 2.0, 3.0])
+    small = cao_zhou_check(grid, radii=[1.0, 2.0, 3.0])
     assert not small.insufficient
 
     class Stub:
         n_nodes = 1
 
-    assert cao_zhou_check(gaussian2, Stub()).insufficient
+    assert cao_zhou_check(Stub()).insufficient
