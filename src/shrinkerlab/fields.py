@@ -5,8 +5,9 @@ are covariant and packed over the upper triangle (see models.sym_pairs).
 Values are stored as the operators read them: a scalar as (N,), every other
 rank component-major, (components, N) and C-contiguous, so `Field.flat` is a
 view and `Field.from_flat` keeps its argument. Pointwise contractions insert
-the model metric explicitly, so one storage convention serves both the flat
-Gaussian chart and the cylinder chart.
+the model metric explicitly, so one storage convention serves every chart.
+The Killing fields read the product structure: flat rotations need
+`n_euclidean >= 2`, sphere rotations a nonempty `angle_axes`.
 
 Quantities sampled on a grid are implemented here once: the weighted norm
 restricted to a node mask (`Field.norm_where`; it and every other inner
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SCALAR, SYM2, VECTOR, Grid
-from .models import CYLINDER, GAUSSIAN, sym2_contraction_weights
+from .models import sym2_contraction_weights
 
 
 class FieldError(ValueError):
@@ -151,20 +152,20 @@ def euclidean_rotation(grid: Grid, a: int = 0, b: int = 1) -> Field:
 
 
 def angular_rotation(grid: Grid) -> Field:
-    """Rotation about the polar axis of the cylinder's sphere factor."""
-    if grid.model.kind != CYLINDER:
-        raise FieldError("angular rotation requires a cylinder grid")
+    """Rotation about the polar axis of the model's sphere factor."""
+    if not grid.model.angle_axes:
+        raise FieldError("angular rotation requires a sphere factor")
     vals = np.zeros((grid.n, grid.n_nodes))
     vals[grid.n - 1] = 1.0
     return Field(grid, VECTOR, vals)
 
 
 def killing_fields(grid: Grid) -> dict[str, Field]:
-    """The model's closed-form Killing fields by name: translations, then the rotation.
+    """The model's closed-form Killing fields by name: translations, then rotations.
 
     A subset of `killing_basis`, which the near-kernel block starts from: the
     verify checks run on these fields, and the two rotations that move the
-    poles of a cylinder's sphere factor would fail them. Their cot(theta)
+    poles of a sphere factor would fail them. Their cot(theta)
     component is not resolved next to the excluded polar caps: on the (3,2)
     cylinder at resolution 80, R 6 they give |P Y| / |Y| = 0.078 against a
     stencil-order floor of 0.2, a harmonicity residual of 284, and a failed
@@ -172,21 +173,21 @@ def killing_fields(grid: Grid) -> dict[str, Field]:
     """
     model = grid.model
     out = {f"translation_{axis}": translation(grid, axis) for axis in range(model.n_euclidean)}
-    if model.kind == GAUSSIAN and model.n >= 2:
+    if model.n_euclidean >= 2:
         out["rotation_01"] = euclidean_rotation(grid, 0, 1)
-    if model.kind == CYLINDER:
+    if model.angle_axes:
         out["polar_rotation"] = angular_rotation(grid)
     return out
 
 
 def killing_basis(grid: Grid) -> list[Field]:
     """A basis of the model's Killing fields: every translation, every flat
-    rotation x_a d_b - x_b d_a (a < b), and on cylinders the three rotations
-    of the S^2 factor. `killing_fields` names a subset of these."""
+    rotation x_a d_b - x_b d_a (a < b), and with a sphere factor the three
+    rotations of S^2. `killing_fields` names a subset of these."""
     m = grid.model.n_euclidean
     out = [translation(grid, axis) for axis in range(m)]
     out += [euclidean_rotation(grid, a, b) for a in range(m) for b in range(a + 1, m)]
-    if grid.model.kind == CYLINDER:
+    if grid.model.angle_axes:
         out.append(angular_rotation(grid))
         # the rotations that move the poles of the (theta, phi) chart
         theta, phi = grid.coords[:, m], grid.coords[:, m + 1]
@@ -234,7 +235,7 @@ def perturbed(base: Field, eps: float) -> Field:
 
     The perturbation is supported on {b < 3.5}, so outside it the field is
     `base` exactly; at eps = 0 it is `base` bit for bit. `propagate` perturbs
-    the rotation on Gaussians of dimension >= 2 and translation 0 elsewhere.
+    the rotation where n_euclidean >= 2 and translation 0 elsewhere.
     """
     grid = base.grid
     pert = np.zeros((grid.n, grid.n_nodes))

@@ -6,17 +6,19 @@ Grids are cell-centered tensor products in chart coordinates, truncated to
     w_node = (volume element) * exp(-f) * prod(cell spacings).
 
 Fields beyond the truncation radius are treated as zero; the quadrature error
-this introduces is bounded by the Gaussian tail of the weight. On cylinders a
-polar cap of one grid cell is excluded around each pole of the latitude chart;
-the omitted cap measure is reported on the measure (`cap_fraction`). Each
-axis has one boundary policy (`Axis.boundary`): DIRICHLET on Euclidean axes,
-ONESIDED on the latitude, PERIODIC on the longitude.
+this introduces is bounded by the Gaussian tail of the weight. Every model
+has Euclidean axes over [-T, T], T = sqrt(R^2 - 4 f_offset) (R on a flat
+model); a sphere factor adds a latitude-longitude chart without polar caps
+of one cell (the omitted measure is `cap_fraction`). Each axis has one
+boundary policy (`Axis.boundary`): DIRICHLET on Euclidean axes, ONESIDED on
+the latitude, PERIODIC on the longitude.
 
 The weighted inner product of a field rank is sum G x y over component-major
 values, with the rank's Gram diagonal G (`Grid.gram`: the weights times the
 metric contraction of the rank), kept once per grid. `Grid.inner` is its one
 implementation: every norm, masked norm and adjointness probe reads it, and
-the operators' weighted adjoints are taken with respect to the same G.
+the operators' weighted adjoints are taken with respect to the same G; the
+probes are drawn in one place too (`Grid.probe`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import GAUSSIAN, ModelShrinker, sym2_contraction_weights
+from .models import ModelShrinker, sym2_contraction_weights
 
 # field ranks: values of shape (N,) for scalars, (components, N) otherwise
 SCALAR = "scalar"
@@ -168,6 +170,15 @@ class Grid:
             total += np.sum(term if mask is None else term[mask])
         return float(total)
 
+    def probe(self, rank: str, rng) -> np.ndarray:
+        """An adjointness probe of `rank`: standard normal in sqrt(G) x, so a
+        break in a row of weight 1e-12 shows as plainly as one at the centre."""
+        gram = self.gram(rank)
+        x = rng.standard_normal(gram.size)
+        for xc, gc in zip(x.reshape(-1, self.n_nodes), gram.reshape(-1, self.n_nodes)):
+            xc /= np.sqrt(gc)
+        return x
+
     @property
     def grad_b_norm_sq(self) -> np.ndarray:
         return self._cached("gb2", lambda: self.model.grad_b_norm_sq(self.coords))
@@ -234,9 +245,9 @@ def build_grid(
 ) -> tuple[Grid, WeightedMeasure]:
     """Build the truncated grid and its weighted quadrature measure.
 
-    `resolution` is the node count along each Euclidean axis; on cylinders the
-    angular resolutions are derived so metric spacings are comparable. A box
-    of more than DEFAULT_NODE_CAP nodes is refused before it is allocated.
+    `resolution` is the node count along each Euclidean axis; on a sphere
+    factor the angular resolutions are derived so metric spacings are
+    comparable. A box of more than DEFAULT_NODE_CAP nodes is refused.
     """
     if stencil_order not in (2, 4):
         raise GridError("stencil_order must be 2 or 4")
@@ -246,24 +257,17 @@ def build_grid(
         raise GridError(f"truncation_radius must be >= {MIN_TRUNCATION}")
 
     R = float(truncation_radius)
-    if model.kind == GAUSSIAN:
-        h = 2.0 * R / resolution
-        coords1d = -R + (np.arange(resolution) + 0.5) * h
-        axes = [Axis(coords=coords1d, h=h, boundary=DIRICHLET) for _ in range(model.n)]
-        cap_fraction = 0.0
-    else:
-        if model.k != 2:
-            raise GridError("cylinder grids support k = 2 (latitude-longitude chart)")
-        span = R**2 - 4.0 * model.f_offset
-        if span <= 0:
-            raise GridError("truncation_radius too small for the cylinder potential offset")
-        T = np.sqrt(span)
-        h_t = 2.0 * T / resolution
-        t_coords = -T + (np.arange(resolution) + 0.5) * h_t
-        axes = [
-            Axis(coords=t_coords, h=h_t, boundary=DIRICHLET)
-            for _ in range(model.n_euclidean)
-        ]
+    span = R**2 - 4.0 * model.f_offset
+    if span <= 0:
+        raise GridError("truncation_radius too small for the potential offset")
+    T = np.sqrt(span)
+    h_t = 2.0 * T / resolution
+    t_coords = -T + (np.arange(resolution) + 0.5) * h_t
+    axes = [Axis(coords=t_coords, h=h_t, boundary=DIRICHLET) for _ in range(model.n_euclidean)]
+    cap_fraction = 0.0
+    if model.angle_axes:
+        if len(model.angle_axes) != 2:
+            raise GridError("sphere factors support k = 2 (latitude-longitude chart)")
         r_sph = model.sphere_radius
         m_theta = max(MIN_RESOLUTION, int(np.ceil(np.pi * r_sph / h_t)))
         h_theta = np.pi / m_theta
@@ -312,15 +316,12 @@ def build_grid(
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """The weighted spherical average I_w sampled on a ladder of b-radii."""
+    """The weighted spherical average I_w on an ascending ladder of b-radii."""
 
     radii: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if len(r) == 0 or np.any(np.diff(r) <= 0):
-            raise GridError("profile radii must be strictly ascending")
         if np.any(np.asarray(self.values) < -1e-14):
             raise GridError("profile values must be nonnegative")
 

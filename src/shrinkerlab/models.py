@@ -1,6 +1,7 @@
-"""Closed-form model shrinkers: flat Gaussian space and round cylinders.
+"""Closed-form model shrinkers: the products R^(n-k) x S^k, with the flat
+Gaussian space as the case without a sphere factor.
 
-Both families are gradient shrinking solitons normalized to kappa = 1/2,
+Every model is a gradient shrinking soliton normalized to kappa = 1/2,
 
     Ric + Hess_f = g / 2,      |grad f|^2 + S = f,      Lap f + S = n / 2,
 
@@ -17,12 +18,14 @@ two-tensors are stored covariant and packed over the upper triangle, see
 :func:`sym_pairs`.
 
 This module holds the one implementation of each closed-form pointwise
-quantity: the vectorized `ModelShrinker` methods (among them |grad b|^2)
-and :func:`sym2_contraction_weights`. Grids cache them on their nodes, the
-contraction weights inside the sym2 Gram diagonal (`Grid.gram`); there are
-no single-point wrappers around them. A model stores its kind, n and k
-only; each evaluator takes an (m, n) array of points and nothing else, so
-a new model kind overrides one input form.
+quantity: the vectorized `ModelShrinker` methods (among them |grad b|^2 and
+the curvature action) and :func:`sym2_contraction_weights`. Grids cache them
+on their nodes. A model stores its kind, n and k only; each evaluator takes
+an (m, n) array of points. Only this module knows a kind, a label that
+`make_model` and `describe` read: every other module reads the product
+structure, `n_euclidean`, `angle_axes` (empty on a flat model) and `k` (None
+on a flat model), and the flat case runs through the cylinder's code with
+empty angle loops. So a new model kind is one subclass here.
 """
 
 from __future__ import annotations
@@ -75,21 +78,35 @@ class ModelShrinker:
 
     @property
     def n_euclidean(self) -> int:
-        return self.n if self.kind == GAUSSIAN else self.n - self.k
+        return self.n if self.k is None else self.n - self.k
 
     @property
     def angle_axes(self) -> range:
+        """The sphere factor's axes, latitudes then the longitude."""
         return range(self.n_euclidean, self.n)
 
     @property
     def sphere_radius(self) -> Optional[float]:
-        """r = sqrt(2(k-1)), so that S^k(r) has Ric = g/2; None on the Gaussian."""
-        return None if self.kind == GAUSSIAN else np.sqrt(2.0 * (self.k - 1))
+        """r = sqrt(2(k-1)), so that S^k(r) has Ric = g/2; None on a flat model."""
+        return None if self.k is None else np.sqrt(2.0 * (self.k - 1))
+
+    @property
+    def sphere_curvature(self) -> float:
+        """K = 1/r^2, the sectional curvature of the sphere factor; 0 on a flat model."""
+        return 0.0 if self.k is None else 1.0 / self.sphere_radius**2
 
     @property
     def f_offset(self) -> float:
-        """The constant term of f: k/2 on the cylinder, 0 on the Gaussian."""
-        return 0.0 if self.kind == GAUSSIAN else self.k / 2.0
+        """The constant term of f: k/2 with a sphere factor, 0 on a flat model."""
+        return 0.0 if self.k is None else self.k / 2.0
+
+    @property
+    def base_point(self) -> np.ndarray:
+        """A minimum of f: flat origin, latitudes at pi/2, longitude at pi."""
+        base = np.zeros(self.n)
+        base[self.n_euclidean : self.n - 1] = np.pi / 2.0
+        base[self.n_euclidean :][-1:] = np.pi
+        return base
 
     def _pts(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -101,10 +118,9 @@ class ModelShrinker:
         pts = self._pts(points)
         if not np.all(np.isfinite(pts)):
             raise ModelError("non-finite point coordinates")
-        if self.kind == CYLINDER:
-            ang = pts[:, self.n_euclidean : self.n - 1]
-            if ang.size and (np.any(ang <= 0.0) or np.any(ang >= np.pi)):
-                raise ModelError("latitude angle outside (0, pi): point is in a polar cap")
+        ang = pts[:, self.n_euclidean : self.n - 1]
+        if np.any(ang <= 0.0) or np.any(ang >= np.pi):
+            raise ModelError("latitude angle outside (0, pi): point is in a polar cap")
 
     # ---- potential ----------------------------------------------------
 
@@ -136,14 +152,12 @@ class ModelShrinker:
     # ---- metric -------------------------------------------------------
 
     def metric_diag(self, points) -> np.ndarray:
+        """1 on flat axes; r^2 times sin^2 of each earlier angle on angle axes."""
         pts = self._pts(points)
         g = np.ones_like(pts)
-        if self.kind == CYLINDER:
-            r2 = self.sphere_radius**2
-            running = np.full(pts.shape[0], r2)
-            for axis in self.angle_axes:
-                g[:, axis] = running
-                running = running * np.sin(pts[:, axis]) ** 2
+        for axis in self.angle_axes:
+            sines = np.sin(pts[:, self.n_euclidean : axis]) ** 2
+            g[:, axis] = self.sphere_radius**2 * np.prod(sines, axis=1)
         return g
 
     def volume_element(self, points) -> np.ndarray:
@@ -153,19 +167,12 @@ class ModelShrinker:
         """Nonzero Christoffel symbols {(l, i, j): Gamma^l_ij} with i <= j."""
         pts = self._pts(points)
         out: dict[tuple[int, int, int], np.ndarray] = {}
-        if self.kind == GAUSSIAN:
-            return out
         angles = list(self.angle_axes)
-        r2 = self.sphere_radius**2
-        s = {}
-        running = np.full(pts.shape[0], r2)
-        for axis in angles:
-            s[axis] = running.copy()
-            running = running * np.sin(pts[:, axis]) ** 2
+        g = self.metric_diag(pts)
         for ip, p in enumerate(angles):
             cot_p = np.cos(pts[:, p]) / np.sin(pts[:, p])
             for q in angles[ip + 1 :]:
-                out[(p, q, q)] = -(s[q] / s[p]) * cot_p
+                out[(p, q, q)] = -(g[:, q] / g[:, p]) * cot_p
                 out[(q, p, q)] = cot_p
         return out
 
@@ -173,21 +180,16 @@ class ModelShrinker:
 
     def scalar_curvature(self, points) -> np.ndarray:
         m = self._pts(points).shape[0]
-        if self.kind == GAUSSIAN:
-            return np.zeros(m)
-        return np.full(m, self.k * (self.k - 1) / self.sphere_radius**2)
+        return np.full(m, 0.0 if self.k is None else self.k * (self.k - 1) / self.sphere_radius**2)
 
     def ricci_packed(self, points) -> np.ndarray:
         """Ric in packed covariant components; (k-1)/r^2 times the sphere metric."""
         pts = self._pts(points)
         pairs = sym_pairs(self.n)
         out = np.zeros((pts.shape[0], len(pairs)))
-        if self.kind == CYLINDER:
-            g = self.metric_diag(pts)
-            coeff = (self.k - 1) / self.sphere_radius**2
-            for slot, (i, j) in enumerate(pairs):
-                if i == j and i >= self.n_euclidean:
-                    out[:, slot] = coeff * g[:, i]
+        g = self.metric_diag(pts)
+        for a in self.angle_axes:
+            out[:, pairs.index((a, a))] = (self.k - 1) / self.sphere_radius**2 * g[:, a]
         return out
 
     def riemann_action_matrix(self, point) -> np.ndarray:
@@ -199,9 +201,7 @@ class ModelShrinker:
         g = self.metric_diag(np.reshape(point, (1, -1)))[0]
         pairs = sym_pairs(self.n)
         mat = np.zeros((len(pairs), len(pairs)))
-        if self.kind == GAUSSIAN:
-            return mat
-        K = 1.0 / self.sphere_radius**2
+        K = self.sphere_curvature
         sphere = set(self.angle_axes)
         slot_of = {p: s for s, p in enumerate(pairs)}
         for slot, (i, j) in enumerate(pairs):
@@ -212,6 +212,20 @@ class ModelShrinker:
                 for a in sphere:
                     mat[slot, slot_of[(a, a)]] += K * g[i] / g[a]
         return mat
+
+    def curvature_couplings(self, points) -> list[tuple[int, int, np.ndarray | float]]:
+        """The action h -> R(h) of `riemann_action_matrix`, its one-point oracle,
+        at every point as couplings (out slot, in slot, per-point array or
+        constant) on packed sym2 fields; none on a flat model."""
+        g, pairs = self.metric_diag(points), sym_pairs(self.n)
+        K, sphere = self.sphere_curvature, self.angle_axes
+        out = []
+        for slot, (i, j) in enumerate(pairs):
+            if i in sphere and j in sphere:
+                out.append((slot, slot, -K))
+                out += [(slot, pairs.index((a, a)), K if a == i else K * g[:, i] / g[:, a])
+                        for a in sphere if i == j]
+        return out
 
     # ---- distance-like quantities --------------------------------------
 
@@ -228,7 +242,7 @@ class ModelShrinker:
         return np.where(f > 0, val, 0.0)
 
     def sphere_embedding(self, points) -> np.ndarray:
-        """Unit vectors in R^(k+1) for the sphere factor (cylinder only)."""
+        """Unit vectors in R^(k+1) for the sphere factor; a flat model has none."""
         pts = self._pts(points)
         ang = pts[:, self.n_euclidean :]
         k = self.k
@@ -242,15 +256,23 @@ class ModelShrinker:
         """Geodesic distance to one base point, shape (n,), in closed form."""
         pts = self._pts(points)
         basep = np.reshape(np.asarray(base, dtype=float), (1, -1))
-        if self.kind == GAUSSIAN:
-            return np.linalg.norm(pts - basep, axis=1)
         m = self.n_euclidean
         dt = np.linalg.norm(pts[:, :m] - basep[:, :m], axis=1)
+        if not self.angle_axes:
+            return dt
         u = self.sphere_embedding(pts)
         u0 = self.sphere_embedding(basep)
         cosang = np.clip(u @ u0[0], -1.0, 1.0)
         arc = self.sphere_radius * np.arccos(cosang)
         return np.hypot(dt, arc)
+
+    def distance_b_gaps(self) -> tuple[float, float]:
+        """The suprema of dist - b and b - dist, dist from `base_point`: 0 and 0
+        on a flat model; pi r - sqrt(2k) and sqrt(2k) on R^m x S^k(r), reached
+        at the base point's antipode and at the base point, where b = sqrt(2k)."""
+        b_base = 2.0 * np.sqrt(self.f_offset)
+        diameter = 0.0 if self.k is None else np.pi * self.sphere_radius
+        return max(diameter - b_base, 0.0), b_base
 
     def describe(self) -> dict:
         """Plain-data description used by the JSON report schema."""
@@ -291,12 +313,10 @@ def random_points(model: ModelShrinker, count: int, rng) -> np.ndarray:
     m = model.n_euclidean
     pts = np.zeros((count, model.n))
     pts[:, :m] = rng.uniform(-5.0, 5.0, size=(count, m))
-    if model.kind == CYLINDER:
-        for j, axis in enumerate(model.angle_axes):
-            if j < model.k - 1:
-                pts[:, axis] = rng.uniform(0.15, np.pi - 0.15, size=count)
-            else:
-                pts[:, axis] = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    for axis in model.angle_axes[:-1]:
+        pts[:, axis] = rng.uniform(0.15, np.pi - 0.15, size=count)
+    for axis in model.angle_axes[-1:]:
+        pts[:, axis] = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return pts
 
 
@@ -310,29 +330,17 @@ class ResidualReport:
     gradb_excess: float
     tolerance: float
 
+    def failures(self) -> list[str]:
+        """The identities whose residual is not shown within tolerance (NaN is not)."""
+        named = {"Ric + Hess_f - g/2": self.soliton_residual,
+                 "Lap f + S - n/2": self.trace_residual,
+                 "|grad f|^2 + S - f": self.potential_residual,
+                 "|grad b| <= 1": self.gradb_excess}
+        return [name for name, residual in named.items() if not residual <= self.tolerance]
+
     @property
     def passed(self) -> bool:
-        return (
-            max(
-                self.soliton_residual,
-                self.trace_residual,
-                self.potential_residual,
-                self.gradb_excess,
-            )
-            <= self.tolerance
-        )
-
-    def failures(self) -> list[str]:
-        out = []
-        if self.soliton_residual > self.tolerance:
-            out.append("Ric + Hess_f - g/2")
-        if self.trace_residual > self.tolerance:
-            out.append("Lap f + S - n/2")
-        if self.potential_residual > self.tolerance:
-            out.append("|grad f|^2 + S - f")
-        if self.gradb_excess > self.tolerance:
-            out.append("|grad b| <= 1")
-        return out
+        return not self.failures()
 
 
 def check_soliton_identities(model: ModelShrinker, sample_points) -> ResidualReport:

@@ -511,22 +511,13 @@ class Operators:
 
     @cached_property
     def riemann_block(self) -> FirstOrder:
-        """Pointwise curvature action h -> R(h) on packed sym2 fields: couplings only."""
+        """Pointwise curvature action h -> R(h) on packed sym2 fields: couplings
+        only, the model's own (`ModelShrinker.curvature_couplings`) at the
+        grid's nodes. The operator suite knows no model kind."""
         npairs = len(self.pairs)
         op = FirstOrder(self.diffs, npairs, npairs)
-        model = self.grid.model
-        if model.kind == "gaussian":
-            return op
-        K = 1.0 / model.sphere_radius**2
-        g = self.grid.metric_diag
-        sphere = set(model.angle_axes)
-        for slot, (i, j) in enumerate(self.pairs):
-            if i not in sphere or j not in sphere:
-                continue
-            op.couple(slot, slot, -K)
-            if i == j:
-                for a in sphere:
-                    op.couple(slot, self._slot(a, a), K if a == i else K * g[:, i] / g[:, a])
+        for o, i, coef in self.grid.model.curvature_couplings(self.grid.coords):
+            op.couple(o, i, coef)
         return op
 
     # ---- weighted adjoints of the term lists -------------------------------

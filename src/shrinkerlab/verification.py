@@ -179,38 +179,30 @@ class CaoZhouReport:
     c2: float
     c3: float
     radii: np.ndarray
-    insufficient: bool
+    passed: bool
 
 
 def cao_zhou_check(grid: Grid, radii=None) -> CaoZhouReport:
     """Fit the smallest constants in the distance and volume growth bounds.
 
     c1, c2 make (r - c1)^2/4 <= f <= (r + c2)^2/4 hold over the grid; c3 is
-    the largest Vol(B_r)/r^n over the radius ladder. The basepoint sits at the
-    analytic minimum of f.
+    the largest Vol(B_r)/r^n over the radius ladder. The basepoint is the
+    model's `base_point`. It passes when c1 and c2 stay within the model's
+    closed-form suprema (`distance_b_gaps`), up to round-off.
     """
-    if grid.n_nodes < 10:
-        return CaoZhouReport(0.0, 0.0, 0.0, np.array([]), True)
     model = grid.model
-    if model.kind == "gaussian":
-        base = np.zeros(model.n)
-        r_cover = grid.truncation_radius
-    else:
-        base = np.zeros(model.n)
-        base[model.n_euclidean : model.n - 1] = np.pi / 2.0
-        base[model.n - 1] = np.pi
-        t_axis = grid.axes[0]
-        r_cover = float(np.max(np.abs(t_axis.coords))) + t_axis.h / 2.0
-    dist = model.distance(grid.coords, base)
-    b = grid.b
-    c1 = float(np.max(np.maximum(dist - b, 0.0)))
-    c2 = float(np.max(np.maximum(b - dist, 0.0)))
+    t_axis = grid.axes[0]
+    r_cover = float(np.max(np.abs(t_axis.coords))) + t_axis.h / 2.0
+    dist = model.distance(grid.coords, model.base_point)
+    c1 = float(np.max(np.maximum(dist - grid.b, 0.0)))
+    c2 = float(np.max(np.maximum(grid.b - dist, 0.0)))
+    sup1, sup2 = model.distance_b_gaps()
+    roundoff = 1e-12 * grid.truncation_radius
 
     if radii is None:
         radii = np.linspace(max(2.0, 0.25 * r_cover), 0.9 * r_cover, 8)
     radii = np.asarray(radii, dtype=float)
-    vols = np.array(
-        [float(np.sum(grid.unweighted_volumes[dist <= r])) for r in radii]
-    )
+    vols = np.array([float(np.sum(grid.unweighted_volumes[dist <= r])) for r in radii])
     c3 = float(np.max(vols / radii**model.n))
-    return CaoZhouReport(c1=c1, c2=c2, c3=c3, radii=radii, insufficient=False)
+    return CaoZhouReport(c1=c1, c2=c2, c3=c3, radii=radii,
+                         passed=c1 <= sup1 + roundoff and c2 <= sup2 + roundoff)

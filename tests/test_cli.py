@@ -24,7 +24,8 @@ from shrinkerlab.cli import (
     main,
 )
 from shrinkerlab.fields import components_for
-from shrinkerlab.operators import Operators
+from shrinkerlab.models import ModelShrinker
+from shrinkerlab.operators import OperatorKind, Operators
 from shrinkerlab.reports import load_report
 from shrinkerlab.verification import HarmonicityReport
 
@@ -173,6 +174,46 @@ def test_verify_fails_checks_measured_over_no_node(tmp_path):
     assert not checks["killing_dichotomy"]["passed"]
 
 
+def test_structure_check_sees_a_break_next_to_the_boundary(monkeypatch):
+    # a break of 1e-3 in the outermost row of div_f on sym2 tensors, where the
+    # quadrature weight is about e^-25: raw standard-normal probes weigh that
+    # row by it (a gap of 1.8e-14, under the 1e-12 gate), probes standard
+    # normal in sqrt(G) x weigh it as any other (a gap of 1.9e-4)
+    grid, _ = build_grid(make_model("gaussian", 2), 80, 10.0)
+    ops = grid.ops()
+    matvec = ops.matvec
+    row = int(np.argmax(grid.b))
+
+    def broken(kind, x):
+        out = matvec(kind, x)
+        if kind == OperatorKind.DIV_F_TENSOR:
+            out[row] += 1e-3 * x[row]
+        return out
+
+    monkeypatch.setattr(ops, "matvec", broken)
+    check = cli._verify_structure(RunConfig(), grid, np.random.default_rng(0))
+    assert check["residuals"]["adjointness"] > 1e-6
+    assert not check["passed"]
+
+
+def test_renamed_flat_model_runs_as_the_gaussian(tmp_path):
+    # only `models` knows a kind: a flat model under another label builds
+    # the Gaussian's grid, and every verify check and the near-kernel block
+    # come out as the Gaussian's, apart from the model description
+    class Renamed(ModelShrinker):
+        pass
+
+    cfg = RunConfig(output_dir=tmp_path, resolution=48, truncation_radius=6.0)
+    runs = []
+    for model in (make_model("gaussian", 2), Renamed(kind="flatcopy", n=2)):
+        grid, _ = build_grid(model, 48, 6.0)
+        checks = cli.run_verify(cfg, grid)
+        assert all(c.pop("model") == model.describe() for c in checks)
+        runs.append((checks, spectral.near_kernel_block(grid).summary()))
+    assert runs[0][0][0]["passed"] and len(runs[0][0]) == len(cli.VERIFY_SUITES)
+    assert runs[1] == runs[0]
+
+
 def test_harmonicity_suite_gates_on_the_report_verdict(monkeypatch):
     # the suite passes exactly the fields that harmonicity_check passes
     grid, _ = build_grid(make_model("gaussian", 2), 32, 4.0)
@@ -213,6 +254,17 @@ def test_spectrum_reports_complement_solve(tmp_path, capsys):
         r"width 6 \(1 wanted\) in \d+ iterations, \d+ restarts; lowest Ritz value "
         r"0\.24755\d, wanted residual <= \d\.\d\de-\d\d", lines[0]
     ), lines[0]
+
+
+def test_spectrum_above_dense_cap_takes_complement_path(tmp_path, capsys):
+    # 1,432 unknowns: above DENSE_CAP, where the complement path is already
+    # faster than the dense oracle
+    code = run_cli(
+        "spectrum", "--dim", "2", "--resolution", "30", "--truncation-radius", "6",
+        "--output", str(tmp_path / "spec"),
+    )
+    assert code == EXIT_OK
+    assert "complement: lobpcg, 1432 unknowns;" in capsys.readouterr().err
 
 
 def test_spectrum_above_60k_unknowns(tmp_path, capsys):

@@ -9,7 +9,13 @@ from shrinkerlab import (
     make_model,
     random_points,
 )
-from shrinkerlab.models import ModelShrinker, sym2_contraction_weights, sym_pairs
+from shrinkerlab.models import (
+    SOLITON_TOL,
+    ModelShrinker,
+    ResidualReport,
+    sym2_contraction_weights,
+    sym_pairs,
+)
 
 
 def test_make_model_gaussian():
@@ -177,3 +183,23 @@ def test_distance_closed_forms():
     pts = [[2.0, np.pi / 2, 0.0], [0.0, np.pi / 2, np.pi / 2]]
     arc = cyl.sphere_radius * np.pi / 2
     np.testing.assert_allclose(cyl.distance(pts, base), [2.0, arc], rtol=1e-12)
+
+
+def test_distance_b_gaps_closed_forms(cylinder32, gaussian2, rng):
+    assert gaussian2.distance_b_gaps() == (0.0, 0.0)
+    gaps = cylinder32.distance_b_gaps()
+    assert gaps == pytest.approx((np.pi * np.sqrt(2.0) - 2.0, 2.0), rel=1e-15)
+    # the suprema bound a sample and are reached at the antipode of the base
+    # point and at the base point itself
+    base = cylinder32.base_point
+    pts = np.vstack([random_points(cylinder32, 2000, rng), [[0.0, np.pi / 2, 0.0]], [base]])
+    gap = cylinder32.distance(pts, base) - cylinder32.b_value(pts)
+    assert np.max(gap) == pytest.approx(gaps[0], rel=1e-12) and gap[-2] == np.max(gap)
+    assert np.max(-gap) == pytest.approx(gaps[1], rel=1e-12) and gap[-1] == np.min(gap)
+
+
+def test_nan_residual_fails_the_soliton_report():
+    # a residual that is not shown within tolerance fails, wherever it sits
+    rep = ResidualReport(0.0, 0.0, 0.0, float("nan"), SOLITON_TOL)
+    assert not rep.passed
+    assert rep.failures() == ["|grad b| <= 1"]

@@ -277,7 +277,8 @@ def test_gradient_norm_bounded_under_refinement(gaussian1):
 
 @pytest.fixture(scope="module")
 def grid56(gaussian2):
-    # 2,472 nodes, 4,944 unknowns: just below DENSE_CAP, so every path runs
+    # 2,472 nodes, 4,944 unknowns, above DENSE_CAP: each path is forced on
+    # it, the dense oracle among them
     grid, _ = build_grid(gaussian2, 56, 6.0)
     return grid
 

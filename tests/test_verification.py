@@ -9,6 +9,7 @@ from shrinkerlab.fields import (
     bump_vector,
     dilation,
     euclidean_rotation,
+    killing_fields,
     scalar_field,
     translation,
     vector_field,
@@ -217,12 +218,32 @@ def test_cao_zhou_cylinder_stable(cylinder32):
 
 
 def test_cao_zhou_insufficient_data(gaussian2):
+    # the smallest grid that build_grid makes still fits every constant
     grid, _ = build_grid(gaussian2, 16, 4.0)
-    # carve the grid down to almost nothing by masking via a tiny radius ladder
     small = cao_zhou_check(grid, radii=[1.0, 2.0, 3.0])
-    assert not small.insufficient
+    assert small.passed
+    assert np.isfinite(small.c3)
 
-    class Stub:
-        n_nodes = 1
 
-    assert cao_zhou_check(Stub()).insufficient
+@pytest.mark.parametrize("args, res", [(("gaussian", 2), 48), (("cylinder", 3, 2), 24)])
+def test_cao_zhou_fails_a_stretched_distance(args, res):
+    # c1 and c2 are gated on the model's closed-form suprema of dist - b and
+    # b - dist; a distance stretched by 1.1 exceeds them
+    model = make_model(*args)
+
+    class Stretched(type(model)):
+        def distance(self, points, base):
+            return 1.1 * super().distance(points, base)
+
+    grid, _ = build_grid(model, res, 6.0)
+    assert cao_zhou_check(grid).passed
+    stretched, _ = build_grid(Stretched(model.kind, model.n, model.k), res, 6.0)
+    assert not cao_zhou_check(stretched).passed
+
+
+def test_killing_fields_read_the_product_structure():
+    # the (4,2) cylinder has a two-dimensional flat factor, so its rotation
+    # is a named Killing field, as it is in killing_basis
+    grid, _ = build_grid(make_model("cylinder", 4, 2), 16, 4.0)
+    names = list(killing_fields(grid))
+    assert names == ["translation_0", "translation_1", "rotation_01", "polar_rotation"]
