@@ -4,7 +4,8 @@ The package implements two closed-form model geometries (flat Gaussian space and
 round cylinders), weighted quadrature grids over truncated domains, discrete
 weighted divergence / drift-Laplacian operators with exact adjointness by
 construction, a symmetric weighted eigensolver, and the approximate-symmetry
-extension pipeline with polynomial-growth diagnostics.
+extension pipeline with its distance to the symmetry, a propagation gate and
+polynomial-growth diagnostics.
 """
 
 from .models import (

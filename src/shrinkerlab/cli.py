@@ -31,15 +31,17 @@ from .fields import (
     translation,
     vector_field,
 )
-from .grid import Grid, GridError, RadialProfile, build_grid
+from .grid import Grid, GridError, build_grid
 from .models import CYLINDER, GAUSSIAN, ModelError, check_soliton_identities, make_model, random_points
 from .operators import OperatorKind, identity_residuals
 from .propagation import (
+    GATE_C,
     PropagationError,
-    check_growth_bound,
-    doubling_bound,
+    build_cutoff,
+    distance,
+    distance_profile,
     extend_symmetry,
-    measured_lambda_bar,
+    rung_radii,
 )
 from .spectral import (
     SolverError,
@@ -66,7 +68,7 @@ class ConfigError(ValueError):
 
 
 def point_tag(r: float, eps: float) -> str:
-    """The name of a propagate sweep point, as its check and CSV files carry it."""
+    """The name of a propagate sweep point, as its check carries it."""
     return f"r{r:g}_eps{eps:g}"
 
 
@@ -150,15 +152,11 @@ class RunConfig:
                 raise ConfigError("r and epsilon each need at least one value")
             if not np.all(np.isfinite(self.r_values + self.epsilons)):
                 raise ConfigError("r and epsilon values must be finite")
-            for r in self.r_values:
-                if r > self.truncation_radius:
-                    raise ConfigError("r exceeds truncation_radius")
-                if r < 4.0:
-                    raise ConfigError("r must be >= 4")
+            # the bounds of r are checked by build_cutoff, on the built grid in `run`
             for eps in self.epsilons:
                 if eps < 0:
                     raise ConfigError("epsilon must be nonnegative")
-            # a point's tag names its check and its CSV files
+            # a point's tag names its check, and `compare` pairs checks by name
             tags = [point_tag(r, eps) for r in self.r_values for eps in self.epsilons]
             clashes = sorted({t for t in tags if tags.count(t) > 1})
             if clashes:
@@ -464,120 +462,98 @@ def run_spectrum(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
 # ---- propagate --------------------------------------------------------------
 
 
-def _propagate_point(
-    cfg: RunConfig, grid: Grid, r: float, eps: float
-) -> tuple[dict, RadialProfile | None]:
-    """One sweep point: its report entry, and the defect profile for its plot CSV."""
-    model = grid.model
-    # the symmetry that the input perturbs is also the reference
-    if model.n_euclidean >= 2:
+def _propagate_point(cfg: RunConfig, reference, r: float, eps: float, floor) -> dict:
+    """One sweep point: the extension of the perturbed reference, its distances
+    to the reference's line and the propagation gate against `floor`, the
+    distance profile of the eps-0 extension."""
+    point = {"r": r, "epsilon": eps}
+    Y = perturbed(reference, eps)
+    try:
+        result = extend_symmetry(Y, r, tolerance=cfg.tolerance, seed=cfg.seed)
+    except PropagationError as exc:  # the point fails; the sweep goes on
+        return {**point, "passed": False, "failure": str(exc)}
+    Z = result.z.field
+    inside = reference.grid.b < r
+    input_gap = distance(Y, reference, inside)
+    e = distance_profile(reference, Z, r)
+    point.update(
+        mu=result.mu,
+        mu_bar=result.defect.mu_bar,
+        c1_measured=result.defect.c1_measured,
+        tail=result.tail,
+        c2_fit=result.c2_fit,
+        c_tail_fit=result.c_tail_fit,
+        div_star_v_norm_sq=result.div_star_v_norm_sq,
+        v_norm_sq=result.v_norm_sq,
+        hypothesis_mu_bar_lt_1=result.hypothesis_mu_bar_lt_1,
+        cosine_with_reference=abs(Z.inner(reference * (1.0 / reference.norm()))),
+        eigen_residual=result.z.residual,
+        cutoff_grad_bound=result.cutoff.grad_bound,
+        variational_ok=result.mu <= result.div_star_v_norm_sq + 1e-10,
+        block_solver=result.near_kernel.summary(),
+        input_gap=input_gap,
+        local_distance=distance(Y, Z, inside),
+        distance_profile={"radii": rung_radii(reference.grid, r), "e": e, "floor": floor},
+    )
+    point["passed"] = bool(point["variational_ok"] and np.all(e <= GATE_C * (input_gap + floor)))
+    return point
+
+
+def run_propagate(cfg: RunConfig, grid: Grid) -> list[dict]:
+    # one grid, and so one operator suite and one near-kernel block, serves
+    # every sweep point and the floor of every r
+    if grid.model.n_euclidean >= 2:
         reference = euclidean_rotation(grid)
     else:
         reference = translation(grid, 0)
-    result = extend_symmetry(perturbed(reference, eps), r, tolerance=cfg.tolerance,
-                             seed=cfg.seed)
-    refn = reference * (1.0 / reference.norm())
-    cosine = abs(result.z.field.inner(refn))
-    lam = measured_lambda_bar(result.defect_tensor)
-    point = {
-        "r": r,
-        "epsilon": eps,
-        "mu": result.mu,
-        "mu_bar": result.defect.mu_bar,
-        "c1_measured": result.defect.c1_measured,
-        "tail": result.tail,
-        "c2_fit": result.c2_fit,
-        "c_tail_fit": result.c_tail_fit,
-        "div_star_v_norm_sq": result.div_star_v_norm_sq,
-        "v_norm_sq": result.v_norm_sq,
-        "hypothesis_mu_bar_lt_1": result.hypothesis_mu_bar_lt_1,
-        "cosine_with_reference": cosine,
-        "eigen_residual": result.z.residual,
-        "cutoff_grad_bound": result.cutoff.grad_bound,
-        "lambda_bar": lam,
-        "variational_ok": result.mu <= result.div_star_v_norm_sq + 1e-10,
-        "block_solver": result.near_kernel.summary(),
-    }
-    # below the squared stencil-noise scale the defect tensor is pure
-    # discretization noise; its unweighted shell profile is then not a
-    # meaningful growth observable and is reported without a pass/fail gate
-    noise_floor = point["mu"] > grid.stencil_tol**2
-    point["defect_above_noise_floor"] = bool(noise_floor)
-    profile, fit = result.defect_profile, result.fit
-    if profile is not None:
-        point["profile"] = {
-            "radii": list(profile.radii),
-            "values": list(profile.values),
-            "f_levels": list(profile.radii**2 / 4.0),
-        }
-        if fit is None:
-            point["profile_note"] = result.profile_note
-        else:
-            point["fit"] = {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "max_residual": fit.max_residual,
-            }
-            point["fitted_exponent"] = result.fitted_exponent
-            growth = check_growth_bound(profile, lam, profile.radii[0])
-            point["growth_bound"] = {
-                "worst_ratio": growth.worst_ratio,
-                "passed": growth.passed,
-                "lambda_bar": growth.lambda_bar,
-            }
-            if noise_floor:
-                point["passed"] = bool(
-                    point["variational_ok"] and growth.passed and (fit.max_residual <= 0.5)
-                )
-    point.setdefault("passed", bool(point["variational_ok"]))
-    return point, profile
-
-
-def run_propagate(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
-    # one grid, and so one operator suite and one near-kernel block, serves
-    # every sweep point
     checks = []
     for r in cfg.r_values:
+        # the floor: the distance profile of the eps-0 extension, which finds
+        # the cached block (perturbed(reference, 0) is reference bit for bit)
+        floor = distance_profile(reference, extend_symmetry(
+            reference, r, tolerance=cfg.tolerance, seed=cfg.seed).z.field, r)
         for eps in cfg.epsilons:
-            point, profile = _propagate_point(cfg, grid, r, eps)
-            tag = point_tag(r, eps)
-            if profile is not None:
-                radii, values = profile.radii, profile.values
-                lam = point["lambda_bar"]
-                rows = [
-                    (rr, vv, doubling_bound(radii[0], rr, values[0], lam))
-                    for rr, vv in zip(radii, values)
-                ]
-                reports.write_plot_data(
-                    out_dir / f"plot_{tag}.csv",
-                    ["radius_b", "I_div_star_Z", "polynomial_bound"],
-                    rows,
-                )
-            checks.append({"check_name": f"propagation_{tag}", **point})
+            point = _propagate_point(cfg, reference, r, eps, floor)
+            checks.append({"check_name": f"propagation_{point_tag(r, eps)}", **point})
     return checks
 
 
 # ---- compare ----------------------------------------------------------------
 
 
-# quantities that settle at a nonzero limit under refinement, not at zero:
-# mu at the near-kernel eigenvalues of the truncated domain
-SETTLING = ("mu", "fitted_exponent")
+# quantities listed at both resolutions with no ratio, order or verdict: mu
+# settles at the eigenvalues of the truncated domain, adjointness and
+# gram_error sit at round-off, min_rayleigh is a Rayleigh quotient, and above
+# the floor the distances of a propagation point settle at about
+# 0.7 x input_gap (the rungs of e are named e(rho))
+SETTLING = ("mu", "adjointness", "gram_error", "min_rayleigh", "input_gap", "local_distance",
+            "e")
 
 
 def _compared_quantities(check: dict) -> dict:
-    """The numbers of one check that `compare_runs` tabulates: its residuals
-    and, for a propagation point, the pipeline's accuracy figures."""
+    """The numbers of one check that `compare_runs` tabulates: its residuals,
+    an eigenpair's mu and eigen-equation residuals, and a propagation point's
+    accuracy figures and distances, one entry per rung of its profile."""
     quantities = dict(check.get("residuals") or {})
-    if check["check_name"].startswith("propagation_"):
+    name = check["check_name"]
+    if name.startswith("eigenpair_"):
+        norm = check.get("norm_checks") or {}
+        quantities.update(norm.get("decomposition_residuals") or {})
+        quantities.update(mu=check.get("mu"), divf_eigen_residual=norm.get("divf_eigen_residual"))
+    elif name.startswith("propagation_"):
         quantities.update(
             mu=check.get("mu"),
             eigen_residual=check.get("eigen_residual"),
-            fitted_exponent=check.get("fitted_exponent"),
+            input_gap=check.get("input_gap"),
+            local_distance=check.get("local_distance"),
         )
         cosine = check.get("cosine_with_reference")
         if isinstance(cosine, (int, float)):
             quantities["1-cosine_with_reference"] = 1.0 - cosine
+        profile = check.get("distance_profile") or {}
+        for key in ("e", "floor"):
+            for rho, value in zip(profile.get("radii", ()), profile.get(key, ())):
+                quantities[f"{key}({rho:g})"] = value
     return quantities
 
 
@@ -621,7 +597,7 @@ def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
                 "empirical_order": None,
                 "converging": None,
             }
-            if key not in SETTLING:
+            if key.partition("(")[0] not in SETTLING:
                 if val <= 0 or oval <= 0:
                     continue
                 ratio = coarse / fine
@@ -644,14 +620,20 @@ def run(cfg: RunConfig) -> int:
     grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
     if cfg.command == "spectrum" and cfg.eigs >= grid.n_nodes * grid.n:
         raise ConfigError(f"eigs must be below the {grid.n_nodes * grid.n} unknowns of this grid")
+    if cfg.command == "propagate":
+        for r in cfg.r_values:
+            try:
+                build_cutoff(grid, r)
+            except PropagationError as exc:
+                raise ConfigError(str(exc)) from exc
+    # the writers make the output directory, so a config error leaves none
     out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.command == "verify":
         checks = run_verify(cfg, grid)
     elif cfg.command == "spectrum":
         checks = run_spectrum(cfg, grid, out_dir)
     else:
-        checks = run_propagate(cfg, grid, out_dir)
+        checks = run_propagate(cfg, grid)
     # on stderr, not in the report, so that reruns stay byte-identical
     held = grid.ops().stored_matrices()
     print(

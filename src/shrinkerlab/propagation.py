@@ -1,18 +1,21 @@
-"""Approximate-symmetry extension: cutoff, defect, eigensolve, growth bounds.
+"""Approximate-symmetry extension: cutoff, defect, eigensolve, and the
+distance to the symmetry that says how far it propagates.
 
 Pipeline: a vector field with small symmetry defect on {f < r^2/4} is cut off
 with a C^2 spline in b, renormalized, and projected by the weighted inner
 product onto the lowest near-degenerate eigen-block of P on the full
 truncated domain (`spectral.near_kernel_block`, solved once per grid), so
 the discrete variational bound mu <= |div_f^* V|^2 / |V|^2 holds exactly.
-Outward control is then quantified by the shell profile of the returned
-defect tensor, on a ladder of PROFILE_POINTS radii, and fitted growth
-exponents.
+How far the symmetry carries is measured by `distance`, the weighted
+distance of a field to the line of another on a ball {b < rho}, on the
+ladder of `distance_profile`.
 
 The pipeline derives none of its quantities itself: the cutoff is
 `fields.radial_bump`, the norms on {b < r} are `Field.norm_where`, the
-extended field is measured as an eigenpair by `SpectralPair.of`, and the
-shell profiles weigh by the model's |grad b|^2 through `grid.radial_profile`.
+extended field is measured as an eigenpair by `SpectralPair.of`, and every
+distance reads `Grid.inner`. The growth diagnostics (`fit_growth_exponent`,
+`check_growth_bound`, `measured_lambda_bar`) act on shell profiles from
+`grid.radial_profile`.
 """
 
 from __future__ import annotations
@@ -22,13 +25,21 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Field, radial_bump
-from .grid import Grid, RadialProfile, radial_profile
+from .fields import VECTOR, Field, radial_bump
+from .grid import Grid, RadialProfile
 from .spectral import NearKernelBlock, SpectralPair, near_kernel_block
 
 
-# radii on the ladder of the defect tensor's shell profile
-PROFILE_POINTS = 10
+# rungs of the distance profile, np.linspace(r, R, RUNGS)
+RUNGS = 5
+# the propagation gate: e(rho) <= GATE_C (input_gap + floor(rho)) on every
+# rung. Measured max_rho e / (input_gap + floor), eps 1e-3 to 1e-1 (r 4; it
+# is 1 at eps 0, where e is the floor): on the 2D Gaussian 0.72-0.97 at R 6,
+# res 200; 0.64-0.77 at R 8, res 256; 0.57-0.67 at R 12, res 512, r 5; at
+# most 1 in 1D, where the block is one pair and e equals the floor. With Z
+# replaced by the translation it is 10-128 at R 6 and 11-803 at R 8, res
+# 270; with Z replaced by the cut-off input, 3.8-33.7 and 4.5-295.
+GATE_C = 2.0
 
 
 class PropagationError(RuntimeError):
@@ -112,11 +123,7 @@ def measure_defect(Y: Field, r: float) -> DefectReport:
 
 @dataclass
 class PropagationResult:
-    """Outcome of one extension run, with fitted constants and shell profiles.
-
-    `defect_tensor` is div_f^* Z; `fit` covers the whole profile ladder (else
-    `profile_note` says why not), `fitted_exponent` all but its outer 10%.
-    """
+    """Outcome of one extension run, with its fitted constants."""
 
     z: SpectralPair
     mu: float
@@ -124,11 +131,6 @@ class PropagationResult:
     c_tail_fit: float
     tail: float
     defect: DefectReport
-    defect_tensor: Field
-    defect_profile: Optional[RadialProfile]
-    fit: Optional[GrowthFit]
-    profile_note: Optional[str]
-    fitted_exponent: Optional[float]
     v_norm_sq: float
     div_star_v_norm_sq: float
     hypothesis_mu_bar_lt_1: bool
@@ -169,14 +171,10 @@ def extend_symmetry(
     z_vals = np.zeros_like(block[0].field.values)
     for p in block:
         z_vals += V.inner(p.field) * p.field.values
-    Z = Field(grid, "vector", z_vals)
+    Z = Field(grid, VECTOR, z_vals)
     zn = Z.norm()
-    Z = block[0].field if zn <= 1e-10 else Z * (1.0 / zn)
-    # mu = <Z, P Z> / |Z|^2 = |div_f^* Z|^2 / |Z|^2
-    w_tensor = ops.div_star(Z)
-    zpair = SpectralPair.of(Z, w_tensor.inner(w_tensor) / Z.inner(Z))
-    if zpair.field.inner(Z) < 0:  # `of` flipped the sign: keep w = div_f^* z.field
-        w_tensor = w_tensor * -1.0
+    # mu is the Rayleigh quotient |div_f^* Z|^2 / |Z|^2
+    zpair = SpectralPair.of(block[0].field if zn <= 1e-10 else Z)
     mu = zpair.mu
 
     # V has unit norm, so |div_f^* V|^2 is its Rayleigh quotient
@@ -190,27 +188,6 @@ def extend_symmetry(
     c2_fit = mu / (defect.mu_bar + tail)
     c_tail_fit = max((mu - 3.0 * defect.mu_bar) / tail, 0.0)
 
-    dr = 3.0 * grid.max_spacing
-    lo = r + dr
-    hi = min(2.0 * r, grid.truncation_radius) - 1.5 * dr
-    profile = fit = note = slope_inner = None
-    if hi > lo + 2 * dr:
-        ladder = np.linspace(lo, hi, PROFILE_POINTS)
-        profile = radial_profile(w_tensor, ladder)
-        try:
-            fit = fit_growth_exponent(profile)
-        except PropagationError as exc:
-            note = str(exc)
-        if fit is not None:
-            # the outermost 10% of the range is boundary-contaminated
-            cut = lo + 0.9 * (hi - lo)
-            keep = profile.radii <= cut
-            inner_profile = RadialProfile(radii=profile.radii[keep], values=profile.values[keep])
-            try:
-                slope_inner = fit_growth_exponent(inner_profile).slope
-            except PropagationError:
-                pass
-
     return PropagationResult(
         z=zpair,
         mu=mu,
@@ -218,17 +195,35 @@ def extend_symmetry(
         c_tail_fit=c_tail_fit,
         tail=tail,
         defect=defect,
-        defect_tensor=w_tensor,
-        defect_profile=profile,
-        fit=fit,
-        profile_note=note,
-        fitted_exponent=slope_inner,
         v_norm_sq=v_norm_sq,
         div_star_v_norm_sq=dsv_sq,
         hypothesis_mu_bar_lt_1=dsv_sq < 1.0,
         cutoff=cutoff,
         near_kernel=near,
     )
+
+
+def distance(F: Field, G: Field, mask: np.ndarray) -> float:
+    """dist(F, G; mask) = min_c |F - c G| / |F| over the nodes of `mask`: the
+    sine of the weighted angle between the two vector fields there, 0 when
+    F is a multiple of G. It is read off the cosine, so it resolves
+    distances down to about sqrt(machine epsilon), 1.5e-8."""
+    grid = F.grid
+    fg = grid.inner(VECTOR, F.values, G.values, mask)
+    ff = grid.inner(VECTOR, F.values, F.values, mask)
+    gg = grid.inner(VECTOR, G.values, G.values, mask)
+    return float(np.sqrt(max(0.0, 1.0 - fg * fg / (ff * gg))))
+
+
+def rung_radii(grid: Grid, r: float) -> np.ndarray:
+    """The radii of the distance profile, from r to the truncation radius."""
+    return np.linspace(r, grid.truncation_radius, RUNGS)
+
+
+def distance_profile(F: Field, G: Field, r: float) -> np.ndarray:
+    """dist(F, G; b < rho) for rho on `rung_radii`."""
+    grid = F.grid
+    return np.array([distance(F, G, grid.b < rho) for rho in rung_radii(grid, r)])
 
 
 @dataclass(frozen=True)
@@ -240,11 +235,6 @@ class GrowthReport:
     passed: bool
     skipped_pairs: int
     lambda_bar: float
-
-
-def doubling_bound(r1: float, r2: float, value1: float, lambda_bar: float) -> float:
-    """The polynomial doubling bound 2 (r2/r1)^(5 lambda_bar) I(r1) on I(r2)."""
-    return 2.0 * (r2 / r1) ** (5.0 * lambda_bar) * value1
 
 
 def check_growth_bound(profile: RadialProfile, lambda_bar: float, r0: float) -> GrowthReport:
@@ -265,7 +255,7 @@ def check_growth_bound(profile: RadialProfile, lambda_bar: float, r0: float) -> 
             if values[i] <= 0.0 or values[j] <= 0.0:
                 skipped += 1
                 continue
-            ratio = values[j] / doubling_bound(radii[i], radii[j], values[i], lambda_bar)
+            ratio = values[j] / (2.0 * (radii[j] / radii[i]) ** (5.0 * lambda_bar) * values[i])
             if ratio > worst:
                 worst = ratio
                 worst_pair = (float(radii[i]), float(radii[j]))

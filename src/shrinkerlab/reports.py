@@ -45,16 +45,6 @@ def write_report(path: Path, command: str, config: dict, model_desc: dict, check
     return doc
 
 
-def write_plot_data(path: Path, header: list[str], rows) -> None:
-    """Plot-data CSV; the header names the intended axes."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-
-
 def write_field_csv(path: Path, field) -> None:
     """Node table of a sampled field: coordinates then components."""
     grid = field.grid

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -23,7 +24,7 @@ from shrinkerlab.cli import (
     load_config_file,
     main,
 )
-from shrinkerlab.fields import components_for
+from shrinkerlab.fields import components_for, euclidean_rotation, translation
 from shrinkerlab.models import ModelShrinker
 from shrinkerlab.operators import OperatorKind, Operators
 from shrinkerlab.reports import load_report
@@ -427,7 +428,7 @@ def test_config_round_trip_ini_and_flags(tmp_path):
 
 
 def test_profile_points_key_rejected(tmp_path, capsys):
-    # the profile ladder has a fixed length, propagation.PROFILE_POINTS
+    # the distance profile has a fixed ladder of propagation.RUNGS radii
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[propagate]\nprofile_points = 7\n")
     assert run_cli("propagate", "--config", str(cfg), "--output", str(tmp_path / "o")) == EXIT_CONFIG
@@ -513,8 +514,8 @@ def test_invalid_run_options_are_config_errors(tmp_path, capsys, argv, message):
                                           ("--epsilon", "1e-3,0.001"),
                                           ("--r", "4,4.0000001")])
 def test_propagate_rejects_colliding_point_tags(tmp_path, capsys, flag, values):
-    # each point's tag names its check and its CSV files: two points with one
-    # tag would overwrite each other's profiles
+    # each point's tag names its check, and compare pairs checks by name: two
+    # points with one tag could not be told apart
     code = run_cli("propagate", "--dim", "1", "--resolution", "136", "--truncation-radius", "5",
                    flag, values, "--output", str(tmp_path / "o"))
     assert code == EXIT_CONFIG
@@ -549,32 +550,93 @@ def test_load_config_validates_sections(tmp_path):
         load_config_file(cfg)
 
 
-def test_propagate_sweep(tmp_path):
+def test_propagate_sweep(tmp_path, monkeypatch):
     out = tmp_path / "prop"
     code = run_cli(
         "propagate", "--model", "gaussian", "--dim", "2",
         "--resolution", "256", "--truncation-radius", "8",
-        "--r", "4", "--epsilon", "1e-3,1e-2",
+        "--r", "4", "--epsilon", "1e-3,1e-2,1e-1",
         "--seed", "5", "--output", str(out),
     )
     assert code == EXIT_OK
     doc = read_report(out)
-    points = [c for c in doc["checks"] if c["check_name"].startswith("propagation")]
-    assert len(points) == 2
-    for p in points:
-        assert p["variational_ok"]
+    points = {c["epsilon"]: c for c in doc["checks"] if c["check_name"].startswith("propagation")}
+    assert sorted(points) == [1e-3, 1e-2, 1e-1]
+    for p in points.values():
+        assert p["passed"] and p["variational_ok"]
         assert p["mu"] <= p["div_star_v_norm_sq"] + 1e-10
         # the block's eigenvalues are reported once, under block_solver
         assert "block_mus" not in p and p["block_solver"]["block_mus"]
-    # the profile is in report.json and the plot CSVs, and written nowhere else
-    assert sorted(p.name for p in out.iterdir()) == [
-        "plot_r4_eps0.001.csv", "plot_r4_eps0.01.csv", "report.json"]
+        assert p["distance_profile"]["radii"] == [4.0, 5.0, 6.0, 7.0, 8.0]
+    # slope 1: the input's distance to the rotation grows tenfold per decade
+    # of eps, and so does every rung of e above the floor
+    gaps = [points[eps]["input_gap"] for eps in (1e-3, 1e-2, 1e-1)]
+    assert gaps[1] / gaps[0] == pytest.approx(10.0, rel=0.01)
+    assert gaps[2] / gaps[1] == pytest.approx(10.0, rel=0.01)
+    e_2, e_1 = (np.array(points[eps]["distance_profile"]["e"]) for eps in (1e-2, 1e-1))
+    assert np.all((8.0 <= e_1 / e_2) & (e_1 / e_2 <= 12.0))
+    # the benchmark reads this report: its gates pass, its figures are finite
+    bench = _benchmark_module(monkeypatch)
+    assert bench.gate(doc, bench.WORKLOADS["propagate-sweep"]) == []
+    figures = bench.accuracy(doc)
+    assert set(figures) == {"cosine_gap", "mu_max", "eigen_residual_max"}
+    assert all(np.isfinite(v) for v in figures.values())
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("mutation", ["translation", "cutoff_input"])
+def test_propagation_gate_fails_a_wrong_extension(tmp_path, monkeypatch, mutation):
+    # Z replaced by a field that is not the rotation's extension: the
+    # translation, or the cut-off input V, which vanishes outside {b < r}.
+    # Both keep the variational bound, so only the distance gate fails
+    extend = cli.extend_symmetry
+
+    def mutated(Y, r, **kwargs):
+        result = extend(Y, r, **kwargs)
+        if np.array_equal(Y.values, euclidean_rotation(Y.grid).values):
+            return result  # the floor's eps-0 extension
+        wrong = (translation(Y.grid, 0) if mutation == "translation"
+                 else Y.scale_by(result.cutoff.eta.values))
+        return dataclasses.replace(result, z=spectral.SpectralPair.of(wrong))
+
+    monkeypatch.setattr(cli, "extend_symmetry", mutated)
+    out = tmp_path / "prop"
+    code = run_cli("propagate", "--dim", "2", "--resolution", "200", "--truncation-radius", "6",
+                   "--r", "4", "--epsilon", "1e-3,1e-2", "--output", str(out))
+    assert code == EXIT_CHECK_FAILED
+    for p in read_report(out)["checks"]:
+        assert p["variational_ok"] and not p["passed"]
+        profile = p["distance_profile"]
+        ratio = max(e / (p["input_gap"] + f) for e, f in zip(profile["e"], profile["floor"]))
+        assert ratio > 5.0 * propagation.GATE_C
+
+
+def test_propagate_underresolved_cutoff_is_config_error(tmp_path, capsys):
+    code = run_cli("propagate", "--dim", "2", "--resolution", "64", "--truncation-radius", "8",
+                   "--r", "4", "--output", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: transition band under-resolved: 1.00 cells, need >= 4" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_propagate_point_failing_its_hypothesis_keeps_the_sweep(tmp_path, capsys):
+    # eps 0.5 puts the input's defect above 1/4: that point fails, the other
+    # passes, and the report holds both
+    out = tmp_path / "prop"
+    code = run_cli("propagate", "--dim", "1", "--resolution", "136", "--truncation-radius", "4",
+                   "--r", "4", "--epsilon", "1e-3,0.5", "--output", str(out))
+    assert code == EXIT_CHECK_FAILED
+    passed, failed = read_report(out)["checks"]
+    assert passed["passed"] and "failure" not in passed
+    assert not failed["passed"] and failed["epsilon"] == 0.5
+    assert re.fullmatch(r"defect mu_bar = 0\.\d+ exceeds 1/4", failed["failure"])
+    assert "failed checks: propagation_r4_eps0.5" in capsys.readouterr().err
 
 
 def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     counted = {"lowest_eigenpairs": (spectral,), "assemble": (Operators,),
-               "measure_defect": (propagation, cli),
-               "fit_growth_exponent": (propagation, cli), "div_star": (Operators,)}
+               "measure_defect": (propagation, cli), "div_star": (Operators,)}
     calls = dict.fromkeys(counted, 0)
     for name, owners in counted.items():
         def counting(*args, _name=name, _fn=getattr(owners[0], name), **kwargs):
@@ -587,14 +649,14 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     cfg = RunConfig(command="propagate", n=1, resolution=512, truncation_radius=8.0,
                     r_values=(4.0,), epsilons=(1e-3, 1e-2))
     grid, _ = build_grid(make_model("gaussian", 1), 512, 8.0)
-    checks = cli.run_propagate(cfg, grid, tmp_path)
+    checks = cli.run_propagate(cfg, grid)
     assert len(checks) == 2
     # one solve, and one assembly of div_f^*, for P's factor, which the guard
-    # reuses instead of building it again; each point measures the defect of
-    # Y once, fits the full and the inner profile, and applies div_f^* to Y,
-    # V and Z
-    assert calls == {"lowest_eigenpairs": 1, "assemble": 1, "measure_defect": 2,
-                     "fit_growth_exponent": 4, "div_star": 6}
+    # reuses instead of building it again; the floor's extension and each
+    # point measure the defect of their input once and apply div_f^* to it,
+    # to V and to Z
+    assert calls == {"lowest_eigenpairs": 1, "assemble": 1, "measure_defect": 3,
+                     "div_star": 9}
     assert capsys.readouterr().err.count("near-kernel block:") == 1
     solvers = [c["block_solver"] for c in checks]
     assert solvers[0] == solvers[1]
@@ -772,27 +834,33 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def _propagate_report(resolution, mu, cosine, eigen_residual, exponent):
-    point = {"check_name": "propagation_r4_eps0", "mu": mu,
+def _propagate_report(resolution, mu, cosine, eigen_residual, gap, e, floor):
+    point = {"check_name": "propagation_r4_eps0.01", "mu": mu,
              "cosine_with_reference": cosine, "eigen_residual": eigen_residual,
-             "fitted_exponent": exponent, "passed": True}
+             "input_gap": gap, "local_distance": 0.8 * gap,
+             "distance_profile": {"radii": [4.0, 6.0], "e": e, "floor": floor}, "passed": True}
     return {"command": "propagate", "config": {"resolution": resolution, "stencil_order": 2},
             "checks": [point]}
 
 
 def test_compare_propagate_quantities(tmp_path, capsys):
-    a = _propagate_report(128, 4e-4, 1.0 - 8e-4, 2e-4, -1.5)
-    b = _propagate_report(256, 1e-4, 1.0 - 2e-4, 1e-4, -1.25)
+    a = _propagate_report(128, 4e-4, 1.0 - 8e-4, 2e-4, 1e-2, [8e-3, 9e-3], [4e-3, 8e-3])
+    b = _propagate_report(256, 1e-4, 1.0 - 2e-4, 1e-4, 1e-2, [7e-3, 7.5e-3], [1e-3, 2e-3])
     rows = {row["quantity"]: row for row in compare_runs(b, a)}
-    assert set(rows) == {"mu", "1-cosine_with_reference", "eigen_residual", "fitted_exponent"}
+    assert set(rows) == {"mu", "1-cosine_with_reference", "eigen_residual", "input_gap",
+                         "local_distance", "e(4)", "e(6)", "floor(4)", "floor(6)"}
     for key, ratio, converging in (("eigen_residual", 2.0, False),
-                                   ("1-cosine_with_reference", 4.0, True)):
+                                   ("1-cosine_with_reference", 4.0, True),
+                                   ("floor(4)", 4.0, True), ("floor(6)", 4.0, True)):
         assert rows[key]["coarse"] == 128 and rows[key]["fine"] == 256
         assert rows[key]["error_ratio"] == pytest.approx(ratio)
         assert rows[key]["empirical_order"] == pytest.approx(np.log2(ratio))
         assert rows[key]["converging"] is converging
-    # mu and the exponent settle at a limit: both values, no ratio, order or verdict
-    for key, values in (("mu", (4e-4, 1e-4)), ("fitted_exponent", (-1.5, -1.25))):
+    # mu and the distances above the floor settle at a limit: both values,
+    # no ratio, order or verdict
+    for key, values in (("mu", (4e-4, 1e-4)), ("input_gap", (1e-2, 1e-2)),
+                        ("local_distance", (8e-3, 8e-3)), ("e(4)", (8e-3, 7e-3)),
+                        ("e(6)", (9e-3, 7.5e-3))):
         row = rows[key]
         assert (row["coarse_value"], row["fine_value"]) == values
         assert row["error_ratio"] is None and row["empirical_order"] is None
@@ -803,9 +871,55 @@ def test_compare_propagate_quantities(tmp_path, capsys):
         paths[-1].write_text(json.dumps(doc))
     assert run_cli("compare", *map(str, paths)) == EXIT_OK
     out = capsys.readouterr().out
-    assert "propagation_r4_eps0/mu: coarse=0.0004 fine=0.0001\n" in out
-    assert "propagation_r4_eps0/1-cosine_with_reference: ratio=4 order=2.00" in out
-    assert "propagation_r4_eps0/fitted_exponent: coarse=-1.5 fine=-1.25\n" in out
+    assert "propagation_r4_eps0.01/mu: coarse=0.0004 fine=0.0001\n" in out
+    assert "propagation_r4_eps0.01/1-cosine_with_reference: ratio=4 order=2.00" in out
+    assert "propagation_r4_eps0.01/e(6): coarse=0.009 fine=0.0075\n" in out
+    assert "propagation_r4_eps0.01/floor(6): ratio=4 order=2.00\n" in out
+
+
+def test_compare_spectrum_lists_mu_and_tabulates_eigen_residuals(tmp_path, capsys):
+    paths = []
+    for res in (128, 256):
+        out = tmp_path / f"res{res}"
+        assert run_cli("spectrum", "--dim", "1", "--resolution", str(res),
+                       "--truncation-radius", "8", "--eigs", "4", "--output", str(out)) == EXIT_OK
+        paths.append(out / "report.json")
+    rows = {(r["check_name"], r["quantity"]): r for r in compare_runs(*map(load_report, paths))}
+    # each pair's mu settles at its eigenvalue, and the Gram error sits at
+    # round-off: both values, no ratio
+    for i in range(4):
+        assert rows[(f"eigenpair_{i}", "mu")]["error_ratio"] is None
+    assert rows[("orthonormality", "gram_error")]["error_ratio"] is None
+    # the eigen-equation residuals of the pairs above the kernel converge at order 2
+    for i in (1, 2, 3):
+        for key in ("grad_div_eigen", "divf_eigen_residual"):
+            assert rows[(f"eigenpair_{i}", key)]["converging"], (i, key)
+    assert run_cli("compare", *map(str, paths)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.search(r"^eigenpair_1/mu: coarse=0\.499\d+ fine=0\.499\d+$", out, flags=re.M)
+    assert re.search(r"^eigenpair_1/divf_eigen_residual: ratio=\S+ order=2\.00$", out, flags=re.M)
+
+
+def test_compare_verify_lists_roundoff_and_rayleigh_quotient(tmp_path, capsys):
+    # adjointness sits at round-off and min_rayleigh is a Rayleigh quotient:
+    # neither converges at the stencil order, so neither gets a verdict
+    paths = []
+    for res in (32, 48):
+        out = tmp_path / f"res{res}"
+        assert run_cli("verify", "--dim", "2", "--resolution", str(res), "--truncation-radius",
+                       "6", "--suite", "structure,kernel", "--output", str(out)) == EXIT_OK
+        paths.append(out / "report.json")
+    rows = {(r["check_name"], r["quantity"]): r for r in compare_runs(*map(load_report, paths))}
+    for key in ("adjointness", "min_rayleigh"):
+        row = rows[("adjoint_structure", key)]
+        assert row["error_ratio"] is None and row["converging"] is None
+    assert rows[("kernel_of_P", "translation_0")]["error_ratio"] is not None
+    assert run_cli("compare", *map(str, paths)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "below expected order" not in "".join(
+        line for line in out.splitlines(keepends=True) if line.startswith("adjoint_structure/"))
+    assert re.search(r"^adjoint_structure/adjointness: coarse=\S+ fine=\S+$", out, flags=re.M)
+    assert re.search(r"^adjoint_structure/min_rayleigh: coarse=\S+ fine=\S+$", out, flags=re.M)
 
 
 def test_compare_runs_ratio_table(tmp_path):

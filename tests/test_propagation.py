@@ -9,6 +9,8 @@ from shrinkerlab.propagation import (
     PropagationError,
     build_cutoff,
     check_growth_bound,
+    distance,
+    distance_profile,
     extend_symmetry,
     fit_growth_exponent,
     measure_defect,
@@ -211,6 +213,37 @@ def test_extend_requires_small_defect(cutoff_grid):
     Y = perturbed(euclidean_rotation(grid), 2.0)  # defect above 1/4
     with pytest.raises(PropagationError, match="1/4"):
         extend_symmetry(Y, 5.0)
+
+
+def test_distance_to_a_line(grid2_64):
+    # the sine of the weighted angle: 0 on the field itself, round-off (read
+    # off the cosine, about sqrt(machine epsilon)) on a multiple of it, and
+    # c |X| / sqrt(|Y|^2 + c^2 |X|^2) for X orthogonal to Y on the ball
+    grid, _ = grid2_64
+    rot = euclidean_rotation(grid)
+    inside = grid.b < 4.0
+    assert distance(rot, rot, inside) == 0.0
+    assert distance(rot, rot * -3.0, inside) <= 1e-7
+    trans = translation(grid, 0)
+    assert abs(grid.inner("vector", rot.values, trans.values, inside)) <= 1e-12 * rot.norm() ** 2
+    c = 1e-2
+    expected = c * trans.norm_where(inside) / np.hypot(rot.norm_where(inside),
+                                                     c * trans.norm_where(inside))
+    assert distance(rot + trans * c, rot, inside) == pytest.approx(expected, rel=1e-6)
+    profile = distance_profile(rot + trans * c, rot, 4.0)
+    assert profile.shape == (5,) and np.all(profile > 0)
+
+
+def test_extension_of_a_killing_field_sits_at_the_floor(extend_run):
+    # the rotation's own extension is its floor: Z stays within the floor's
+    # distance of the rotation, and the eps-1e-2 input's extension is nearer
+    # the rotation than the input itself on {b < 4}
+    grid, res = extend_run
+    rot = euclidean_rotation(grid)
+    floor = distance_profile(rot, extend_symmetry(rot, 4.0, seed=3).z.field, 4.0)
+    e = distance_profile(rot, res.z.field, 4.0)
+    gap = distance(perturbed(rot, 1e-2), rot, grid.b < 4.0)
+    assert np.all(floor < e) and np.all(e <= 2.0 * (gap + floor))
 
 
 # ---- growth diagnostics -----------------------------------------------------------
