@@ -161,35 +161,33 @@ def angular_rotation(grid: Grid) -> Field:
 
 
 def killing_fields(grid: Grid) -> dict[str, Field]:
-    """The model's closed-form Killing fields by name: translations, then rotations.
+    """The model's closed-form Killing fields by name: the translations, the
+    flat rotations x_a d_b - x_b d_a (a < b) and a sphere factor's polar rotation.
 
-    A subset of `killing_basis`, which the near-kernel block starts from: the
-    verify checks run on these fields, and the two rotations that move the
-    poles of a sphere factor would fail them. Their cot(theta)
+    The verify checks run on these fields. `killing_basis`, which the
+    near-kernel block starts from, adds the two rotations that move the poles
+    of a sphere factor; they would fail those checks. Their cot(theta)
     component is not resolved next to the excluded polar caps: on the (3,2)
     cylinder at resolution 80, R 6 they give |P Y| / |Y| = 0.078 against a
     stencil-order floor of 0.2, a harmonicity residual of 284, and a failed
     interpolation check.
     """
-    model = grid.model
-    out = {f"translation_{axis}": translation(grid, axis) for axis in range(model.n_euclidean)}
-    if model.n_euclidean >= 2:
-        out["rotation_01"] = euclidean_rotation(grid, 0, 1)
-    if model.angle_axes:
+    m = grid.model.n_euclidean
+    out = {f"translation_{axis}": translation(grid, axis) for axis in range(m)}
+    out.update({f"rotation_{a}{b}": euclidean_rotation(grid, a, b)
+                for a in range(m) for b in range(a + 1, m)})
+    if grid.model.angle_axes:
         out["polar_rotation"] = angular_rotation(grid)
     return out
 
 
 def killing_basis(grid: Grid) -> list[Field]:
-    """A basis of the model's Killing fields: every translation, every flat
-    rotation x_a d_b - x_b d_a (a < b), and with a sphere factor the three
-    rotations of S^2. `killing_fields` names a subset of these."""
-    m = grid.model.n_euclidean
-    out = [translation(grid, axis) for axis in range(m)]
-    out += [euclidean_rotation(grid, a, b) for a in range(m) for b in range(a + 1, m)]
+    """A basis of the model's Killing fields: `killing_fields`, and with a
+    sphere factor the two rotations that move the poles of its (theta, phi)
+    chart."""
+    out = list(killing_fields(grid).values())
     if grid.model.angle_axes:
-        out.append(angular_rotation(grid))
-        # the rotations that move the poles of the (theta, phi) chart
+        m = grid.model.n_euclidean
         theta, phi = grid.coords[:, m], grid.coords[:, m + 1]
         cot = np.cos(theta) / np.sin(theta)
         for d_theta, d_phi in (

@@ -141,14 +141,14 @@ class PropagationResult:
 def extend_symmetry(
     Y_local: Field,
     r: float,
-    tolerance: float = 1e-9,
     seed: int = 0,
 ) -> PropagationResult:
     """Extend an approximate symmetry on {b < r} to an eigenfield of P.
 
     Returns the weighted projection of the cutoff input onto the near-kernel
     block of P (`NearKernelBlock.block`), so the reported mu satisfies the
-    variational bound exactly.
+    variational bound exactly. A projection of norm at most 1e-10 says the
+    block holds nothing of the input, and is a PropagationError.
     """
     grid = Y_local.grid
     ops = grid.ops()
@@ -166,15 +166,16 @@ def extend_symmetry(
     dsv = ops.div_star(V)
     dsv_sq = dsv.inner(dsv)
 
-    near = near_kernel_block(grid, tolerance=tolerance, seed=seed)
+    near = near_kernel_block(grid, seed=seed)
     block = near.block
     z_vals = np.zeros_like(block[0].field.values)
     for p in block:
         z_vals += V.inner(p.field) * p.field.values
     Z = Field(grid, VECTOR, z_vals)
-    zn = Z.norm()
+    if Z.norm() <= 1e-10:
+        raise PropagationError("the near-kernel block holds none of the cut-off input")
     # mu is the Rayleigh quotient |div_f^* Z|^2 / |Z|^2
-    zpair = SpectralPair.of(block[0].field if zn <= 1e-10 else Z)
+    zpair = SpectralPair.of(Z)
     mu = zpair.mu
 
     # V has unit norm, so |div_f^* V|^2 is its Rayleigh quotient

@@ -22,7 +22,7 @@ structure (`_VCycle`), whose bottom level is solved by a banded Cholesky
 factor (`_BandCholesky`); the cycle too is built once per grid (`_vcycle`).
 P itself is only applied, factor by factor, never assembled: by the
 weighted-symmetry probe and by the residuals |P y - mu y|, which every path
-checks against 10 times its tolerance. Every pair is built by
+checks against 10 * `EIGEN_TOL`. Every pair is built by
 `SpectralPair.of`: eigenfields come back unit-norm in the weighted inner
 product with a fixed sign, so pairs are deterministic up to rotation inside
 numerically degenerate blocks. `decompose_eigenfield` splits an eigenfield
@@ -59,6 +59,9 @@ from .operators import OperatorHandle, OperatorKind
 #   4,944 (2D)          8.86 s, 441 MB   0.46 s, 75 MB
 DENSE_CAP = 1000
 LOBPCG_MAXITER = 700
+# the eigensolver tolerance: LOBPCG stops at it, and every path raises when a
+# pair's residual |P y - mu y| ends above 10 * EIGEN_TOL
+EIGEN_TOL = 1e-9
 # scipy's lobpcg runs until every column has converged, so a block whose last
 # column splits an eigenvalue cluster crawls to its iteration cap. On the
 # 40,216-unknown 2D Gaussian the six lowest pairs are three Killing pairs, a
@@ -383,7 +386,7 @@ def _complement(K: sp.csr_matrix, cycle: _VCycle, Y: np.ndarray, X: np.ndarray,
 def lowest_eigenpairs(
     operator: OperatorHandle,
     count: int,
-    tolerance: float = 1e-9,
+    tolerance: float = EIGEN_TOL,
     method: str = "auto",
     seed: int = 0,
 ) -> list[SpectralPair]:
@@ -406,6 +409,8 @@ def lowest_eigenpairs(
     |P y - mu y|, measured through the factored P (`SpectralPair.of`), must
     end at or below 10 * `tolerance`, else SolverError. Another operator
     kind, or a `count` other than k on the lobpcg path, is a ValueError.
+    No caller in the package passes `tolerance`; it stays because
+    perfbench/trace.py binds it by name to count the converged pairs.
     """
     if operator.kind != OperatorKind.OP_P:
         raise ValueError(f"lowest_eigenpairs solves P only, not {operator.kind.value}")
@@ -434,14 +439,13 @@ def lowest_eigenpairs(
         cycle = _vcycle(grid)
         started = cycle.applications
         X, _ = np.linalg.qr(np.stack([g.flat() * s for g in starts], axis=1))
-        tol = max(tolerance, 1e-10)
-        vals, vecs, _ = _lobpcg(K, X, cycle, tol, LOBPCG_MAXITER)
+        vals, vecs, _ = _lobpcg(K, X, cycle, tolerance, LOBPCG_MAXITER)
         if method == "complement":
             block_iterations = cycle.applications - started
             wanted = max(count - len(starts), 1)
             X = np.column_stack([dilation(grid).flat() * s,
                                  rng.standard_normal((size, wanted + BUFFER - 1))])
-            run = _complement(K, cycle, vecs, X, wanted, tol, LOBPCG_MAXITER)
+            run = _complement(K, cycle, vecs, X, wanted, tolerance, LOBPCG_MAXITER)
             print(
                 f"complement: lobpcg, {size} unknowns; block of {len(starts)} in "
                 f"{block_iterations} iterations; complement width {X.shape[1]} ({wanted} "
@@ -510,11 +514,11 @@ class NearKernelBlock:
         }
 
 
-def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> NearKernelBlock:
+def near_kernel_block(grid: Grid, seed: int = 0) -> NearKernelBlock:
     """Lowest eigen-block of P on `grid`: one pair per Killing field of the model.
 
     P depends only on the grid, so the block is solved once per grid and
-    argument set and cached on the grid. At every grid size the solve is the
+    seed and cached on the grid. At every grid size the solve is the
     LOBPCG path of `lowest_eigenpairs`, which starts from one Killing field
     per pair (`killing_basis`). The dense path, which `method="auto"` takes
     at or below `DENSE_CAP`, cannot use that start. A guard follows: a complement
@@ -528,18 +532,18 @@ def near_kernel_block(grid: Grid, tolerance: float = 1e-9, seed: int = 0) -> Nea
     complement's spectrum.)
 
     Raises SolverError when the block does not converge (a residual above
-    10 * `tolerance`), when a guard Ritz value is at or below `BLOCK_TOL`, or
+    10 * `EIGEN_TOL`), when a guard Ritz value is at or below `BLOCK_TOL`, or
     when the guard ends with a residual above `GUARD_TOL`.
     The guard check is one-sided: Ritz values are upper bounds on the
     eigenvalues of P on the complement of the block, so a value at or below
     `BLOCK_TOL` proves the block incomplete. Values above it speak for the
     block only as far as the guard has converged, hence the residual check.
     """
-    key = ("near_kernel_block", tolerance, seed)
-    return grid._cached(key, lambda: _solve_near_kernel_block(grid, tolerance, seed))
+    key = ("near_kernel_block", seed)
+    return grid._cached(key, lambda: _solve_near_kernel_block(grid, seed))
 
 
-def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
+def _solve_near_kernel_block(grid, seed) -> NearKernelBlock:
     handle = grid.ops().handle(OperatorKind.OP_P)
     # the block solve below builds nothing: it finds the factor and cycle in the grid's cache
     K, s = _p_factor(grid)
@@ -547,8 +551,7 @@ def _solve_near_kernel_block(grid, tolerance, seed) -> NearKernelBlock:
     size = K.shape[1]
     started = cycle.applications
     try:
-        pairs = lowest_eigenpairs(handle, len(killing_basis(grid)), tolerance=tolerance,
-                                  method="lobpcg", seed=seed)
+        pairs = lowest_eigenpairs(handle, len(killing_basis(grid)), method="lobpcg", seed=seed)
     except SolverError as exc:
         raise SolverError(f"near-kernel block did not converge: {exc}") from exc
 

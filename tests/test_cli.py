@@ -200,7 +200,7 @@ def test_structure_check_sees_a_break_next_to_the_boundary(monkeypatch):
 def test_renamed_flat_model_runs_as_the_gaussian(tmp_path):
     # only `models` knows a kind: a flat model under another label builds
     # the Gaussian's grid, and every verify check and the near-kernel block
-    # come out as the Gaussian's, apart from the model description
+    # come out as the Gaussian's
     class Renamed(ModelShrinker):
         pass
 
@@ -208,9 +208,7 @@ def test_renamed_flat_model_runs_as_the_gaussian(tmp_path):
     runs = []
     for model in (make_model("gaussian", 2), Renamed(kind="flatcopy", n=2)):
         grid, _ = build_grid(model, 48, 6.0)
-        checks = cli.run_verify(cfg, grid)
-        assert all(c.pop("model") == model.describe() for c in checks)
-        runs.append((checks, spectral.near_kernel_block(grid).summary()))
+        runs.append((cli.run_verify(cfg, grid), spectral.near_kernel_block(grid).summary()))
     assert runs[0][0][0]["passed"] and len(runs[0][0]) == len(cli.VERIFY_SUITES)
     assert runs[1] == runs[0]
 
@@ -221,6 +219,42 @@ def test_harmonicity_suite_gates_on_the_report_verdict(monkeypatch):
     monkeypatch.setattr(cli, "harmonicity_check",
                         lambda Y: HarmonicityReport(residual=0.0, passed=False))
     assert not cli._verify_harmonicity(RunConfig(), grid, None)["passed"]
+
+
+def test_verify_checks_every_flat_rotation_3d(tmp_path):
+    # the 3D Gaussian has three flat rotations, and each Killing check names
+    # all three; the report holds the model and grid once, not per check
+    out = tmp_path / "g3"
+    code = run_cli("verify", "--dim", "3", "--resolution", "24", "--truncation-radius", "6",
+                   "--suite", "kernel,harmonicity,interp", "--output", str(out))
+    assert code == EXIT_OK
+    checks = read_report(out)["checks"]
+    assert [c["check_name"] for c in checks] == [
+        "kernel_of_P", "divergence_harmonicity", "interpolation_inequality"]
+    rotations = {"rotation_01", "rotation_02", "rotation_12"}
+    for check in checks:
+        assert rotations <= set(check["residuals"] or check["values"])
+        assert not {"model", "resolution", "stencil_order"} & set(check)
+
+
+def test_bochner_suite_fails_when_a_field_warns(monkeypatch):
+    # a field that is no drift eigenfunction says nothing of the identity, so
+    # the check fails however small the identity's residual; it reports both
+    # eigen-residuals
+    grid, _ = build_grid(make_model("gaussian", 1), 128, 8.0)
+    check = cli._verify_bochner(RunConfig(), grid, None)
+    assert check["passed"]
+    assert max(check["eigen_residuals"].values()) <= 0.1
+    real = cli.drift_bochner_residual
+
+    def quadratic_warns(v, mu):
+        rep = real(v, mu)
+        return dataclasses.replace(rep, eigen_residual=0.5, warned=True) if mu == 1.0 else rep
+
+    monkeypatch.setattr(cli, "drift_bochner_residual", quadratic_warns)
+    check = cli._verify_bochner(RunConfig(), grid, None)
+    assert not check["passed"]
+    assert check["eigen_residuals"]["quadratic"] == 0.5
 
 
 def test_spectrum_gaussian_1d(tmp_path):
@@ -355,7 +389,7 @@ INI_VALUES = {
     "model": {"kind": "cylinder", "n": "3", "k": "2"},
     "grid": {"resolution": "20", "truncation_radius": "5", "stencil_order": "4"},
     "verify": {"suite": "soliton, structure"},
-    "spectrum": {"eigs": "3", "tolerance": "1e-7", "dump_fields": "yes"},
+    "spectrum": {"eigs": "3", "dump_fields": "yes"},
     "propagate": {"r": "4.5", "epsilon": "0.01, 0.02"},
 }
 
@@ -386,7 +420,6 @@ def test_config_round_trip_ini_and_flags(tmp_path):
         "output": str(out),
         "suite": ["soliton", "structure"],
         "eigs": 3,
-        "tolerance": 1e-7,
         "dump_fields": True,
         "r": [4.5],
         "epsilon": [0.01, 0.02],
@@ -400,7 +433,7 @@ def test_config_round_trip_ini_and_flags(tmp_path):
         "--model": "cylinder", "--dim": "3", "--k": "2",
         "--resolution": "16", "--truncation-radius": "4.5", "--stencil-order": "2",
         "--seed": "9", "--output": str(out), "--suite": "soliton",
-        "--eigs": "5", "--tolerance": "1e-8", "--r": "4,4.25", "--epsilon": "0.005",
+        "--eigs": "5", "--r": "4,4.25", "--epsilon": "0.005",
     }
     argv = ["verify", "--config", str(ini), "--dump-fields"]
     for flag, val in flags.items():
@@ -416,7 +449,6 @@ def test_config_round_trip_ini_and_flags(tmp_path):
         "output": str(out),
         "suite": ["soliton"],
         "eigs": 5,
-        "tolerance": 1e-8,
         "dump_fields": True,
         "r": [4.0, 4.25],
         "epsilon": [0.005],
@@ -433,6 +465,19 @@ def test_profile_points_key_rejected(tmp_path, capsys):
     cfg.write_text("[propagate]\nprofile_points = 7\n")
     assert run_cli("propagate", "--config", str(cfg), "--output", str(tmp_path / "o")) == EXIT_CONFIG
     assert "unknown key 'profile_points' in section [propagate]" in capsys.readouterr().err
+
+
+def test_tolerance_flag_and_key_rejected(tmp_path, capsys):
+    # the eigensolver tolerance is spectral.EIGEN_TOL: no run loosens its gate
+    with pytest.raises(SystemExit) as exc:
+        run_cli("spectrum", "--tolerance", "1e-5", "--output", str(tmp_path / "o"))
+    assert exc.value.code == EXIT_CONFIG
+    assert "--tolerance" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[spectrum]\ntolerance = 1e-5\n")
+    assert run_cli("spectrum", "--config", str(cfg), "--output", str(tmp_path / "o")) == EXIT_CONFIG
+    assert "unknown key 'tolerance' in section [spectrum]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_ini_block_is_a_valid_config(tmp_path):
@@ -494,15 +539,16 @@ def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
     (("verify", "--suite", ""), "suite names no verify suite"),
     (("propagate", "--r", ""), "at least one value"),
     (("propagate", "--epsilon", ""), "at least one value"),
-    (("spectrum", "--tolerance", "nan"), "tolerance must be finite and positive"),
-    (("spectrum", "--tolerance", "-1"), "tolerance must be finite and positive"),
+    (("spectrum", "--eigs", "0"), "eigs must be >= 1"),
+    (("propagate", "--epsilon", "-0.001"), "epsilon must be nonnegative"),
     (("propagate", "--r", "nan"), "must be finite"),
     (("propagate", "--epsilon", "inf"), "must be finite"),
     (("verify", "--seed", "-1"), "seed must be >= 0"),
 ])
 def test_invalid_run_options_are_config_errors(tmp_path, capsys, argv, message):
-    # an empty list would run no check and pass, a NaN tolerance would turn
-    # the residual check off; each is refused before the output directory exists
+    # an empty list would run no check and pass, a NaN r or epsilon would fail
+    # every comparison, and eigs and epsilon have lower bounds; each is refused
+    # before the output directory exists
     code = run_cli(*argv, "--output", str(tmp_path / "o"))
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -800,24 +846,32 @@ def test_benchmark_tracer_runs_verify(tmp_path):
     assert names.count("operators.OperatorHandle.apply") > 0
 
 
-@pytest.mark.parametrize("run, formed", [(("24", "6"), 1), (("64", "8"), 0)])
+@pytest.mark.parametrize("run, formed", [(("24", "6", 4), 1), (("64", "8", 4), 0),
+                                         (("40", "6", 6), 0)])
 def test_benchmark_tracer_runs_spectrum(tmp_path, run, formed):
     # each pair is decomposed once, its div_f checked by the same call; only
-    # the dense path (896 unknowns; 6,456 take the complement) forms K^T K
+    # the dense path (896 unknowns; 2,528 and 6,456 take the complement) forms
+    # K^T K. The tracer binds lowest_eigenpairs' `count` and `tolerance` by
+    # name, and counts a pair converged at a residual within the tolerance
     spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, str(REPO / "perfbench" / "trace.py"), str(spans), "spectrum",
          "--model", "gaussian", "--dim", "2", "--resolution", run[0],
-         "--truncation-radius", run[1], "--eigs", "4", "--output", str(tmp_path / "spec")],
+         "--truncation-radius", run[1], "--eigs", str(run[2]),
+         "--output", str(tmp_path / "spec")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
-    assert names.count("spectral.decompose_eigenfield") == 4
+    doc = json.loads(spans.read_text())
+    names = [span[0] for span in doc["spans"]]
+    assert names.count("spectral.lowest_eigenpairs") == 1
+    assert names.count("spectral.decompose_eigenfield") == run[2]
     assert "spectral.eigencheck_divf" not in names
     assert names.count("spectral._symmetric_form") == formed
+    assert doc["counters"]["spectral.pairs_requested"] == run[2]
+    assert doc["counters"]["spectral.pairs_converged"] == run[2]
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

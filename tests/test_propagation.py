@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shrinkerlab import build_grid, make_model, radial_profile
+from shrinkerlab import build_grid, make_model, propagation, radial_profile
 from shrinkerlab.fields import Field, euclidean_rotation, perturbed, translation
 from shrinkerlab.grid import RadialProfile
 from shrinkerlab.operators import OperatorKind
@@ -16,7 +16,13 @@ from shrinkerlab.propagation import (
     measure_defect,
     measured_lambda_bar,
 )
-from shrinkerlab.spectral import canonicalize_degenerate, decompose_eigenfield, lowest_eigenpairs
+from shrinkerlab.spectral import (
+    NearKernelBlock,
+    SpectralPair,
+    canonicalize_degenerate,
+    decompose_eigenfield,
+    lowest_eigenpairs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +219,18 @@ def test_extend_requires_small_defect(cutoff_grid):
     Y = perturbed(euclidean_rotation(grid), 2.0)  # defect above 1/4
     with pytest.raises(PropagationError, match="1/4"):
         extend_symmetry(Y, 5.0)
+
+
+def test_extend_refuses_a_block_disjoint_from_the_input(monkeypatch):
+    # a block whose one pair lives on {b >= r}, where the cut-off input is 0:
+    # the projection is exactly 0, and no other field stands in for it
+    grid, _ = build_grid(make_model("gaussian", 1), 170, 5.0)
+    outside = translation(grid, 0).scale_by(grid.b >= 4.0)
+    block = NearKernelBlock(pairs=[SpectralPair.of(outside)], unknowns=grid.n_nodes,
+                            guard_mus=[1.0], guard_residuals=[0.0])
+    monkeypatch.setattr(propagation, "near_kernel_block", lambda grid, seed=0: block)
+    with pytest.raises(PropagationError, match="holds none"):
+        extend_symmetry(translation(grid, 0), 4.0)
 
 
 def test_distance_to_a_line(grid2_64):

@@ -636,12 +636,13 @@ def test_near_kernel_block_holds_every_killing_field(kind, n, k, killing):
 
 
 def test_near_kernel_guard_catches_missing_rotations_3d(monkeypatch):
-    # the named Killing fields of a 3D Gaussian omit the rotations in the
-    # (0, 2) and (1, 2) planes, whose eigenvalue 6.4e-4 is below BLOCK_TOL
+    # a start without the rotations of a 3D Gaussian in the (0, 2) and (1, 2)
+    # planes, whose eigenvalue 6.4e-4 is below BLOCK_TOL
     grid, _ = build_grid(make_model("gaussian", 3), 16, 6.0)
-    named = list(killing_fields(grid).values())
-    assert len(named) == 4
-    monkeypatch.setattr(spectral, "killing_basis", lambda g: named)
+    named = killing_fields(grid)
+    assert len(named) == 6
+    kept = [Y for name, Y in named.items() if name not in ("rotation_02", "rotation_12")]
+    monkeypatch.setattr(spectral, "killing_basis", lambda g: kept)
     with pytest.raises(SolverError, match="incomplete"):
         near_kernel_block(grid)
 
