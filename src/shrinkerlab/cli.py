@@ -175,7 +175,10 @@ class RunConfig:
 
 def load_config_file(path: Path) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # no section header, a repeated key or section
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     options = {(f.metadata["section"], f.metadata["key"]): f for f in fields(RunConfig)}
@@ -553,6 +556,17 @@ def _compared_quantities(check: dict) -> dict:
     return quantities
 
 
+def _load_report(path: str) -> dict:
+    """A report to compare; a file that is not one is a config error."""
+    try:
+        doc = reports.load_report(Path(path))
+    except (OSError, ValueError) as exc:  # a missing file, malformed JSON
+        raise ConfigError(f"cannot read report {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"cannot read report {path}: not a JSON object")
+    return doc
+
+
 def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
     """Per-check error ratios and empirical convergence orders of two runs.
 
@@ -660,10 +674,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             if len(args.reports) != 2:
                 raise ConfigError("compare needs exactly two report.json paths")
-            table = compare_runs(
-                reports.load_report(Path(args.reports[0])),
-                reports.load_report(Path(args.reports[1])),
-            )
+            table = compare_runs(*map(_load_report, args.reports))
             for row in table:
                 name = f"{row['check_name']}/{row['quantity']}"
                 if row["error_ratio"] is None:

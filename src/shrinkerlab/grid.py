@@ -253,8 +253,8 @@ def build_grid(
         raise GridError("stencil_order must be 2 or 4")
     if resolution < MIN_RESOLUTION:
         raise GridError(f"resolution below minimum ({MIN_RESOLUTION})")
-    if truncation_radius < MIN_TRUNCATION:
-        raise GridError(f"truncation_radius must be >= {MIN_TRUNCATION}")
+    if not MIN_TRUNCATION <= truncation_radius < np.inf:  # NaN fails it too
+        raise GridError(f"truncation_radius must be finite and >= {MIN_TRUNCATION}")
 
     R = float(truncation_radius)
     span = R**2 - 4.0 * model.f_offset

@@ -7,11 +7,17 @@ a half-density weighting: with E = diag(exp(-f/2)),
 
     D_a = E^{-1} C_a E + diag(d_a f / 2),
 
-where C_a is a sublattice-coupling biased difference along axis a (one-sided
-near the chart's polar caps, periodic on the longitude axis, zero-extension at
-the truncation boundary). This is consistent of stencil order for any smooth
-field, equidistributes the truncation error in the weighted norm, and keeps
-zero-extension defects at the truncation boundary suppressed by the weight.
+where C_a is a sublattice-coupling biased difference along axis a. D_a is
+one list of (row, column, value) entries (`_diff_entries`), converted to CSR
+once (`_diff_matrix`): the interior stencil on the rows where it fits; on
+the others, by the axis's boundary policy, a closure row from one table near
+the chart's polar caps (`_CLOSURES`), every stencil term across the
+longitude's periodic seam, and the terms that exist at the truncation
+boundary (zero-extension); and d_a f / 2 as diagonal entries of their own,
+which the conversion sums into the stencil's diagonal. This is consistent of
+stencil order for any smooth field, equidistributes the truncation error in
+the weighted norm, and keeps zero-extension defects at the truncation
+boundary suppressed by the weight.
 It is the derivative analogue of the ground-state transform that maps the
 drift Laplacian to a Schroedinger operator. Two prices are paid knowingly: no
 field, not even an affine one, is differentiated exactly (sampled Killing
@@ -92,7 +98,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import SCALAR, SYM2, VECTOR, Field, FieldError
-from .grid import DIRICHLET, ONESIDED, PERIODIC, Grid, GridError
+from .grid import ONESIDED, Grid, GridError
 from .models import sym_pairs
 
 
@@ -156,8 +162,9 @@ class OperatorHandle:
         return Field.from_flat(self.grid, self.out_rank, self._ops.matvec(self.kind, field.flat()))
 
 
-# Interior stencils over (offset, coefficient * h). Both couple the even and
-# odd sublattices (nonzero response on the (-1)^i mode), which pushes the
+# Interior stencils over (offset, coefficient * h), which `_diff_entries` puts
+# on every row where all their neighbors exist. Both couple the even and odd
+# sublattices (nonzero response on the (-1)^i mode), which pushes the
 # checkerboard null modes of pure central differencing to the top of the
 # spectrum of any D^adj D composition instead of polluting its low end.
 _STENCIL_2 = (  # O(h^2), error coefficient 1.5x plain central
@@ -175,90 +182,62 @@ _STENCIL_4 = (  # 4th-order central plus a 5th-difference coupling term, O(h^4)
     (2, -1.0 / 12.0 + 5.0 * _SIGMA_4),
     (3, -_SIGMA_4),
 )
+# The closure rows of a ONESIDED axis, over (offset, coefficient * h), in the
+# order they are tried: central, then second-order forward and backward.
+_CLOSURES = (
+    ((-1, -0.5), (1, 0.5)),
+    ((0, -1.5), (1, 2.0), (2, -0.5)),
+    ((0, 1.5), (-1, -2.0), (-2, 0.5)),
+)
 
 
-def _raw_diff_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
-    """Finite difference along one axis with the grid's boundary policy.
+def _diff_entries(grid: Grid, axis: int):
+    """D_a = E^{-1} C_a E + diag(d_a f / 2) along `axis`, as (rows, columns,
+    values) entry arrays, one tuple per stencil or closure term.
 
-    Built straight into CSR: one slot per neighbor offset holds every row's
-    column, and a code into a table of coefficients (0: no entry). A row's
-    entries ascend with the offset, and so do their columns except across a
-    periodic seam, where `sort_indices` reorders them in place.
+    C_a is the interior stencil on the rows where it fits. On a ONESIDED axis
+    each other row takes the first closure of `_CLOSURES` that fits it; on
+    DIRICHLET and PERIODIC axes it keeps whichever stencil terms exist
+    (zero-extension; on a periodic axis, every one). Entry (r, c) of C_a is
+    scaled by exp((f_r - f_c) / 2), which is 1 on the diagonal, so d_a f / 2,
+    the last tuple, on the rows where it is nonzero (a row on which f is
+    constant may hold no diagonal), sums into the stencil's diagonal exactly.
+    A row that no closure fits, on an axis line of one or two nodes, keeps
+    only its drift entry.
     """
-    N = grid.n_nodes
     h = grid.axes[axis].h
-    policy = grid.axes[axis].boundary
     stencil = _STENCIL_2 if grid.stencil_order == 2 else _STENCIL_4
-    slots = sorted({off for off, _ in stencil} | {-2, -1, 1, 2})
-    index = sp.get_index_dtype(maxval=len(slots) * N)
-    cols = np.empty((N, len(slots)), dtype=index)
-    for s, off in enumerate(slots):
-        cols[:, s] = np.arange(N) if off == 0 else grid.neighbors(axis, off)
-    has = {off: cols[:, s] >= 0 for s, off in enumerate(slots)}
-    code = np.zeros(cols.shape, dtype=np.uint8)
-    table = [0.0]
-
-    def put(mask, off, coeff):
-        code[mask, slots.index(off)] = len(table)
-        table.append(coeff)
-
-    full = np.logical_and.reduce([has[off] for off, _ in stencil])
-    if policy in (DIRICHLET, PERIODIC):
-        # zero-extension: keep whichever stencil terms exist (on a periodic
-        # axis, every one)
-        for off, c in stencil:
-            put(has[off], off, c / h)
-    elif policy == ONESIDED:
-        for off, c in stencil:
-            put(full, off, c / h)
-        rest = ~full
-        central = rest & has[1] & has[-1]
-        put(central, 1, 0.5 / h)
-        put(central, -1, -0.5 / h)
-        fwd = rest & ~central & ~has[-1] & has[1]
-        put(fwd & has[2], 0, -1.5 / h)
-        put(fwd & has[2], 1, 2.0 / h)
-        put(fwd & has[2], 2, -0.5 / h)
-        put(fwd & ~has[2], 0, -1.0 / h)
-        put(fwd & ~has[2], 1, 1.0 / h)
-        bwd = rest & ~central & ~has[1] & has[-1]
-        put(bwd & has[-2], 0, 1.5 / h)
-        put(bwd & has[-2], -1, -2.0 / h)
-        put(bwd & has[-2], -2, 0.5 / h)
-        put(bwd & ~has[-2], 0, 1.0 / h)
-        put(bwd & ~has[-2], -1, -1.0 / h)
+    rules = (stencil, *_CLOSURES)
+    # node ids in int32, scipy's index type below the node cap; nbr[0] is each node's own id
+    nbr = {off: grid.neighbors(axis, off).astype(np.int32)
+           for off in {off for rule in rules for off, _ in rule}}
+    if grid.axes[axis].boundary == ONESIDED:
+        terms, rest = [], np.ones(grid.n_nodes, dtype=bool)
+        for rule in rules:
+            fits = np.logical_and.reduce([rest] + [nbr[off] >= 0 for off, _ in rule])
+            rest &= ~fits
+            terms += [(fits, off, c) for off, c in rule]
     else:
-        raise GridError(f"unknown boundary policy {policy!r}")
-
-    valid = code > 0
-    indptr = np.zeros(N + 1, dtype=index)
-    np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
-    out = sp.csr_matrix((np.array(table)[code[valid]], cols[valid], indptr), shape=(N, N))
-    out.sort_indices()
-    return out
-
-
-def _weighted_diff(grid: Grid, axis: int) -> sp.csr_matrix:
-    """D_a = E^{-1} C_a E + diag(d_a f / 2), formed in place on C_a's entries."""
+        terms = [(nbr[off] >= 0, off, c) for off, c in stencil]
     f = grid.f
-    d = _raw_diff_matrix(grid, axis)
-    counts = np.diff(d.indptr)
-    # E^{-1} C_a E: entry (r, c) times exp((f_r - f_c) / 2)
-    scale = np.repeat(f, counts)
-    scale -= f[d.indices]
-    scale /= 2.0
-    d.data *= np.exp(scale, out=scale)
-    del scale
-    # + diag(d_a f / 2) on the stored diagonal: f varies only along axes on
-    # which every row holds its own node, so no entry needs inserting
+    for mask, off, c in terms:
+        r, col = nbr[0][mask], nbr[off][mask]
+        yield r, col, c / h * np.exp((f[r] - f[col]) / 2.0)
     half_df = grid.model.dpotential(grid.coords)[:, axis] / 2.0
-    diag = np.flatnonzero(d.indices == np.repeat(np.arange(len(f), dtype=d.indices.dtype), counts))
-    rows = d.indices[diag]
-    d.data[diag] += half_df[rows]
-    half_df[rows] = 0.0
-    if np.any(half_df):
-        raise GridError(f"d_{axis} f is nonzero on a row without a diagonal entry")
-    return d
+    drift = nbr[0][half_df != 0.0]
+    yield drift, drift, half_df[drift]
+
+
+def _diff_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
+    """D_a, its entries (`_diff_entries`) converted to CSR once. They are
+    gathered first, so that no temporary of the gathering is live while the
+    conversion allocates."""
+    rows, cols, vals = zip(*_diff_entries(grid, axis))
+    out = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(grid.n_nodes, grid.n_nodes))
+    # the conversion sums each drift entry into the stencil's diagonal in place,
+    # in arrays of the unsummed length; the copy keeps nnz entries
+    return out.copy()
 
 
 def _diag(values: np.ndarray) -> sp.csr_matrix:
@@ -432,7 +411,7 @@ class Operators:
     @cached_property
     def diffs(self) -> list[sp.csr_matrix]:
         """Half-density-weighted first derivatives along each axis."""
-        return [_weighted_diff(self.grid, a) for a in range(self.n)]
+        return [_diff_matrix(self.grid, a) for a in range(self.n)]
 
     def _christoffel(self, l: int, i: int, j: int, symbols: dict | None = None):
         """Gamma^l_ij, or None where it vanishes; read from `symbols` (the

@@ -501,6 +501,18 @@ def test_jobs_flag_and_key_rejected(tmp_path, capsys):
     assert "'jobs'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["resolution = 64\n",
+                                  "[grid]\nresolution = 64\nresolution = 96\n"])
+def test_unparsable_config_file_is_config_error(tmp_path, capsys, text):
+    # an INI with no section header, or one that repeats a key, names its file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli("verify", "--config", str(cfg), "--output", str(tmp_path / "o")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: cannot parse config file" in err and str(cfg) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_config_value_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[grid]\nresolution = many\n")
@@ -522,6 +534,7 @@ def test_spectrum_eigs_at_unknown_count_is_config_error(tmp_path, capsys):
     (("--resolution", "8"), None, "resolution below minimum"),
     (("--truncation-radius", "3"), None, "truncation_radius must be"),
     ((), "[grid]\nstencil_order = 3\n", "stencil_order must be 2 or 4"),
+    ((), "[grid]\ntruncation_radius = inf\n", "truncation_radius must be finite"),
 ])
 def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
     # build_grid checks the grid's bounds before `run` makes the output directory
@@ -544,6 +557,8 @@ def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
     (("propagate", "--r", "nan"), "must be finite"),
     (("propagate", "--epsilon", "inf"), "must be finite"),
     (("verify", "--seed", "-1"), "seed must be >= 0"),
+    (("verify", "--truncation-radius", "nan"), "truncation_radius must be finite"),
+    (("verify", "--truncation-radius", "inf"), "truncation_radius must be finite"),
 ])
 def test_invalid_run_options_are_config_errors(tmp_path, capsys, argv, message):
     # an empty list would run no check and pass, a NaN r or epsilon would fail
@@ -1039,6 +1054,19 @@ def test_compare_cli_entry(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "commutation_identities" in out
+
+
+@pytest.mark.parametrize("text, message", [(None, "No such file"), ("{not json", "Expecting"),
+                                           ("[]", "not a JSON object")])
+def test_compare_unreadable_report_is_config_error(tmp_path, capsys, text, message):
+    # a missing file, malformed JSON and a JSON array are each named, not a traceback
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    if text is not None:
+        bad.write_text(text)
+    good.write_text(json.dumps({"command": "verify", "config": {"resolution": 32}, "checks": []}))
+    assert run_cli("compare", str(bad), str(good)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: cannot read report {bad}: " in err and message in err
 
 
 def test_bad_command_flag_usage(capsys):

@@ -186,20 +186,47 @@ def test_div_f_tensor_on_minus_metric(grid1_256):
     np.testing.assert_allclose(out.values[0, core], x / 2.0, atol=5e-3)
 
 
-def test_div_f_tensor_matches_reference_formula(gaussian2):
-    # dual route: adjoint-defined divergence vs direct discretization
-    errs = []
-    for res in (32, 64):
-        grid, _ = build_grid(gaussian2, res, 6.0)
+def test_div_f_tensor_matches_reference_formula(gaussian2, cylinder32):
+    # dual route: adjoint-defined divergence vs direct discretization, on the
+    # flat Gaussian and on the cylinder, whose Christoffel symbols the direct
+    # route couples explicitly
+    def gap(grid, vals):
         ops = grid.ops()
-        bump = radial_bump(grid, 2.0, 4.0)
-        vals = np.stack([bump * np.sin(grid.coords[:, 1]), bump * grid.coords[:, 0]])
         h = ops.div_star(Field(grid, "vector", vals))
         adjoint_route = ops.div(h)
         direct = Field.from_flat(grid, "vector", ops.div_f_tensor_reference.apply(h.flat()))
-        errs.append((adjoint_route - direct).norm() / max(direct.norm(), 1e-30))
+        return (adjoint_route - direct).norm() / max(direct.norm(), 1e-30)
+
+    errs = []
+    for res in (32, 64):
+        grid, _ = build_grid(gaussian2, res, 6.0)
+        bump = radial_bump(grid, 2.0, 4.0)
+        vals = np.stack([bump * np.sin(grid.coords[:, 1]), bump * grid.coords[:, 0]])
+        errs.append(gap(grid, vals))
     assert errs[1] <= errs[0] / 2.5
     assert errs[1] <= 0.02
+    # below res 40 the latitude keeps MIN_RESOLUTION nodes and the gap stalls
+    errs = []
+    for res in (48, 64):
+        grid, _ = build_grid(cylinder32, res, 6.0)
+        theta, phi = grid.coords[:, 1], grid.coords[:, 2]
+        amp = radial_bump(grid, 2.0, 3.5) * np.sin(theta) ** 4
+        errs.append(gap(grid, amp * np.stack([np.cos(phi), np.sin(2 * theta), np.cos(theta)])))
+    assert errs[1] <= errs[0] / (64 / 48) ** 2
+    assert errs[1] <= 0.05
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_latitude_diff_rows_are_exact_on_quadratics(cylinder32, order):
+    # f is constant along the latitude, so there D_theta = C_theta: its interior,
+    # central and one-sided closure rows (order + 2, 2 and 3 entries) each
+    # differentiate theta^2 to round-off
+    for res in (24, 48):
+        grid, _ = build_grid(cylinder32, res, 6.0, stencil_order=order)
+        d_theta = grid.ops().diffs[1]
+        assert set(np.diff(d_theta.indptr)) == {order + 2, 2, 3}
+        theta = grid.coords[:, 1]
+        np.testing.assert_allclose(d_theta @ theta**2, 2.0 * theta, rtol=1e-12, atol=0.0)
 
 
 def test_div_f_vec_translation(grid2_64):
