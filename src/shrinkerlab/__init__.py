@@ -8,64 +8,41 @@ extension pipeline with its distance to the symmetry, a propagation gate and
 polynomial-growth diagnostics.
 """
 
-from .models import (
-    CYLINDER,
-    GAUSSIAN,
-    ModelError,
-    ModelShrinker,
-    check_soliton_identities,
-    make_model,
-    random_points,
-)
-from .grid import Grid, GridError, WeightedMeasure, build_grid
-from .fields import (
-    Field,
-    FieldError,
-    angular_rotation,
-    dilation,
-    euclidean_rotation,
-    radial_bump,
-    scalar_field,
-    translation,
-    vector_field,
-)
-from .grid import RadialProfile, radial_profile
-from .operators import (
-    IdentityReport,
-    OperatorHandle,
-    OperatorKind,
-    Operators,
-    identity_residuals,
-)
-from .spectral import (
-    EigenfieldDecomposition,
-    NearKernelBlock,
-    SolverError,
-    SpectralPair,
-    decompose_eigenfield,
-    lowest_eigenpairs,
-    near_kernel_block,
-)
-from .propagation import (
-    Cutoff,
-    DefectReport,
-    GrowthReport,
-    PropagationError,
-    PropagationResult,
-    build_cutoff,
-    check_growth_bound,
-    extend_symmetry,
-    fit_growth_exponent,
-    measure_defect,
-)
-from .verification import (
-    DichotomyVerdict,
-    cao_zhou_check,
-    classify_killing,
-    drift_bochner_residual,
-    harmonicity_check,
-    interp_inequality_check,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each exported name by the module that defines it; a name, and its module
+# with it, loads on first access (PEP 562), so `import shrinkerlab.cli`
+# loads no numerical layer and no scipy
+_EXPORTS = {
+    "models": ("CYLINDER", "GAUSSIAN", "ModelError", "ModelShrinker", "check_soliton_identities",
+               "make_model", "random_points"),
+    "grid": ("Grid", "GridError", "RadialProfile", "WeightedMeasure", "build_grid",
+             "radial_profile"),
+    "fields": ("Field", "FieldError", "angular_rotation", "dilation", "euclidean_rotation",
+               "radial_bump", "scalar_field", "translation", "vector_field"),
+    "operators": ("IdentityReport", "OperatorHandle", "OperatorKind", "Operators",
+                  "identity_residuals"),
+    "spectral": ("EigenfieldDecomposition", "NearKernelBlock", "SolverError", "SpectralPair",
+                 "decompose_eigenfield", "lowest_eigenpairs", "near_kernel_block"),
+    "propagation": ("Cutoff", "DefectReport", "GrowthReport", "PropagationError",
+                    "PropagationResult", "build_cutoff", "check_growth_bound",
+                    "extend_symmetry", "fit_growth_exponent", "measure_defect"),
+    "verification": ("DichotomyVerdict", "cao_zhou_check", "classify_killing",
+                     "drift_bochner_residual", "harmonicity_check", "interp_inequality_check"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_OWNER])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _OWNER:
+        return getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

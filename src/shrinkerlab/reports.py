@@ -12,6 +12,11 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 
+def point_tag(r: float, eps: float) -> str:
+    """The name of a propagate sweep point, as its check carries it."""
+    return f"r{r:g}_eps{eps:g}"
+
+
 def _plain(obj):
     """Convert numpy scalars/arrays and dataclass-ish values to plain JSON types."""
     if isinstance(obj, dict):

@@ -13,7 +13,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import held_arrays, traced_peak
-from shrinkerlab import build_grid, cli, make_model, propagation, spectral
+from shrinkerlab import build_grid, cli, make_model, propagation, spectral, workflows
+from shrinkerlab import grid as grid_module
 from shrinkerlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -92,8 +93,10 @@ def test_verify_prints_one_line_per_suite(tmp_path, capsys):
     # each suite that runs prints its time and the peak RSS so far to stderr,
     # in suite order; a cylinder runs no Bochner suite, so it prints no line
     line = re.compile(r"^verify suite (\w+): \d+\.\d\d s, ru_maxrss \d+ MB$", flags=re.M)
+    # `validate` reads the suite names without loading the suites
+    assert cli.VERIFY_SUITE_NAMES == tuple(workflows.VERIFY_SUITES)
     for argv, suites in (
-        (["--model", "gaussian", "--dim", "2", "--suite", "all"], list(cli.VERIFY_SUITES)),
+        (["--model", "gaussian", "--dim", "2", "--suite", "all"], list(workflows.VERIFY_SUITES)),
         (["--model", "cylinder", "--dim", "3", "--k", "2", "--suite", "bochner,identities,soliton"],
          ["soliton", "identities"]),
     ):
@@ -113,17 +116,17 @@ def test_verify_suites_memory_bounded(tmp_path, monkeypatch):
     cfg = RunConfig(output_dir=tmp_path, model_kind="cylinder", n=3, k=2, resolution=24,
                     truncation_radius=6.0)
     grid, _ = build_grid(make_model("cylinder", 3, 2), 24, 6.0)
-    cli.run_verify(cfg, grid)
+    workflows.run_verify(cfg, grid)
     measured = {}
-    for name, suite in cli.VERIFY_SUITES.items():
+    for name, suite in workflows.VERIFY_SUITES.items():
         def traced(*args, name=name, suite=suite):
             entry = tracemalloc.get_traced_memory()[0]  # what the run holds so far
             check, peak, kept = traced_peak(suite, *args)
             measured[name] = entry, peak, kept
             return check
-        monkeypatch.setitem(cli.VERIFY_SUITES, name, traced)
-    traced_peak(cli.run_verify, cfg, grid)
-    assert list(measured) == list(cli.VERIFY_SUITES)
+        monkeypatch.setitem(workflows.VERIFY_SUITES, name, traced)
+    traced_peak(workflows.run_verify, cfg, grid)
+    assert list(measured) == list(workflows.VERIFY_SUITES)
     sym2_bytes = 8 * grid.n_nodes * components_for("sym2tensor", grid.n)
     for name, (entry, peak, kept) in measured.items():
         # 4.2 sym2 fields at most (identities), 6.2 before L was applied by axis blocks
@@ -139,7 +142,7 @@ def test_verify_holds_one_sym2_weight_array(tmp_path):
     cfg = RunConfig(output_dir=tmp_path, model_kind="cylinder", n=3, k=2, resolution=24,
                     truncation_radius=6.0)
     grid, _ = build_grid(make_model("cylinder", 3, 2), 24, 6.0)
-    cli.run_verify(cfg, grid)
+    workflows.run_verify(cfg, grid)
     sym2_size = grid.n_nodes * components_for("sym2tensor", grid.n)
     cached = [key for key, val in grid._cache.items()
               if isinstance(val, np.ndarray) and val.size >= sym2_size]
@@ -192,7 +195,7 @@ def test_structure_check_sees_a_break_next_to_the_boundary(monkeypatch):
         return out
 
     monkeypatch.setattr(ops, "matvec", broken)
-    check = cli._verify_structure(RunConfig(), grid, np.random.default_rng(0))
+    check = workflows._verify_structure(RunConfig(), grid, np.random.default_rng(0))
     assert check["residuals"]["adjointness"] > 1e-6
     assert not check["passed"]
 
@@ -208,17 +211,17 @@ def test_renamed_flat_model_runs_as_the_gaussian(tmp_path):
     runs = []
     for model in (make_model("gaussian", 2), Renamed(kind="flatcopy", n=2)):
         grid, _ = build_grid(model, 48, 6.0)
-        runs.append((cli.run_verify(cfg, grid), spectral.near_kernel_block(grid).summary()))
-    assert runs[0][0][0]["passed"] and len(runs[0][0]) == len(cli.VERIFY_SUITES)
+        runs.append((workflows.run_verify(cfg, grid), spectral.near_kernel_block(grid).summary()))
+    assert runs[0][0][0]["passed"] and len(runs[0][0]) == len(workflows.VERIFY_SUITES)
     assert runs[1] == runs[0]
 
 
 def test_harmonicity_suite_gates_on_the_report_verdict(monkeypatch):
     # the suite passes exactly the fields that harmonicity_check passes
     grid, _ = build_grid(make_model("gaussian", 2), 32, 4.0)
-    monkeypatch.setattr(cli, "harmonicity_check",
+    monkeypatch.setattr(workflows, "harmonicity_check",
                         lambda Y: HarmonicityReport(residual=0.0, passed=False))
-    assert not cli._verify_harmonicity(RunConfig(), grid, None)["passed"]
+    assert not workflows._verify_harmonicity(RunConfig(), grid, None)["passed"]
 
 
 def test_verify_checks_every_flat_rotation_3d(tmp_path):
@@ -242,17 +245,17 @@ def test_bochner_suite_fails_when_a_field_warns(monkeypatch):
     # the check fails however small the identity's residual; it reports both
     # eigen-residuals
     grid, _ = build_grid(make_model("gaussian", 1), 128, 8.0)
-    check = cli._verify_bochner(RunConfig(), grid, None)
+    check = workflows._verify_bochner(RunConfig(), grid, None)
     assert check["passed"]
     assert max(check["eigen_residuals"].values()) <= 0.1
-    real = cli.drift_bochner_residual
+    real = workflows.drift_bochner_residual
 
     def quadratic_warns(v, mu):
         rep = real(v, mu)
         return dataclasses.replace(rep, eigen_residual=0.5, warned=True) if mu == 1.0 else rep
 
-    monkeypatch.setattr(cli, "drift_bochner_residual", quadratic_warns)
-    check = cli._verify_bochner(RunConfig(), grid, None)
+    monkeypatch.setattr(workflows, "drift_bochner_residual", quadratic_warns)
+    check = workflows._verify_bochner(RunConfig(), grid, None)
     assert not check["passed"]
     assert check["eigen_residuals"]["quadratic"] == 0.5
 
@@ -650,7 +653,7 @@ def test_propagation_gate_fails_a_wrong_extension(tmp_path, monkeypatch, mutatio
     # Z replaced by a field that is not the rotation's extension: the
     # translation, or the cut-off input V, which vanishes outside {b < r}.
     # Both keep the variational bound, so only the distance gate fails
-    extend = cli.extend_symmetry
+    extend = workflows.extend_symmetry
 
     def mutated(Y, r, **kwargs):
         result = extend(Y, r, **kwargs)
@@ -660,7 +663,7 @@ def test_propagation_gate_fails_a_wrong_extension(tmp_path, monkeypatch, mutatio
                  else Y.scale_by(result.cutoff.eta.values))
         return dataclasses.replace(result, z=spectral.SpectralPair.of(wrong))
 
-    monkeypatch.setattr(cli, "extend_symmetry", mutated)
+    monkeypatch.setattr(workflows, "extend_symmetry", mutated)
     out = tmp_path / "prop"
     code = run_cli("propagate", "--dim", "2", "--resolution", "200", "--truncation-radius", "6",
                    "--r", "4", "--epsilon", "1e-3,1e-2", "--output", str(out))
@@ -710,7 +713,7 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     cfg = RunConfig(command="propagate", n=1, resolution=512, truncation_radius=8.0,
                     r_values=(4.0,), epsilons=(1e-3, 1e-2))
     grid, _ = build_grid(make_model("gaussian", 1), 512, 8.0)
-    checks = cli.run_propagate(cfg, grid)
+    checks = workflows.run_propagate(cfg, grid)
     assert len(checks) == 2
     # one solve, and one assembly of div_f^*, for P's factor, which the guard
     # reuses instead of building it again; the floor's extension and each
@@ -783,7 +786,7 @@ def test_run_stores_only_difference_matrices(command, tmp_path, monkeypatch, cap
         grids.append(built[0])
         return built
 
-    monkeypatch.setattr(cli, "build_grid", recording_build_grid)
+    monkeypatch.setattr(grid_module, "build_grid", recording_build_grid)
     cli.run(RunConfig(output_dir=tmp_path, **SMALL_RUNS[command]))
     assert len(grids) == 1
     held = {
@@ -901,6 +904,92 @@ def test_cli_import_leaves_scipy_special_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # the front end loads no scipy at all, and of the package only the
+    # modules that parse, validate and compare; the rest load when `run`
+    # dispatches
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, shrinkerlab.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'shrinkerlab'))))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(
+        ["shrinkerlab", "shrinkerlab.cli", "shrinkerlab.models", "shrinkerlab.reports"])
+
+
+def _src_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def test_compare_leaves_scipy_unloaded(tmp_path):
+    paths = []
+    for res in (32, 64):
+        paths.append(tmp_path / f"r{res}.json")
+        check = {"check_name": "kernel_of_P", "residuals": {"translation_0": 32.0 / res}}
+        paths[-1].write_text(json.dumps({"command": "verify", "config": {"resolution": res},
+                                         "checks": [check]}))
+    code = ("import sys; from shrinkerlab.cli import main; code = main(sys.argv[1:]); "
+            "print(code, [m for m in sys.modules if m.startswith('scipy')])")
+    proc = subprocess.run([sys.executable, "-c", code, "compare", *map(str, paths)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    table, last = proc.stdout.splitlines()
+    assert table.startswith("kernel_of_P/translation_0: ratio=2 ")
+    assert last == "0 []"
+
+
+# shrinkerlab.__all__ as it stood when the package imported every layer eagerly
+EXPORTS = [
+    "CYLINDER", "Cutoff", "DefectReport", "DichotomyVerdict", "EigenfieldDecomposition",
+    "Field", "FieldError", "GAUSSIAN", "Grid", "GridError", "GrowthReport", "IdentityReport",
+    "ModelError", "ModelShrinker", "NearKernelBlock", "OperatorHandle", "OperatorKind",
+    "Operators", "PropagationError", "PropagationResult", "RadialProfile", "SolverError",
+    "SpectralPair", "WeightedMeasure", "angular_rotation", "build_cutoff", "build_grid",
+    "cao_zhou_check", "check_growth_bound", "check_soliton_identities", "classify_killing",
+    "decompose_eigenfield", "dilation", "drift_bochner_residual", "euclidean_rotation",
+    "extend_symmetry", "fields", "fit_growth_exponent", "grid", "harmonicity_check",
+    "identity_residuals", "interp_inequality_check", "lowest_eigenpairs", "make_model",
+    "measure_defect", "models", "near_kernel_block", "operators", "propagation",
+    "radial_bump", "radial_profile", "random_points", "scalar_field", "spectral",
+    "translation", "vector_field", "verification",
+]
+
+
+def test_package_exports_resolve_on_access():
+    # the package resolves each export on first access, to the defining
+    # module's own object, and a star import takes them all
+    import shrinkerlab
+
+    assert shrinkerlab.__all__ == EXPORTS
+    assert all(hasattr(shrinkerlab, name) for name in EXPORTS)
+    assert shrinkerlab.build_grid is grid_module.build_grid
+    assert shrinkerlab.spectral is spectral
+    namespace = {}
+    exec("from shrinkerlab import *", namespace)
+    assert set(EXPORTS) <= set(namespace)
+    with pytest.raises(AttributeError):
+        shrinkerlab.no_such_name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "--dim", "1", "--resolution", "16", "--truncation-radius", "4", "--eigs", "16"),
+     "eigs must be below the 16 unknowns"),
+    (("propagate", "--dim", "1", "--resolution", "16", "--truncation-radius", "8", "--r", "4"),
+     "transition band under-resolved"),
+])
+def test_run_config_errors_exit_2_under_dash_m(tmp_path, argv, message):
+    # the benchmark's way in: under -m the running module is __main__, so a
+    # ConfigError of a second copy of shrinkerlab.cli, which anything the
+    # workflows import could load, would escape `main` as a traceback
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "shrinkerlab.cli", *argv, "--output", str(out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "config error: " in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def _propagate_report(resolution, mu, cosine, eigen_residual, gap, e, floor):
@@ -1056,10 +1145,15 @@ def test_compare_cli_entry(tmp_path, capsys):
     assert "commutation_identities" in out
 
 
-@pytest.mark.parametrize("text, message", [(None, "No such file"), ("{not json", "Expecting"),
-                                           ("[]", "not a JSON object")])
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file"), ("{not json", "Expecting"), ("[]", "not a JSON object"),
+    ('{"checks": [1]}', "check 0 is not a JSON object"),
+    ('{"checks": [{"residuals": {}}]}', "check 0 has no check_name"),
+    ('{"checks": {"check_name": "kernel_of_P"}}', "checks is not a list"),
+])
 def test_compare_unreadable_report_is_config_error(tmp_path, capsys, text, message):
-    # a missing file, malformed JSON and a JSON array are each named, not a traceback
+    # a missing file, malformed JSON, a JSON array and checks that are not a
+    # list of named objects are each named, not a traceback
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     if text is not None:
         bad.write_text(text)
