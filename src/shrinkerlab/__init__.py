@@ -4,8 +4,7 @@ The package implements two closed-form model geometries (flat Gaussian space and
 round cylinders), weighted quadrature grids over truncated domains, discrete
 weighted divergence / drift-Laplacian operators with exact adjointness by
 construction, a symmetric weighted eigensolver, and the approximate-symmetry
-extension pipeline with its distance to the symmetry, a propagation gate and
-polynomial-growth diagnostics.
+extension pipeline with its distance to the symmetry and a propagation gate.
 """
 
 import importlib
@@ -16,17 +15,15 @@ import importlib
 _EXPORTS = {
     "models": ("CYLINDER", "GAUSSIAN", "ModelError", "ModelShrinker", "check_soliton_identities",
                "make_model", "random_points"),
-    "grid": ("Grid", "GridError", "RadialProfile", "WeightedMeasure", "build_grid",
-             "radial_profile"),
+    "grid": ("Grid", "GridError", "WeightedMeasure", "build_grid"),
     "fields": ("Field", "FieldError", "angular_rotation", "dilation", "euclidean_rotation",
                "radial_bump", "scalar_field", "translation", "vector_field"),
     "operators": ("IdentityReport", "OperatorHandle", "OperatorKind", "Operators",
                   "identity_residuals"),
     "spectral": ("EigenfieldDecomposition", "NearKernelBlock", "SolverError", "SpectralPair",
                  "decompose_eigenfield", "lowest_eigenpairs", "near_kernel_block"),
-    "propagation": ("Cutoff", "DefectReport", "GrowthReport", "PropagationError",
-                    "PropagationResult", "build_cutoff", "check_growth_bound",
-                    "extend_symmetry", "fit_growth_exponent", "measure_defect"),
+    "propagation": ("Cutoff", "DefectReport", "PropagationError", "PropagationResult",
+                    "build_cutoff", "extend_symmetry", "measure_defect"),
     "verification": ("DichotomyVerdict", "cao_zhou_check", "classify_killing",
                      "drift_bochner_residual", "harmonicity_check", "interp_inequality_check"),
 }

@@ -136,7 +136,7 @@ class RunConfig:
         return out
 
 
-def load_config_file(path: Path) -> RunConfig:
+def load_config_file(path: Path, command: str | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -158,6 +158,10 @@ def load_config_file(path: Path) -> RunConfig:
                 setattr(cfg, f.name, f.metadata["parse"](text))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in section [{section}]: {exc}") from exc
+    # the positional `command` would override a [run] command without notice
+    if command and parser.has_option("run", "command") and cfg.command != command:
+        raise ConfigError(f"config file {path} sets command {cfg.command!r}, "
+                          f"but the command line runs {command!r}")
     return cfg
 
 
@@ -182,7 +186,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config_file(args.config) if args.config else RunConfig()
+    cfg = load_config_file(args.config, args.command) if args.config else RunConfig()
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -230,21 +234,36 @@ def _compared_quantities(check: dict) -> dict:
 
 
 def _load_report(path: str) -> dict:
-    """A report to compare; a file that is not one is a config error."""
+    """A report to compare; a file that is not one, or that holds a part of
+    another type than `compare_runs` reads it as, is a config error."""
     try:
         doc = reports.load_report(Path(path))
     except (OSError, ValueError) as exc:  # a missing file, malformed JSON
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"cannot read report {path}: not a JSON object")
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ConfigError(f"cannot read report {path}: {what}")
+
+    require(isinstance(doc, dict), "not a JSON object")
+    config = doc.get("config", {})
+    require(isinstance(config, dict), "config is not a JSON object")
+    require(isinstance(config.get("resolution", 0), int), "config resolution is not an integer")
     checks = doc.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError(f"cannot read report {path}: checks is not a list")
+    require(isinstance(checks, list), "checks is not a list")
     for i, check in enumerate(checks):
-        if not isinstance(check, dict):
-            raise ConfigError(f"cannot read report {path}: check {i} is not a JSON object")
-        if not isinstance(check.get("check_name"), str):
-            raise ConfigError(f"cannot read report {path}: check {i} has no check_name")
+        require(isinstance(check, dict), f"check {i} is not a JSON object")
+        require(isinstance(check.get("check_name"), str), f"check {i} has no check_name")
+        norm = check.get("norm_checks") or {}
+        profile = check.get("distance_profile") or {}
+        for key, part in (("residuals", check.get("residuals") or {}), ("norm_checks", norm),
+                          ("distance_profile", profile)):
+            require(isinstance(part, dict), f"check {i} {key} is not a JSON object")
+        require(isinstance(norm.get("decomposition_residuals") or {}, dict),
+                f"check {i} decomposition_residuals is not a JSON object")
+        require(all(isinstance(profile.get(key, []), list) for key in ("radii", "e", "floor"))
+                and all(isinstance(rho, (int, float)) for rho in profile.get("radii", [])),
+                f"check {i} distance_profile is not lists of numeric radii and values")
     return doc
 
 

@@ -1,4 +1,4 @@
-"""Grids over truncated model domains, weighted quadrature, and radial averages.
+"""Grids over truncated model domains and their weighted quadrature.
 
 Grids are cell-centered tensor products in chart coordinates, truncated to
 {b < R_max} and equipped with midpoint quadrature weights
@@ -23,6 +23,7 @@ probes are drawn in one place too (`Grid.probe`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,10 +180,6 @@ class Grid:
             xc /= np.sqrt(gc)
         return x
 
-    @property
-    def grad_b_norm_sq(self) -> np.ndarray:
-        return self._cached("gb2", lambda: self.model.grad_b_norm_sq(self.coords))
-
     def b_spacing(self) -> float:
         """Grid spacing as seen by the radial coordinate b (Euclidean axes only)."""
         return max(self.axes[a].h for a in range(self.model.n_euclidean))
@@ -257,34 +254,37 @@ def build_grid(
         raise GridError(f"truncation_radius must be finite and >= {MIN_TRUNCATION}")
 
     R = float(truncation_radius)
-    span = R**2 - 4.0 * model.f_offset
+    try:
+        span = R**2 - 4.0 * model.f_offset
+    except OverflowError:  # R**2 is above the largest float
+        raise GridError(f"truncation_radius {R:g} is too large") from None
     if span <= 0:
         raise GridError("truncation_radius too small for the potential offset")
     T = np.sqrt(span)
     h_t = 2.0 * T / resolution
-    t_coords = -T + (np.arange(resolution) + 0.5) * h_t
-    axes = [Axis(coords=t_coords, h=h_t, boundary=DIRICHLET) for _ in range(model.n_euclidean)]
+    # each axis's cells lo..hi-1 of spacing h from `start`, and its boundary
+    cells = [(-T, 0, resolution, h_t, DIRICHLET)] * model.n_euclidean
     cap_fraction = 0.0
     if model.angle_axes:
         if len(model.angle_axes) != 2:
             raise GridError("sphere factors support k = 2 (latitude-longitude chart)")
         r_sph = model.sphere_radius
         m_theta = max(MIN_RESOLUTION, int(np.ceil(np.pi * r_sph / h_t)))
-        h_theta = np.pi / m_theta
-        theta = (np.arange(m_theta) + 0.5) * h_theta
-        # polar caps of one grid cell are excluded: drop nodes with theta < h
-        keep = (theta > h_theta) & (theta < np.pi - h_theta)
-        axes.append(Axis(coords=theta[keep], h=h_theta, boundary=ONESIDED))
         m_phi = max(MIN_RESOLUTION, int(np.ceil(2.0 * np.pi * r_sph / h_t)))
-        h_phi = 2.0 * np.pi / m_phi
-        phi = (np.arange(m_phi) + 0.5) * h_phi
-        axes.append(Axis(coords=phi, h=h_phi, boundary=PERIODIC))
+        h_theta = np.pi / m_theta
+        # polar caps of one grid cell are excluded: the first and last latitude
+        cells += [(0.0, 1, m_theta - 1, h_theta, ONESIDED),
+                  (0.0, 0, m_phi, 2.0 * np.pi / m_phi, PERIODIC)]
         cap_fraction = 1.0 - np.cos(h_theta)  # omitted sphere-area fraction, both caps
 
-    shape = tuple(ax.size for ax in axes)
-    total = int(np.prod(shape))
+    # counted exactly (a product of int64 wraps around), and before any
+    # coordinate array is made
+    shape = tuple(hi - lo for _, lo, hi, _, _ in cells)
+    total = math.prod(shape)
     if total > DEFAULT_NODE_CAP:
         raise GridError(f"grid would allocate {total} nodes, above the cap {DEFAULT_NODE_CAP}")
+    axes = [Axis(coords=start + (np.arange(lo, hi) + 0.5) * h, h=h, boundary=boundary)
+            for start, lo, hi, h, boundary in cells]
 
     mesh = np.meshgrid(*[ax.coords for ax in axes], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -312,45 +312,3 @@ def build_grid(
         cap_fraction=cap_fraction,
     )
     return grid, measure
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """The weighted spherical average I_w on an ascending ladder of b-radii."""
-
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.values) < -1e-14):
-            raise GridError("profile values must be nonnegative")
-
-
-def radial_profile(w, radii) -> RadialProfile:
-    """Shell-binned estimate of I_w(r) = r^(1-n) * integral_{b=r} |w|^2 |grad b|.
-
-    Co-area binning over {|b - r| < dr/2}, dr = 3 grid spacings, with the
-    unweighted volume element:
-
-        I_w(r) ~ r^(1-n) dr^(-1) * sum_shell |w|^2 |grad b|^2 vol,
-
-    consistent with the level-set integral as dr -> 0.
-    """
-    grid = w.grid
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) == 0 or np.any(np.diff(radii) <= 0):
-        raise GridError("radii must be a nonempty strictly ascending ladder")
-    dr = 3.0 * grid.max_spacing
-    if radii[0] - dr / 2 <= 0 or radii[-1] >= grid.truncation_radius:
-        raise GridError("radii must lie within (0, truncation_radius)")
-
-    density = w.contract(w) * grid.grad_b_norm_sq * grid.unweighted_volumes
-    b = grid.b
-    n = grid.model.n
-    values = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        in_shell = np.abs(b - r) < dr / 2
-        if not np.any(in_shell):
-            raise GridError(f"empty shell at radius {r:g}: radius ladder too fine")
-        values[i] = r ** (1 - n) / dr * float(np.sum(density[in_shell]))
-    return RadialProfile(radii=radii, values=values)

@@ -13,20 +13,17 @@ ladder of `distance_profile`.
 The pipeline derives none of its quantities itself: the cutoff is
 `fields.radial_bump`, the norms on {b < r} are `Field.norm_where`, the
 extended field is measured as an eigenpair by `SpectralPair.of`, and every
-distance reads `Grid.inner`. The growth diagnostics (`fit_growth_exponent`,
-`check_growth_bound`, `measured_lambda_bar`) act on shell profiles from
-`grid.radial_profile`.
+distance reads `Grid.inner`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .fields import VECTOR, Field, radial_bump
-from .grid import Grid, RadialProfile
+from .grid import Grid
 from .spectral import NearKernelBlock, SpectralPair, near_kernel_block
 
 
@@ -225,83 +222,3 @@ def distance_profile(F: Field, G: Field, r: float) -> np.ndarray:
     """dist(F, G; b < rho) for rho on `rung_radii`."""
     grid = F.grid
     return np.array([distance(F, G, grid.b < rho) for rho in rung_radii(grid, r)])
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Worst pairwise ratio against the polynomial doubling bound."""
-
-    worst_ratio: float
-    worst_pair: Optional[tuple[float, float]]
-    passed: bool
-    skipped_pairs: int
-    lambda_bar: float
-
-
-def check_growth_bound(profile: RadialProfile, lambda_bar: float, r0: float) -> GrowthReport:
-    """Check I(r2) <= 2 (r2/r1)^(5 lambda_bar) I(r1) for all ladder pairs r2 > r1 >= r0."""
-    if lambda_bar < 0:
-        raise PropagationError("lambda_bar must be nonnegative")
-    radii = np.asarray(profile.radii)
-    values = np.asarray(profile.values)
-    keep = radii >= r0
-    radii, values = radii[keep], values[keep]
-    if len(radii) < 2:
-        raise PropagationError("need at least two ladder radii above r0")
-    worst = 0.0
-    worst_pair = None
-    skipped = 0
-    for i in range(len(radii)):
-        for j in range(i + 1, len(radii)):
-            if values[i] <= 0.0 or values[j] <= 0.0:
-                skipped += 1
-                continue
-            ratio = values[j] / (2.0 * (radii[j] / radii[i]) ** (5.0 * lambda_bar) * values[i])
-            if ratio > worst:
-                worst = ratio
-                worst_pair = (float(radii[i]), float(radii[j]))
-    return GrowthReport(
-        worst_ratio=worst,
-        worst_pair=worst_pair,
-        passed=worst <= 1.0 + 1e-6,
-        skipped_pairs=skipped,
-        lambda_bar=lambda_bar,
-    )
-
-
-@dataclass(frozen=True)
-class GrowthFit:
-    slope: float
-    intercept: float
-    max_residual: float
-
-
-def fit_growth_exponent(profile: RadialProfile) -> GrowthFit:
-    """Least-squares fit of log I against log r over the positive samples."""
-    radii = np.asarray(profile.radii)
-    values = np.asarray(profile.values)
-    pos = values > 0.0
-    if not np.any(pos):
-        raise PropagationError("no positive samples")
-    if int(pos.sum()) < 4:
-        raise PropagationError("fewer than 4 positive samples")
-    x = np.log(radii[pos])
-    y = np.log(values[pos])
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    return GrowthFit(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        max_residual=float(np.max(np.abs(resid))),
-    )
-
-
-def measured_lambda_bar(w: Field) -> float:
-    """Rayleigh lower-bound constant: smallest lambda with <Lw, w> >= -lambda |w|^2."""
-    ops = w.grid.ops()
-    lw = ops.lap(w)
-    wn = w.norm()
-    if wn <= 0:
-        raise PropagationError("zero field")
-    return max(0.0, -w.inner(lw) / wn**2)

@@ -647,8 +647,9 @@ class EigenfieldDecomposition:
 
         |Y|^2 = |Z|^2 + beta^2 |grad div_f Y|^2
 
-    holds exactly; beta agrees with 2/(2 mu + 1) to stencil order and the
-    mismatch is reported as a diagnostic. Eigen-equation residuals whose
+    holds exactly; beta agrees with 2/(2 mu + 1) to stencil order, and their
+    relative mismatch is kept as `beta_mismatch` (tests read it; no report
+    carries it). Eigen-equation residuals whose
     subject field is below the discretization-noise floor are reported as
     None (the equation is vacuous there, e.g. Z for pure gradient fields).
 

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from shrinkerlab import build_grid, check_soliton_identities, make_model, radial_profile, random_points
+from shrinkerlab import build_grid, check_soliton_identities, make_model, random_points
 from shrinkerlab.fields import (
     Field,
     bump_vector,
@@ -15,14 +15,8 @@ from shrinkerlab.fields import (
     translation,
     vector_field,
 )
-from shrinkerlab.grid import RadialProfile
 from shrinkerlab.operators import OperatorKind, identity_residuals
-from shrinkerlab.propagation import (
-    check_growth_bound,
-    extend_symmetry,
-    fit_growth_exponent,
-    measured_lambda_bar,
-)
+from shrinkerlab.propagation import extend_symmetry
 from shrinkerlab.spectral import (
     canonicalize_degenerate,
     decompose_eigenfield,
@@ -201,32 +195,6 @@ def test_criterion_09_propagation_pipeline():
         # (c) the recovered eigenfield is the global rotation
         cos = abs(results[1e-3].z.field.inner(rot))
         assert cos >= 0.99, cos
-
-
-def test_criterion_10_growth_bounds():
-    with Budget("criterion 10: polynomial growth of the defect", 120.0):
-        r = 5.0
-        grid, _ = build_grid(make_model("gaussian", 2), 160, 10.0)
-        ops = grid.ops()
-        pairs = canonicalize_degenerate(
-            lowest_eigenpairs(ops.handle(OperatorKind.OP_P), 6, method="complement")
-        )
-        # first eigenfield whose Killing defect is genuinely nonzero
-        pair = next(p for p in pairs if p.mu > 0.1)
-        dec = decompose_eigenfield(pair)
-        w = ops.div_star(dec.z)
-        radii = np.linspace(r + 0.2, 1.8 * r, 10)
-        profile = radial_profile(w, radii)
-        fit = fit_growth_exponent(profile)
-        assert fit.max_residual <= 0.5, fit
-        lam = measured_lambda_bar(w)
-        assert check_growth_bound(profile, lam, radii[0]).passed
-        # a synthetic exponential profile must fail the same check
-        synth = RadialProfile(
-            radii=np.linspace(4.0, 8.0, 6),
-            values=np.exp(np.linspace(4.0, 8.0, 6)),
-        )
-        assert not check_growth_bound(synth, 0.1, 4.0).passed
 
 
 def test_criterion_11_distance_volume_constants():

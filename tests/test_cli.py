@@ -386,9 +386,10 @@ def test_config_file_with_flag_override(tmp_path):
     }
 
 
-# every INI key with a value that differs from its default
+# every INI key, with a value that differs from its default where it may: the
+# [run] command must agree with the positional one
 INI_VALUES = {
-    "run": {"command": "spectrum", "seed": "3", "output": "set per test"},
+    "run": {"command": "verify", "seed": "3", "output": "set per test"},
     "model": {"kind": "cylinder", "n": "3", "k": "2"},
     "grid": {"resolution": "20", "truncation_radius": "5", "stencil_order": "4"},
     "verify": {"suite": "soliton, structure"},
@@ -408,7 +409,7 @@ def write_ini(path: Path, values: dict) -> Path:
 
 
 def test_config_round_trip_ini_and_flags(tmp_path):
-    # every INI key lands in the report; the positional command wins over [run]
+    # every INI key lands in the report
     out = tmp_path / "ini_run"
     values = {**INI_VALUES, "run": {**INI_VALUES["run"], "output": str(out)}}
     ini = write_ini(tmp_path / "all.cfg", values)
@@ -460,6 +461,18 @@ def test_config_round_trip_ini_and_flags(tmp_path):
         opt for action in cli.build_arg_parser()._actions for opt in action.option_strings
     }
     assert parser_flags == {"-h", "--help", "--config", "--dump-fields", *flags}
+
+
+def test_ini_command_that_disagrees_is_config_error(tmp_path, capsys):
+    # a [run] command other than the positional one would be dropped without
+    # notice, so the two must agree
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ncommand = propagate\n")
+    out = tmp_path / "o"
+    assert run_cli("verify", "--config", str(cfg), "--output", str(out)) == EXIT_CONFIG
+    assert (f"config error: config file {cfg} sets command 'propagate', "
+            "but the command line runs 'verify'") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_profile_points_key_rejected(tmp_path, capsys):
@@ -538,9 +551,16 @@ def test_spectrum_eigs_at_unknown_count_is_config_error(tmp_path, capsys):
     (("--truncation-radius", "3"), None, "truncation_radius must be"),
     ((), "[grid]\nstencil_order = 3\n", "stencil_order must be 2 or 4"),
     ((), "[grid]\ntruncation_radius = inf\n", "truncation_radius must be finite"),
+    (("--truncation-radius", "1e200"), None, "truncation_radius 1e+200 is too large"),
+    (("--dim", "4", "--resolution", "65536"), None,
+     "grid would allocate 18446744073709551616 nodes, above the cap"),
+    (("--dim", "1", "--resolution", "10000000000"), None,
+     "grid would allocate 10000000000 nodes, above the cap"),
 ])
 def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
-    # build_grid checks the grid's bounds before `run` makes the output directory
+    # build_grid checks the grid's bounds before `run` makes the output
+    # directory, and counts a box's nodes before it makes any coordinate array:
+    # 65536^4 is 2^64, which a product of int64 counts as 0
     if ini is not None:
         (tmp_path / "run.cfg").write_text(ini)
         argv = ("--config", str(tmp_path / "run.cfg"))
@@ -940,19 +960,20 @@ def test_compare_leaves_scipy_unloaded(tmp_path):
     assert last == "0 []"
 
 
-# shrinkerlab.__all__ as it stood when the package imported every layer eagerly
+# shrinkerlab.__all__: the names the package exported when it imported every
+# layer eagerly, less the retired growth diagnostics
 EXPORTS = [
     "CYLINDER", "Cutoff", "DefectReport", "DichotomyVerdict", "EigenfieldDecomposition",
-    "Field", "FieldError", "GAUSSIAN", "Grid", "GridError", "GrowthReport", "IdentityReport",
+    "Field", "FieldError", "GAUSSIAN", "Grid", "GridError", "IdentityReport",
     "ModelError", "ModelShrinker", "NearKernelBlock", "OperatorHandle", "OperatorKind",
-    "Operators", "PropagationError", "PropagationResult", "RadialProfile", "SolverError",
+    "Operators", "PropagationError", "PropagationResult", "SolverError",
     "SpectralPair", "WeightedMeasure", "angular_rotation", "build_cutoff", "build_grid",
-    "cao_zhou_check", "check_growth_bound", "check_soliton_identities", "classify_killing",
+    "cao_zhou_check", "check_soliton_identities", "classify_killing",
     "decompose_eigenfield", "dilation", "drift_bochner_residual", "euclidean_rotation",
-    "extend_symmetry", "fields", "fit_growth_exponent", "grid", "harmonicity_check",
+    "extend_symmetry", "fields", "grid", "harmonicity_check",
     "identity_residuals", "interp_inequality_check", "lowest_eigenpairs", "make_model",
     "measure_defect", "models", "near_kernel_block", "operators", "propagation",
-    "radial_bump", "radial_profile", "random_points", "scalar_field", "spectral",
+    "radial_bump", "random_points", "scalar_field", "spectral",
     "translation", "vector_field", "verification",
 ]
 
@@ -1150,10 +1171,23 @@ def test_compare_cli_entry(tmp_path, capsys):
     ('{"checks": [1]}', "check 0 is not a JSON object"),
     ('{"checks": [{"residuals": {}}]}', "check 0 has no check_name"),
     ('{"checks": {"check_name": "kernel_of_P"}}', "checks is not a list"),
+    ('{"config": []}', "config is not a JSON object"),
+    ('{"config": {"resolution": "32"}}', "config resolution is not an integer"),
+    ('{"checks": [{"check_name": "kernel_of_P", "residuals": [1, 2]}]}',
+     "check 0 residuals is not a JSON object"),
+    ('{"checks": [{"check_name": "eigenpair_0", "norm_checks": [1]}]}',
+     "check 0 norm_checks is not a JSON object"),
+    ('{"checks": [{"check_name": "eigenpair_0", '
+     '"norm_checks": {"decomposition_residuals": [1]}}]}',
+     "check 0 decomposition_residuals is not a JSON object"),
+    ('{"checks": [{"check_name": "propagation_r4_eps0.001", '
+     '"distance_profile": {"radii": ["4"], "e": [0.1]}}]}',
+     "check 0 distance_profile is not lists of numeric radii and values"),
 ])
 def test_compare_unreadable_report_is_config_error(tmp_path, capsys, text, message):
-    # a missing file, malformed JSON, a JSON array and checks that are not a
-    # list of named objects are each named, not a traceback
+    # a missing file, malformed JSON, a JSON array, checks that are not a
+    # list of named objects, and a part of a report that compare reads as
+    # another type are each named, not a traceback
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     if text is not None:
         bad.write_text(text)

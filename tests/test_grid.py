@@ -4,12 +4,11 @@ from scipy.special import erf
 from scipy import integrate
 
 import shrinkerlab.grid as grid_module
-from shrinkerlab import GridError, build_grid, radial_profile
+from shrinkerlab import GridError, build_grid
 from shrinkerlab.fields import (
     Field,
     FieldError,
     components_for,
-    radial_bump,
     scalar_field,
     translation,
 )
@@ -149,43 +148,3 @@ def test_inner_product_positive_definite(grid2_small, rng):
         assert f.inner(f) > 0
     z = Field(grid, "vector", np.zeros((grid.n, grid.n_nodes)))
     assert z.inner(z) == 0.0
-
-
-def test_radial_profile_constant_scalar(grid2_64):
-    grid, _ = grid2_64
-    one = Field(grid, "scalar", np.ones(grid.n_nodes))
-    prof = radial_profile(one, np.linspace(2.0, 6.0, 7))
-    np.testing.assert_allclose(prof.values, 2.0 * np.pi, rtol=0.08)
-
-
-def test_radial_profile_coordinate_squared(grid2_64):
-    grid, _ = grid2_64
-    w = scalar_field(grid, lambda c: c[:, 0])
-    radii = np.linspace(2.0, 6.0, 5)
-    prof = radial_profile(w, radii)
-    np.testing.assert_allclose(prof.values, np.pi * radii**2, rtol=0.08)
-
-
-def test_radial_profile_zero_field(grid2_64):
-    grid, _ = grid2_64
-    prof = radial_profile(Field(grid, "scalar", np.zeros(grid.n_nodes)), [2.0, 3.0, 4.0])
-    np.testing.assert_allclose(prof.values, 0.0)
-
-
-def test_radial_profile_empty_shell_names_radius(grid2_64):
-    grid, _ = grid2_64
-    with pytest.raises(GridError, match="radius ladder|truncation"):
-        radial_profile(Field(grid, "scalar", np.ones(grid.n_nodes)), [0.05, 3.0])
-
-
-def test_radial_profile_localized_support_vanishes_outside(grid2_64):
-    grid, _ = grid2_64
-    w = Field(grid, "scalar", radial_bump(grid, 1.0, 2.0))
-    prof = radial_profile(w, np.linspace(3.0, 6.0, 4))
-    np.testing.assert_allclose(prof.values, 0.0, atol=1e-14)
-
-
-def test_profile_requires_ascending_radii(grid2_64):
-    grid, _ = grid2_64
-    with pytest.raises(GridError):
-        radial_profile(Field(grid, "scalar", np.ones(grid.n_nodes)), [3.0, 2.0])

@@ -1,28 +1,17 @@
 import numpy as np
 import pytest
 
-from shrinkerlab import build_grid, make_model, propagation, radial_profile
+from shrinkerlab import build_grid, make_model, propagation
 from shrinkerlab.fields import Field, euclidean_rotation, perturbed, translation
-from shrinkerlab.grid import RadialProfile
-from shrinkerlab.operators import OperatorKind
 from shrinkerlab.propagation import (
     PropagationError,
     build_cutoff,
-    check_growth_bound,
     distance,
     distance_profile,
     extend_symmetry,
-    fit_growth_exponent,
     measure_defect,
-    measured_lambda_bar,
 )
-from shrinkerlab.spectral import (
-    NearKernelBlock,
-    SpectralPair,
-    canonicalize_degenerate,
-    decompose_eigenfield,
-    lowest_eigenpairs,
-)
+from shrinkerlab.spectral import NearKernelBlock, SpectralPair
 
 
 @pytest.fixture(scope="module")
@@ -262,67 +251,3 @@ def test_extension_of_a_killing_field_sits_at_the_floor(extend_run):
     e = distance_profile(rot, res.z.field, 4.0)
     gap = distance(perturbed(rot, 1e-2), rot, grid.b < 4.0)
     assert np.all(floor < e) and np.all(e <= 2.0 * (gap + floor))
-
-
-# ---- growth diagnostics -----------------------------------------------------------
-
-
-def test_fit_growth_exponent_exact_power_law():
-    radii = np.array([4.0, 5.0, 6.0, 8.0])
-    prof = RadialProfile(radii=radii, values=7.0 * radii**3)
-    fit = fit_growth_exponent(prof)
-    assert fit.slope == pytest.approx(3.0, abs=1e-10)
-    assert fit.intercept == pytest.approx(np.log(7.0), abs=1e-10)
-    assert fit.max_residual <= 1e-12
-
-
-def test_fit_growth_exponent_no_positive_samples():
-    prof = RadialProfile(radii=np.array([4.0, 5.0, 6.0, 7.0]), values=np.zeros(4))
-    with pytest.raises(PropagationError, match="no positive samples"):
-        fit_growth_exponent(prof)
-
-
-def test_fit_growth_exponent_needs_four_points():
-    prof = RadialProfile(radii=np.array([4.0, 5.0, 6.0, 7.0]), values=np.array([1.0, 1.0, 0.0, 0.0]))
-    with pytest.raises(PropagationError, match="fewer than 4"):
-        fit_growth_exponent(prof)
-
-
-def test_growth_bound_constant_profile_passes():
-    prof = RadialProfile(radii=np.linspace(4, 8, 5), values=np.full(5, 2.0))
-    rep = check_growth_bound(prof, 0.0, 4.0)
-    assert rep.passed
-    assert rep.worst_ratio <= 0.5 + 1e-12
-
-
-def test_growth_bound_exponential_fails():
-    radii = np.linspace(4, 8, 6)
-    prof = RadialProfile(radii=radii, values=np.exp(radii))
-    rep = check_growth_bound(prof, 0.1, 4.0)
-    assert not rep.passed
-    assert rep.worst_pair is not None
-    assert rep.worst_ratio > 1.0
-
-
-def test_growth_bound_skips_zero_values():
-    prof = RadialProfile(radii=np.array([4.0, 5.0, 6.0]), values=np.array([0.0, 1.0, 1.0]))
-    rep = check_growth_bound(prof, 0.0, 4.0)
-    assert rep.skipped_pairs == 2
-
-
-def test_polynomial_growth_of_quarter_mode_defect(gaussian2):
-    # an eigenfield with genuinely nonzero defect: profile grows polynomially
-    grid, _ = build_grid(gaussian2, 128, 9.0)
-    ops = grid.ops()
-    pairs = canonicalize_degenerate(
-        lowest_eigenpairs(ops.handle(OperatorKind.OP_P), 5, method="complement")
-    )
-    quarter = next(p for p in pairs if p.mu > 0.1)
-    dec = decompose_eigenfield(quarter)
-    w = ops.div_star(dec.z)
-    radii = np.linspace(4.0, 7.2, 8)
-    prof = radial_profile(w, radii)
-    fit = fit_growth_exponent(prof)
-    assert fit.max_residual <= 0.5
-    lam = measured_lambda_bar(w)
-    assert check_growth_bound(prof, lam, radii[0]).passed
