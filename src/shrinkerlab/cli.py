@@ -26,6 +26,7 @@ from .models import CYLINDER, GAUSSIAN, ModelError, make_model
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+RUN_COMMANDS = ("verify", "spectrum", "propagate")
 # the names of `workflows.VERIFY_SUITES`, in its order, for `validate`
 VERIFY_SUITE_NAMES = ("soliton", "structure", "identities", "kernel", "dichotomy", "harmonicity",
                       "bochner", "interp", "cao_zhou")
@@ -61,7 +62,7 @@ def _option(default, section: str, key: str, parse, flag: str | None = None, **a
 class RunConfig:
     """Every run option, declared once; the parser, INI reader and to_dict follow."""
 
-    # the CLI sets the command positionally (see build_arg_parser)
+    # the CLI sets the command as its subcommand (see build_arg_parser)
     command: str = _option("verify", "run", "command", str)
     model_kind: str = _option(GAUSSIAN, "model", "kind", str.lower, "--model",
                               choices=[GAUSSIAN, CYLINDER])
@@ -90,7 +91,7 @@ class RunConfig:
     def validate(self) -> None:
         # the grid's bounds (resolution, stencil order, truncation radius) are
         # checked by build_grid, whose GridError `main` reports as a config error
-        if self.command not in ("verify", "spectrum", "propagate"):
+        if self.command not in RUN_COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         try:
             make_model(self.model_kind, self.n, self.k)
@@ -166,22 +167,27 @@ def load_config_file(path: Path, command: str | None = None) -> RunConfig:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """`compare` takes report paths only; a run command takes --config and the
+    flags of [run], [model], [grid] and its own section, and no other."""
     ap = argparse.ArgumentParser(
         prog="shrinkerlab",
         description="Weighted operator calculus on model shrinking solitons",
     )
-    ap.add_argument("command", choices=["verify", "spectrum", "propagate", "compare"])
-    ap.add_argument("reports", nargs="*", help="two report.json paths (compare only)")
-    ap.add_argument("--config", type=Path, help="INI config file; flags override it")
-    for f in fields(RunConfig):
-        meta = f.metadata
-        if meta["flag"] is None:
-            continue
-        kw = dict(meta["arg_kw"])
-        if "action" not in kw:
-            kw["type"] = meta["parse"]
-        # None marks a flag that was not given, so the INI value stays
-        ap.add_argument(meta["flag"], dest=f.name, default=None, **kw)
+    commands = ap.add_subparsers(dest="command", required=True)
+    commands.add_parser("compare").add_argument("reports", nargs="*",
+                                                help="two report.json paths")
+    for command in RUN_COMMANDS:
+        sub = commands.add_parser(command)
+        sub.add_argument("--config", type=Path, help="INI config file; flags override it")
+        for f in fields(RunConfig):
+            meta = f.metadata
+            if meta["flag"] is None or meta["section"] not in ("run", "model", "grid", command):
+                continue
+            kw = dict(meta["arg_kw"])
+            if "action" not in kw:
+                kw["type"] = meta["parse"]
+            # None marks a flag that was not given, so the INI value stays
+            sub.add_argument(meta["flag"], dest=f.name, default=None, **kw)
     return ap
 
 
@@ -331,11 +337,15 @@ def run(cfg: RunConfig) -> int:
     from . import workflows
     from .grid import build_grid
     from .propagation import PropagationError, build_cutoff
+    from .spectral import check_pair_count
 
     model = make_model(cfg.model_kind, cfg.n, cfg.k)
     grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
-    if cfg.command == "spectrum" and cfg.eigs >= grid.n_nodes * grid.n:
-        raise ConfigError(f"eigs must be below the {grid.n_nodes * grid.n} unknowns of this grid")
+    if cfg.command == "spectrum":
+        try:
+            check_pair_count(grid, cfg.eigs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if cfg.command == "propagate":
         for r in cfg.r_values:
             try:
@@ -383,8 +393,6 @@ def main(argv=None) -> int:
                     f"order={row['empirical_order']:.2f}{flag}"
                 )
             return EXIT_OK
-        if args.reports:
-            raise ConfigError("positional report paths are only valid with 'compare'")
         cfg = config_from_args(args)
         cfg.validate()
         # only a valid run loads the numerics (`run`), so only then are

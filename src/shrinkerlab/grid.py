@@ -16,9 +16,10 @@ the latitude, PERIODIC on the longitude.
 The weighted inner product of a field rank is sum G x y over component-major
 values, with the rank's Gram diagonal G (`Grid.gram`: the weights times the
 metric contraction of the rank), kept once per grid. `Grid.inner` is its one
-implementation: every norm, masked norm and adjointness probe reads it, and
-the operators' weighted adjoints are taken with respect to the same G; the
-probes are drawn in one place too (`Grid.probe`).
+implementation: every norm, masked norm and the one adjointness probe
+(`Operators.adjoint_gap`) read it, and the operators' weighted adjoints are
+taken with respect to the same G; that probe's vectors are drawn here
+(`Grid.probe`).
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ class Grid:
         return float(total)
 
     def probe(self, rank: str, rng) -> np.ndarray:
-        """An adjointness probe of `rank`: standard normal in sqrt(G) x, so a
-        break in a row of weight 1e-12 shows as plainly as one at the centre."""
+        """A probe of `rank` for `Operators.adjoint_gap`: standard normal in
+        sqrt(G) x, so a break in a row of weight 1e-12 shows as plainly as one
+        at the centre."""
         gram = self.gram(rank)
         x = rng.standard_normal(gram.size)
         for xc, gc in zip(x.reshape(-1, self.n_nodes), gram.reshape(-1, self.n_nodes)):

@@ -34,8 +34,11 @@ inner products, so
     <div_f^* V, h> = <V, div_f h>
 
 holds to machine precision and P = div_f o div_f^* is symmetric positive
-semidefinite by construction. The continuum divergence formula is kept as a
-separate reference discretization used only in convergence tests.
+semidefinite by construction. One probe checks that contract
+(`Operators.adjoint_gap`) against one tolerance, ADJOINT_TOL = 1e-12: the
+verify structure suite on the pair div_f^* / div_f, and every eigensolve on
+P before it starts. The continuum divergence formula is kept as a separate
+reference discretization used only in convergence tests.
 
 Drift Laplacians on all ranks are defined as -(covariant derivative)^adj o
 (covariant derivative), hence exactly symmetric and negative semidefinite in
@@ -69,10 +72,10 @@ beside its input and output; neither the whole derivative (n blocks) nor its
 Gram g^{aa} G is ever formed. `Operators.grad_norm_sq` reads the vector
 derivative one block at a time too.
 
-Each `OperatorKind` is defined once, in one table (`Operators._chains`), as
-a sum of coef * chain terms whose factors, named there and built on the
-first use of a kind that needs them, are term lists, weighted adjoints and
-rough Laplacians: P = div_f o div_f^*, the drift Laplacians
+Each `OperatorKind` is defined once, in one table (`_KINDS`): its input and
+output ranks, and a sum of coef * chain terms whose factors, named there and
+built on the first use of a kind that needs them, are term lists, weighted
+adjoints and rough Laplacians: P = div_f o div_f^*, the drift Laplacians
 -nabla^adj nabla, L = L_drift + 2R, and the Hessian -div_f^* o grad, as
 (1/2) L_{grad u} g. `Operators.matvec` folds each chain right to left
 through its factors' `apply`, so a suite holds no sparse matrix but the
@@ -115,18 +118,29 @@ class OperatorKind(str, Enum):
     HESSIAN = "Hessian"
 
 
-_KIND_RANKS = {
-    OperatorKind.DIV_F_STAR: (VECTOR, SYM2),
-    OperatorKind.DIV_F_VEC: (VECTOR, SCALAR),
-    OperatorKind.DIV_F_TENSOR: (SYM2, VECTOR),
-    OperatorKind.DRIFT_LAPLACIAN_SCALAR: (SCALAR, SCALAR),
-    OperatorKind.DRIFT_LAPLACIAN_VECTOR: (VECTOR, VECTOR),
-    OperatorKind.DRIFT_LAPLACIAN_SYM2: (SYM2, SYM2),
-    OperatorKind.OP_P: (VECTOR, VECTOR),
-    OperatorKind.OP_L: (SYM2, SYM2),
-    OperatorKind.GRADIENT: (SCALAR, VECTOR),
-    OperatorKind.HESSIAN: (SCALAR, SYM2),
+# Each kind, once: its input and output ranks and its (coef, chain) terms. A
+# chain names its factors, attributes of `Operators`, which act right to
+# left. `matvec`, `assemble`, `adjoint_gap` and `OperatorHandle` all read
+# this table, so a factor is built on the first use of a kind that needs it:
+# P alone builds no sym2 derivative and no curvature action.
+_KINDS = {
+    OperatorKind.GRADIENT: (SCALAR, VECTOR, [(1.0, ("_gradient_terms",))]),
+    OperatorKind.DIV_F_STAR: (VECTOR, SYM2, [(1.0, ("_div_f_star_terms",))]),
+    # the weighted divergence on vectors, the negative adjoint of the gradient
+    OperatorKind.DIV_F_VEC: (VECTOR, SCALAR, [(-1.0, ("_div_vec",))]),
+    OperatorKind.DIV_F_TENSOR: (SYM2, VECTOR, [(1.0, ("_div_tensor",))]),
+    OperatorKind.OP_P: (VECTOR, VECTOR, [(1.0, ("_div_tensor", "_div_f_star_terms"))]),
+    OperatorKind.DRIFT_LAPLACIAN_SCALAR: (SCALAR, SCALAR,
+                                          [(-1.0, ("_div_vec", "_gradient_terms"))]),
+    OperatorKind.DRIFT_LAPLACIAN_VECTOR: (VECTOR, VECTOR, [(-1.0, ("_rough_vector",))]),
+    OperatorKind.DRIFT_LAPLACIAN_SYM2: (SYM2, SYM2, [(-1.0, ("_rough_sym2",))]),
+    OperatorKind.OP_L: (SYM2, SYM2, [(-1.0, ("_rough_sym2",)), (2.0, ("riemann_block",))]),
+    # Hess u = (1/2) L_{grad u} g = -div_f^* grad u, as g_jj (grad u)^j = D_j u
+    OperatorKind.HESSIAN: (SCALAR, SYM2, [(-1.0, ("_div_f_star_terms", "_gradient_terms"))]),
 }
+# the adjointness contract: the largest gap of `Operators.adjoint_gap` that
+# the verify structure suite and every eigensolve accept
+ADJOINT_TOL = 1e-12
 
 
 class OperatorHandle:
@@ -139,20 +153,13 @@ class OperatorHandle:
 
     def __init__(self, kind: OperatorKind, ops: Operators):
         self.kind = kind
+        self.in_rank, self.out_rank, _ = _KINDS[kind]
         self.grid = ops.grid
         self._ops = ops
 
     @property
     def matrix(self) -> sp.csr_matrix:
         return self._ops.assemble(self.kind)
-
-    @property
-    def in_rank(self) -> str:
-        return _KIND_RANKS[self.kind][0]
-
-    @property
-    def out_rank(self) -> str:
-        return _KIND_RANKS[self.kind][1]
 
     def apply(self, field: Field) -> Field:
         if field.grid is not self.grid:
@@ -397,7 +404,7 @@ class RoughLaplacian:
 class Operators:
     """Operator suite for one grid. Every kind is a sum of chains of term
     lists over the difference matrices `diffs` and their weighted adjoints
-    (`_chains`), applied factor by factor by `matvec`; `assemble` builds a
+    (`_KINDS`), applied factor by factor by `matvec`; `assemble` builds a
     kind's matrix, which the suite does not keep."""
 
     def __init__(self, grid: Grid):
@@ -517,31 +524,12 @@ class Operators:
     def _rough_sym2(self) -> RoughLaplacian:
         return RoughLaplacian(self._cov_sym2_terms, self.grid, SYM2)
 
-    # ---- every kind, once: sums of coef * chain ----------------------------
-
-    # Each kind as a list of (coef, chain) terms; a chain names its factors,
-    # which act right to left. `matvec` and `assemble` both read this table
-    # through `_terms`, so a factor is built on the first use of a kind that
-    # needs it: P alone builds no sym2 derivative and no curvature action.
-    _chains = {
-        OperatorKind.GRADIENT: [(1.0, ("_gradient_terms",))],
-        OperatorKind.DIV_F_STAR: [(1.0, ("_div_f_star_terms",))],
-        # the weighted divergence on vectors, the negative adjoint of the gradient
-        OperatorKind.DIV_F_VEC: [(-1.0, ("_div_vec",))],
-        OperatorKind.DIV_F_TENSOR: [(1.0, ("_div_tensor",))],
-        OperatorKind.OP_P: [(1.0, ("_div_tensor", "_div_f_star_terms"))],
-        OperatorKind.DRIFT_LAPLACIAN_SCALAR: [(-1.0, ("_div_vec", "_gradient_terms"))],
-        OperatorKind.DRIFT_LAPLACIAN_VECTOR: [(-1.0, ("_rough_vector",))],
-        OperatorKind.DRIFT_LAPLACIAN_SYM2: [(-1.0, ("_rough_sym2",))],
-        OperatorKind.OP_L: [(-1.0, ("_rough_sym2",)), (2.0, ("riemann_block",))],
-        # Hess u = (1/2) L_{grad u} g = -div_f^* grad u, as g_jj (grad u)^j = D_j u
-        OperatorKind.HESSIAN: [(-1.0, ("_div_f_star_terms", "_gradient_terms"))],
-    }
+    # ---- every kind, once: sums of coef * chain (`_KINDS`) -----------------
 
     def _terms(self, kind: OperatorKind) -> list[tuple]:
         """`kind`'s (coef, chain) terms, each factor name resolved on the suite."""
         return [(coef, [getattr(self, name) for name in chain])
-                for coef, chain in self._chains[kind]]
+                for coef, chain in _KINDS[kind][2]]
 
     def matvec(self, kind: OperatorKind, x: np.ndarray) -> np.ndarray:
         """`kind` applied to a flat component vector, each chain folded right
@@ -571,6 +559,26 @@ class Operators:
             term = product if coef == 1.0 else coef * product
             total = term if total is None else total + term
         return total.tocsr()
+
+    def adjoint_gap(self, kind: OperatorKind, adjoint: OperatorKind, rng,
+                    probes: int) -> tuple[float, float]:
+        """The worst relative gap of <M u, v> = <u, M^adj v>, M = `kind` and
+        M^adj = `adjoint` applied by `matvec`, in `Grid.inner`, over `probes`
+        draws of u, then v (`Grid.probe`); and the least |M u|^2 / |u|^2.
+        M u is released before M^adj v is formed."""
+        grid = self.grid
+        in_rank, out_rank, _ = _KINDS[kind]
+        worst_gap, least = 0.0, float("inf")
+        for _ in range(probes):
+            u = grid.probe(in_rank, rng)
+            Mu = self.matvec(kind, u)
+            least = min(least, grid.inner(out_rank, Mu, Mu) / grid.inner(in_rank, u, u))
+            v = grid.probe(out_rank, rng)
+            left = grid.inner(out_rank, Mu, v)
+            del Mu
+            right = grid.inner(in_rank, u, self.matvec(adjoint, v))
+            worst_gap = max(worst_gap, abs(left - right) / max(abs(left), abs(right), 1e-300))
+        return worst_gap, least
 
     # ---- reference (non-adjoint) divergence, used in convergence tests ----
 
@@ -617,15 +625,6 @@ class Operators:
                 out += ginv[:, a] * g[:, j] * cov[j] ** 2
             del cov
         return out
-
-    def stored_matrices(self) -> dict[str, int]:
-        """nnz of each sparse matrix (or list of them) the suite holds, by name."""
-        held = {}
-        for name, val in self.__dict__.items():
-            mats = val if isinstance(val, list) else [val]
-            if mats and all(sp.issparse(m) for m in mats):
-                held[name] = sum(m.nnz for m in mats)
-        return held
 
     # ---- field-level conveniences -----------------------------------------
 

@@ -21,11 +21,12 @@ preconditioned by an aggregation V-cycle built from K on the grid's tensor
 structure (`_VCycle`), whose bottom level is solved by a banded Cholesky
 factor (`_BandCholesky`); the cycle too is built once per grid (`_vcycle`).
 P itself is only applied, factor by factor, never assembled: by the
-weighted-symmetry probe and by the residuals |P y - mu y|, which every path
-checks against 10 * `EIGEN_TOL`. Every pair is built by
-`SpectralPair.of`: eigenfields come back unit-norm in the weighted inner
-product with a fixed sign, so pairs are deterministic up to rotation inside
-numerically degenerate blocks. `decompose_eigenfield` splits an eigenfield
+adjointness probe before every solve (`Operators.adjoint_gap`) and by the
+residuals |P y - mu y|, which every path checks against 10 * `EIGEN_TOL`.
+One rule bounds the pairs a solve returns (`check_pair_count`). Every pair
+is built by `SpectralPair.of`: eigenfields come back unit-norm in the
+weighted inner product with a fixed sign, so pairs are deterministic up to
+rotation inside numerically degenerate blocks. `decompose_eigenfield` splits an eigenfield
 into its divergence-free and gradient parts and checks the scalar
 eigen-equation of its div_f, from one div_f Y and one floor test.
 """
@@ -45,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .fields import SYM2, VECTOR, Field, dilation, killing_basis
 from .grid import Grid
-from .operators import OperatorHandle, OperatorKind
+from .operators import ADJOINT_TOL, OperatorHandle, OperatorKind
 
 # The dense oracle's cap. Above about a thousand unknowns the complement path
 # is faster and no larger, with the same eigenvalues. Measured with the same
@@ -317,25 +318,6 @@ def _vcycle(grid: Grid) -> _VCycle:
     return grid._cached("vcycle", lambda: _VCycle(*_p_factor(grid), grid.node_multi))
 
 
-def _check_weighted_symmetry(handle: OperatorHandle, rng):
-    """Probe <M u, v> = <u, M v> in the weighted product that every norm reads
-    (`Grid.inner`), with M applied factor by factor.
-
-    The probes are the grid's (`Grid.probe`), standard normal in the
-    symmetric variables sqrt(G) u, so every row weighs equally.
-    """
-    grid, rank = handle.grid, handle.in_rank
-    ops = grid.ops()
-    for _ in range(3):
-        u = grid.probe(rank, rng)
-        v = grid.probe(rank, rng)
-        left = grid.inner(rank, ops.matvec(handle.kind, u), v)
-        right = grid.inner(rank, u, ops.matvec(handle.kind, v))
-        scale = max(abs(left), abs(right), 1e-300)
-        if abs(left - right) > 1e-8 * scale:
-            raise SolverError("adjointness broken: operator is not weighted-symmetric")
-
-
 def _lobpcg(K: sp.csr_matrix, X, cycle: _VCycle, tol: float, maxiter: int, Y=None):
     """LOBPCG for the lowest eigenpairs of A = K^T K, applied as K^T (K x), from
     the block X, held orthogonal to Y.
@@ -390,6 +372,27 @@ def _complement(K: sp.csr_matrix, cycle: _VCycle, Y: np.ndarray, X: np.ndarray,
         restarts += 1
 
 
+def check_pair_count(grid: Grid, count: int, method: str = "auto") -> None:
+    """ValueError unless `lowest_eigenpairs` can return `count` pairs on `grid`
+    by `method` ("auto": the path it takes there): fewer than the unknowns,
+    the k Killing pairs on the lobpcg path, and on the complement path at
+    most k + (size - k) // 5 - BUFFER. scipy's lobpcg iterates the complement
+    run's max(count - k, 1) + BUFFER columns, held orthogonal to the k block
+    pairs, only while size - k >= 5 * width; below, it falls back to a dense
+    solve that rejects the constraint."""
+    size = grid.n_nodes * grid.n
+    if count >= size:
+        raise ValueError(f"eigs must be below the {size} unknowns of this grid")
+    if method == "dense" or (method == "auto" and size <= DENSE_CAP):
+        return
+    k = len(killing_basis(grid))
+    if method == "lobpcg" and count != k:
+        raise ValueError(f"the lobpcg path solves the {k} Killing pairs, not count={count}")
+    if method != "lobpcg" and count > (limit := k + (size - k) // 5 - BUFFER):
+        raise ValueError(f"eigs must be at most {limit} on this grid, where LOBPCG needs "
+                         f"5 unknowns per complement column")
+
+
 def lowest_eigenpairs(
     operator: OperatorHandle,
     count: int,
@@ -412,10 +415,12 @@ def lowest_eigenpairs(
     max(count - k, 1) + BUFFER columns in all; it returns the lowest `count`
     of the block and the complement's max(count - k, 1) lowest pairs, and
     prints the iterations of both runs, the restarts and the lowest
-    complement Ritz value on stderr. On every path the worst residual
-    |P y - mu y|, measured through the factored P (`SpectralPair.of`), must
-    end at or below 10 * `tolerance`, else SolverError. Another operator
-    kind, or a `count` other than k on the lobpcg path, is a ValueError.
+    complement Ritz value on stderr. Another operator kind, or a `count` that
+    `check_pair_count` refuses, is a ValueError. Three probes of P
+    (`Operators.adjoint_gap`), from the generator that then draws the
+    complement's start, precede the solve; a gap above ADJOINT_TOL is a
+    SolverError. So is a worst residual |P y - mu y|, measured through the
+    factored P (`SpectralPair.of`), above 10 * `tolerance`.
     No caller in the package passes `tolerance`; it stays because
     perfbench/trace.py binds it by name to count the converged pairs.
     """
@@ -425,18 +430,16 @@ def lowest_eigenpairs(
         raise ValueError("count must be >= 1")
     grid = operator.grid
     size = grid.n_nodes * grid.n
-    if count >= size:
-        raise ValueError("count must be smaller than the number of unknowns")
     if method == "auto":
         method = "dense" if size <= DENSE_CAP else "complement"
     if method not in ("dense", "complement", "lobpcg"):
         raise ValueError(f"unknown method {method!r}")
+    check_pair_count(grid, count, method)
     starts = [] if method == "dense" else killing_basis(grid)
-    if method == "lobpcg" and count != len(starts):
-        raise ValueError(f"the lobpcg path solves the {len(starts)} Killing pairs, "
-                         f"not count={count}")
     rng = np.random.default_rng(seed)
-    _check_weighted_symmetry(operator, rng)
+    gap, _ = grid.ops().adjoint_gap(OperatorKind.OP_P, OperatorKind.OP_P, rng, 3)
+    if gap > ADJOINT_TOL:
+        raise SolverError(f"adjointness broken: P is not weighted-symmetric (gap {gap:.2e})")
 
     if method == "dense":
         A, s = _symmetric_form(grid)

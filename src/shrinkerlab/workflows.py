@@ -5,6 +5,10 @@ propagate.
 validation and `compare` load neither scipy nor the numerical layers. Nothing
 here imports `cli`: under `python -m shrinkerlab.cli` that import would load
 a second copy of it, whose ConfigError `cli.main` would not catch.
+
+The structure suite checks the adjointness of div_f^* and div_f with the
+probe that every eigensolve runs on P (`Operators.adjoint_gap`), against the
+same tolerance, `operators.ADJOINT_TOL`.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ import numpy as np
 
 from . import reports
 from .fields import (
-    SYM2,
-    VECTOR,
-    FieldError,
     bump_vector,
     dilation,
     euclidean_rotation,
@@ -33,7 +34,7 @@ from .fields import (
 )
 from .grid import Grid
 from .models import check_soliton_identities, random_points
-from .operators import OperatorKind, identity_residuals
+from .operators import ADJOINT_TOL, OperatorKind, identity_residuals
 from .propagation import (
     GATE_C,
     PropagationError,
@@ -49,7 +50,6 @@ from .spectral import (
     solver_storage,
 )
 from .verification import (
-    HarmonicityReport,
     cao_zhou_check,
     classify_killing,
     drift_bochner_residual,
@@ -93,27 +93,10 @@ def _verify_soliton(cfg: RunConfig, grid: Grid, rng) -> dict:
 
 
 def _verify_structure(cfg: RunConfig, grid: Grid, rng) -> dict:
-    # through `matvec`, so the adjoint checked is the one every run applies,
-    # in the weighted product that every norm reads (`Grid.inner`), on the
-    # probes that weigh every row equally (`Grid.probe`)
-    ops = grid.ops()
-    worst_adj = 0.0
-    worst_ray = float("inf")
-    for _ in range(20):
-        V = grid.probe(VECTOR, rng)
-        DV = ops.matvec(OperatorKind.DIV_F_STAR, V)
-        worst_ray = min(worst_ray, grid.inner(SYM2, DV, DV) / grid.inner(VECTOR, V, V))
-        H = grid.probe(SYM2, rng)
-        left = grid.inner(SYM2, DV, H)
-        del DV
-        right = grid.inner(VECTOR, V, ops.matvec(OperatorKind.DIV_F_TENSOR, H))
-        scale = max(abs(left), abs(right), 1e-300)
-        worst_adj = max(worst_adj, abs(left - right) / scale)
-    return _check(
-        "adjoint_structure",
-        worst_adj <= 1e-12 and worst_ray >= -1e-8,
-        {"adjointness": worst_adj, "min_rayleigh": worst_ray},
-    )
+    gap, least = grid.ops().adjoint_gap(OperatorKind.DIV_F_STAR, OperatorKind.DIV_F_TENSOR,
+                                        rng, 20)
+    return _check("adjoint_structure", gap <= ADJOINT_TOL and least >= -1e-8,
+                  {"adjointness": gap, "min_rayleigh": least})
 
 
 def _verify_identities(cfg: RunConfig, grid: Grid, rng) -> dict:
@@ -154,12 +137,7 @@ def _verify_dichotomy(cfg: RunConfig, grid: Grid, rng) -> dict:
 
 
 def _verify_harmonicity(cfg: RunConfig, grid: Grid, rng) -> dict:
-    reps = {}
-    for name, Y in killing_fields(grid).items():
-        try:
-            reps[name] = harmonicity_check(Y)
-        except FieldError:  # not shown to be Killing: its check fails
-            reps[name] = HarmonicityReport(residual=float("nan"), passed=False)
+    reps = {name: harmonicity_check(Y) for name, Y in killing_fields(grid).items()}
     return _check("divergence_harmonicity", all(r.passed for r in reps.values()),
                   {name: r.residual for name, r in reps.items()})
 
@@ -354,13 +332,12 @@ def run_propagate(cfg: RunConfig, grid: Grid) -> list[dict]:
 
 def print_storage(grid: Grid) -> None:
     """The matrices that the run left cached on `grid`, and the process's peak
-    RSS, on stderr: not in the report, so that reruns stay byte-identical."""
-    held = grid.ops().stored_matrices()
-    print(
-        f"operator storage: {', '.join(held) or 'none'}; {sum(held.values()):,} nnz; "
-        f"ru_maxrss {_peak_rss_mb():.0f} MB",
-        file=sys.stderr,
-    )
+    RSS, on stderr: not in the report, so that reruns stay byte-identical. An
+    operator suite keeps no matrix but its difference matrices `diffs`."""
+    ops = grid.ops()
+    nnz = sum(D.nnz for D in ops.diffs) if "diffs" in vars(ops) else None
+    print(f"operator storage: {'none' if nnz is None else 'diffs'}; {nnz or 0:,} nnz; "
+          f"ru_maxrss {_peak_rss_mb():.0f} MB", file=sys.stderr)
     solver = solver_storage(grid)
     named = ", ".join(f"{name} {nnz:,}" for name, nnz in solver.items()) or "none"
     print(f"solver storage: {named}; {sum(solver.values()):,} nnz", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib.util
 import json
@@ -428,39 +429,70 @@ def test_config_round_trip_ini_and_flags(tmp_path):
         "r": [4.5],
         "epsilon": [0.01, 0.02],
     }
-    # every flag lands in the report and overrides the INI value
-    values = {**values, "model": {"kind": "gaussian", "n": "1"},
+    # each command's flags override the INI and land in its config: the flags
+    # of [run], [model] and [grid] and of its own section, and no others; the
+    # INI may carry every section, as one file serves every command
+    values = {**values, "run": {"seed": "3"},
+              "model": {"kind": "gaussian", "n": "1"},
               "spectrum": {**INI_VALUES["spectrum"], "dump_fields": "no"}}
     ini = write_ini(tmp_path / "flags.cfg", values)
     out = tmp_path / "flag_run"
-    flags = {
+    shared = {
         "--model": "cylinder", "--dim": "3", "--k": "2",
         "--resolution": "16", "--truncation-radius": "4.5", "--stencil-order": "2",
-        "--seed": "9", "--output": str(out), "--suite": "soliton",
-        "--eigs": "5", "--r": "4,4.25", "--epsilon": "0.005",
+        "--seed": "9", "--output": str(out),
     }
-    argv = ["verify", "--config", str(ini), "--dump-fields"]
-    for flag, val in flags.items():
-        argv += [flag, val]
-    assert run_cli(*argv) == EXIT_OK
-    assert read_report(out)["config"] == {
-        "command": "verify",
+    own = {"verify": {"--suite": "soliton"}, "spectrum": {"--eigs": "5", "--dump-fields": None},
+           "propagate": {"--r": "4,4.25", "--epsilon": "0.005"}}
+    overridden = {"verify": {"suite": ["soliton"]}, "spectrum": {"eigs": 5, "dump_fields": True},
+                  "propagate": {"r": [4.0, 4.25], "epsilon": [0.005]}}
+    ini_config = {
         "model": {"kind": "cylinder", "n": 3, "k": 2},
         "resolution": 16,
         "truncation_radius": 4.5,
         "stencil_order": 2,
         "seed": 9,
         "output": str(out),
-        "suite": ["soliton"],
-        "eigs": 5,
-        "dump_fields": True,
-        "r": [4.0, 4.25],
-        "epsilon": [0.005],
+        "suite": ["soliton", "structure"],
+        "eigs": 3,
+        "dump_fields": False,
+        "r": [4.5],
+        "epsilon": [0.01, 0.02],
     }
-    parser_flags = {
-        opt for action in cli.build_arg_parser()._actions for opt in action.option_strings
-    }
-    assert parser_flags == {"-h", "--help", "--config", "--dump-fields", *flags}
+    ap = cli.build_arg_parser()
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {"compare", *cli.RUN_COMMANDS}
+    for command in cli.RUN_COMMANDS:
+        argv = [command, "--config", str(ini)]
+        for flag, val in {**shared, **own[command]}.items():
+            argv += [flag] if val is None else [flag, val]
+        config = {**ini_config, "command": command, **overridden[command]}
+        assert cli.config_from_args(ap.parse_args(argv)).to_dict() == config
+        parser_flags = {opt for action in subparsers.choices[command]._actions
+                        for opt in action.option_strings}
+        assert parser_flags == {"-h", "--help", "--config", *shared, *own[command]}
+        if command == "verify":  # the cheap run: its report holds that config
+            assert run_cli(*argv) == EXIT_OK
+            assert read_report(out)["config"] == config
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "a.json", "b.json", "--resolution", "32"),
+    ("compare", "a.json", "b.json", "--config", "x"),
+    ("verify", "--eigs", "3"),
+    ("verify", "--r", "5", "--dump-fields"),
+    ("spectrum", "--suite", "soliton"),
+    ("spectrum", "--epsilon", "0.5"),
+    ("propagate", "--eigs", "3"),
+])
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    # a flag is never dropped: a run command takes the flags of [run],
+    # [model], [grid] and its own section, and compare takes report paths only
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *(() if argv[0] == "compare" else ("--output", str(tmp_path / "o"))))
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_ini_command_that_disagrees_is_config_error(tmp_path, capsys):
@@ -999,6 +1031,10 @@ def test_package_exports_resolve_on_access():
      "eigs must be below the 16 unknowns"),
     (("propagate", "--dim", "1", "--resolution", "16", "--truncation-radius", "8", "--r", "4"),
      "transition band under-resolved"),
+    # 1,432 unknowns: scipy's lobpcg would reject the complement run's
+    # constraint at once; 283 pairs solve
+    (("spectrum", "--dim", "2", "--resolution", "30", "--truncation-radius", "6", "--eigs", "284"),
+     "eigs must be at most 283 on this grid"),
 ])
 def test_run_config_errors_exit_2_under_dash_m(tmp_path, argv, message):
     # the benchmark's way in: under -m the running module is __main__, so a

@@ -88,10 +88,10 @@ def test_dense_and_sparse_paths_agree(gaussian1):
         assert abs(a.mu - b.mu) <= 1e-8
 
 
-def _grid_with_broken_p_row(gaussian1, row, column=False):
-    """A fresh 1D grid whose applied P has `row` of its output zeroed, and
-    with `column` the same column of its input, a weighted-symmetric break;
-    the solvers' form is intact."""
+def _grid_with_broken_p_row(gaussian1, row, column=False, scale=0.0):
+    """A fresh 1D grid whose applied P has `row` of its output scaled by
+    `scale` (zeroed by default), and with `column` the same column of its
+    input zeroed, a weighted-symmetric break; the solvers' form is intact."""
     grid, _ = build_grid(gaussian1, 256, 10.0)
     ops = grid.ops()
     matvec = ops.matvec
@@ -102,7 +102,7 @@ def _grid_with_broken_p_row(gaussian1, row, column=False):
             x[row] = 0.0
         y = matvec(kind, x)
         if kind == OperatorKind.OP_P:
-            y[row] = 0.0
+            y[row] *= scale
         return y
 
     ops.matvec = broken
@@ -117,6 +117,36 @@ def test_broken_adjoint_detected(gaussian1, row):
     grid = _grid_with_broken_p_row(gaussian1, row)
     with pytest.raises(SolverError, match="adjointness broken"):
         lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2)
+
+
+def test_adjointness_probe_holds_p_to_1e_12(gaussian1):
+    # scaling the central row of P's output by 1 + s opens a probe gap of
+    # 0.079 s at seed 0 (the same ratio from s = 1e-10 to 1e-4): s = 1e-10
+    # passed a probe at 1e-8, and fails the one tolerance of the contract,
+    # ADJOINT_TOL = 1e-12
+    grid = _grid_with_broken_p_row(gaussian1, 128, scale=1.0 + 1e-10)
+    gap, _ = grid.ops().adjoint_gap(OperatorKind.OP_P, OperatorKind.OP_P,
+                                    np.random.default_rng(0), 3)
+    assert 7e-12 <= gap <= 9e-12
+    with pytest.raises(SolverError, match="adjointness broken"):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2)
+
+
+def test_pair_count_rule_refuses_before_any_solve(monkeypatch):
+    # 1,432 unknowns above DENSE_CAP: a complement run of width
+    # max(count - 3, 1) + BUFFER needs 1,429 >= 5 * width, so 283 pairs at
+    # most; at 284 scipy's lobpcg would fall back to a dense solve that
+    # rejects the block constraint
+    grid, _ = build_grid(make_model("gaussian", 2), 30, 6.0)
+    assert grid.n_nodes * grid.n == 1432
+    spectral.check_pair_count(grid, 283)
+    monkeypatch.setattr(spectral, "_p_factor", lambda grid: pytest.fail("solve started"))
+    with pytest.raises(ValueError, match="eigs must be at most 283 on this grid"):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 284)
+    # the dense path returns all but one unknown
+    spectral.check_pair_count(grid, 1431, method="dense")
+    with pytest.raises(ValueError, match="below the 1432 unknowns"):
+        spectral.check_pair_count(grid, 1432, method="dense")
 
 
 @pytest.mark.parametrize("method", ["dense", "complement", "lobpcg"])
