@@ -341,17 +341,16 @@ def run(cfg: RunConfig) -> int:
 
     model = make_model(cfg.model_kind, cfg.n, cfg.k)
     grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
-    if cfg.command == "spectrum":
-        try:
+    try:
+        if cfg.command == "spectrum":
             check_pair_count(grid, cfg.eigs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if cfg.command == "propagate":
-        for r in cfg.r_values:
-            try:
+        if cfg.command == "verify":
+            workflows.check_suites(cfg, grid)
+        if cfg.command == "propagate":
+            for r in cfg.r_values:
                 build_cutoff(grid, r)
-            except PropagationError as exc:
-                raise ConfigError(str(exc)) from exc
+    except (ValueError, PropagationError) as exc:
+        raise ConfigError(str(exc)) from exc
     # the writers make the output directory, so a config error leaves none
     out_dir = cfg.output_dir
     if cfg.command == "verify":

@@ -8,25 +8,26 @@ and cached on the grid (`_p_factor`), the one solver form of P that every
 path keeps. A is assembled from it, and not kept, only for the dense oracle,
 at or below a size cap (`_symmetric_form`). Every other solve is block
 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) that applies A as
-K^T (K x) (`_factored_form`). The near-kernel block of P, which
-the extension pipeline projects onto, is solved from the model's Killing
-fields, one guess per pair (`_lobpcg`). Above the cap `lowest_eigenpairs`
-solves that block first and then the pairs above it, by one LOBPCG run held
-orthogonal to the block (`_complement`); the same complement run, at a looser
-tolerance, is the guard that checks the block in `near_kernel_block`. A
-complement run restarts from its last iterate in fixed chunks and stops once
-the pairs it must deliver have converged, so a buffer column that splits an
-eigenvalue cluster does not hold it to its iteration cap. All runs are
-preconditioned by an aggregation V-cycle built from K on the grid's tensor
-structure (`_VCycle`), whose bottom level is solved by a banded Cholesky
-factor (`_BandCholesky`); the cycle too is built once per grid (`_vcycle`).
-P itself is only applied, factor by factor, never assembled: by the
-adjointness probe before every solve (`Operators.adjoint_gap`) and by the
-residuals |P y - mu y|, which every path checks against 10 * `EIGEN_TOL`.
-One rule bounds the pairs a solve returns (`check_pair_count`). Every pair
-is built by `SpectralPair.of`: eigenfields come back unit-norm in the
-weighted inner product with a fixed sign, so pairs are deterministic up to
-rotation inside numerically degenerate blocks. `decompose_eigenfield` splits an eigenfield
+K^T (K x) (`_factored_form`), and every LOBPCG run goes through one driver
+(`_lobpcg`). It restarts from its last iterate in fixed chunks and stops
+once the pairs it must deliver have converged, so a buffer column that
+splits an eigenvalue cluster does not hold it to its iteration cap; it reads
+no scipy warning, only the residuals it measures. The near-kernel block of
+P, which the extension pipeline projects onto, is one run from the model's
+Killing fields. Above the cap `lowest_eigenpairs` solves that block first,
+then the pairs above it by one run held orthogonal to it (the complement);
+a complement run at a looser tolerance is the guard that checks the block
+in `near_kernel_block`. All runs are preconditioned by an aggregation
+V-cycle built from K on the grid's tensor structure (`_VCycle`), whose
+bottom level is solved by a banded Cholesky factor (`_BandCholesky`); the
+cycle too is built once per grid (`_vcycle`). P itself is only applied,
+factor by factor, never assembled: by the adjointness probe before every
+solve (`Operators.adjoint_gap`) and by the residuals |P y - mu y|, which
+every path checks against 10 * `EIGEN_TOL`. One rule bounds the pairs a
+solve returns (`check_pair_count`). Every pair is built by
+`SpectralPair.of`: eigenfields come back unit-norm in the weighted inner
+product with a fixed sign, so pairs are deterministic up to rotation inside
+numerically degenerate blocks. `decompose_eigenfield` splits an eigenfield
 into its divergence-free and gradient parts and checks the scalar
 eigen-equation of its div_f, from one div_f Y and one floor test.
 """
@@ -68,16 +69,16 @@ EIGEN_TOL = 1e-9
 # 40,216-unknown 2D Gaussian the six lowest pairs are three Killing pairs, a
 # pair at 0.2494 and mu_6 = 0.497631, the lowest of a six-member cluster
 # (0.497631-0.499431); mu_12 = mu_13 = 0.745365. A complement run of width 9,
-# whose edge splits that last pair, took 360-701 iterations in one call. So a
-# complement run restarts from its last iterate every RESTART_CHUNK
-# iterations and stops once the count - k pairs it must deliver have
-# converged: widths 7-10 then took 48-102 iterations with restarts every
-# 30-50, and widths below 7 failed. BUFFER columns beyond those pairs give
+# whose edge splits that last pair, took 360-701 iterations in one call. So
+# every LOBPCG run restarts from its last iterate every RESTART_CHUNK
+# iterations and stops once the pairs it must deliver have converged: there
+# widths 7-10 then took 48-102 iterations with restarts every 30-50, and
+# widths below 7 failed. BUFFER columns beyond those pairs give
 # width 8 there, inside that range.
 BUFFER = 5
 RESTART_CHUNK = 50
-# scipy warns when one lobpcg call ends above its tolerance; a complement run
-# expects that at every restart and checks its own residuals instead
+# scipy warns when one lobpcg call ends above its tolerance; every LOBPCG run
+# (`_lobpcg`) expects that at every restart and checks its own residuals instead
 _NOT_CONVERGED = r"(?s).*not reaching the requested tolerance"
 # every LOBPCG run is preconditioned by a V-cycle (`_VCycle`) for
 # (A + CYCLE_MASS*I)^-1, whose mass term keeps it invertible on the kernel
@@ -318,25 +319,9 @@ def _vcycle(grid: Grid) -> _VCycle:
     return grid._cached("vcycle", lambda: _VCycle(*_p_factor(grid), grid.node_multi))
 
 
-def _lobpcg(K: sp.csr_matrix, X, cycle: _VCycle, tol: float, maxiter: int, Y=None):
-    """LOBPCG for the lowest eigenpairs of A = K^T K, applied as K^T (K x), from
-    the block X, held orthogonal to Y.
-
-    Returns the Ritz values ascending (a stable sort keeps tied values in
-    order), their vectors and the residual norms |A v - mu v|.
-    """
-    A = _factored_form(K)
-    vals, vecs = spla.lobpcg(A, X, Y=Y, M=cycle.operator(), largest=False,
-                             tol=tol, maxiter=maxiter)
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    return vals, vecs, np.linalg.norm(A @ vecs - vecs * vals[None, :], axis=0)
-
-
 @dataclass(frozen=True)
-class _ComplementRun:
-    """Ritz pairs of A on the orthogonal complement of a block, ascending, with
-    their residual norms, the iterations of all chunks and the restarts."""
+class _LobpcgRun:
+    """One LOBPCG run's Ritz pairs, ascending, residual norms, iterations and restarts."""
 
     vals: np.ndarray
     vecs: np.ndarray
@@ -345,30 +330,36 @@ class _ComplementRun:
     restarts: int
 
 
-def _complement(K: sp.csr_matrix, cycle: _VCycle, Y: np.ndarray, X: np.ndarray,
-                wanted: int, tol: float, maxiter: int) -> _ComplementRun:
-    """LOBPCG from the block X on the orthogonal complement of Y's columns, until
-    its `wanted` lowest columns reach `tol`.
+def _lobpcg(K: sp.csr_matrix, cycle: _VCycle, X: np.ndarray, wanted: int, tol: float,
+            maxiter: int, Y: Optional[np.ndarray] = None) -> _LobpcgRun:
+    """The one LOBPCG driver: the lowest eigenpairs of A = K^T K, applied as
+    K^T (K x), from the block X, held orthogonal to Y's columns if given,
+    until its `wanted` lowest columns reach `tol`.
 
-    Each `_lobpcg` call runs at most RESTART_CHUNK iterations; the next starts
-    from the vectors it returned. Iterations are the V-cycle applications,
-    one per iteration, counted over all calls; the run stops once they reach
-    `maxiter`, and also when a call makes no iteration. scipy's warning that a
-    call ended above `tol` is expected at every restart and not passed on:
-    the caller checks the residuals it returns.
+    Each scipy call runs at most RESTART_CHUNK iterations; the next starts
+    from the vectors it returned, sorted (stably) by Ritz value. Iterations
+    are the V-cycle applications, one per iteration, counted over all calls;
+    the run stops once they reach `maxiter`, and also when a call makes no
+    iteration. scipy's warning that a call ended above `tol` is expected at
+    every restart and not passed on: the caller checks the residual norms
+    |A v - mu v| that the run returns.
     """
+    A, M = _factored_form(K), cycle.operator()
     started = cycle.applications
     restarts = 0
     while True:
         before = cycle.applications
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _NOT_CONVERGED, UserWarning)
-            vals, X, resid = _lobpcg(K, X, cycle, tol,
-                                     min(RESTART_CHUNK, maxiter - (before - started)), Y=Y)
+            vals, X = spla.lobpcg(A, X, Y=Y, M=M, largest=False, tol=tol,
+                                  maxiter=min(RESTART_CHUNK, maxiter - (before - started)))
+        order = np.argsort(vals, kind="stable")
+        vals, X = vals[order], X[:, order]
+        resid = np.linalg.norm(A @ X - X * vals[None, :], axis=0)
         iterations = cycle.applications - started
         if (np.max(resid[:wanted]) <= tol or iterations >= maxiter
                 or cycle.applications == before):
-            return _ComplementRun(vals, X, resid, iterations, restarts)
+            return _LobpcgRun(vals, X, resid, iterations, restarts)
         restarts += 1
 
 
@@ -407,14 +398,15 @@ def lowest_eigenpairs(
     grid's factor K (`_symmetric_form`) and keeps only K, and the complement
     path above it. The LOBPCG paths apply A through K (`_p_factor`),
     preconditioned by the grid's V-cycle (`_vcycle`), and assemble no A.
-    `method="lobpcg"` solves the Killing block: LOBPCG from the model's k
-    Killing fields (`killing_basis`), which converges quickly, so `count`
-    must be k; `near_kernel_block` calls it so. `method="complement"` runs the same
-    block solve, then one complement run (`_complement`) held orthogonal
-    to that block, from the dilation field and seeded random vectors,
-    max(count - k, 1) + BUFFER columns in all; it returns the lowest `count`
-    of the block and the complement's max(count - k, 1) lowest pairs, and
-    prints the iterations of both runs, the restarts and the lowest
+    Each LOBPCG run restarts every RESTART_CHUNK iterations and reads no
+    scipy warning (`_lobpcg`). `method="lobpcg"` solves the Killing block:
+    one run from the model's k Killing fields (`killing_basis`), which
+    converges quickly, so `count` must be k; `near_kernel_block` calls it so.
+    `method="complement"` runs the same block solve, then one complement run
+    held orthogonal to that block, from the dilation field and seeded random
+    vectors, max(count - k, 1) + BUFFER columns in all; it returns the lowest
+    `count` of the block and the complement's max(count - k, 1) lowest
+    pairs, and prints the iterations of both runs, the restarts and the lowest
     complement Ritz value on stderr. Another operator kind, or a `count` that
     `check_pair_count` refuses, is a ValueError. Three probes of P
     (`Operators.adjoint_gap`), from the generator that then draws the
@@ -447,18 +439,17 @@ def lowest_eigenpairs(
     else:
         K, s = _p_factor(grid)
         cycle = _vcycle(grid)
-        started = cycle.applications
         X, _ = np.linalg.qr(np.stack([g.flat() * s for g in starts], axis=1))
-        vals, vecs, _ = _lobpcg(K, X, cycle, tolerance, LOBPCG_MAXITER)
+        block = _lobpcg(K, cycle, X, len(starts), tolerance, LOBPCG_MAXITER)
+        vals, vecs = block.vals, block.vecs
         if method == "complement":
-            block_iterations = cycle.applications - started
             wanted = max(count - len(starts), 1)
             X = np.column_stack([dilation(grid).flat() * s,
                                  rng.standard_normal((size, wanted + BUFFER - 1))])
-            run = _complement(K, cycle, vecs, X, wanted, tolerance, LOBPCG_MAXITER)
+            run = _lobpcg(K, cycle, X, wanted, tolerance, LOBPCG_MAXITER, Y=vecs)
             print(
                 f"complement: lobpcg, {size} unknowns; block of {len(starts)} in "
-                f"{block_iterations} iterations; complement width {X.shape[1]} ({wanted} "
+                f"{block.iterations} iterations; complement width {X.shape[1]} ({wanted} "
                 f"wanted) in {run.iterations} iterations, {run.restarts} restarts; lowest "
                 f"Ritz value {run.vals[0]:.6g}, wanted residual <= "
                 f"{np.max(run.residuals[:wanted]):.2e}",
@@ -531,15 +522,16 @@ def near_kernel_block(grid: Grid, seed: int = 0) -> NearKernelBlock:
     seed and cached on the grid. At every grid size the solve is the
     LOBPCG path of `lowest_eigenpairs`, which starts from one Killing field
     per pair (`killing_basis`). The dense path, which `method="auto"` takes
-    at or below `DENSE_CAP`, cannot use that start. A guard follows: a complement
-    run (`_complement`) of `GUARD_SPAN - len(pairs)` seeded random vectors
-    (at least one), held orthogonal to the pairs, run to `GUARD_TOL` for at
-    most `GUARD_MAXITER` iterations over its restarts. Both runs share P's
-    factor K and the V-cycle preconditioner built from it, cached on the
-    grid; neither assembles the symmetric form K^T K. (A dilation start
-    vector would converge to its 1/2 eigenvalue first; LOBPCG's soft locking
-    then retires the guard before the random vectors reach the bottom of the
-    complement's spectrum.)
+    at or below `DENSE_CAP`, cannot use that start. A guard follows: a
+    complement run of `GUARD_SPAN - len(pairs)` seeded random vectors (at
+    least one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
+    `GUARD_MAXITER` iterations. Both runs restart every RESTART_CHUNK
+    iterations and read no scipy warning, only their residuals (`_lobpcg`).
+    They share P's factor K and the V-cycle preconditioner built from it,
+    cached on the grid; neither assembles the symmetric form K^T K. (A
+    dilation start vector would converge to its 1/2 eigenvalue first;
+    LOBPCG's soft locking then retires the guard before the random vectors
+    reach the bottom of the complement's spectrum.)
 
     Raises SolverError when the block does not converge (a residual above
     10 * `EIGEN_TOL`), when a guard Ritz value is at or below `BLOCK_TOL`, or
@@ -569,14 +561,9 @@ def _solve_near_kernel_block(grid, seed) -> NearKernelBlock:
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((size, max(1, GUARD_SPAN - len(pairs))))
     Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
-    guard = _complement(K, cycle, Y, X, X.shape[1], GUARD_TOL, GUARD_MAXITER)
+    guard = _lobpcg(K, cycle, X, X.shape[1], GUARD_TOL, GUARD_MAXITER, Y=Y)
     vals, resid = guard.vals, guard.residuals
-    block = NearKernelBlock(
-        pairs=pairs,
-        unknowns=size,
-        guard_mus=[float(v) for v in vals],
-        guard_residuals=[float(r) for r in resid],
-    )
+    block = NearKernelBlock(pairs, size, guard_mus=vals.tolist(), guard_residuals=resid.tolist())
     print(
         f"near-kernel block: lobpcg, {size} unknowns, {len(pairs)} pairs, "
         f"worst residual {block.worst_residual:.2e}; guard Ritz values "

@@ -50,6 +50,7 @@ from .spectral import (
     solver_storage,
 )
 from .verification import (
+    NOT_KILLING,
     cao_zhou_check,
     classify_killing,
     drift_bochner_residual,
@@ -125,14 +126,14 @@ def _verify_dichotomy(cfg: RunConfig, grid: Grid, rng) -> dict:
     for name, Y in killing_fields(grid).items():
         v = classify_killing(Y)
         verdicts[name] = v.verdict
-        ok &= v.consistent and v.verdict != "NotKilling"
+        ok &= v.consistent and v.verdict != NOT_KILLING
     # a stretched coordinate field is never Killing
     stretched = vector_field(
         grid, lambda c: np.stack([c[:, 0]] + [np.zeros(len(c))] * (grid.n - 1))
     )
     v = classify_killing(stretched)
     verdicts["coordinate_stretch"] = v.verdict
-    ok &= v.verdict == "NotKilling"
+    ok &= v.verdict == NOT_KILLING
     return _check("killing_dichotomy", ok, {}, verdicts=verdicts)
 
 
@@ -142,8 +143,12 @@ def _verify_harmonicity(cfg: RunConfig, grid: Grid, rng) -> dict:
                   {name: r.residual for name, r in reps.items()})
 
 
+def _bochner_applies(grid: Grid) -> bool:
+    return not grid.model.angle_axes  # the Bochner fields are flat-space eigenfunctions
+
+
 def _verify_bochner(cfg: RunConfig, grid: Grid, rng) -> dict | None:
-    if grid.model.angle_axes:  # the Bochner fields are flat-space eigenfunctions
+    if not _bochner_applies(grid):
         return None
     v1 = scalar_field(grid, lambda c: c[:, 0])
     rep1 = drift_bochner_residual(v1, 0.5)
@@ -193,6 +198,14 @@ VERIFY_SUITES = {
     "interp": _verify_interp,
     "cao_zhou": _verify_cao_zhou,
 }
+
+
+def check_suites(cfg: RunConfig, grid: Grid) -> None:
+    """ValueError when `cfg.suite` names a suite that does not apply to the
+    model of `grid`; under "all" such a suite is skipped."""
+    if "bochner" in cfg.suite and not _bochner_applies(grid):
+        raise ValueError(f"verify suite bochner does not apply to the {grid.model.kind} "
+                         f"model, which has a sphere factor")
 
 
 def run_verify(cfg: RunConfig, grid: Grid) -> list[dict]:
