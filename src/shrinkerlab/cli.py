@@ -5,9 +5,11 @@ config) with command-line flags taking precedence. Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 configuration or usage error.
 
 This module parses, validates and compares with `models` and `reports`
-alone, so neither a config error nor `compare` waits on scipy. The numerical
-workflows (`workflows`) and the layers under them load when `run`
-dispatches a valid run.
+alone, and `run` builds the grid with numpy alone, so `compare` and every
+model or grid error exit before scipy loads. `run` then loads the numerical
+workflows (`workflows`); the config errors it finds with them (`--eigs` past
+`check_pair_count`, `--suite bochner` on a model with a sphere factor, a
+cutoff band too fine for the grid) wait on scipy.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ class RunConfig:
                               help="comma list of perturbation sizes (propagate)")
 
     def validate(self) -> None:
-        # the grid's bounds (resolution, stencil order, truncation radius) are
-        # checked by build_grid, whose GridError `main` reports as a config error
+        # `run` checks the rest: the grid's bounds and sphere factor by
+        # build_grid before scipy loads, then eigs, suites and cutoff bands
         if self.command not in RUN_COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         try:
@@ -331,16 +333,22 @@ def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
 
 
 def run(cfg: RunConfig) -> int:
+    """One run, from its config to its exit code; a config error raises
+    ConfigError before the output directory exists."""
     cfg.validate()
-    # the numerical layers, and scipy with them, load here, not with this
-    # module: parsing, validation and `compare` need none of them
-    from . import workflows
-    from .grid import build_grid
-    from .propagation import PropagationError, build_cutoff
-    from .spectral import check_pair_count
+    # the model and the grid need numpy alone, so a grid bound is a config
+    # error before scipy loads; the numerical layers load after it
+    from .grid import GridError, build_grid
 
     model = make_model(cfg.model_kind, cfg.n, cfg.k)
-    grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
+    try:
+        grid, _ = build_grid(model, cfg.resolution, cfg.truncation_radius, cfg.stencil_order)
+    except GridError as exc:
+        raise ConfigError(str(exc)) from exc
+    from . import workflows
+    from .propagation import PropagationError, build_cutoff
+    from .spectral import SolverError, check_pair_count
+
     try:
         if cfg.command == "spectrum":
             check_pair_count(grid, cfg.eigs)
@@ -352,17 +360,19 @@ def run(cfg: RunConfig) -> int:
     except (ValueError, PropagationError) as exc:
         raise ConfigError(str(exc)) from exc
     # the writers make the output directory, so a config error leaves none
-    out_dir = cfg.output_dir
-    if cfg.command == "verify":
-        checks = workflows.run_verify(cfg, grid)
-    elif cfg.command == "spectrum":
-        checks = workflows.run_spectrum(cfg, grid, out_dir)
-    else:
-        checks = workflows.run_propagate(cfg, grid)
+    try:
+        if cfg.command == "verify":
+            checks = workflows.run_verify(cfg, grid)
+        elif cfg.command == "spectrum":
+            checks = workflows.run_spectrum(cfg, grid, cfg.output_dir)
+        else:
+            checks = workflows.run_propagate(cfg, grid)
+    except (SolverError, PropagationError) as exc:
+        print(f"check failure: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     workflows.print_storage(grid)
-    doc = reports.write_report(
-        out_dir / "report.json", cfg.command, cfg.to_dict(), model.describe(), checks
-    )
+    reports.write_report(cfg.output_dir / "report.json", cfg.command, cfg.to_dict(),
+                         model.describe(), checks)
     failed = [c["check_name"] for c in checks if not c.get("passed", True)]
     for check in checks:
         status = "pass" if check.get("passed", True) else "FAIL"
@@ -374,39 +384,22 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    """Parse the command line: print `compare`'s table, or hand the run to `run`."""
+    args = build_arg_parser().parse_args(argv)
     try:
-        if args.command == "compare":
-            if len(args.reports) != 2:
-                raise ConfigError("compare needs exactly two report.json paths")
-            table = compare_runs(*map(_load_report, args.reports))
-            for row in table:
-                name = f"{row['check_name']}/{row['quantity']}"
-                if row["error_ratio"] is None:
-                    print(f"{name}: coarse={row['coarse_value']:.6g} fine={row['fine_value']:.6g}")
-                    continue
-                flag = "" if row["converging"] else "  <-- below expected order"
-                print(
-                    f"{name}: ratio={row['error_ratio']:.3g} "
-                    f"order={row['empirical_order']:.2f}{flag}"
-                )
-            return EXIT_OK
-        cfg = config_from_args(args)
-        cfg.validate()
-        # only a valid run loads the numerics (`run`), so only then are
-        # their errors imported, to be caught
-        from .grid import GridError
-        from .propagation import PropagationError
-        from .spectral import SolverError
-
-        try:
-            return run(cfg)
-        except GridError as exc:
-            raise ConfigError(str(exc)) from exc
-        except (SolverError, PropagationError) as exc:
-            print(f"check failure: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
+        if args.command != "compare":
+            return run(config_from_args(args))
+        if len(args.reports) != 2:
+            raise ConfigError("compare needs exactly two report.json paths")
+        for row in compare_runs(*map(_load_report, args.reports)):
+            name = f"{row['check_name']}/{row['quantity']}"
+            if row["error_ratio"] is None:
+                print(f"{name}: coarse={row['coarse_value']:.6g} fine={row['fine_value']:.6g}")
+                continue
+            flag = "" if row["converging"] else "  <-- below expected order"
+            print(f"{name}: ratio={row['error_ratio']:.3g} "
+                  f"order={row['empirical_order']:.2f}{flag}")
+        return EXIT_OK
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -37,6 +37,7 @@ RUNGS = 5
 # replaced by the translation it is 10-128 at R 6 and 11-803 at R 8, res
 # 270; with Z replaced by the cut-off input, 3.8-33.7 and 4.5-295.
 GATE_C = 2.0
+VARIATIONAL_SLACK = 1e-10  # the round-off allowed in mu <= |div_f^* V|^2
 
 
 class PropagationError(RuntimeError):
@@ -176,7 +177,7 @@ def extend_symmetry(
     mu = zpair.mu
 
     # V has unit norm, so |div_f^* V|^2 is its Rayleigh quotient
-    if mu > dsv_sq + 1e-10:
+    if mu > dsv_sq + VARIATIONAL_SLACK:
         raise PropagationError(
             "internal bug: variational bound mu <= |div_f^* V|^2 violated"
         )

@@ -18,7 +18,7 @@ def point_tag(r: float, eps: float) -> str:
 
 
 def _plain(obj):
-    """Convert numpy scalars/arrays and dataclass-ish values to plain JSON types."""
+    """numpy scalars and arrays as plain JSON; a non-finite float as "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -26,7 +26,7 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj

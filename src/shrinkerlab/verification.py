@@ -51,6 +51,12 @@ def _killing_test(Y: Field) -> tuple[Field, float, bool]:
     return Yn, residual, residual <= grid.stencil_tol
 
 
+def _df_pairing(X: Field) -> Field:
+    """The scalar <df, X> of a vector field X."""
+    grid = X.grid
+    return Field(grid, SCALAR, np.sum(grid.model.dpotential(grid.coords).T * X.values, axis=0))
+
+
 def classify_killing(Y: Field) -> DichotomyVerdict:
     """Classify a sampled field: not Killing, f-preserving, or line-splitting.
 
@@ -65,8 +71,7 @@ def classify_killing(Y: Field) -> DichotomyVerdict:
     tol = grid.stencil_tol
     interior = grid.interior_mask(applications=3)
 
-    pairing = Field(grid, SCALAR, np.sum(grid.model.dpotential(grid.coords).T * Yn.values, axis=0))
-    df_pairing_norm = pairing.norm_where(interior)
+    df_pairing_norm = _df_pairing(Yn).norm_where(interior)
     v = ops.div(Yn)
     del Yn  # released before the Hessian, the largest step
     hess_divf_norm = ops.hess(v).norm_where(interior)
@@ -106,9 +111,7 @@ def harmonicity_check(Y: Field) -> HarmonicityReport:
     grid = Y.grid
     ops = grid.ops()
     v = ops.div(Yn)
-    drift = Field(grid, SCALAR,
-                  np.sum(grid.model.dpotential(grid.coords).T * ops.grad(v).values, axis=0))
-    lap_plain = ops.lap(v) + drift
+    lap_plain = ops.lap(v) + _df_pairing(ops.grad(v))
     interior = grid.interior_mask(applications=3)
     residual = lap_plain.norm_where(interior) / max(v.norm(), 1.0)
     return HarmonicityReport(residual=residual, passed=residual <= grid.stencil_tol)

@@ -37,6 +37,7 @@ from .models import check_soliton_identities, random_points
 from .operators import ADJOINT_TOL, OperatorKind, identity_residuals
 from .propagation import (
     GATE_C,
+    VARIATIONAL_SLACK,
     PropagationError,
     distance,
     distance_profile,
@@ -314,7 +315,7 @@ def _propagate_point(cfg: RunConfig, reference, r: float, eps: float, floor) -> 
         cosine_with_reference=abs(Z.inner(reference * (1.0 / reference.norm()))),
         eigen_residual=result.z.residual,
         cutoff_grad_bound=result.cutoff.grad_bound,
-        variational_ok=result.mu <= result.div_star_v_norm_sq + 1e-10,
+        variational_ok=result.mu <= result.div_star_v_norm_sq + VARIATIONAL_SLACK,
         block_solver=result.near_kernel.summary(),
         input_gap=input_gap,
         local_distance=distance(Y, Z, inside),

@@ -29,7 +29,7 @@ from shrinkerlab.cli import (
 from shrinkerlab.fields import components_for, euclidean_rotation, translation
 from shrinkerlab.models import ModelShrinker
 from shrinkerlab.operators import OperatorKind, Operators
-from shrinkerlab.reports import load_report
+from shrinkerlab.reports import load_report, write_report
 from shrinkerlab.verification import HarmonicityReport
 
 REPO = Path(__file__).resolve().parents[1]
@@ -579,7 +579,7 @@ def test_spectrum_eigs_at_unknown_count_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("argv, ini, message", [
+GRID_BOUNDS = [
     (("--resolution", "8"), None, "resolution below minimum"),
     (("--truncation-radius", "3"), None, "truncation_radius must be"),
     ((), "[grid]\nstencil_order = 3\n", "stencil_order must be 2 or 4"),
@@ -589,7 +589,10 @@ def test_spectrum_eigs_at_unknown_count_is_config_error(tmp_path, capsys):
      "grid would allocate 18446744073709551616 nodes, above the cap"),
     (("--dim", "1", "--resolution", "10000000000"), None,
      "grid would allocate 10000000000 nodes, above the cap"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, ini, message", GRID_BOUNDS)
 def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
     # build_grid checks the grid's bounds before `run` makes the output
     # directory, and counts a box's nodes before it makes any coordinate array:
@@ -601,6 +604,26 @@ def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, ini, message", [
+    *GRID_BOUNDS,
+    (("--model", "cylinder", "--dim", "5", "--k", "3"), None, "sphere factors support k = 2"),
+])
+def test_grid_bounds_exit_before_scipy_loads(tmp_path, argv, ini, message):
+    # `run` builds the grid with numpy alone, so a fresh interpreter refuses
+    # every grid bound with no numerical layer, and no scipy, loaded
+    if ini is not None:
+        (tmp_path / "run.cfg").write_text(ini)
+        argv = ("--config", str(tmp_path / "run.cfg"))
+    code = ("import sys; from shrinkerlab.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, "verify", *argv,
+                           "--output", str(tmp_path / "o")],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == f"{EXIT_CONFIG} False", proc.stderr
+    assert "config error: " in proc.stderr and message in proc.stderr
     assert not (tmp_path / "o").exists()
 
 
@@ -1140,6 +1163,25 @@ def test_compare_verify_lists_roundoff_and_rayleigh_quotient(tmp_path, capsys):
         line for line in out.splitlines(keepends=True) if line.startswith("adjoint_structure/"))
     assert re.search(r"^adjoint_structure/adjointness: coarse=\S+ fine=\S+$", out, flags=re.M)
     assert re.search(r"^adjoint_structure/min_rayleigh: coarse=\S+ fine=\S+$", out, flags=re.M)
+
+
+def test_report_writes_non_finite_numbers_as_strings(tmp_path):
+    # JSON has no NaN or Infinity: a non-finite float is written as a string,
+    # whether it is a Python float or a numpy scalar, as propagate's tail and
+    # fits are
+    values = {"py_nan": float("nan"), "np_nan": np.float64("nan"), "np_inf": np.float32("inf"),
+              "np_neg_inf": np.float64("-inf"), "in_array": np.array([1.0, np.inf]),
+              "finite": np.float64(0.5)}
+    path = tmp_path / "report.json"
+    write_report(path, "verify", {}, {}, [{"check_name": "c", "residuals": values}])
+
+    def refuse(constant):
+        raise AssertionError(f"report holds the bare constant {constant}")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert doc["checks"][0]["residuals"] == {
+        "py_nan": "nan", "np_nan": "nan", "np_inf": "inf", "np_neg_inf": "-inf",
+        "in_array": [1.0, "inf"], "finite": 0.5}
 
 
 def test_compare_runs_ratio_table(tmp_path):
