@@ -6,10 +6,10 @@ passed, 1 at least one check failed, 2 configuration or usage error.
 
 This module parses, validates and compares with `models` and `reports`
 alone, and `run` builds the grid with numpy alone, so `compare` and every
-model or grid error exit before scipy loads. `run` then loads the numerical
-workflows (`workflows`); the config errors it finds with them (`--eigs` past
-`check_pair_count`, `--suite bochner` on a model with a sphere factor, a
-cutoff band too fine for the grid) wait on scipy.
+model, verify suite, output or grid error exit before scipy loads. `run` then
+loads the numerical workflows (`workflows`); only the errors it finds with
+them, `--eigs` past `check_pair_count` and a cutoff band too fine for the
+grid, wait on scipy.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .models import CYLINDER, GAUSSIAN, ModelError, make_model
+from .models import CYLINDER, GAUSSIAN, ModelError, ModelShrinker, make_model
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 RUN_COMMANDS = ("verify", "spectrum", "propagate")
-# the names of `workflows.VERIFY_SUITES`, in its order, for `validate`
+# the names of `workflows.VERIFY_SUITES`, in its order, for `verify_suites`
 VERIFY_SUITE_NAMES = ("soliton", "structure", "identities", "kernel", "dichotomy", "harmonicity",
                       "bochner", "interp", "cao_zhou")
 
@@ -92,21 +92,21 @@ class RunConfig:
 
     def validate(self) -> None:
         # `run` checks the rest: the grid's bounds and sphere factor by
-        # build_grid before scipy loads, then eigs, suites and cutoff bands
+        # build_grid before scipy loads, then eigs and cutoff bands after it
         if self.command not in RUN_COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         try:
-            make_model(self.model_kind, self.n, self.k)
+            model = make_model(self.model_kind, self.n, self.k)
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        # the writers make the output directory and its parents after the run
+        existing = next(p for p in (self.output_dir, *self.output_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output {self.output_dir}: {existing} is not a directory")
         if self.command == "verify":
-            if not self.suite:
-                raise ConfigError("suite names no verify suite")
-            bad = [s for s in self.suite if s != "all" and s not in VERIFY_SUITE_NAMES]
-            if bad:
-                raise ConfigError(f"unknown verify suite(s): {', '.join(bad)}")
+            self.verify_suites(model)
         if self.command == "spectrum" and self.eigs < 1:
             raise ConfigError("eigs must be >= 1")
         if self.command == "propagate":
@@ -124,6 +124,22 @@ class RunConfig:
             if clashes:
                 raise ConfigError(f"r/epsilon values share the sweep point tag(s) "
                                   f"{', '.join(clashes)}; give values that differ in 6 digits")
+
+    def verify_suites(self, model: ModelShrinker) -> tuple:
+        """The verify suites run on `model`, in VERIFY_SUITE_NAMES order: the
+        named ones, or under "all" every one that applies. The Bochner fields
+        are flat-space eigenfunctions: named on a sphere factor, a ConfigError."""
+        if not self.suite:
+            raise ConfigError("suite names no verify suite")
+        bad = [s for s in self.suite if s != "all" and s not in VERIFY_SUITE_NAMES]
+        if bad:
+            raise ConfigError(f"unknown verify suite(s): {', '.join(bad)}")
+        flat = not model.angle_axes
+        if "bochner" in self.suite and not flat:
+            raise ConfigError(f"verify suite bochner does not apply to the {model.kind} "
+                              f"model, which has a sphere factor")
+        named = VERIFY_SUITE_NAMES if "all" in self.suite else self.suite
+        return tuple(s for s in VERIFY_SUITE_NAMES if s in named and (flat or s != "bochner"))
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -352,8 +368,6 @@ def run(cfg: RunConfig) -> int:
     try:
         if cfg.command == "spectrum":
             check_pair_count(grid, cfg.eigs)
-        if cfg.command == "verify":
-            workflows.check_suites(cfg, grid)
         if cfg.command == "propagate":
             for r in cfg.r_values:
                 build_cutoff(grid, r)

@@ -2,7 +2,9 @@
 propagate.
 
 `cli.run` imports this module when it dispatches a run, so that parsing,
-validation and `compare` load neither scipy nor the numerical layers. Nothing
+validation and `compare` load neither scipy nor the numerical layers. The
+run's config picks the verify suites (`RunConfig.verify_suites`, from the
+model, without scipy), and `run_verify` runs exactly those. Nothing
 here imports `cli`: under `python -m shrinkerlab.cli` that import would load
 a second copy of it, whose ConfigError `cli.main` would not catch.
 
@@ -75,11 +77,11 @@ def _peak_rss_mb() -> float:
 
 
 # Each verify suite draws from the run's generator in the order of
-# VERIFY_SUITES and returns its one check, or None where it does not apply.
-# Its fields and draws are its own locals, released when it returns.
+# VERIFY_SUITES and returns its one check. Its fields and draws are its own
+# locals, released when it returns.
 
 
-def _verify_soliton(cfg: RunConfig, grid: Grid, rng) -> dict:
+def _verify_soliton(grid: Grid, rng) -> dict:
     rep = check_soliton_identities(grid.model, random_points(grid.model, 100, rng))
     return _check(
         "soliton_identities",
@@ -94,16 +96,16 @@ def _verify_soliton(cfg: RunConfig, grid: Grid, rng) -> dict:
     )
 
 
-def _verify_structure(cfg: RunConfig, grid: Grid, rng) -> dict:
+def _verify_structure(grid: Grid, rng) -> dict:
     gap, least = grid.ops().adjoint_gap(OperatorKind.DIV_F_STAR, OperatorKind.DIV_F_TENSOR,
                                         rng, 20)
     return _check("adjoint_structure", gap <= ADJOINT_TOL and least >= -1e-8,
                   {"adjointness": gap, "min_rayleigh": least})
 
 
-def _verify_identities(cfg: RunConfig, grid: Grid, rng) -> dict:
-    inner = 0.45 * cfg.truncation_radius
-    outer = 0.72 * cfg.truncation_radius
+def _verify_identities(grid: Grid, rng) -> dict:
+    inner = 0.45 * grid.truncation_radius
+    outer = 0.72 * grid.truncation_radius
     rep = identity_residuals(bump_vector(grid, 0, inner, outer))
     return _check(
         "commutation_identities",
@@ -113,7 +115,7 @@ def _verify_identities(cfg: RunConfig, grid: Grid, rng) -> dict:
     )
 
 
-def _verify_kernel(cfg: RunConfig, grid: Grid, rng) -> dict:
+def _verify_kernel(grid: Grid, rng) -> dict:
     ops = grid.ops()
     resids = {}
     for name, Y in killing_fields(grid).items():
@@ -121,7 +123,7 @@ def _verify_kernel(cfg: RunConfig, grid: Grid, rng) -> dict:
     return _check("kernel_of_P", max(resids.values()) <= grid.stencil_tol, resids)
 
 
-def _verify_dichotomy(cfg: RunConfig, grid: Grid, rng) -> dict:
+def _verify_dichotomy(grid: Grid, rng) -> dict:
     verdicts = {}
     ok = True
     for name, Y in killing_fields(grid).items():
@@ -138,19 +140,13 @@ def _verify_dichotomy(cfg: RunConfig, grid: Grid, rng) -> dict:
     return _check("killing_dichotomy", ok, {}, verdicts=verdicts)
 
 
-def _verify_harmonicity(cfg: RunConfig, grid: Grid, rng) -> dict:
+def _verify_harmonicity(grid: Grid, rng) -> dict:
     reps = {name: harmonicity_check(Y) for name, Y in killing_fields(grid).items()}
     return _check("divergence_harmonicity", all(r.passed for r in reps.values()),
                   {name: r.residual for name, r in reps.items()})
 
 
-def _bochner_applies(grid: Grid) -> bool:
-    return not grid.model.angle_axes  # the Bochner fields are flat-space eigenfunctions
-
-
-def _verify_bochner(cfg: RunConfig, grid: Grid, rng) -> dict | None:
-    if not _bochner_applies(grid):
-        return None
+def _verify_bochner(grid: Grid, rng) -> dict:
     v1 = scalar_field(grid, lambda c: c[:, 0])
     rep1 = drift_bochner_residual(v1, 0.5)
     v2 = scalar_field(grid, lambda c: c[:, 0] ** 2 - 2.0)
@@ -165,24 +161,24 @@ def _verify_bochner(cfg: RunConfig, grid: Grid, rng) -> dict | None:
     )
 
 
-def _interp_fields(cfg: RunConfig, grid: Grid):
+def _interp_fields(grid: Grid):
     """The interpolation suite's fields, each built when its check is reached."""
     yield from killing_fields(grid).items()
-    yield "bump", bump_vector(grid, 0, 0.45 * cfg.truncation_radius, 0.7 * cfg.truncation_radius)
+    yield "bump", bump_vector(grid, 0, 0.45 * grid.truncation_radius, 0.7 * grid.truncation_radius)
     yield "dilation", dilation(grid)
 
 
-def _verify_interp(cfg: RunConfig, grid: Grid, rng) -> dict:
+def _verify_interp(grid: Grid, rng) -> dict:
     results = {}
     ok = True
-    for name, Y in _interp_fields(cfg, grid):
+    for name, Y in _interp_fields(grid):
         rep = interp_inequality_check(Y)
         results[name] = {"lhs": rep.lhs, "rhs": rep.rhs}
         ok &= rep.passed
     return _check("interpolation_inequality", ok, {}, values=results)
 
 
-def _verify_cao_zhou(cfg: RunConfig, grid: Grid, rng) -> dict:
+def _verify_cao_zhou(grid: Grid, rng) -> dict:
     rep = cao_zhou_check(grid)
     return _check("distance_volume_growth", rep.passed, {"c1": rep.c1, "c2": rep.c2, "c3": rep.c3})
 
@@ -201,29 +197,16 @@ VERIFY_SUITES = {
 }
 
 
-def check_suites(cfg: RunConfig, grid: Grid) -> None:
-    """ValueError when `cfg.suite` names a suite that does not apply to the
-    model of `grid`; under "all" such a suite is skipped."""
-    if "bochner" in cfg.suite and not _bochner_applies(grid):
-        raise ValueError(f"verify suite bochner does not apply to the {grid.model.kind} "
-                         f"model, which has a sphere factor")
-
-
 def run_verify(cfg: RunConfig, grid: Grid) -> list[dict]:
-    """The selected suites in the order of VERIFY_SUITES; each prints its time
-    and the process's peak RSS so far to stderr as it finishes."""
+    """The suites of `cfg.verify_suites` on the grid's model, in order; each
+    prints its time and the process's peak RSS so far to stderr as it finishes."""
     rng = np.random.default_rng(cfg.seed)
     checks = []
-    for name, suite in VERIFY_SUITES.items():
-        if name not in cfg.suite and "all" not in cfg.suite:
-            continue
+    for name in cfg.verify_suites(grid.model):
         started = time.perf_counter()
-        check = suite(cfg, grid, rng)
-        if check is None:
-            continue
+        checks.append(VERIFY_SUITES[name](grid, rng))
         print(f"verify suite {name}: {time.perf_counter() - started:.2f} s, "
               f"ru_maxrss {_peak_rss_mb():.0f} MB", file=sys.stderr)
-        checks.append(check)
     return checks
 
 

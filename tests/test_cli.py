@@ -128,7 +128,8 @@ def test_verify_suites_memory_bounded(tmp_path, monkeypatch):
             return check
         monkeypatch.setitem(workflows.VERIFY_SUITES, name, traced)
     traced_peak(workflows.run_verify, cfg, grid)
-    assert list(measured) == list(workflows.VERIFY_SUITES)
+    # every suite that applies to the cylinder: all but the Bochner suite
+    assert list(measured) == [name for name in workflows.VERIFY_SUITES if name != "bochner"]
     sym2_bytes = 8 * grid.n_nodes * components_for("sym2tensor", grid.n)
     for name, (entry, peak, kept) in measured.items():
         # 4.2 sym2 fields at most (identities), 6.2 before L was applied by axis blocks
@@ -197,7 +198,7 @@ def test_structure_check_sees_a_break_next_to_the_boundary(monkeypatch):
         return out
 
     monkeypatch.setattr(ops, "matvec", broken)
-    check = workflows._verify_structure(RunConfig(), grid, np.random.default_rng(0))
+    check = workflows._verify_structure(grid, np.random.default_rng(0))
     assert check["residuals"]["adjointness"] > 1e-6
     assert not check["passed"]
 
@@ -223,7 +224,7 @@ def test_harmonicity_suite_gates_on_the_report_verdict(monkeypatch):
     grid, _ = build_grid(make_model("gaussian", 2), 32, 4.0)
     monkeypatch.setattr(workflows, "harmonicity_check",
                         lambda Y: HarmonicityReport(residual=0.0, passed=False))
-    assert not workflows._verify_harmonicity(RunConfig(), grid, None)["passed"]
+    assert not workflows._verify_harmonicity(grid, None)["passed"]
 
 
 def test_verify_checks_every_flat_rotation_3d(tmp_path):
@@ -247,7 +248,7 @@ def test_bochner_suite_fails_when_a_field_warns(monkeypatch):
     # the check fails however small the identity's residual; it reports both
     # eigen-residuals
     grid, _ = build_grid(make_model("gaussian", 1), 128, 8.0)
-    check = workflows._verify_bochner(RunConfig(), grid, None)
+    check = workflows._verify_bochner(grid, None)
     assert check["passed"]
     assert max(check["eigen_residuals"].values()) <= 0.1
     real = workflows.drift_bochner_residual
@@ -257,7 +258,7 @@ def test_bochner_suite_fails_when_a_field_warns(monkeypatch):
         return dataclasses.replace(rep, eigen_residual=0.5, warned=True) if mu == 1.0 else rep
 
     monkeypatch.setattr(workflows, "drift_bochner_residual", quadratic_warns)
-    check = workflows._verify_bochner(RunConfig(), grid, None)
+    check = workflows._verify_bochner(grid, None)
     assert not check["passed"]
     assert check["eigen_residuals"]["quadratic"] == 0.5
 
@@ -579,6 +580,10 @@ def test_spectrum_eigs_at_unknown_count_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# `main` in a fresh interpreter prints its exit code and whether scipy loaded
+FRESH_MAIN = ("import sys; from shrinkerlab.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'scipy' in sys.modules)")
+
 GRID_BOUNDS = [
     (("--resolution", "8"), None, "resolution below minimum"),
     (("--truncation-radius", "3"), None, "truncation_radius must be"),
@@ -610,21 +615,41 @@ def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
 @pytest.mark.parametrize("argv, ini, message", [
     *GRID_BOUNDS,
     (("--model", "cylinder", "--dim", "5", "--k", "3"), None, "sphere factors support k = 2"),
+    *[(("--model", "cylinder", "--dim", "3", "--k", "2", "--resolution", "16", "--suite", suite),
+       None, "verify suite bochner does not apply to the cylinder")
+      for suite in ("bochner", "all,bochner")],
 ])
 def test_grid_bounds_exit_before_scipy_loads(tmp_path, argv, ini, message):
-    # `run` builds the grid with numpy alone, so a fresh interpreter refuses
-    # every grid bound with no numerical layer, and no scipy, loaded
+    # `run` builds the grid with numpy alone, and `validate` picks the verify
+    # suites from the model, so a fresh interpreter refuses every grid bound,
+    # and the Bochner suite named on a sphere factor, with no numerical
+    # layer, and no scipy, loaded
     if ini is not None:
         (tmp_path / "run.cfg").write_text(ini)
         argv = ("--config", str(tmp_path / "run.cfg"))
-    code = ("import sys; from shrinkerlab.cli import main; code = main(sys.argv[1:]); "
-            "print(code, 'scipy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, "verify", *argv,
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, "verify", *argv,
                            "--output", str(tmp_path / "o")],
                           env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == f"{EXIT_CONFIG} False", proc.stderr
     assert "config error: " in proc.stderr and message in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("spectrum", "--dump-fields")])
+@pytest.mark.parametrize("below", [(), ("sub",)])
+def test_output_on_a_file_exits_before_scipy_loads(tmp_path, argv, below):
+    # the writers make the output directory after the run, where a file at
+    # --output, or above it, ended the run in a traceback: it is refused
+    # first, and the file is left as it was
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken.joinpath(*below)
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv, "--dim", "1",
+                           "--resolution", "32", "--truncation-radius", "6", "--output", str(out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == f"{EXIT_CONFIG} False", proc.stderr
+    assert f"config error: output {out}: {taken} is not a directory" in proc.stderr
+    assert taken.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -894,6 +919,35 @@ def test_run_reports_solver_storage(command, line, tmp_path, capsys):
     assert len(found) == 1 and re.fullmatch(line, found[0])
 
 
+@pytest.mark.parametrize("error", [spectral.SolverError, propagation.PropagationError])
+@pytest.mark.parametrize("command", ["verify", "spectrum", "propagate"])
+def test_check_failure_exits_1_without_a_report(tmp_path, capsys, monkeypatch, error, command):
+    # a solver or propagation failure in the workflow is no config error:
+    # one `check failure:` line, exit 1, and no report
+    def fail(*args):
+        raise error("stopped short")
+
+    monkeypatch.setattr(workflows, f"run_{command}", fail)
+    code = cli.run(RunConfig(output_dir=tmp_path / "o", **SMALL_RUNS[command]))
+    assert code == EXIT_CHECK_FAILED
+    found = re.findall(r"^check failure: .*$", capsys.readouterr().err, flags=re.M)
+    assert found == ["check failure: stopped short"]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_spectrum_that_does_not_converge_exits_1(tmp_path, capsys, monkeypatch):
+    # 4,944 unknowns take the complement path, whose Killing block stops
+    # short of its tolerance in 5 iterations and raises SolverError
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 5)
+    out = tmp_path / "o"
+    code = run_cli("spectrum", "--dim", "2", "--resolution", "56", "--truncation-radius", "6",
+                   "--output", str(out))
+    assert code == EXIT_CHECK_FAILED
+    found = re.findall(r"^check failure: .*$", capsys.readouterr().err, flags=re.M)
+    assert len(found) == 1 and "did not converge" in found[0]
+    assert not (out / "report.json").exists()
+
+
 def test_benchmark_tracer_runs_propagate(tmp_path):
     # the tracer binds lowest_eigenpairs' arguments by name and wraps
     # OperatorHandle.apply, so an API change that breaks it shows here
@@ -1059,7 +1113,7 @@ def test_package_exports_resolve_on_access():
     # constraint at once; 283 pairs solve
     (("spectrum", "--dim", "2", "--resolution", "30", "--truncation-radius", "6", "--eigs", "284"),
      "eigs must be at most 283 on this grid"),
-    # the bochner suite does not apply on a sphere factor; named alone it ran no check
+    # the bochner suite does not apply on a sphere factor
     (("verify", "--model", "cylinder", "--dim", "3", "--k", "2", "--resolution", "16",
       "--truncation-radius", "6", "--suite", "bochner"),
      "verify suite bochner does not apply"),

@@ -704,11 +704,11 @@ def test_near_kernel_guard_catches_missing_rotations_3d(monkeypatch):
     [("cylinder", 3, 2), ("gaussian", 3, None)],
     ids=["cylinder32", "gaussian3"],
 )
-def test_band_cholesky_solves_shift_invert_system(kind, n, k):
-    # the factor that solves the V-cycle's bottom level, here on a whole
-    # grid's A + CYCLE_MASS*I. The cylinder's periodic longitude couples the
-    # first and last rows of each ring, which the reverse Cuthill-McKee order
-    # must fold into the band
+def test_band_cholesky_solves_vcycle_bottom_level(kind, n, k):
+    # the factor that solves the V-cycle's bottom level A + CYCLE_MASS*I,
+    # here with a whole grid's A as that level. The cylinder's periodic
+    # longitude couples the first and last rows of each ring, which the
+    # reverse Cuthill-McKee order must fold into the band
     grid, _ = build_grid(make_model(kind, n, k), 16, 6.0)
     A, _ = spectral._symmetric_form(grid)
     M = A + spectral.CYCLE_MASS * spectral.sp.identity(A.shape[0], format="csr")
