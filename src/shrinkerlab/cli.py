@@ -7,9 +7,10 @@ passed, 1 at least one check failed, 2 configuration or usage error.
 This module parses, validates and compares with `models` and `reports`
 alone, and `run` builds the grid with numpy alone, so `compare` and every
 model, verify suite, output or grid error exit before scipy loads. `run` then
-loads the numerical workflows (`workflows`); only the errors it finds with
-them, `--eigs` past `check_pair_count` and a cutoff band too fine for the
-grid, wait on scipy.
+loads the numerical workflows (`workflows`), and the solver layers
+(`spectral`, `propagation`) only for spectrum and propagate; only the errors
+it finds with those, `--eigs` past `check_pair_count` and a cutoff band too
+fine for the grid, wait on them.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ class RunConfig:
         existing = next(p for p in (self.output_dir, *self.output_dir.parents) if p.exists())
         if not existing.is_dir():
             raise ConfigError(f"output {self.output_dir}: {existing} is not a directory")
+        report = self.output_dir / "report.json"
+        if report.is_dir():
+            raise ConfigError(f"output {self.output_dir}: {report} is a directory")
         if self.command == "verify":
             self.verify_suites(model)
         if self.command == "spectrum" and self.eigs < 1:
@@ -362,13 +366,17 @@ def run(cfg: RunConfig) -> int:
     except GridError as exc:
         raise ConfigError(str(exc)) from exc
     from . import workflows
-    from .propagation import PropagationError, build_cutoff
-    from .spectral import SolverError, check_pair_count
+    from .errors import PropagationError, SolverError
 
+    # the solver layers load for the commands that solve; verify loads neither
     try:
         if cfg.command == "spectrum":
+            from .spectral import check_pair_count
+
             check_pair_count(grid, cfg.eigs)
         if cfg.command == "propagate":
+            from .propagation import build_cutoff
+
             for r in cfg.r_values:
                 build_cutoff(grid, r)
     except (ValueError, PropagationError) as exc:

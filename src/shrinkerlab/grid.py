@@ -19,7 +19,10 @@ metric contraction of the rank), kept once per grid. `Grid.inner` is its one
 implementation: every norm, masked norm and the one adjointness probe
 (`Operators.adjoint_gap`) read it, and the operators' weighted adjoints are
 taken with respect to the same G; that probe's vectors are drawn here
-(`Grid.probe`).
+(`Grid.probe`), standard normal in sqrt(G) x. The probe draws them on a
+helper thread, one probe ahead of the operators it applies on the calling
+thread, in the same order as a serial loop (u_1, v_1, u_2, ...), so every
+draw from the run's generator is unchanged.
 """
 
 from __future__ import annotations
@@ -162,25 +165,30 @@ class Grid:
               mask: np.ndarray | None = None) -> float:
         """The weighted inner product sum G x y of two component-major arrays of
         `rank`, flat or shaped as a field's values, over the nodes of `mask`
-        (all when None). It is summed one component at a time, so no temporary
-        is larger than a node array."""
+        (all when None). It is summed one component at a time, each product
+        g * a * b formed in one node array that every component reuses."""
         N = self.n_nodes
+        term = np.empty(N)
         total = 0.0
         for g, a, b in zip(self.gram(rank).reshape(-1, N), np.reshape(x, (-1, N)),
                            np.reshape(y, (-1, N))):
-            term = g * a * b
+            np.multiply(g, a, out=term)
+            term *= b
             total += np.sum(term if mask is None else term[mask])
         return float(total)
 
-    def probe(self, rank: str, rng) -> np.ndarray:
-        """A probe of `rank` for `Operators.adjoint_gap`: standard normal in
-        sqrt(G) x, so a break in a row of weight 1e-12 shows as plainly as one
-        at the centre."""
+    def probe(self, rank: str, rng, out: np.ndarray) -> None:
+        """Fill the flat array `out` with a probe of `rank` for
+        `Operators.adjoint_gap`: standard normal in sqrt(G) x, so a break in a
+        row of weight 1e-12 shows as plainly as one at the centre.
+
+        `adjoint_gap` calls it on a helper thread, one probe ahead of its own
+        work, after building the Gram diagonal: the call only reads the grid
+        and writes `out`."""
         gram = self.gram(rank)
-        x = rng.standard_normal(gram.size)
-        for xc, gc in zip(x.reshape(-1, self.n_nodes), gram.reshape(-1, self.n_nodes)):
+        rng.standard_normal(out=out)
+        for xc, gc in zip(out.reshape(-1, self.n_nodes), gram.reshape(-1, self.n_nodes)):
             xc /= np.sqrt(gc)
-        return x
 
     def b_spacing(self) -> float:
         """Grid spacing as seen by the radial coordinate b (Euclidean axes only)."""
@@ -200,20 +208,20 @@ class Grid:
     def neighbors(self, axis: int, offset: int) -> np.ndarray:
         """Node id of the neighbor shifted by `offset` along `axis` (-1 if absent).
 
-        Not cached: the difference matrices read each offset once, when they
-        are built."""
-        mi = self.node_multi.copy()
-        m = self.axes[axis].size
-        col = mi[:, axis] + offset
+        One flat gather: each node's linear index in the box, shifted by
+        `offset` times the axis's stride, read from `node_index`. Not cached:
+        the difference matrices read each offset once, when they are built."""
+        shape = self.node_index.shape
+        stride = math.prod(shape[axis + 1:])
+        linear = np.ravel_multi_index(tuple(self.node_multi.T), shape)
+        pos = self.node_multi[:, axis]
+        col = pos + offset
+        ids = self.node_index.ravel()
         if self.axes[axis].boundary == PERIODIC:
-            col = np.mod(col, m)
-            mi[:, axis] = col
-            return self.node_index[tuple(mi.T)]
-        ok = (col >= 0) & (col < m)
+            return ids[linear + (col % shape[axis] - pos) * stride]
+        ok = (col >= 0) & (col < shape[axis])
         out = np.full(self.n_nodes, -1, dtype=np.int64)
-        mi_ok = mi[ok]
-        mi_ok[:, axis] = col[ok]
-        out[ok] = self.node_index[tuple(mi_ok.T)]
+        out[ok] = ids[linear[ok] + offset * stride]
         return out
 
     def ops(self):

@@ -37,7 +37,9 @@ holds to machine precision and P = div_f o div_f^* is symmetric positive
 semidefinite by construction. One probe checks that contract
 (`Operators.adjoint_gap`) against one tolerance, ADJOINT_TOL = 1e-12: the
 verify structure suite on the pair div_f^* / div_f, and every eigensolve on
-P before it starts. The continuum divergence formula is kept as a separate
+P before it starts. A helper thread draws its probe vectors one ahead while
+the calling thread applies the operators, in the generator's serial order.
+The continuum divergence formula is kept as a separate
 reference discretization used only in convergence tests.
 
 Drift Laplacians on all ranks are defined as -(covariant derivative)^adj o
@@ -52,9 +54,16 @@ matrices D_a (`FirstOrder`): out[o] += left D_a(right x[i]), plus pointwise
 couplings out[o] += c x[i]. The gradient and div_f^* are each defined once
 that way, the covariant derivatives of vectors and sym2 tensors as one term
 list nabla_a per axis, and the curvature action R with couplings only. A
-term list is applied with one sparse matvec per derivative term, and its
-transpose through D_a^T, a CSC view of the stored CSR matrix, summed into
-an output the caller holds. (A multi-column pass per axis is no faster:
+factor with one value at every node is stored as that scalar, and a factor
+of 1 as None (`FirstOrder.derive`): on the Gaussian no derivative term
+scales by an array, and on the cylinder g_00 = 1 and g_11 = r^2 are
+constants. A term list is applied with one sparse matvec per derivative
+term, and its transpose through D_a^T, a CSC view of the stored CSR matrix,
+summed into an output the caller holds. Each term is scaled in place, in the
+array of its matvec or of its weighted input row, in the association order
+left * D_a(right * x), so the result is that of the written formula bit for
+bit, and the term's temporary is freed before the next one is allocated.
+(A multi-column pass per axis is no faster:
 scipy's CSR kernel costs the same per column, and the block adds strided
 copies.) A weighted adjoint (`WeightedAdjoint`) is (1/G_in) M^T G_out over a
 term list M, with the grid's Gram diagonals G (`Grid.gram`, kept once per
@@ -93,6 +102,7 @@ model (drift term -<grad f, grad .>), pinned by tests.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -251,8 +261,12 @@ def _diag(values: np.ndarray) -> sp.csr_matrix:
     return sp.diags(values).tocsr()
 
 
-def _scaled(factor, x: np.ndarray) -> np.ndarray:
-    return x if factor is None else factor * x
+def _factor(value):
+    """A derivative term's factor as `FirstOrder` stores it: None for 1, and a
+    scalar for a per-node array with one value at every node."""
+    if np.ndim(value) > 0 and np.all(value == value.flat[0]):
+        value = float(value.flat[0])
+    return None if value is None or (np.ndim(value) == 0 and value == 1.0) else value
 
 
 def _at(factor, idx: np.ndarray):
@@ -267,8 +281,10 @@ class FirstOrder:
         out[o] += left * D_a(right * x[i])    for (o, i, a, left, right) in derivs
         out[o] += coef * x[i]                 for (o, i, coef) in points
 
-    `left` and `right` are per-node arrays, constants, or None (one); `coef`
-    is a per-node array or a constant.
+    `left` and `right` are per-node arrays, constants, or None (one): a factor
+    with one value at every node is stored as that constant, and a factor of
+    1 as None, so no term multiplies by an array of ones. `coef` is a per-node
+    array or a constant.
     """
 
     def __init__(self, diffs: list[sp.csr_matrix], n_in: int, n_out: int):
@@ -279,18 +295,23 @@ class FirstOrder:
         self.points: list[tuple] = []
 
     def derive(self, o: int, i: int, axis: int, left=None, right=None) -> None:
-        self.derivs.append((o, i, axis, left, right))
+        self.derivs.append((o, i, axis, _factor(left), _factor(right)))
 
     def couple(self, o: int, i: int, coef: np.ndarray | float) -> None:
         self.points.append((o, i, coef))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The operator on `x`, which it only reads."""
+        """The operator on `x`, which it only reads. Each derivative term is
+        scaled by `left` in place, in the product D_a x's own array."""
         N = self.diffs[0].shape[0]
         x = x.reshape(self.n_in, N)
         out = np.zeros((self.n_out, N))
         for o, i, a, left, right in self.derivs:
-            out[o] += _scaled(left, self.diffs[a] @ _scaled(right, x[i]))
+            term = self.diffs[a] @ (x[i] if right is None else right * x[i])
+            if left is not None:
+                term *= left
+            out[o] += term
+            del term  # before the next term is allocated
         for o, i, coef in self.points:
             out[o] += coef * x[i]
         return out.ravel()
@@ -298,15 +319,31 @@ class FirstOrder:
     def rapply(self, y: np.ndarray, out: np.ndarray, weight: np.ndarray | None = None) -> None:
         """Add the matrix transpose applied to `y` into the flat `out`, through
         D_a^T: a CSC view, nothing stored. With `weight`, each row y[o] is
-        read as weight[o] * y[o], one term at a time; `y` is only read."""
+        read as weight[o] * y[o], one term at a time; `y` is only read. Every
+        other scaling is in place, in the association order right * D_a^T
+        (left * (weight * y)), and each temporary is freed before the next."""
         N = self.diffs[0].shape[0]
         y = y.reshape(self.n_out, N)
         out = out.reshape(self.n_in, N)
         w = [None] * self.n_out if weight is None else weight.reshape(self.n_out, N)
+
+        def read(o: int, factor) -> np.ndarray:
+            """factor * (w[o] * y[o]) in a new array, or y[o] itself when both are 1."""
+            if w[o] is None:
+                return y[o] if factor is None else factor * y[o]
+            row = w[o] * y[o]
+            if factor is not None:
+                row *= factor
+            return row
+
         for o, i, a, left, right in self.derivs:
-            out[i] += _scaled(right, self.diffs[a].T @ _scaled(left, _scaled(w[o], y[o])))
+            term = self.diffs[a].T @ read(o, left)
+            if right is not None:
+                term *= right
+            out[i] += term
+            del term
         for o, i, coef in self.points:
-            out[i] += coef * _scaled(w[o], y[o])
+            out[i] += read(o, coef)
 
     def assemble(self) -> sp.csr_matrix:
         """The operator's matrix, from one COO pass over every term."""
@@ -565,19 +602,39 @@ class Operators:
         """The worst relative gap of <M u, v> = <u, M^adj v>, M = `kind` and
         M^adj = `adjoint` applied by `matvec`, in `Grid.inner`, over `probes`
         draws of u, then v (`Grid.probe`); and the least |M u|^2 / |u|^2.
-        M u is released before M^adj v is formed."""
+        M u is released before M^adj v is formed.
+
+        One helper thread draws each probe one ahead, into an array that this
+        thread allocates, while this thread applies the operators: numpy fills
+        a Gaussian array without holding the GIL. The draws keep the
+        generator's order (u_1, v_1, u_2, ...), so the result and every later
+        draw from `rng` are those of a serial loop. Both Gram diagonals are
+        built here, before the helper starts, which then only reads the grid.
+        The helper is joined before this returns or raises."""
         grid = self.grid
         in_rank, out_rank, _ = _KINDS[kind]
+        sizes = {rank: grid.gram(rank).size for rank in (in_rank, out_rank)}
         worst_gap, least = 0.0, float("inf")
-        for _ in range(probes):
-            u = grid.probe(in_rank, rng)
-            Mu = self.matvec(kind, u)
-            least = min(least, grid.inner(out_rank, Mu, Mu) / grid.inner(in_rank, u, u))
-            v = grid.probe(out_rank, rng)
-            left = grid.inner(out_rank, Mu, v)
-            del Mu
-            right = grid.inner(in_rank, u, self.matvec(adjoint, v))
-            worst_gap = max(worst_gap, abs(left - right) / max(abs(left), abs(right), 1e-300))
+        with ThreadPoolExecutor(max_workers=1) as helper:
+
+            def draw(rank: str):
+                x = np.empty(sizes[rank])
+                return x, helper.submit(grid.probe, rank, rng, x)
+
+            u, drawn = draw(in_rank)
+            for k in range(probes):
+                drawn.result()
+                v, drawn = draw(out_rank)  # while M u is applied
+                Mu = self.matvec(kind, u)
+                least = min(least, grid.inner(out_rank, Mu, Mu) / grid.inner(in_rank, u, u))
+                drawn.result()
+                # the next u, while M^adj v is applied
+                u_next, drawn = draw(in_rank) if k + 1 < probes else (None, None)
+                left = grid.inner(out_rank, Mu, v)
+                del Mu
+                right = grid.inner(in_rank, u, self.matvec(adjoint, v))
+                worst_gap = max(worst_gap, abs(left - right) / max(abs(left), abs(right), 1e-300))
+                u, v = u_next, None  # v before the next one is allocated
         return worst_gap, least
 
     # ---- reference (non-adjoint) divergence, used in convergence tests ----

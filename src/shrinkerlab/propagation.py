@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PropagationError  # re-exported: propagation's failure
 from .fields import VECTOR, Field, radial_bump
 from .grid import Grid
 from .spectral import NearKernelBlock, SpectralPair, near_kernel_block
@@ -38,10 +39,6 @@ RUNGS = 5
 # 270; with Z replaced by the cut-off input, 3.8-33.7 and 4.5-295.
 GATE_C = 2.0
 VARIATIONAL_SLACK = 1e-10  # the round-off allowed in mu <= |div_f^* V|^2
-
-
-class PropagationError(RuntimeError):
-    """Pipeline precondition failures or internal consistency violations."""
 
 
 @dataclass(frozen=True)

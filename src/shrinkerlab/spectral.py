@@ -45,6 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
+from .errors import SolverError  # re-exported: spectral's failure
 from .fields import SYM2, VECTOR, Field, dilation, killing_basis
 from .grid import Grid
 from .operators import ADJOINT_TOL, OperatorHandle, OperatorKind
@@ -109,10 +110,6 @@ GUARD_TOL = 0.01
 GUARD_MAXITER = 600
 # eigenvalues closer than this form one degenerate block (`group_degenerate`)
 DEGENERATE_GAP = 1e-4
-
-
-class SolverError(RuntimeError):
-    """Eigensolver failure or operator structure violation."""
 
 
 @dataclass

@@ -8,6 +8,11 @@ model, without scipy), and `run_verify` runs exactly those. Nothing
 here imports `cli`: under `python -m shrinkerlab.cli` that import would load
 a second copy of it, whose ConfigError `cli.main` would not catch.
 
+The solver layers, `spectral` and `propagation`, are imported by the
+workflows that solve, when they run: a verify run solves nothing, and so
+loads neither of them, nor scipy.linalg, scipy.sparse.linalg and
+scipy.sparse.csgraph.
+
 The structure suite checks the adjointness of div_f^* and div_f with the
 probe that every eigensolve runs on P (`Operators.adjoint_gap`), against the
 same tolerance, `operators.ADJOINT_TOL`.
@@ -34,24 +39,10 @@ from .fields import (
     translation,
     vector_field,
 )
+from .errors import PropagationError
 from .grid import Grid
 from .models import check_soliton_identities, random_points
 from .operators import ADJOINT_TOL, OperatorKind, identity_residuals
-from .propagation import (
-    GATE_C,
-    VARIATIONAL_SLACK,
-    PropagationError,
-    distance,
-    distance_profile,
-    extend_symmetry,
-    rung_radii,
-)
-from .spectral import (
-    canonicalize_degenerate,
-    decompose_eigenfield,
-    lowest_eigenpairs,
-    solver_storage,
-)
 from .verification import (
     NOT_KILLING,
     cao_zhou_check,
@@ -214,6 +205,8 @@ def run_verify(cfg: RunConfig, grid: Grid) -> list[dict]:
 
 
 def run_spectrum(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
+    from .spectral import canonicalize_degenerate, decompose_eigenfield, lowest_eigenpairs
+
     ops = grid.ops()
     pairs = lowest_eigenpairs(ops.handle(OperatorKind.OP_P), cfg.eigs, seed=cfg.seed)
     pairs = canonicalize_degenerate(pairs)
@@ -275,6 +268,15 @@ def _propagate_point(cfg: RunConfig, reference, r: float, eps: float, floor) -> 
     """One sweep point: the extension of the perturbed reference, its distances
     to the reference's line and the propagation gate against `floor`, the
     distance profile of the eps-0 extension."""
+    from .propagation import (
+        GATE_C,
+        VARIATIONAL_SLACK,
+        distance,
+        distance_profile,
+        extend_symmetry,
+        rung_radii,
+    )
+
     point = {"r": r, "epsilon": eps}
     Y = perturbed(reference, eps)
     try:
@@ -309,6 +311,8 @@ def _propagate_point(cfg: RunConfig, reference, r: float, eps: float, floor) -> 
 
 
 def run_propagate(cfg: RunConfig, grid: Grid) -> list[dict]:
+    from .propagation import distance_profile, extend_symmetry
+
     # one grid, and so one operator suite and one near-kernel block, serves
     # every sweep point and the floor of every r
     if grid.model.n_euclidean >= 2:
@@ -335,6 +339,9 @@ def print_storage(grid: Grid) -> None:
     nnz = sum(D.nnz for D in ops.diffs) if "diffs" in vars(ops) else None
     print(f"operator storage: {'none' if nnz is None else 'diffs'}; {nnz or 0:,} nnz; "
           f"ru_maxrss {_peak_rss_mb():.0f} MB", file=sys.stderr)
-    solver = solver_storage(grid)
+    # only `spectral` caches solver matrices on a grid: if the run has not
+    # loaded it, the grid holds none
+    spectral = sys.modules.get(f"{__package__}.spectral")
+    solver = spectral.solver_storage(grid) if spectral else {}
     named = ", ".join(f"{name} {nnz:,}" for name, nnz in solver.items()) or "none"
     print(f"solver storage: {named}; {sum(solver.values()):,} nnz", file=sys.stderr)

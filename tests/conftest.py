@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,17 @@ def grid2_small(gaussian2):
 @pytest.fixture(scope="session")
 def cyl_grid(cylinder32):
     return build_grid(cylinder32, 48, 8.0)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that ends with more live threads than it began with: a
+    helper thread, such as the probe draws of `Operators.adjoint_gap`, must
+    be joined before its caller returns or raises."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture()

@@ -652,6 +652,21 @@ def test_output_on_a_file_exits_before_scipy_loads(tmp_path, argv, below):
     assert taken.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("argv", [("verify", "--suite", "soliton"), ("spectrum",)])
+def test_report_path_that_is_a_directory_exits_before_scipy_loads(tmp_path, argv):
+    # the report's own path, taken by a directory, ended the whole run in a
+    # traceback when the report was written; it is refused first
+    out = tmp_path / "o"
+    (out / "report.json").mkdir(parents=True)
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv, "--dim", "1",
+                           "--resolution", "32", "--truncation-radius", "6", "--output", str(out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == f"{EXIT_CONFIG} False", proc.stderr
+    assert f"config error: output {out}: {out / 'report.json'} is a directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--suite", ""), "suite names no verify suite"),
     (("propagate", "--r", ""), "at least one value"),
@@ -754,7 +769,7 @@ def test_propagation_gate_fails_a_wrong_extension(tmp_path, monkeypatch, mutatio
     # Z replaced by a field that is not the rotation's extension: the
     # translation, or the cut-off input V, which vanishes outside {b < r}.
     # Both keep the variational bound, so only the distance gate fails
-    extend = workflows.extend_symmetry
+    extend = propagation.extend_symmetry
 
     def mutated(Y, r, **kwargs):
         result = extend(Y, r, **kwargs)
@@ -764,7 +779,7 @@ def test_propagation_gate_fails_a_wrong_extension(tmp_path, monkeypatch, mutatio
                  else Y.scale_by(result.cutoff.eta.values))
         return dataclasses.replace(result, z=spectral.SpectralPair.of(wrong))
 
-    monkeypatch.setattr(workflows, "extend_symmetry", mutated)
+    monkeypatch.setattr(propagation, "extend_symmetry", mutated)
     out = tmp_path / "prop"
     code = run_cli("propagate", "--dim", "2", "--resolution", "200", "--truncation-radius", "6",
                    "--r", "4", "--epsilon", "1e-3,1e-2", "--output", str(out))
@@ -1046,6 +1061,22 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(
         ["shrinkerlab", "shrinkerlab.cli", "shrinkerlab.models", "shrinkerlab.reports"])
+
+
+def test_verify_loads_no_solver_layer(tmp_path):
+    # verify solves nothing: an all-suite run on a small cylinder, in a fresh
+    # interpreter, loads neither spectral nor propagation, and none of the
+    # scipy modules that only they import
+    solver_modules = ["scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
+                      "shrinkerlab.spectral", "shrinkerlab.propagation"]
+    code = ("import sys; from shrinkerlab.cli import main; code = main(sys.argv[1:]); "
+            f"print(code, [m for m in {solver_modules!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code, "verify", "--model", "cylinder",
+                           "--dim", "3", "--k", "2", "--resolution", "48",
+                           "--truncation-radius", "6", "--output", str(tmp_path / "o")],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
 
 def _src_env() -> dict:

@@ -4,7 +4,7 @@ from scipy.special import erf
 from scipy import integrate
 
 import shrinkerlab.grid as grid_module
-from shrinkerlab import GridError, build_grid
+from shrinkerlab import GridError, build_grid, make_model
 from shrinkerlab.fields import (
     Field,
     FieldError,
@@ -12,7 +12,9 @@ from shrinkerlab.fields import (
     scalar_field,
     translation,
 )
+from shrinkerlab.grid import DIRICHLET, ONESIDED, PERIODIC
 from shrinkerlab.models import sym2_contraction_weights
+from shrinkerlab.operators import _CLOSURES, _STENCIL_2, _STENCIL_4
 
 
 def test_mass_gaussian_1d_close_to_full_line(gaussian1):
@@ -64,6 +66,29 @@ def test_all_nodes_inside_truncation(grid2_64):
     grid, measure = grid2_64
     assert np.all(grid.b < grid.truncation_radius)
     assert np.all(measure.node_weights > 0)
+
+
+@pytest.mark.parametrize("kind, n, k", [("gaussian", 2, None), ("cylinder", 3, 2)])
+def test_neighbors_match_a_brute_force_lookup(kind, n, k):
+    # every offset that a stencil or a closure reads, on Euclidean
+    # (DIRICHLET), latitude (ONESIDED) and longitude (PERIODIC) axes
+    grid, _ = build_grid(make_model(kind, n, k), 16, 4.0)
+    ids = {tuple(multi): node for node, multi in enumerate(grid.node_multi.tolist())}
+    offsets = sorted({off for rule in (_STENCIL_2, _STENCIL_4, *_CLOSURES) for off, _ in rule})
+    assert offsets == [-2, -1, 0, 1, 2, 3]
+    boundaries = {ax.boundary for ax in grid.axes}
+    assert boundaries == ({DIRICHLET} if kind == "gaussian" else {DIRICHLET, ONESIDED, PERIODIC})
+    for axis, ax in enumerate(grid.axes):
+        for off in offsets:
+            want = []
+            for multi in grid.node_multi.tolist():
+                multi[axis] += off
+                if ax.boundary == PERIODIC:
+                    multi[axis] %= ax.size
+                want.append(ids.get(tuple(multi), -1))
+            got = grid.neighbors(axis, off)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (axis, off)
 
 
 def test_quadrature_refinement_order(gaussian2):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,113 @@ def test_assembling_p_builds_only_its_factors(gaussian2):
     for name in ("_cov_sym2_terms", "riemann_block", "_cov_vector_terms", "_gradient_terms",
                  "_rough_sym2", "_rough_vector"):
         assert name not in ops.__dict__, name
+
+
+def test_constant_factors_are_stored_as_scalars(grid2_small, cyl_grid):
+    # every metric factor of the Gaussian is 1, stored as None; on the
+    # cylinder g_00 = 1, g_11 = r^2 is one value at every node, and only
+    # g_22 = r^2 sin^2(theta) stays a per-node array
+    factors = [f for _, _, _, left, right in grid2_small[0].ops()._div_f_star_terms.derivs
+               for f in (left, right)]
+    assert not any(isinstance(f, np.ndarray) for f in factors)
+    assert factors.count(None) == len(factors) // 2
+    grid = cyl_grid[0]
+    ops = grid.ops()
+    right = {o: r for o, i, _, _, r in ops._div_f_star_terms.derivs if ops.pairs[o] == (i, i)}
+    assert right[ops._slot(0, 0)] is None
+    assert np.ndim(right[ops._slot(1, 1)]) == 0
+    assert right[ops._slot(1, 1)] == grid.metric_diag[0, 1] == grid.model.sphere_radius ** 2
+    assert isinstance(right[ops._slot(2, 2)], np.ndarray)
+
+
+@pytest.mark.parametrize("grid_name", ["grid2_small", "cyl_grid"])
+def test_term_lists_apply_bit_for_bit_as_written(grid_name, request, rng):
+    # a factor stored as a scalar or as None scales as the per-node array it
+    # stands for, and the in-place scalings keep the association order of
+    # left * D_a (right * x) and right * D_a^T (left * (weight * y))
+    grid, _ = request.getfixturevalue(grid_name)
+    ops = grid.ops()
+    N = grid.n_nodes
+    ones = np.ones(N)
+
+    def full(factor):
+        return ones if factor is None else factor * ones
+
+    for op in (ops._gradient_terms, ops._div_f_star_terms, *ops._cov_sym2_terms):
+        x = rng.standard_normal((op.n_in, N))
+        y = rng.standard_normal((op.n_out, N))
+        weight = rng.uniform(0.5, 2.0, (op.n_out, N))
+        forward, back = np.zeros((op.n_out, N)), np.zeros((op.n_in, N))
+        for o, i, a, left, right in op.derivs:
+            forward[o] += full(left) * (op.diffs[a] @ (full(right) * x[i]))
+            back[i] += full(right) * (op.diffs[a].T @ (full(left) * (weight[o] * y[o])))
+        for o, i, coef in op.points:
+            forward[o] += coef * x[i]
+            back[i] += coef * (weight[o] * y[o])
+        assert np.array_equal(op.apply(x.ravel()), forward.ravel())
+        out = np.zeros(op.n_in * N)
+        op.rapply(y.ravel(), out, weight.ravel())
+        assert np.array_equal(out, back.ravel())
+
+
+def _serial_adjoint_gap(ops, kind, adjoint, rng, probes):
+    """`Operators.adjoint_gap` as a serial loop: u, then v, each drawn
+    standard normal in sqrt(G) x just before it is used."""
+    grid = ops.grid
+    in_rank, out_rank = ops.handle(kind).in_rank, ops.handle(kind).out_rank
+
+    def probe(rank):
+        gram = grid.gram(rank).ravel()
+        return rng.standard_normal(gram.size) / np.sqrt(gram)
+
+    worst_gap, least = 0.0, float("inf")
+    for _ in range(probes):
+        u = probe(in_rank)
+        Mu = ops.matvec(kind, u)
+        least = min(least, grid.inner(out_rank, Mu, Mu) / grid.inner(in_rank, u, u))
+        v = probe(out_rank)
+        left = grid.inner(out_rank, Mu, v)
+        right = grid.inner(in_rank, u, ops.matvec(adjoint, v))
+        worst_gap = max(worst_gap, abs(left - right) / max(abs(left), abs(right), 1e-300))
+    return worst_gap, least
+
+
+@pytest.mark.parametrize("kind, adjoint", [
+    (OperatorKind.DIV_F_STAR, OperatorKind.DIV_F_TENSOR),
+    # input and output of one rank: u and v must still be arrays of their own
+    (OperatorKind.OP_P, OperatorKind.OP_P),
+])
+def test_adjoint_gap_draws_as_a_serial_loop(cyl_grid, kind, adjoint):
+    # the helper thread draws one probe ahead from the same generator, in the
+    # same order, so the gap, the least Rayleigh quotient and the generator's
+    # next draw are those of the serial loop, bit for bit
+    ops = cyl_grid[0].ops()
+    drawn, serial = np.random.default_rng(5), np.random.default_rng(5)
+    assert ops.adjoint_gap(kind, adjoint, drawn, 4) == _serial_adjoint_gap(
+        ops, kind, adjoint, serial, 4)
+    assert drawn.standard_normal() == serial.standard_normal()
+
+
+def test_adjoint_gap_raises_from_the_loop_and_joins_its_helper(cylinder32, monkeypatch):
+    # matvec fails on the second probe's u while the helper draws its v: the
+    # error reaches the caller, and the helper has been joined
+    grid, _ = build_grid(cylinder32, 24, 6.0)
+    ops = grid.ops()
+    matvec, calls, running = ops.matvec, [], []
+
+    def failing(kind, x):
+        calls.append(kind)
+        if len(calls) == 3:
+            running.append(threading.active_count())
+            raise RuntimeError("matvec failed")
+        return matvec(kind, x)
+
+    monkeypatch.setattr(ops, "matvec", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="matvec failed"):
+        ops.adjoint_gap(OperatorKind.OP_P, OperatorKind.OP_P, np.random.default_rng(0), 3)
+    assert running == [before + 1]
+    assert threading.active_count() == before
 
 
 def test_p_positive_semidefinite(grid2_small, rng):
