@@ -20,10 +20,11 @@ _EXPORTS = {
                "radial_bump", "scalar_field", "translation", "vector_field"),
     "operators": ("IdentityReport", "OperatorHandle", "OperatorKind", "Operators",
                   "identity_residuals"),
-    "spectral": ("EigenfieldDecomposition", "NearKernelBlock", "SolverError", "SpectralPair",
+    "errors": ("PropagationError", "SolverError"),
+    "spectral": ("EigenfieldDecomposition", "NearKernelBlock", "SpectralPair",
                  "decompose_eigenfield", "lowest_eigenpairs", "near_kernel_block"),
-    "propagation": ("Cutoff", "DefectReport", "PropagationError", "PropagationResult",
-                    "build_cutoff", "extend_symmetry", "measure_defect"),
+    "propagation": ("Cutoff", "DefectReport", "PropagationResult", "build_cutoff",
+                    "extend_symmetry", "measure_defect"),
     "verification": ("DichotomyVerdict", "cao_zhou_check", "classify_killing",
                      "drift_bochner_residual", "harmonicity_check", "interp_inequality_check"),
 }

@@ -6,11 +6,12 @@ passed, 1 at least one check failed, 2 configuration or usage error.
 
 This module parses, validates and compares with `models` and `reports`
 alone, and `run` builds the grid with numpy alone, so `compare` and every
-model, verify suite, output or grid error exit before scipy loads. `run` then
-loads the numerical workflows (`workflows`), and the solver layers
-(`spectral`, `propagation`) only for spectrum and propagate; only the errors
-it finds with those, `--eigs` past `check_pair_count` and a cutoff band too
-fine for the grid, wait on them.
+model, verify suite, output or grid error exit before scipy loads;
+`make_model` says which models exist, and `RunConfig.output_paths` names
+every file a run writes. `run` then loads the numerical workflows
+(`workflows`), and the solver layers (`spectral`, `propagation`) only for
+spectrum and propagate; only the errors it finds with those, `--eigs` past
+`check_pair_count` and a cutoff band too fine for the grid, wait on them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -92,8 +94,8 @@ class RunConfig:
                               help="comma list of perturbation sizes (propagate)")
 
     def validate(self) -> None:
-        # `run` checks the rest: the grid's bounds and sphere factor by
-        # build_grid before scipy loads, then eigs and cutoff bands after it
+        # `run` checks the rest: the grid's bounds by build_grid before scipy
+        # loads, then eigs and cutoff bands after it
         if self.command not in RUN_COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         try:
@@ -106,9 +108,10 @@ class RunConfig:
         existing = next(p for p in (self.output_dir, *self.output_dir.parents) if p.exists())
         if not existing.is_dir():
             raise ConfigError(f"output {self.output_dir}: {existing} is not a directory")
-        report = self.output_dir / "report.json"
-        if report.is_dir():
-            raise ConfigError(f"output {self.output_dir}: {report} is a directory")
+        # a directory can take an output path only inside an existing output directory
+        taken = existing == self.output_dir and next(filter(Path.is_dir, self.output_paths()), None)
+        if taken:
+            raise ConfigError(f"output {self.output_dir}: {taken} is a directory")
         if self.command == "verify":
             self.verify_suites(model)
         if self.command == "spectrum" and self.eigs < 1:
@@ -128,6 +131,13 @@ class RunConfig:
             if clashes:
                 raise ConfigError(f"r/epsilon values share the sweep point tag(s) "
                                   f"{', '.join(clashes)}; give values that differ in 6 digits")
+
+    def output_paths(self) -> Iterator[Path]:
+        """Every file the run writes, the report first, then each pair's CSV under
+        spectrum --dump-fields; lazy, as eigs is bounded on the grid, after `validate`."""
+        yield self.output_dir / "report.json"
+        if self.command == "spectrum" and self.dump_fields:
+            yield from (self.output_dir / f"eigenfield_{i}.csv" for i in range(self.eigs))
 
     def verify_suites(self, model: ModelShrinker) -> tuple:
         """The verify suites run on `model`, in VERIFY_SUITE_NAMES order: the
@@ -386,14 +396,14 @@ def run(cfg: RunConfig) -> int:
         if cfg.command == "verify":
             checks = workflows.run_verify(cfg, grid)
         elif cfg.command == "spectrum":
-            checks = workflows.run_spectrum(cfg, grid, cfg.output_dir)
+            checks = workflows.run_spectrum(cfg, grid)
         else:
             checks = workflows.run_propagate(cfg, grid)
     except (SolverError, PropagationError) as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     workflows.print_storage(grid)
-    reports.write_report(cfg.output_dir / "report.json", cfg.command, cfg.to_dict(),
+    reports.write_report(next(cfg.output_paths()), cfg.command, cfg.to_dict(),
                          model.describe(), checks)
     failed = [c["check_name"] for c in checks if not c.get("passed", True)]
     for check in checks:

@@ -1,8 +1,8 @@
 """The failures of the solver layers, in a module that imports nothing.
 
-`spectral` raises SolverError and `propagation` raises PropagationError, and
-each re-exports its own. `cli.run` and the workflows catch them from here, so
-a verify run, which solves nothing, loads neither layer, and so none of
+`spectral` raises SolverError and `propagation` raises PropagationError;
+`cli.run`, the workflows and the package take them from here, so a verify
+run, and a caller that only catches them, load neither layer, and so none of
 scipy.linalg, scipy.sparse.linalg and scipy.sparse.csgraph.
 """
 

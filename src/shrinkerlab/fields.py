@@ -182,9 +182,9 @@ def killing_fields(grid: Grid) -> dict[str, Field]:
 
 
 def killing_basis(grid: Grid) -> list[Field]:
-    """A basis of the model's Killing fields: `killing_fields`, and with a
-    sphere factor the two rotations that move the poles of its (theta, phi)
-    chart."""
+    """A basis of the model's Killing fields: `killing_fields`, and on a
+    cylinder the two rotations that move the poles of the (theta, phi) chart
+    of its S^2 factor, the only sphere chart (`models.make_model`)."""
     out = list(killing_fields(grid).values())
     if grid.model.angle_axes:
         m = grid.model.n_euclidean

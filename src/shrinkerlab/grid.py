@@ -8,8 +8,8 @@ Grids are cell-centered tensor products in chart coordinates, truncated to
 Fields beyond the truncation radius are treated as zero; the quadrature error
 this introduces is bounded by the Gaussian tail of the weight. Every model
 has Euclidean axes over [-T, T], T = sqrt(R^2 - 4 f_offset) (R on a flat
-model); a sphere factor adds a latitude-longitude chart without polar caps
-of one cell (the omitted measure is `cap_fraction`). Each axis has one
+model); a cylinder's S^2 factor adds its (theta, phi) chart without polar
+caps of one cell (the omitted measure is `cap_fraction`). Each axis has one
 boundary policy (`Axis.boundary`): DIRICHLET on Euclidean axes, ONESIDED on
 the latitude, PERIODIC on the longitude.
 
@@ -276,8 +276,6 @@ def build_grid(
     cells = [(-T, 0, resolution, h_t, DIRICHLET)] * model.n_euclidean
     cap_fraction = 0.0
     if model.angle_axes:
-        if len(model.angle_axes) != 2:
-            raise GridError("sphere factors support k = 2 (latitude-longitude chart)")
         r_sph = model.sphere_radius
         m_theta = max(MIN_RESOLUTION, int(np.ceil(np.pi * r_sph / h_t)))
         m_phi = max(MIN_RESOLUTION, int(np.ceil(2.0 * np.pi * r_sph / h_t)))

@@ -1,5 +1,5 @@
-"""Closed-form model shrinkers: the products R^(n-k) x S^k, with the flat
-Gaussian space as the case without a sphere factor.
+"""Closed-form model shrinkers: the cylinders R^(n-2) x S^2(sqrt 2), with the
+flat Gaussian space as the case without a sphere factor.
 
 Every model is a gradient shrinking soliton normalized to kappa = 1/2,
 
@@ -8,10 +8,10 @@ Every model is a gradient shrinking soliton normalized to kappa = 1/2,
 with every geometric quantity available in closed form:
 
 * Gaussian: flat R^n in Cartesian coordinates, f(x) = |x|^2 / 4, S = 0.
-* Cylinder: R^(n-k) x S^k(r) with r = sqrt(2(k-1)), in coordinates
-  (t_1..t_{n-k}, a_1..a_k) where the a_j are chained spherical angles
-  (latitude-type a_1..a_{k-1} in (0, pi), longitude a_k in [0, 2*pi)),
-  f(t, a) = |t|^2 / 4 + k/2, S = k/2.
+* Cylinder: R^(n-2) x S^2(r) with r = sqrt(2(k-1)) = sqrt 2 (k = 2, the one
+  sphere dimension `make_model` accepts), in coordinates (t_1..t_{n-2},
+  theta, phi), latitude theta in (0, pi), longitude phi in [0, 2*pi),
+  f = |t|^2 / 4 + 1, S = 1.
 
 Vector fields are handled in chart components (contravariant); symmetric
 two-tensors are stored covariant and packed over the upper triangle, see
@@ -24,8 +24,8 @@ on their nodes. A model stores its kind, n and k only; each evaluator takes
 an (m, n) array of points. Only this module knows a kind, a label that
 `make_model` and `describe` read: every other module reads the product
 structure, `n_euclidean`, `angle_axes` (empty on a flat model) and `k` (None
-on a flat model), and the flat case runs through the cylinder's code with
-empty angle loops. So a new model kind is one subclass here.
+on a flat model), and the flat case skips the sphere chart. So a new model
+kind is one subclass here.
 """
 
 from __future__ import annotations
@@ -82,12 +82,12 @@ class ModelShrinker:
 
     @property
     def angle_axes(self) -> range:
-        """The sphere factor's axes, latitudes then the longitude."""
+        """The sphere factor's axes: the latitude theta, then the longitude phi."""
         return range(self.n_euclidean, self.n)
 
     @property
     def sphere_radius(self) -> Optional[float]:
-        """r = sqrt(2(k-1)), so that S^k(r) has Ric = g/2; None on a flat model."""
+        """r = sqrt(2(k-1)) = sqrt 2, so that S^2(r) has Ric = g/2; None on a flat model."""
         return None if self.k is None else np.sqrt(2.0 * (self.k - 1))
 
     @property
@@ -102,10 +102,11 @@ class ModelShrinker:
 
     @property
     def base_point(self) -> np.ndarray:
-        """A minimum of f: flat origin, latitudes at pi/2, longitude at pi."""
+        """A minimum of f: flat origin, theta at pi/2, phi at pi."""
         base = np.zeros(self.n)
-        base[self.n_euclidean : self.n - 1] = np.pi / 2.0
-        base[self.n_euclidean :][-1:] = np.pi
+        if self.angle_axes:
+            theta, phi = self.angle_axes
+            base[theta], base[phi] = np.pi / 2.0, np.pi
         return base
 
     def _pts(self, points) -> np.ndarray:
@@ -118,8 +119,8 @@ class ModelShrinker:
         pts = self._pts(points)
         if not np.all(np.isfinite(pts)):
             raise ModelError("non-finite point coordinates")
-        ang = pts[:, self.n_euclidean : self.n - 1]
-        if np.any(ang <= 0.0) or np.any(ang >= np.pi):
+        theta = pts[:, self.n_euclidean : self.n_euclidean + 1]  # none on a flat model
+        if np.any(theta <= 0.0) or np.any(theta >= np.pi):
             raise ModelError("latitude angle outside (0, pi): point is in a polar cap")
 
     # ---- potential ----------------------------------------------------
@@ -152,12 +153,13 @@ class ModelShrinker:
     # ---- metric -------------------------------------------------------
 
     def metric_diag(self, points) -> np.ndarray:
-        """1 on flat axes; r^2 times sin^2 of each earlier angle on angle axes."""
+        """1 on flat axes, r^2 on theta and r^2 sin^2 theta on phi."""
         pts = self._pts(points)
         g = np.ones_like(pts)
-        for axis in self.angle_axes:
-            sines = np.sin(pts[:, self.n_euclidean : axis]) ** 2
-            g[:, axis] = self.sphere_radius**2 * np.prod(sines, axis=1)
+        if self.angle_axes:
+            theta, phi = self.angle_axes
+            g[:, theta] = self.sphere_radius**2
+            g[:, phi] = self.sphere_radius**2 * np.sin(pts[:, theta]) ** 2
         return g
 
     def volume_element(self, points) -> np.ndarray:
@@ -166,15 +168,12 @@ class ModelShrinker:
     def christoffels(self, points) -> dict[tuple[int, int, int], np.ndarray]:
         """Nonzero Christoffel symbols {(l, i, j): Gamma^l_ij} with i <= j."""
         pts = self._pts(points)
-        out: dict[tuple[int, int, int], np.ndarray] = {}
-        angles = list(self.angle_axes)
+        if not self.angle_axes:
+            return {}
+        theta, phi = self.angle_axes
         g = self.metric_diag(pts)
-        for ip, p in enumerate(angles):
-            cot_p = np.cos(pts[:, p]) / np.sin(pts[:, p])
-            for q in angles[ip + 1 :]:
-                out[(p, q, q)] = -(g[:, q] / g[:, p]) * cot_p
-                out[(q, p, q)] = cot_p
-        return out
+        cot = np.cos(pts[:, theta]) / np.sin(pts[:, theta])
+        return {(theta, phi, phi): -(g[:, phi] / g[:, theta]) * cot, (phi, theta, phi): cot}
 
     # ---- curvature ----------------------------------------------------
 
@@ -242,15 +241,11 @@ class ModelShrinker:
         return np.where(f > 0, val, 0.0)
 
     def sphere_embedding(self, points) -> np.ndarray:
-        """Unit vectors in R^(k+1) for the sphere factor; a flat model has none."""
+        """Unit vectors in R^3 for the sphere factor; a flat model has none."""
         pts = self._pts(points)
-        ang = pts[:, self.n_euclidean :]
-        k = self.k
-        u = np.ones((pts.shape[0], k + 1))
-        for j in range(k):
-            u[:, j] *= np.cos(ang[:, j])
-            u[:, j + 1 :] *= np.sin(ang[:, j])[:, None]
-        return u
+        theta, phi = pts[:, self.n_euclidean], pts[:, self.n_euclidean + 1]
+        sin_theta = np.sin(theta)
+        return np.stack([np.cos(theta), sin_theta * np.cos(phi), sin_theta * np.sin(phi)], axis=1)
 
     def distance(self, points, base) -> np.ndarray:
         """Geodesic distance to one base point, shape (n,), in closed form."""
@@ -268,7 +263,7 @@ class ModelShrinker:
 
     def distance_b_gaps(self) -> tuple[float, float]:
         """The suprema of dist - b and b - dist, dist from `base_point`: 0 and 0
-        on a flat model; pi r - sqrt(2k) and sqrt(2k) on R^m x S^k(r), reached
+        on a flat model; pi r - sqrt(2k) and sqrt(2k) on R^m x S^2(r), reached
         at the base point's antipode and at the base point, where b = sqrt(2k)."""
         b_base = 2.0 * np.sqrt(self.f_offset)
         diameter = 0.0 if self.k is None else np.pi * self.sphere_radius
@@ -296,16 +291,11 @@ def make_model(kind: str, n: int, k: Optional[int] = None) -> ModelShrinker:
         if k is not None:
             raise ModelError("Gaussian model takes no sphere dimension k")
         return ModelShrinker(kind=GAUSSIAN, n=n)
-    if k is None or int(k) != k:
-        raise ModelError("cylinder model requires an integer sphere dimension k")
-    k = int(k)
-    if k == 1:
-        raise ModelError("k = 1 rejected: a circle factor is flat, not a shrinker factor")
-    if k < 2:
-        raise ModelError("sphere dimension k must be >= 2")
-    if k >= n:
-        raise ModelError("k must be <= n - 1: the cylinder needs a Euclidean factor")
-    return ModelShrinker(kind=CYLINDER, n=n, k=k)
+    if k != 2:
+        raise ModelError(f"cylinder sphere factor must be S^2 (k = 2), got k = {k}")
+    if n <= 2:
+        raise ModelError("n must be >= 3: the cylinder needs a Euclidean factor")
+    return ModelShrinker(kind=CYLINDER, n=n, k=2)
 
 
 def random_points(model: ModelShrinker, count: int, rng) -> np.ndarray:
@@ -313,10 +303,10 @@ def random_points(model: ModelShrinker, count: int, rng) -> np.ndarray:
     m = model.n_euclidean
     pts = np.zeros((count, model.n))
     pts[:, :m] = rng.uniform(-5.0, 5.0, size=(count, m))
-    for axis in model.angle_axes[:-1]:
-        pts[:, axis] = rng.uniform(0.15, np.pi - 0.15, size=count)
-    for axis in model.angle_axes[-1:]:
-        pts[:, axis] = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    if model.angle_axes:
+        theta, phi = model.angle_axes
+        pts[:, theta] = rng.uniform(0.15, np.pi - 0.15, size=count)
+        pts[:, phi] = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return pts
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PropagationError  # re-exported: propagation's failure
+from .errors import PropagationError
 from .fields import VECTOR, Field, radial_bump
 from .grid import Grid
 from .spectral import NearKernelBlock, SpectralPair, near_kernel_block

@@ -45,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .errors import SolverError  # re-exported: spectral's failure
+from .errors import SolverError
 from .fields import SYM2, VECTOR, Field, dilation, killing_basis
 from .grid import Grid
 from .operators import ADJOINT_TOL, OperatorHandle, OperatorKind
@@ -647,7 +647,6 @@ class EigenfieldDecomposition:
     the bound holds by default.
     """
 
-    y: Field
     z: Field
     mu: float
     beta: float
@@ -718,7 +717,6 @@ def decompose_eigenfield(pair: SpectralPair) -> EigenfieldDecomposition:
         else (ops.lap(Z) + Z * lam_z).norm_where(interior) / (lam_z * zn)
     )
     return EigenfieldDecomposition(
-        y=Y,
         z=Z,
         mu=mu,
         beta=beta,

@@ -182,7 +182,6 @@ class CaoZhouReport:
     c1: float
     c2: float
     c3: float
-    radii: np.ndarray
     passed: bool
 
 
@@ -208,5 +207,5 @@ def cao_zhou_check(grid: Grid, radii=None) -> CaoZhouReport:
     radii = np.asarray(radii, dtype=float)
     vols = np.array([float(np.sum(grid.unweighted_volumes[dist <= r])) for r in radii])
     c3 = float(np.max(vols / radii**model.n))
-    return CaoZhouReport(c1=c1, c2=c2, c3=c3, radii=radii,
+    return CaoZhouReport(c1=c1, c2=c2, c3=c3,
                          passed=c1 <= sup1 + roundoff and c2 <= sup2 + roundoff)

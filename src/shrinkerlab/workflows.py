@@ -23,7 +23,7 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from pathlib import Path
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -204,7 +204,7 @@ def run_verify(cfg: RunConfig, grid: Grid) -> list[dict]:
 # ---- spectrum ---------------------------------------------------------------
 
 
-def run_spectrum(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
+def run_spectrum(cfg: RunConfig, grid: Grid) -> list[dict]:
     from .spectral import canonicalize_degenerate, decompose_eigenfield, lowest_eigenpairs
 
     ops = grid.ops()
@@ -243,8 +243,9 @@ def run_spectrum(cfg: RunConfig, grid: Grid, out_dir: Path) -> list[dict]:
                 },
             }
         )
-        if cfg.dump_fields:
-            reports.write_field_csv(out_dir / f"eigenfield_{i}.csv", pair.field)
+    # the CSV paths follow the report's, one per pair under --dump-fields
+    for path, pair in zip(islice(cfg.output_paths(), 1, None), pairs):
+        reports.write_field_csv(path, pair.field)
     # weighted orthonormality of the basis
     gram_err = 0.0
     for i in range(len(pairs)):

@@ -614,7 +614,8 @@ def test_grid_bounds_are_config_errors(tmp_path, capsys, argv, ini, message):
 
 @pytest.mark.parametrize("argv, ini, message", [
     *GRID_BOUNDS,
-    (("--model", "cylinder", "--dim", "5", "--k", "3"), None, "sphere factors support k = 2"),
+    (("--model", "cylinder", "--dim", "5", "--k", "3"), None,
+     "cylinder sphere factor must be S^2 (k = 2), got k = 3"),
     *[(("--model", "cylinder", "--dim", "3", "--k", "2", "--resolution", "16", "--suite", suite),
        None, "verify suite bochner does not apply to the cylinder")
       for suite in ("bochner", "all,bochner")],
@@ -963,21 +964,25 @@ def test_spectrum_that_does_not_converge_exits_1(tmp_path, capsys, monkeypatch):
     assert not (out / "report.json").exists()
 
 
+def _trace(tmp_path, *argv) -> dict:
+    """The spans and counters of `perfbench/trace.py` running one command,
+    writing into `tmp_path`, in a fresh interpreter; the run must exit 0."""
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "trace.py"), str(spans), *argv,
+         "--output", str(tmp_path / "out")],
+        env=_src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans.read_text())
+
+
 def test_benchmark_tracer_runs_propagate(tmp_path):
     # the tracer binds lowest_eigenpairs' arguments by name and wraps
     # OperatorHandle.apply, so an API change that breaks it shows here
-    spans = tmp_path / "spans.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "trace.py"), str(spans), "propagate",
-         "--model", "gaussian", "--dim", "1", "--resolution", "136",
-         "--truncation-radius", "4", "--r", "4", "--epsilon", "1e-3,1e-2",
-         "--output", str(tmp_path / "prop")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(spans.read_text())
+    doc = _trace(tmp_path, "propagate", "--model", "gaussian", "--dim", "1",
+                 "--resolution", "136", "--truncation-radius", "4", "--r", "4",
+                 "--epsilon", "1e-3,1e-2")
     names = [span[0] for span in doc["spans"]]
     assert names.count("spectral.lowest_eigenpairs") == 1
     # the tracer sizes the solve off the operator handle; it would read P's
@@ -990,17 +995,9 @@ def test_benchmark_tracer_runs_verify(tmp_path):
     # the tracer wraps every cached property of Operators and
     # OperatorHandle.apply; an all-suite verify builds and applies them (on
     # the (3,2) cylinder at R 6, res 24, 32 and 40 fail the dichotomy check)
-    spans = tmp_path / "spans.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "trace.py"), str(spans), "verify",
-         "--model", "cylinder", "--dim", "3", "--k", "2", "--resolution", "48",
-         "--truncation-radius", "6", "--output", str(tmp_path / "verify")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    doc = _trace(tmp_path, "verify", "--model", "cylinder", "--dim", "3", "--k", "2",
+                 "--resolution", "48", "--truncation-radius", "6")
+    names = [span[0] for span in doc["spans"]]
     built = {name for name in names if name.startswith("operators.Operators.")}
     for factor in ("diffs", "_div_f_star_terms", "_div_tensor", "_rough_sym2", "riemann_block"):
         assert f"operators.Operators.{factor}" in built, factor
@@ -1016,18 +1013,8 @@ def test_benchmark_tracer_runs_spectrum(tmp_path, run, formed):
     # the dense path (896 unknowns; 2,528 and 6,456 take the complement) forms
     # K^T K. The tracer binds lowest_eigenpairs' `count` and `tolerance` by
     # name, and counts a pair converged at a residual within the tolerance
-    spans = tmp_path / "spans.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "trace.py"), str(spans), "spectrum",
-         "--model", "gaussian", "--dim", "2", "--resolution", run[0],
-         "--truncation-radius", run[1], "--eigs", str(run[2]),
-         "--output", str(tmp_path / "spec")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(spans.read_text())
+    doc = _trace(tmp_path, "spectrum", "--model", "gaussian", "--dim", "2",
+                 "--resolution", run[0], "--truncation-radius", run[1], "--eigs", str(run[2]))
     names = [span[0] for span in doc["spans"]]
     assert names.count("spectral.lowest_eigenpairs") == 1
     assert names.count("spectral.decompose_eigenfield") == run[2]
@@ -1079,6 +1066,22 @@ def test_verify_loads_no_solver_layer(tmp_path):
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
 
+def test_failure_classes_load_no_solver_layer():
+    # the package takes the solver failures from `errors`, so a caller that
+    # only catches them, in a fresh interpreter, loads no solver layer and
+    # none of the scipy modules that only the solver layers import
+    solver_modules = ["shrinkerlab.spectral", "shrinkerlab.propagation", "scipy.linalg",
+                      "scipy.sparse.linalg"]
+    code = ("import sys, shrinkerlab; "
+            "[getattr(shrinkerlab, name) for name in ('SolverError', 'PropagationError', "
+            "'ModelError', 'GridError', 'FieldError')]; "
+            f"print([m for m in {solver_modules!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
@@ -1102,7 +1105,7 @@ def test_compare_leaves_scipy_unloaded(tmp_path):
 
 
 # shrinkerlab.__all__: the names the package exported when it imported every
-# layer eagerly, less the retired growth diagnostics
+# layer eagerly, less the retired growth diagnostics, plus the module `errors`
 EXPORTS = [
     "CYLINDER", "Cutoff", "DefectReport", "DichotomyVerdict", "EigenfieldDecomposition",
     "Field", "FieldError", "GAUSSIAN", "Grid", "GridError", "IdentityReport",
@@ -1110,7 +1113,7 @@ EXPORTS = [
     "Operators", "PropagationError", "PropagationResult", "SolverError",
     "SpectralPair", "WeightedMeasure", "angular_rotation", "build_cutoff", "build_grid",
     "cao_zhou_check", "check_soliton_identities", "classify_killing",
-    "decompose_eigenfield", "dilation", "drift_bochner_residual", "euclidean_rotation",
+    "decompose_eigenfield", "dilation", "drift_bochner_residual", "errors", "euclidean_rotation",
     "extend_symmetry", "fields", "grid", "harmonicity_check",
     "identity_residuals", "interp_inequality_check", "lowest_eigenpairs", "make_model",
     "measure_defect", "models", "near_kernel_block", "operators", "propagation",
@@ -1148,18 +1151,31 @@ def test_package_exports_resolve_on_access():
     (("verify", "--model", "cylinder", "--dim", "3", "--k", "2", "--resolution", "16",
       "--truncation-radius", "6", "--suite", "bochner"),
      "verify suite bochner does not apply"),
+    # the second pair's CSV path is taken by a directory, which ended the
+    # whole solve in a traceback when the CSV was written
+    (("spectrum", "--dim", "1", "--resolution", "64", "--truncation-radius", "8", "--eigs", "2",
+      "--dump-fields"),
+     "eigenfield_1.csv is a directory"),
 ])
 def test_run_config_errors_exit_2_under_dash_m(tmp_path, argv, message):
     # the benchmark's way in: under -m the running module is __main__, so a
     # ConfigError of a second copy of shrinkerlab.cli, which anything the
     # workflows import could load, would escape `main` as a traceback
     out = tmp_path / "o"
+    taken = out / "eigenfield_1.csv"
+    if "--dump-fields" in argv:
+        taken.mkdir(parents=True)
     proc = subprocess.run([sys.executable, "-m", "shrinkerlab.cli", *argv, "--output", str(out)],
                           env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "config error: " in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    if "--dump-fields" in argv:
+        assert f"config error: output {out}: {taken} is a directory" in proc.stderr
+        # no report and no CSV: the directory is all the output there is
+        assert list(out.iterdir()) == [taken]
+    else:
+        assert not out.exists()
 
 
 def _propagate_report(resolution, mu, cosine, eigen_residual, gap, e, floor):

@@ -34,11 +34,13 @@ def test_make_model_cylinder_radius_and_offset():
 
 
 def test_make_model_rejects_circle_factor():
-    with pytest.raises(ModelError, match="flat"):
+    with pytest.raises(ModelError, match=r"must be S\^2 \(k = 2\), got k = 1"):
         make_model("cylinder", 3, 1)
 
 
 def test_make_model_rejects_missing_euclidean_factor():
+    with pytest.raises(ModelError, match="needs a Euclidean factor"):
+        make_model("cylinder", 2, 2)
     with pytest.raises(ModelError):
         make_model("cylinder", 3, 3)
     with pytest.raises(ModelError):
@@ -114,7 +116,7 @@ def test_riemann_action_self_adjoint(rng):
 
 @pytest.mark.parametrize(
     "kind,n,k",
-    [("gaussian", 1, None), ("gaussian", 2, None), ("cylinder", 3, 2), ("cylinder", 5, 3)],
+    [("gaussian", 1, None), ("gaussian", 2, None), ("cylinder", 3, 2), ("cylinder", 5, 2)],
 )
 def test_soliton_identities_hold(kind, n, k, rng):
     m = make_model(kind, n, k)
@@ -169,7 +171,7 @@ def test_model_stores_kind_n_and_k_only():
     assert [f.name for f in dataclasses.fields(cyl)] == ["kind", "n", "k"]
     # the derived constants follow k
     assert cyl.sphere_radius == pytest.approx(np.sqrt(2.0))
-    assert make_model("cylinder", 5, 3).f_offset == 1.5
+    assert make_model("cylinder", 5, 2).f_offset == 1.0
     gauss = make_model("gaussian", 2)
     assert gauss.sphere_radius is None and gauss.f_offset == 0.0
 
