@@ -11,10 +11,11 @@ import importlib
 
 # each exported name by the module that defines it; a name, and its module
 # with it, loads on first access (PEP 562), so `import shrinkerlab.cli`
-# loads no numerical layer and no scipy
+# loads no numerical layer, and no numpy or scipy; the model kinds and
+# ModelError come from `kinds`, which imports nothing
 _EXPORTS = {
-    "models": ("CYLINDER", "GAUSSIAN", "ModelError", "ModelShrinker", "check_soliton_identities",
-               "make_model", "random_points"),
+    "kinds": ("CYLINDER", "GAUSSIAN", "ModelError"),
+    "models": ("ModelShrinker", "check_soliton_identities", "make_model", "random_points"),
     "grid": ("Grid", "GridError", "WeightedMeasure", "build_grid"),
     "fields": ("Field", "FieldError", "angular_rotation", "dilation", "euclidean_rotation",
                "radial_bump", "scalar_field", "translation", "vector_field"),

@@ -4,29 +4,29 @@ Configuration comes from an INI-style file (sections mirroring the run
 config) with command-line flags taking precedence. Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 configuration or usage error.
 
-This module parses, validates and compares with `models` and `reports`
-alone, and `run` builds the grid with numpy alone, so `compare` and every
-model, verify suite, output or grid error exit before scipy loads;
-`make_model` says which models exist, and `RunConfig.output_paths` names
-every file a run writes. `run` then loads the numerical workflows
-(`workflows`), and the solver layers (`spectral`, `propagation`) only for
-spectrum and propagate; only the errors it finds with those, `--eigs` past
-`check_pair_count` and a cutoff band too fine for the grid, wait on them.
+This module parses, validates and compares with the standard library, `kinds`
+and `reports` alone, so `--help`, `compare` and every error of
+`RunConfig.validate` exit before numpy loads; `kinds` says which models
+exist, and `RunConfig.output_paths` names every file a run writes. `run`
+builds the model and the grid with numpy alone, so a grid bound exits before
+scipy loads. It then loads the numerical workflows (`workflows`), and the
+solver layers (`spectral`, `propagation`) only for spectrum and propagate;
+only the errors it finds with those, `--eigs` past `check_pair_count` and a
+cutoff band too fine for the grid, wait on them.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import reports
-from .models import CYLINDER, GAUSSIAN, ModelError, ModelShrinker, make_model
+from .kinds import GAUSSIAN, SPHERE_DIM, ModelError, check_model
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -70,7 +70,7 @@ class RunConfig:
     # the CLI sets the command as its subcommand (see build_arg_parser)
     command: str = _option("verify", "run", "command", str)
     model_kind: str = _option(GAUSSIAN, "model", "kind", str.lower, "--model",
-                              choices=[GAUSSIAN, CYLINDER])
+                              choices=list(SPHERE_DIM))
     n: int = _option(2, "model", "n", int, "--dim", help="total dimension n")
     k: int | None = _option(None, "model", "k", int, "--k", help="sphere dimension (cylinder)")
     resolution: int = _option(64, "grid", "resolution", int, "--resolution")
@@ -99,7 +99,7 @@ class RunConfig:
         if self.command not in RUN_COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         try:
-            model = make_model(self.model_kind, self.n, self.k)
+            check_model(self.model_kind, self.n, self.k)
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
         if self.seed < 0:
@@ -113,13 +113,13 @@ class RunConfig:
         if taken:
             raise ConfigError(f"output {self.output_dir}: {taken} is a directory")
         if self.command == "verify":
-            self.verify_suites(model)
+            self.verify_suites()
         if self.command == "spectrum" and self.eigs < 1:
             raise ConfigError("eigs must be >= 1")
         if self.command == "propagate":
             if not self.r_values or not self.epsilons:
                 raise ConfigError("r and epsilon each need at least one value")
-            if not np.all(np.isfinite(self.r_values + self.epsilons)):
+            if not all(map(math.isfinite, self.r_values + self.epsilons)):
                 raise ConfigError("r and epsilon values must be finite")
             # the bounds of r are checked by build_cutoff, on the built grid in `run`
             for eps in self.epsilons:
@@ -139,8 +139,8 @@ class RunConfig:
         if self.command == "spectrum" and self.dump_fields:
             yield from (self.output_dir / f"eigenfield_{i}.csv" for i in range(self.eigs))
 
-    def verify_suites(self, model: ModelShrinker) -> tuple:
-        """The verify suites run on `model`, in VERIFY_SUITE_NAMES order: the
+    def verify_suites(self) -> tuple:
+        """The verify suites run on the model, in VERIFY_SUITE_NAMES order: the
         named ones, or under "all" every one that applies. The Bochner fields
         are flat-space eigenfunctions: named on a sphere factor, a ConfigError."""
         if not self.suite:
@@ -148,9 +148,9 @@ class RunConfig:
         bad = [s for s in self.suite if s != "all" and s not in VERIFY_SUITE_NAMES]
         if bad:
             raise ConfigError(f"unknown verify suite(s): {', '.join(bad)}")
-        flat = not model.angle_axes
+        flat = SPHERE_DIM[self.model_kind] is None
         if "bochner" in self.suite and not flat:
-            raise ConfigError(f"verify suite bochner does not apply to the {model.kind} "
+            raise ConfigError(f"verify suite bochner does not apply to the {self.model_kind} "
                               f"model, which has a sphere factor")
         named = VERIFY_SUITE_NAMES if "all" in self.suite else self.suite
         return tuple(s for s in VERIFY_SUITE_NAMES if s in named and (flat or s != "bochner"))
@@ -286,7 +286,11 @@ def _load_report(path: str) -> dict:
     require(isinstance(doc, dict), "not a JSON object")
     config = doc.get("config", {})
     require(isinstance(config, dict), "config is not a JSON object")
-    require(isinstance(config.get("resolution", 0), int), "config resolution is not an integer")
+    # a missing resolution is compare_runs' error; a bool is an int to Python
+    resolution = config.get("resolution", 1)
+    require(isinstance(resolution, int) and not isinstance(resolution, bool),
+            "config resolution is not an integer")
+    require(resolution >= 1, "config resolution is not a positive integer")
     checks = doc.get("checks", [])
     require(isinstance(checks, list), "checks is not a list")
     for i, check in enumerate(checks):
@@ -349,7 +353,7 @@ def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
                 if val <= 0 or oval <= 0:
                     continue
                 ratio = coarse / fine
-                order = float(np.log(ratio) / np.log(max(res_a, res_b) / min(res_a, res_b)))
+                order = math.log(ratio) / math.log(max(res_a, res_b) / min(res_a, res_b))
                 row.update(
                     error_ratio=ratio,
                     empirical_order=order,
@@ -369,6 +373,7 @@ def run(cfg: RunConfig) -> int:
     # the model and the grid need numpy alone, so a grid bound is a config
     # error before scipy loads; the numerical layers load after it
     from .grid import GridError, build_grid
+    from .models import make_model
 
     model = make_model(cfg.model_kind, cfg.n, cfg.k)
     try:

@@ -21,11 +21,12 @@ This module holds the one implementation of each closed-form pointwise
 quantity: the vectorized `ModelShrinker` methods (among them |grad b|^2 and
 the curvature action) and :func:`sym2_contraction_weights`. Grids cache them
 on their nodes. A model stores its kind, n and k only; each evaluator takes
-an (m, n) array of points. Only this module knows a kind, a label that
-`make_model` and `describe` read: every other module reads the product
-structure, `n_euclidean`, `angle_axes` (empty on a flat model) and `k` (None
-on a flat model), and the flat case skips the sphere chart. So a new model
-kind is one subclass here.
+an (m, n) array of points. A kind is a label: `kinds` says which kinds,
+n and k exist, and `make_model` builds a model from them; every numerical
+module reads the product structure, `n_euclidean`, `angle_axes` (empty on a
+flat model) and `k` (None on a flat model), and the flat case skips the
+sphere chart. So a new model kind is one row in `kinds.SPHERE_DIM` and its
+checks there, and one subclass here.
 """
 
 from __future__ import annotations
@@ -35,14 +36,9 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-GAUSSIAN = "gaussian"
-CYLINDER = "cylinder"
+from .kinds import ModelError, check_model
 
 SOLITON_TOL = 1e-10
-
-
-class ModelError(ValueError):
-    """Invalid model parameters or points outside the chart."""
 
 
 def sym_pairs(n: int) -> list[tuple[int, int]]:
@@ -281,21 +277,9 @@ class ModelShrinker:
 
 
 def make_model(kind: str, n: int, k: Optional[int] = None) -> ModelShrinker:
-    """Construct a model shrinker, validating the parameter ranges."""
-    if kind not in (GAUSSIAN, CYLINDER):
-        raise ModelError(f"unknown model kind {kind!r}")
-    if int(n) != n or n < 1:
-        raise ModelError("total dimension n must be an integer >= 1")
-    n = int(n)
-    if kind == GAUSSIAN:
-        if k is not None:
-            raise ModelError("Gaussian model takes no sphere dimension k")
-        return ModelShrinker(kind=GAUSSIAN, n=n)
-    if k != 2:
-        raise ModelError(f"cylinder sphere factor must be S^2 (k = 2), got k = {k}")
-    if n <= 2:
-        raise ModelError("n must be >= 3: the cylinder needs a Euclidean factor")
-    return ModelShrinker(kind=CYLINDER, n=n, k=2)
+    """Construct a model shrinker; `kinds.check_model` validates the parameters."""
+    n, k = check_model(kind, n, k)
+    return ModelShrinker(kind=kind, n=n, k=k)
 
 
 def random_points(model: ModelShrinker, count: int, rng) -> np.ndarray:

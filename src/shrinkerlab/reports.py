@@ -1,13 +1,16 @@
-"""JSON report and CSV writers shared by the command-line workflows."""
+"""JSON report and CSV writers shared by the command-line workflows.
+
+They take numpy values without importing numpy, so `cli` loads this module,
+for `compare` and the sweep tags, before numpy loads.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -23,11 +26,9 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if hasattr(obj, "tolist"):  # a numpy scalar or array
+        return _plain(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
@@ -53,7 +54,7 @@ def write_report(path: Path, command: str, config: dict, model_desc: dict, check
 def write_field_csv(path: Path, field) -> None:
     """Node table of a sampled field: coordinates then components."""
     grid = field.grid
-    vals = np.atleast_2d(field.values).T  # one row per node
+    vals = field.values.reshape(-1, grid.n_nodes).T  # one row per node
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

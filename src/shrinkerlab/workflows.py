@@ -3,8 +3,8 @@ propagate.
 
 `cli.run` imports this module when it dispatches a run, so that parsing,
 validation and `compare` load neither scipy nor the numerical layers. The
-run's config picks the verify suites (`RunConfig.verify_suites`, from the
-model, without scipy), and `run_verify` runs exactly those. Nothing
+run's config picks the verify suites (`RunConfig.verify_suites`, from its
+model kind, without numpy), and `run_verify` runs exactly those. Nothing
 here imports `cli`: under `python -m shrinkerlab.cli` that import would load
 a second copy of it, whose ConfigError `cli.main` would not catch.
 
@@ -189,11 +189,11 @@ VERIFY_SUITES = {
 
 
 def run_verify(cfg: RunConfig, grid: Grid) -> list[dict]:
-    """The suites of `cfg.verify_suites` on the grid's model, in order; each
+    """The suites of `cfg.verify_suites` on the grid, in order; each
     prints its time and the process's peak RSS so far to stderr as it finishes."""
     rng = np.random.default_rng(cfg.seed)
     checks = []
-    for name in cfg.verify_suites(grid.model):
+    for name in cfg.verify_suites():
         started = time.perf_counter()
         checks.append(VERIFY_SUITES[name](grid, rng))
         print(f"verify suite {name}: {time.perf_counter() - started:.2f} s, "

@@ -29,7 +29,7 @@ from shrinkerlab.cli import (
 from shrinkerlab.fields import components_for, euclidean_rotation, translation
 from shrinkerlab.models import ModelShrinker
 from shrinkerlab.operators import OperatorKind, Operators
-from shrinkerlab.reports import load_report, write_report
+from shrinkerlab.reports import _plain, load_report, write_report
 from shrinkerlab.verification import HarmonicityReport
 
 REPO = Path(__file__).resolve().parents[1]
@@ -1036,18 +1036,18 @@ def test_cli_import_leaves_scipy_special_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-    # the front end loads no scipy at all, and of the package only the
-    # modules that parse, validate and compare; the rest load when `run`
+    # the front end loads no numpy or scipy at all, and of the package only
+    # the modules that parse, validate and compare; the rest load when `run`
     # dispatches
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, shrinkerlab.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'shrinkerlab'))))"],
+         "import sys, shrinkerlab.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith(('numpy', 'scipy', 'shrinkerlab'))))"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(
-        ["shrinkerlab", "shrinkerlab.cli", "shrinkerlab.models", "shrinkerlab.reports"])
+        ["shrinkerlab", "shrinkerlab.cli", "shrinkerlab.kinds", "shrinkerlab.reports"])
 
 
 def test_verify_loads_no_solver_layer(tmp_path):
@@ -1095,7 +1095,7 @@ def test_compare_leaves_scipy_unloaded(tmp_path):
         paths[-1].write_text(json.dumps({"command": "verify", "config": {"resolution": res},
                                          "checks": [check]}))
     code = ("import sys; from shrinkerlab.cli import main; code = main(sys.argv[1:]); "
-            "print(code, [m for m in sys.modules if m.startswith('scipy')])")
+            "print(code, [m for m in sys.modules if m.startswith(('numpy', 'scipy'))])")
     proc = subprocess.run([sys.executable, "-c", code, "compare", *map(str, paths)],
                           env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -1104,8 +1104,50 @@ def test_compare_leaves_scipy_unloaded(tmp_path):
     assert last == "0 []"
 
 
+# `main` in a fresh interpreter, --help's exit included, prints its exit code
+# and whether numpy loaded
+FRESH_MAIN_NUMPY = ("import sys; from shrinkerlab.cli import main\n"
+                    "try:\n    code = main(sys.argv[1:])\n"
+                    "except SystemExit as exc:\n    code = exc.code\n"
+                    "print(code, 'numpy' in sys.modules)")
+
+
+@pytest.mark.parametrize("argv, ini, code, message", [
+    (("verify", "--help"), None, EXIT_OK, None),
+    (("verify",), "[model]\nkind = sphere\n", EXIT_CONFIG, "unknown model kind 'sphere'"),
+    (("verify", "--model", "cylinder", "--dim", "5", "--k", "3"), None, EXIT_CONFIG,
+     "cylinder sphere factor must be S^2 (k = 2), got k = 3"),
+    (("verify", "--model", "cylinder", "--dim", "3", "--k", "2", "--suite", "bochner"), None,
+     EXIT_CONFIG, "verify suite bochner does not apply to the cylinder"),
+    (("verify", "--suite", "soliton,banana"), None, EXIT_CONFIG,
+     "unknown verify suite(s): banana"),
+    (("spectrum", "--eigs", "0"), None, EXIT_CONFIG, "eigs must be >= 1"),
+    (("propagate", "--r", "inf"), None, EXIT_CONFIG, "r and epsilon values must be finite"),
+    (("propagate", "--epsilon", "1e-3,0.001"), None, EXIT_CONFIG, "share the sweep point tag"),
+    (("verify", "--output", "TAKEN"), None, EXIT_CONFIG, "is not a directory"),
+], ids=["help", "kind", "k", "bochner", "suite", "eigs", "r", "tags", "output"])
+def test_help_and_validate_errors_load_no_numpy(tmp_path, argv, ini, code, message):
+    # the parse and every check of `validate` need the standard library
+    # alone: --help and each refusal end before numpy loads
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    argv = tuple(str(taken) if a == "TAKEN" else a for a in argv)
+    if ini is not None:
+        (tmp_path / "run.cfg").write_text(ini)
+        argv = (*argv, "--config", str(tmp_path / "run.cfg"))
+    if "--output" not in argv:
+        argv = (*argv, "--output", str(tmp_path / "o"))
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN_NUMPY, *argv],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == f"{code} False", proc.stderr
+    if message is not None:
+        assert "config error: " in proc.stderr and message in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 # shrinkerlab.__all__: the names the package exported when it imported every
-# layer eagerly, less the retired growth diagnostics, plus the module `errors`
+# layer eagerly, less the retired growth diagnostics, plus the modules
+# `errors` and `kinds`
 EXPORTS = [
     "CYLINDER", "Cutoff", "DefectReport", "DichotomyVerdict", "EigenfieldDecomposition",
     "Field", "FieldError", "GAUSSIAN", "Grid", "GridError", "IdentityReport",
@@ -1115,7 +1157,7 @@ EXPORTS = [
     "cao_zhou_check", "check_soliton_identities", "classify_killing",
     "decompose_eigenfield", "dilation", "drift_bochner_residual", "errors", "euclidean_rotation",
     "extend_symmetry", "fields", "grid", "harmonicity_check",
-    "identity_residuals", "interp_inequality_check", "lowest_eigenpairs", "make_model",
+    "identity_residuals", "interp_inequality_check", "kinds", "lowest_eigenpairs", "make_model",
     "measure_defect", "models", "near_kernel_block", "operators", "propagation",
     "radial_bump", "random_points", "scalar_field", "spectral",
     "translation", "vector_field", "verification",
@@ -1285,6 +1327,26 @@ def test_report_writes_non_finite_numbers_as_strings(tmp_path):
         "in_array": [1.0, "inf"], "finite": 0.5}
 
 
+def test_report_json_of_numpy_values_is_pinned():
+    # reports reads numpy values by their .tolist(), without importing numpy;
+    # the text is what it wrote when it tested numpy types by isinstance,
+    # except for the 0-d array, on which that raised a TypeError
+    values = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+        "true": np.bool_(True), "false": np.bool_(False), "d0": np.array(2.5),
+        "d1": np.array([1.5, np.nan, -np.inf]), "d2": np.array([[1, 2], [3, 4]]),
+        "d2_f32": np.array([[0.25, np.inf]], dtype=np.float32),
+        "np_nan": np.float64("nan"), "np_inf": np.float32("inf"), "np_neg_inf": np.float64("-inf"),
+        "py_nan": float("nan"), "py_inf": float("inf"), "py_neg_inf": float("-inf"),
+        "tuple": (np.int64(1), 2.0), "plain": [1, "x", None, True],
+    }
+    assert json.dumps(_plain(values), sort_keys=True) == (
+        '{"d0": 2.5, "d1": [1.5, "nan", "-inf"], "d2": [[1, 2], [3, 4]], "d2_f32": [[0.25, "inf"]], '
+        '"f32": 0.10000000149011612, "f64": 0.1, "false": false, "i64": -7, "np_inf": "inf", '
+        '"np_nan": "nan", "np_neg_inf": "-inf", "plain": [1, "x", null, true], "py_inf": "inf", '
+        '"py_nan": "nan", "py_neg_inf": "-inf", "true": true, "tuple": [1, 2.0]}')
+
+
 def test_compare_runs_ratio_table(tmp_path):
     reports = []
     for res in (32, 64):
@@ -1357,6 +1419,11 @@ def test_compare_cli_entry(tmp_path, capsys):
     ('{"checks": {"check_name": "kernel_of_P"}}', "checks is not a list"),
     ('{"config": []}', "config is not a JSON object"),
     ('{"config": {"resolution": "32"}}', "config resolution is not an integer"),
+    *[(json.dumps({"config": {"resolution": res}, "checks": [
+        {"check_name": "kernel_of_P", "residuals": {"translation_0": 1e-3}}]}), message)
+      for res, message in ((True, "config resolution is not an integer"),
+                           (-32, "config resolution is not a positive integer"),
+                           (0, "config resolution is not a positive integer"))],
     ('{"checks": [{"check_name": "kernel_of_P", "residuals": [1, 2]}]}',
      "check 0 residuals is not a JSON object"),
     ('{"checks": [{"check_name": "eigenpair_0", "norm_checks": [1]}]}',
@@ -1370,8 +1437,9 @@ def test_compare_cli_entry(tmp_path, capsys):
 ])
 def test_compare_unreadable_report_is_config_error(tmp_path, capsys, text, message):
     # a missing file, malformed JSON, a JSON array, checks that are not a
-    # list of named objects, and a part of a report that compare reads as
-    # another type are each named, not a traceback
+    # list of named objects, a part of a report that compare reads as
+    # another type, and a resolution that is not a positive integer (JSON
+    # true is a Python int) are each named, not a traceback
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     if text is not None:
         bad.write_text(text)
