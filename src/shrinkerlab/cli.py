@@ -286,11 +286,6 @@ def _load_report(path: str) -> dict:
     require(isinstance(doc, dict), "not a JSON object")
     config = doc.get("config", {})
     require(isinstance(config, dict), "config is not a JSON object")
-    # a missing resolution is compare_runs' error; a bool is an int to Python
-    resolution = config.get("resolution", 1)
-    require(isinstance(resolution, int) and not isinstance(resolution, bool),
-            "config resolution is not an integer")
-    require(resolution >= 1, "config resolution is not a positive integer")
     checks = doc.get("checks", [])
     require(isinstance(checks, list), "checks is not a list")
     for i, check in enumerate(checks):
@@ -313,18 +308,21 @@ def compare_runs(report_a: dict, report_b: dict) -> list[dict]:
     """Per-check error ratios and empirical convergence orders of two runs.
 
     A quantity in SETTLING gets a row with both values and no ratio, order
-    or verdict.
+    or verdict. A resolution that is not a positive integer is a ConfigError.
     """
+    res_a = report_a.get("config", {}).get("resolution")
+    res_b = report_b.get("config", {}).get("resolution")
+    # a bool is an int to Python, so the type is compared exactly
+    if any(type(res) is not int or res < 1 for res in (res_a, res_b)):
+        raise ConfigError(f"config resolution is not a positive integer: {res_a!r}, {res_b!r}")
+    if res_a == res_b:
+        raise ConfigError("reports must differ in resolution")
     if report_a.get("command") != report_b.get("command"):
         raise ConfigError("cannot compare reports from different commands")
     # an error ratio measures convergence only if resolution is all that differs
     for key in ("model", "truncation_radius", "stencil_order"):
         if report_a.get("config", {}).get(key) != report_b.get("config", {}).get(key):
             raise ConfigError(f"cannot compare reports with different {key}")
-    res_a = report_a.get("config", {}).get("resolution")
-    res_b = report_b.get("config", {}).get("resolution")
-    if not res_a or not res_b or res_a == res_b:
-        raise ConfigError("reports must differ in resolution")
     order_expected = report_a.get("config", {}).get("stencil_order", 2)
     by_name = {c["check_name"]: c for c in report_b.get("checks", [])}
     table = []

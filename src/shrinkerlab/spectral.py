@@ -8,11 +8,10 @@ and cached on the grid (`_p_factor`), the one solver form of P that every
 path keeps. A is assembled from it, and not kept, only for the dense oracle,
 at or below a size cap (`_symmetric_form`). Every other solve is block
 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) that applies A as
-K^T (K x) (`_factored_form`), and every LOBPCG run goes through one driver
-(`_lobpcg`). It restarts from its last iterate in fixed chunks and stops
-once the pairs it must deliver have converged, so a buffer column that
-splits an eigenvalue cluster does not hold it to its iteration cap; it reads
-no scipy warning, only the residuals it measures. The near-kernel block of
+K^T (K x) (`_factored_form`), and every LOBPCG run is one loop in this
+module (`_lobpcg`). It never restarts, and it stops once the pairs it must
+deliver have converged, so a buffer column that splits an eigenvalue
+cluster does not hold it to its iteration cap. The near-kernel block of
 P, which the extension pipeline projects onto, is one run from the model's
 Killing fields. Above the cap `lowest_eigenpairs` solves that block first,
 then the pairs above it by one run held orthogonal to it (the complement);
@@ -35,7 +34,6 @@ eigen-equation of its div_f, from one div_f Y and one floor test.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,22 +63,15 @@ LOBPCG_MAXITER = 700
 # the eigensolver tolerance: LOBPCG stops at it, and every path raises when a
 # pair's residual |P y - mu y| ends above 10 * EIGEN_TOL
 EIGEN_TOL = 1e-9
-# scipy's lobpcg runs until every column has converged, so a block whose last
-# column splits an eigenvalue cluster crawls to its iteration cap. On the
+# a complement run carries BUFFER columns beyond the pairs it must deliver,
+# and stops once those pairs have converged (`_lobpcg`). On the
 # 40,216-unknown 2D Gaussian the six lowest pairs are three Killing pairs, a
 # pair at 0.2494 and mu_6 = 0.497631, the lowest of a six-member cluster
-# (0.497631-0.499431); mu_12 = mu_13 = 0.745365. A complement run of width 9,
-# whose edge splits that last pair, took 360-701 iterations in one call. So
-# every LOBPCG run restarts from its last iterate every RESTART_CHUNK
-# iterations and stops once the pairs it must deliver have converged: there
-# widths 7-10 then took 48-102 iterations with restarts every 30-50, and
-# widths below 7 failed. BUFFER columns beyond those pairs give
-# width 8 there, inside that range.
+# (0.497631-0.499431). There the complement for those three pairs took, at
+# seeds 0 and 1, 661 and 700 (unconverged) iterations at width 4, 591-666 at
+# 5, 114-132 at 6, 62-75 at 7, 49-57 at 8, 45-48 at 9 and 39-42 at 10.
+# BUFFER columns give width 8.
 BUFFER = 5
-RESTART_CHUNK = 50
-# scipy warns when one lobpcg call ends above its tolerance; every LOBPCG run
-# (`_lobpcg`) expects that at every restart and checks its own residuals instead
-_NOT_CONVERGED = r"(?s).*not reaching the requested tolerance"
 # every LOBPCG run is preconditioned by a V-cycle (`_VCycle`) for
 # (A + CYCLE_MASS*I)^-1, whose mass term keeps it invertible on the kernel
 # of A, coarsened down to at most CYCLE_BOTTOM unknowns
@@ -103,9 +94,9 @@ GUARD_SPAN = 6
 # At residual 0.1 the guard's Ritz values on a 3D Gaussian grid missing two
 # rotations (true eigenvalue 6.4e-4) stopped at 0.010-0.012 and passed the
 # block; at 0.01 they reached 7e-4 to 8e-4. A guard that ends above GUARD_TOL
-# raises. The guard takes about 22 iterations on the 62,856-unknown 2D
-# Gaussian grid of the propagate benchmark; GUARD_MAXITER, counted over its
-# restarts, only bounds a run that stagnates.
+# raises. The guard takes 27 iterations on the 62,856-unknown 2D Gaussian
+# grid of the propagate benchmark; GUARD_MAXITER only bounds a run that
+# stagnates.
 GUARD_TOL = 0.01
 GUARD_MAXITER = 600
 # eigenvalues closer than this form one degenerate block (`group_degenerate`)
@@ -304,11 +295,6 @@ class _VCycle:
         self.applications += 1
         return self._cycle(0, b.reshape(b.shape[0], -1)).reshape(b.shape)
 
-    def operator(self) -> spla.LinearOperator:
-        size = self.sizes[0]
-        return spla.LinearOperator((size, size), matvec=self.apply, matmat=self.apply,
-                                   dtype=np.float64)
-
 
 def _vcycle(grid: Grid) -> _VCycle:
     """The V-cycle of P's symmetric form on `grid`, built from its factor K on
@@ -318,56 +304,100 @@ def _vcycle(grid: Grid) -> _VCycle:
 
 @dataclass(frozen=True)
 class _LobpcgRun:
-    """One LOBPCG run's Ritz pairs, ascending, residual norms, iterations and restarts."""
+    """One LOBPCG run's Ritz pairs, ascending, residual norms and iterations."""
 
     vals: np.ndarray
     vecs: np.ndarray
     residuals: np.ndarray
     iterations: int
-    restarts: int
+
+
+def _orthonormalize(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V R^-1, orthonormal, and R^-1 for the Cholesky factor R of V^T V."""
+    inverse = np.linalg.inv(np.linalg.cholesky(V.T @ V)).T
+    return V @ inverse, inverse
+
+
+def _rayleigh_ritz(blocks: list[tuple[np.ndarray, np.ndarray]],
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` lowest Ritz values of A on the span of the blocks [(X, A X),
+    (W, A W), ...] and their vectors' coefficients; LinAlgError unless the
+    Gram matrix is positive definite. Each Gram block is formed: taking some
+    as the identity, zero or diag(theta), as scipy's lobpcg does above
+    residual sqrt(eps), let a width-4 complement run on the 2D Gaussian lose
+    orthogonality and end at a Ritz value of -2058. The k x k work is numpy's:
+    at 2 BLAS threads scipy.linalg.solve_triangular on an 8 x 8 factor took
+    7 ms a call, np.linalg.inv 50 us."""
+
+    def gram(side: int) -> np.ndarray:
+        upper = [[V.T @ U[side] for U in blocks[i:]] for i, (V, _) in enumerate(blocks)]
+        return np.block([[upper[j][i - j].T for j in range(i)] + upper[i]
+                         for i in range(len(blocks))])
+
+    inverse = np.linalg.inv(np.linalg.cholesky(gram(0)))
+    vals, vecs = np.linalg.eigh(inverse @ gram(1) @ inverse.T)
+    return vals[:count], inverse.T @ vecs[:, :count]
 
 
 def _lobpcg(K: sp.csr_matrix, cycle: _VCycle, X: np.ndarray, wanted: int, tol: float,
             maxiter: int, Y: Optional[np.ndarray] = None) -> _LobpcgRun:
-    """The one LOBPCG driver: the lowest eigenpairs of A = K^T K, applied as
+    """The one LOBPCG loop: the lowest eigenpairs of A = K^T K, applied as
     K^T (K x), from the block X, held orthogonal to Y's columns if given,
     until its `wanted` lowest columns reach `tol`.
 
-    Each scipy call runs at most RESTART_CHUNK iterations; the next starts
-    from the vectors it returned, sorted (stably) by Ritz value. Iterations
-    are the V-cycle applications, one per iteration, counted over all calls;
-    the run stops once they reach `maxiter`, and also when a call makes no
-    iteration. scipy's warning that a call ended above `tol` is expected at
-    every restart and not passed on: the caller checks the residual norms
-    |A v - mu v| that the run returns.
+    Each iteration preconditions the residuals above `tol` by the V-cycle,
+    projects them off Y and X and Cholesky-orthonormalizes them (W), and
+    takes the Rayleigh-Ritz pairs of [X, W, P], P the last update of X on
+    those columns, orthonormalized; the columns at `tol` stay in the basis
+    (soft locking). P sits out an iteration when a Gram matrix with it is
+    not positive definite. The run never restarts; it stops at `maxiter`
+    V-cycle applications (one per iteration), or when W loses rank. The
+    caller checks the residual norms |A v - mu v| that it returns.
     """
-    A, M = _factored_form(K), cycle.operator()
+    A = _factored_form(K)
+    project = (lambda V: V) if Y is None else (
+        lambda V, G=np.linalg.inv(Y.T @ Y): V - Y @ (G @ (Y.T @ V)))
+    X = project(X)
+    AX = A @ X
+    theta, C = _rayleigh_ritz([(X, AX)], X.shape[1])
+    X, AX, P, AP = X @ C, AX @ C, None, None
     started = cycle.applications
-    restarts = 0
     while True:
-        before = cycle.applications
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _NOT_CONVERGED, UserWarning)
-            vals, X = spla.lobpcg(A, X, Y=Y, M=M, largest=False, tol=tol,
-                                  maxiter=min(RESTART_CHUNK, maxiter - (before - started)))
-        order = np.argsort(vals, kind="stable")
-        vals, X = vals[order], X[:, order]
-        resid = np.linalg.norm(A @ X - X * vals[None, :], axis=0)
+        resid = np.linalg.norm(AX - X * theta, axis=0)
         iterations = cycle.applications - started
-        if (np.max(resid[:wanted]) <= tol or iterations >= maxiter
-                or cycle.applications == before):
-            return _LobpcgRun(vals, X, resid, iterations, restarts)
-        restarts += 1
+        if np.max(resid[:wanted]) <= tol or iterations >= maxiter:
+            break
+        active = resid > tol
+        W = project(cycle.apply(AX[:, active] - X[:, active] * theta[active]))
+        W -= X @ (X.T @ W)
+        try:
+            W, _ = _orthonormalize(W)
+        except np.linalg.LinAlgError:
+            break
+        blocks = [(X, AX), (W, A @ W)]
+        try:
+            if P is not None:
+                Q, inverse = _orthonormalize(P[:, active])
+                blocks.append((Q, AP[:, active] @ inverse))
+            theta, C = _rayleigh_ritz(blocks, len(theta))
+        except np.linalg.LinAlgError:
+            del blocks[2:]
+            theta, C = _rayleigh_ritz(blocks, len(theta))
+        C, *parts = np.split(C, np.cumsum([V.shape[1] for V, _ in blocks])[:-1])
+        P = sum(V @ c for (V, _), c in zip(blocks[1:], parts))
+        AP = sum(AV @ c for (_, AV), c in zip(blocks[1:], parts))
+        X, AX = X @ C + P, AX @ C + AP
+    return _LobpcgRun(theta, X, resid, iterations)
 
 
 def check_pair_count(grid: Grid, count: int, method: str = "auto") -> None:
     """ValueError unless `lowest_eigenpairs` can return `count` pairs on `grid`
     by `method` ("auto": the path it takes there): fewer than the unknowns,
     the k Killing pairs on the lobpcg path, and on the complement path at
-    most k + (size - k) // 5 - BUFFER. scipy's lobpcg iterates the complement
-    run's max(count - k, 1) + BUFFER columns, held orthogonal to the k block
-    pairs, only while size - k >= 5 * width; below, it falls back to a dense
-    solve that rejects the constraint."""
+    most k + (size - k) // 5 - BUFFER, 5 unknowns per column of the
+    complement run. Its basis [X, W, P] takes 3 per column: on a 2D grid of
+    1,432 unknowns it converged at 283, 320 and 355 pairs and failed at
+    474, where that basis fills the size - k unknowns left."""
     size = grid.n_nodes * grid.n
     if count >= size:
         raise ValueError(f"eigs must be below the {size} unknowns of this grid")
@@ -394,17 +424,16 @@ def lowest_eigenpairs(
     solve up to `DENSE_CAP` unknowns (the oracle), which assembles A from the
     grid's factor K (`_symmetric_form`) and keeps only K, and the complement
     path above it. The LOBPCG paths apply A through K (`_p_factor`),
-    preconditioned by the grid's V-cycle (`_vcycle`), and assemble no A.
-    Each LOBPCG run restarts every RESTART_CHUNK iterations and reads no
-    scipy warning (`_lobpcg`). `method="lobpcg"` solves the Killing block:
-    one run from the model's k Killing fields (`killing_basis`), which
+    preconditioned by the grid's V-cycle (`_vcycle`), and assemble no A;
+    each run is the loop `_lobpcg`. `method="lobpcg"` solves the Killing
+    block: one run from the model's k Killing fields (`killing_basis`), which
     converges quickly, so `count` must be k; `near_kernel_block` calls it so.
     `method="complement"` runs the same block solve, then one complement run
     held orthogonal to that block, from the dilation field and seeded random
     vectors, max(count - k, 1) + BUFFER columns in all; it returns the lowest
     `count` of the block and the complement's max(count - k, 1) lowest
-    pairs, and prints the iterations of both runs, the restarts and the lowest
-    complement Ritz value on stderr. Another operator kind, or a `count` that
+    pairs, and prints the iterations of both runs and the lowest complement
+    Ritz value on stderr. Another operator kind, or a `count` that
     `check_pair_count` refuses, is a ValueError. Three probes of P
     (`Operators.adjoint_gap`), from the generator that then draws the
     complement's start, precede the solve; a gap above ADJOINT_TOL is a
@@ -447,9 +476,8 @@ def lowest_eigenpairs(
             print(
                 f"complement: lobpcg, {size} unknowns; block of {len(starts)} in "
                 f"{block.iterations} iterations; complement width {X.shape[1]} ({wanted} "
-                f"wanted) in {run.iterations} iterations, {run.restarts} restarts; lowest "
-                f"Ritz value {run.vals[0]:.6g}, wanted residual <= "
-                f"{np.max(run.residuals[:wanted]):.2e}",
+                f"wanted) in {run.iterations} iterations; lowest Ritz value {run.vals[0]:.6g}, "
+                f"wanted residual <= {np.max(run.residuals[:wanted]):.2e}",
                 file=sys.stderr,
             )
             vals = np.concatenate([vals, run.vals[:wanted]])
@@ -498,9 +526,9 @@ class NearKernelBlock:
         The guard run's values differ with the BLAS thread count from
         about the 11th digit on; six significant digits keep them equal.
         The block's values are reported in full. Between thread counts its
-        eigenvalues can differ by about 1e-13 relative, and its round-off
-        sized worst residual from the 7th digit on, once LOBPCG's active set
-        has shrunk to one vector, whose inner products BLAS splits by thread.
+        eigenvalues can differ by about 2e-14 (A has norm about 3), and its
+        worst residual, near EIGEN_TOL, from the 4th digit on: BLAS splits
+        the inner products of the loop's Gram blocks by thread.
         """
         return {
             "method": "lobpcg",
@@ -522,10 +550,9 @@ def near_kernel_block(grid: Grid, seed: int = 0) -> NearKernelBlock:
     at or below `DENSE_CAP`, cannot use that start. A guard follows: a
     complement run of `GUARD_SPAN - len(pairs)` seeded random vectors (at
     least one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
-    `GUARD_MAXITER` iterations. Both runs restart every RESTART_CHUNK
-    iterations and read no scipy warning, only their residuals (`_lobpcg`).
-    They share P's factor K and the V-cycle preconditioner built from it,
-    cached on the grid; neither assembles the symmetric form K^T K. (A
+    `GUARD_MAXITER` iterations. Both runs are the loop `_lobpcg`, judged by
+    their residuals alone; they share P's factor K and the V-cycle built from
+    it, cached on the grid, and neither assembles K^T K. (A
     dilation start vector would converge to its 1/2 eigenvalue first;
     LOBPCG's soft locking then retires the guard before the random vectors
     reach the bottom of the complement's spectrum.)
@@ -566,8 +593,7 @@ def _solve_near_kernel_block(grid, seed) -> NearKernelBlock:
         f"worst residual {block.worst_residual:.2e}; guard Ritz values "
         f"{', '.join(f'{v:.4g}' for v in block.guard_mus)} (residual <= {max(resid):.2e}); "
         f"V-cycle levels {'/'.join(map(str, cycle.sizes))}, "
-        f"{block_iterations} block and {guard.iterations} guard iterations, "
-        f"{guard.restarts} guard restarts",
+        f"{block_iterations} block and {guard.iterations} guard iterations",
         file=sys.stderr,
     )
     if vals[0] <= BLOCK_TOL:

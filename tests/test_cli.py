@@ -292,7 +292,7 @@ def test_spectrum_reports_complement_solve(tmp_path, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         r"complement: lobpcg, 6456 unknowns; block of 3 in \d+ iterations; complement "
-        r"width 6 \(1 wanted\) in \d+ iterations, \d+ restarts; lowest Ritz value "
+        r"width 6 \(1 wanted\) in \d+ iterations; lowest Ritz value "
         r"0\.24755\d, wanted residual <= \d\.\d\de-\d\d", lines[0]
     ), lines[0]
 
@@ -1185,8 +1185,8 @@ def test_package_exports_resolve_on_access():
      "eigs must be below the 16 unknowns"),
     (("propagate", "--dim", "1", "--resolution", "16", "--truncation-radius", "8", "--r", "4"),
      "transition band under-resolved"),
-    # 1,432 unknowns: scipy's lobpcg would reject the complement run's
-    # constraint at once; 283 pairs solve
+    # 1,432 unknowns: LOBPCG needs 5 unknowns per complement column, so
+    # 283 pairs solve
     (("spectrum", "--dim", "2", "--resolution", "30", "--truncation-radius", "6", "--eigs", "284"),
      "eigs must be at most 283 on this grid"),
     # the bochner suite does not apply on a sphere factor
@@ -1372,6 +1372,17 @@ def test_compare_rejects_mismatched_commands(tmp_path):
         compare_runs(a, b)
 
 
+@pytest.mark.parametrize("resolution", [-32, True, 0, 2.5])
+def test_compare_runs_refuses_resolution_not_positive_integer(resolution):
+    # called from Python, -32 against 64 ended in a math domain error and
+    # True against 64 returned an order
+    good = {"command": "verify", "config": {"resolution": 64}, "checks": []}
+    bad = {"command": "verify", "config": {"resolution": resolution}, "checks": []}
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(ConfigError, match="resolution is not a positive integer"):
+            compare_runs(*pair)
+
+
 def test_compare_rejects_equal_resolutions():
     a = {"command": "verify", "config": {"resolution": 32}, "checks": []}
     b = {"command": "verify", "config": {"resolution": 32}, "checks": []}
@@ -1418,10 +1429,10 @@ def test_compare_cli_entry(tmp_path, capsys):
     ('{"checks": [{"residuals": {}}]}', "check 0 has no check_name"),
     ('{"checks": {"check_name": "kernel_of_P"}}', "checks is not a list"),
     ('{"config": []}', "config is not a JSON object"),
-    ('{"config": {"resolution": "32"}}', "config resolution is not an integer"),
+    ('{"config": {"resolution": "32"}}', "config resolution is not a positive integer"),
     *[(json.dumps({"config": {"resolution": res}, "checks": [
         {"check_name": "kernel_of_P", "residuals": {"translation_0": 1e-3}}]}), message)
-      for res, message in ((True, "config resolution is not an integer"),
+      for res, message in ((True, "config resolution is not a positive integer"),
                            (-32, "config resolution is not a positive integer"),
                            (0, "config resolution is not a positive integer"))],
     ('{"checks": [{"check_name": "kernel_of_P", "residuals": [1, 2]}]}',
@@ -1439,14 +1450,16 @@ def test_compare_unreadable_report_is_config_error(tmp_path, capsys, text, messa
     # a missing file, malformed JSON, a JSON array, checks that are not a
     # list of named objects, a part of a report that compare reads as
     # another type, and a resolution that is not a positive integer (JSON
-    # true is a Python int) are each named, not a traceback
+    # true is a Python int) are each named, not a traceback. The reader
+    # names the file; compare_runs owns the resolution rule
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     if text is not None:
         bad.write_text(text)
     good.write_text(json.dumps({"command": "verify", "config": {"resolution": 32}, "checks": []}))
     assert run_cli("compare", str(bad), str(good)) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"config error: cannot read report {bad}: " in err and message in err
+    source = "" if "resolution" in message else f"cannot read report {bad}: "
+    assert f"config error: {source}" in err and message in err
 
 
 def test_bad_command_flag_usage(capsys):
