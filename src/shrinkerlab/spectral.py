@@ -6,33 +6,30 @@ the vector-field inner product) it is the standard symmetric A = K^T K, with
 the factor K = sqrt(G_sym2) div_f^* S^-1 built from the first-order operator
 and cached on the grid (`_p_factor`), the one solver form of P that every
 path keeps. A is assembled from it, and not kept, only for the dense oracle,
-at or below a size cap (`_symmetric_form`). Every other solve is block
-LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) that applies A as
-K^T (K x) (`_factored_form`), and every LOBPCG run is one loop in this
-module (`_lobpcg`). It never restarts, and it stops once the pairs it must
-deliver have converged, so a buffer column that splits an eigenvalue
-cluster does not hold it to its iteration cap. The near-kernel block of
-P, which the extension pipeline projects onto, is one run from the model's
-Killing fields. Above the cap `lowest_eigenpairs` solves that block first,
-then the pairs above it by one run held orthogonal to it (the complement);
-a complement run at a looser tolerance is the guard that checks the block
-in `near_kernel_block`. All runs are preconditioned by an aggregation
-V-cycle built from K on the grid's tensor structure (`_VCycle`), whose
-bottom level is solved by a banded Cholesky factor (`_BandCholesky`); the
-cycle too is built once per grid (`_vcycle`). P itself is only applied,
-factor by factor, never assembled: by the adjointness probe before every
-solve (`Operators.adjoint_gap`) and by the residuals |P y - mu y|, which
-every path checks against 10 * `EIGEN_TOL`. One rule bounds the pairs a
-solve returns (`check_pair_count`). Every pair is built by
-`SpectralPair.of`: eigenfields come back unit-norm in the weighted inner
-product with a fixed sign, so pairs are deterministic up to rotation inside
-numerically degenerate blocks. `decompose_eigenfield` splits an eigenfield
-into its divergence-free and gradient parts and checks the scalar
-eigen-equation of its div_f, from one div_f Y and one floor test.
+at or below a size cap (`_symmetric_form`). Every other solve is one run of
+one block LOBPCG loop (`_lobpcg`; Knyazev, SIAM J. Sci. Comput. 23, 2001)
+that applies A as K^T (K x) (`_factored_form`), with a tolerance per
+column, from the model's Killing fields: beside them, random columns are
+the guard that checks the near-kernel block of P, which the extension
+pipeline projects onto (`near_kernel_block`), or, with the dilation field,
+reach the pairs above the block (`lowest_eigenpairs`). The run is
+preconditioned by an aggregation V-cycle built once per grid from K
+(`_VCycle`), whose bottom level is solved by a banded Cholesky factor
+(`_BandCholesky`). P itself is only applied, factor by factor, never
+assembled: by the adjointness probe before every solve
+(`Operators.adjoint_gap`) and by the residuals |P y - mu y|, which every
+path checks against 10 * `EIGEN_TOL`.
+One rule bounds the pairs a solve returns (`check_pair_count`). Every pair
+is built by `SpectralPair.of`: eigenfields come back unit-norm in the
+weighted inner product with a fixed sign, so pairs are deterministic up to
+rotation inside numerically degenerate blocks. `decompose_eigenfield`
+splits an eigenfield into its divergence-free and gradient parts and checks
+the scalar eigen-equation of its div_f, from one div_f Y and one floor test.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -48,11 +45,11 @@ from .fields import SYM2, VECTOR, Field, dilation, killing_basis
 from .grid import Grid
 from .operators import ADJOINT_TOL, OperatorHandle, OperatorKind
 
-# The dense oracle's cap. Above about a thousand unknowns the complement path
-# is faster and no larger, with the same eigenvalues. Measured with the same
-# count of eigenvalues on both paths, 2 BLAS threads on a 2-core machine, peak
-# RSS of the process:
-#   unknowns            dense            complement
+# The dense oracle's cap. Above about a thousand unknowns the LOBPCG path is
+# faster and no larger, with the same eigenvalues. Measured with the same
+# count of eigenvalues on both paths (LOBPCG in two runs, block and pairs
+# above it), 2 BLAS threads on a 2-core machine, peak RSS of the process:
+#   unknowns            dense            LOBPCG
 #   896 (2D Gaussian)   0.07 s,  78 MB   0.11 s, 69 MB
 #   1,232 (2D)          0.17 s,  89 MB   0.17 s, 70 MB
 #   2,528 (2D)          1.07 s, 163 MB   0.29 s, 71 MB
@@ -63,14 +60,14 @@ LOBPCG_MAXITER = 700
 # the eigensolver tolerance: LOBPCG stops at it, and every path raises when a
 # pair's residual |P y - mu y| ends above 10 * EIGEN_TOL
 EIGEN_TOL = 1e-9
-# a complement run carries BUFFER columns beyond the pairs it must deliver,
-# and stops once those pairs have converged (`_lobpcg`). On the
-# 40,216-unknown 2D Gaussian the six lowest pairs are three Killing pairs, a
-# pair at 0.2494 and mu_6 = 0.497631, the lowest of a six-member cluster
-# (0.497631-0.499431). There the complement for those three pairs took, at
-# seeds 0 and 1, 661 and 700 (unconverged) iterations at width 4, 591-666 at
-# 5, 114-132 at 6, 62-75 at 7, 49-57 at 8, 45-48 at 9 and 39-42 at 10.
-# BUFFER columns give width 8.
+# the LOBPCG run of `lowest_eigenpairs` carries BUFFER columns beyond
+# max(count, k + 1), k the Killing fields, which iterate at its tolerance but
+# do not hold its stop. On the 40,216-unknown 2D Gaussian the six lowest pairs
+# are three Killing pairs, a pair at 0.2494 and mu_6 = 0.497631, the lowest of
+# a six-member cluster (0.497631-0.499431). For those six the run took, at
+# seeds 0 and 1, 693 and 244 iterations at width 6, 309 and 700 (unconverged)
+# at 7, 351-417 at 8, 117-198 at 9, 73-74 at 10, 57-61 at 11, 49-52 at 12, 40
+# at 13 and 38-39 at 14. BUFFER columns give width 11.
 BUFFER = 5
 # every LOBPCG run is preconditioned by a V-cycle (`_VCycle`) for
 # (A + CYCLE_MASS*I)^-1, whose mass term keeps it invertible on the kernel
@@ -86,19 +83,16 @@ JACOBI_WEIGHT = 1.9
 # approximate symmetry is projected onto (`NearKernelBlock.block`); a guard
 # Ritz value at or below it proves the block incomplete
 BLOCK_TOL = 1e-2
-# the guard of `near_kernel_block` is a complement run of
-# max(1, GUARD_SPAN - len(pairs)) random vectors, where pairs are the solved
-# pairs, one per Killing field
+# the run of `near_kernel_block` carries max(1, GUARD_SPAN - k) random guard
+# columns beside its k Killing fields
 GUARD_SPAN = 6
-# the guard needs upper bounds on the next eigenvalues that resolve BLOCK_TOL.
-# At residual 0.1 the guard's Ritz values on a 3D Gaussian grid missing two
+# the guard columns run to GUARD_TOL, the block's to EIGEN_TOL. The guard
+# needs upper bounds on the next eigenvalues that resolve BLOCK_TOL: at
+# residual 0.1 the guard's Ritz values on a 3D Gaussian grid missing two
 # rotations (true eigenvalue 6.4e-4) stopped at 0.010-0.012 and passed the
 # block; at 0.01 they reached 7e-4 to 8e-4. A guard that ends above GUARD_TOL
-# raises. The guard takes 27 iterations on the 62,856-unknown 2D Gaussian
-# grid of the propagate benchmark; GUARD_MAXITER only bounds a run that
-# stagnates.
+# raises.
 GUARD_TOL = 0.01
-GUARD_MAXITER = 600
 # eigenvalues closer than this form one degenerate block (`group_degenerate`)
 DEGENERATE_GAP = 1e-4
 
@@ -222,6 +216,14 @@ class _BandCholesky:
         return x
 
 
+def _residual(A, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - A x - CYCLE_MASS * x, formed in the array of A x."""
+    r = A @ x
+    np.subtract(b, r, out=r)
+    r -= CYCLE_MASS * x
+    return r
+
+
 class _VCycle:
     """Aggregation V-cycle for (A + CYCLE_MASS*I)^-1 on the grid's tensor structure.
 
@@ -288,8 +290,10 @@ class _VCycle:
             return self.bottom.solve(b)
         A, smooth, T = self.levels[depth]
         x = smooth * b
-        x += T @ self._cycle(depth + 1, T.T @ (b - A @ x - CYCLE_MASS * x))
-        return x + smooth * (b - A @ x - CYCLE_MASS * x)
+        x += T @ self._cycle(depth + 1, T.T @ _residual(A, b, x))
+        r = _residual(A, b, x)
+        x += np.multiply(smooth, r, out=r)
+        return x
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         self.applications += 1
@@ -300,16 +304,6 @@ def _vcycle(grid: Grid) -> _VCycle:
     """The V-cycle of P's symmetric form on `grid`, built from its factor K on
     first use and cached on it."""
     return grid._cached("vcycle", lambda: _VCycle(*_p_factor(grid), grid.node_multi))
-
-
-@dataclass(frozen=True)
-class _LobpcgRun:
-    """One LOBPCG run's Ritz pairs, ascending, residual norms and iterations."""
-
-    vals: np.ndarray
-    vecs: np.ndarray
-    residuals: np.ndarray
-    iterations: int
 
 
 def _orthonormalize(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,76 +333,123 @@ def _rayleigh_ritz(blocks: list[tuple[np.ndarray, np.ndarray]],
     return vals[:count], inverse.T @ vecs[:, :count]
 
 
-def _lobpcg(K: sp.csr_matrix, cycle: _VCycle, X: np.ndarray, wanted: int, tol: float,
-            maxiter: int, Y: Optional[np.ndarray] = None) -> _LobpcgRun:
-    """The one LOBPCG loop: the lowest eigenpairs of A = K^T K, applied as
-    K^T (K x), from the block X, held orthogonal to Y's columns if given,
-    until its `wanted` lowest columns reach `tol`.
+def _combine(blocks: tuple[np.ndarray, ...], parts: list[np.ndarray]) -> np.ndarray:
+    """The sum of blocks[i] @ parts[i], accumulated in place."""
+    out = blocks[0] @ parts[0]
+    for V, c in zip(blocks[1:], parts[1:]):
+        out += V @ c
+    return out
 
-    Each iteration preconditions the residuals above `tol` by the V-cycle,
-    projects them off Y and X and Cholesky-orthonormalizes them (W), and
-    takes the Rayleigh-Ritz pairs of [X, W, P], P the last update of X on
-    those columns, orthonormalized; the columns at `tol` stay in the basis
-    (soft locking). P sits out an iteration when a Gram matrix with it is
-    not positive definite. The run never restarts; it stops at `maxiter`
-    V-cycle applications (one per iteration), or when W loses rank. The
-    caller checks the residual norms |A v - mu v| that it returns.
+
+def _lobpcg(grid: Grid, starts: list[Field], fill: int, wanted: int, tol: np.ndarray,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The one LOBPCG loop: Ritz values (ascending) and vectors of P's
+    symmetric form A = K^T K on `grid`, their residual norms |A v - mu v|,
+    which the caller checks, and the iterations. It starts from the fields
+    `starts` and `fill` random columns drawn from `rng`, and stops once its
+    `wanted` lowest columns reach their tolerance, tol[i] for the i-th lowest.
+
+    Each iteration preconditions the residuals above their tolerance by the
+    grid's V-cycle, projects them off X and Cholesky-orthonormalizes them
+    (W), and takes the Rayleigh-Ritz pairs of [X, W, P], P the last update of
+    X on those columns, orthonormalized. A column at its tolerance stays in
+    the basis (soft locking); one beyond `wanted` iterates until it reaches
+    it, outside the stop test. P sits out an iteration when a Gram matrix
+    with it is not positive definite. The run never restarts; it stops at
+    LOBPCG_MAXITER V-cycle applications (one per iteration), or when W loses
+    rank. Each block is dropped once nothing needs it, and X and A X are
+    updated in place, which keeps a wide run's peak memory down.
     """
+    (K, s), cycle = _p_factor(grid), _vcycle(grid)
     A = _factored_form(K)
-    project = (lambda V: V) if Y is None else (
-        lambda V, G=np.linalg.inv(Y.T @ Y): V - Y @ (G @ (Y.T @ V)))
-    X = project(X)
+    X = np.linalg.qr(np.column_stack([g.flat() * s for g in starts]
+                                     + [rng.standard_normal((len(s), fill))]))[0]
     AX = A @ X
     theta, C = _rayleigh_ritz([(X, AX)], X.shape[1])
     X, AX, P, AP = X @ C, AX @ C, None, None
     started = cycle.applications
     while True:
-        resid = np.linalg.norm(AX - X * theta, axis=0)
+        R = AX - X * theta
+        resid = np.linalg.norm(R, axis=0)
         iterations = cycle.applications - started
-        if np.max(resid[:wanted]) <= tol or iterations >= maxiter:
+        if np.all(resid[:wanted] <= tol[:wanted]) or iterations >= LOBPCG_MAXITER:
             break
         active = resid > tol
-        W = project(cycle.apply(AX[:, active] - X[:, active] * theta[active]))
+        R = R[:, active]
+        blocks = []
+        if P is not None:
+            with contextlib.suppress(np.linalg.LinAlgError):
+                Q, inverse = _orthonormalize(P[:, active])
+                P = None  # before A Q exists: the process then peaks lower
+                blocks.append((Q, AP[:, active] @ inverse))
+            P = AP = Q = None
+        W, R = cycle.apply(R), None
         W -= X @ (X.T @ W)
         try:
             W, _ = _orthonormalize(W)
         except np.linalg.LinAlgError:
             break
-        blocks = [(X, AX), (W, A @ W)]
+        blocks[:0] = [(X, AX), (W, A @ W)]
         try:
-            if P is not None:
-                Q, inverse = _orthonormalize(P[:, active])
-                blocks.append((Q, AP[:, active] @ inverse))
             theta, C = _rayleigh_ritz(blocks, len(theta))
         except np.linalg.LinAlgError:
             del blocks[2:]
             theta, C = _rayleigh_ritz(blocks, len(theta))
         C, *parts = np.split(C, np.cumsum([V.shape[1] for V, _ in blocks])[:-1])
-        P = sum(V @ c for (V, _), c in zip(blocks[1:], parts))
-        AP = sum(AV @ c for (_, AV), c in zip(blocks[1:], parts))
-        X, AX = X @ C + P, AX @ C + AP
-    return _LobpcgRun(theta, X, resid, iterations)
+        V, AV = zip(*blocks[1:])
+        del blocks
+        P, V, W = _combine(V, parts), None, None
+        AP, AV = _combine(AV, parts), None
+        X = X @ C
+        X += P
+        AX = AX @ C
+        AX += AP
+    return theta, X, resid, iterations
 
 
 def check_pair_count(grid: Grid, count: int, method: str = "auto") -> None:
     """ValueError unless `lowest_eigenpairs` can return `count` pairs on `grid`
     by `method` ("auto": the path it takes there): fewer than the unknowns,
-    the k Killing pairs on the lobpcg path, and on the complement path at
-    most k + (size - k) // 5 - BUFFER, 5 unknowns per column of the
-    complement run. Its basis [X, W, P] takes 3 per column: on a 2D grid of
-    1,432 unknowns it converged at 283, 320 and 355 pairs and failed at
-    474, where that basis fills the size - k unknowns left."""
+    and on the lobpcg path at most size // 5 - BUFFER, 5 unknowns per column
+    of its run of width max(count, k + 1) + BUFFER (k + 1 <= 7 binds on no
+    grid above DENSE_CAP). Its basis [X, W, P] takes 3 per column: on a 2D
+    grid of 1,432 unknowns the run converged at 281 to 350 pairs, and at 355
+    W lost rank in the second iteration."""
     size = grid.n_nodes * grid.n
     if count >= size:
         raise ValueError(f"eigs must be below the {size} unknowns of this grid")
     if method == "dense" or (method == "auto" and size <= DENSE_CAP):
         return
-    k = len(killing_basis(grid))
-    if method == "lobpcg" and count != k:
-        raise ValueError(f"the lobpcg path solves the {k} Killing pairs, not count={count}")
-    if method != "lobpcg" and count > (limit := k + (size - k) // 5 - BUFFER):
+    if count > (limit := size // 5 - BUFFER):
         raise ValueError(f"eigs must be at most {limit} on this grid, where LOBPCG needs "
-                         f"5 unknowns per complement column")
+                         f"5 unknowns per column")
+
+
+def _probed(grid: Grid, seed: int) -> np.random.Generator:
+    """The generator of `seed` after it drew three probes of P
+    (`Operators.adjoint_gap`); SolverError unless they find P
+    weighted-symmetric to ADJOINT_TOL."""
+    rng = np.random.default_rng(seed)
+    gap, _ = grid.ops().adjoint_gap(OperatorKind.OP_P, OperatorKind.OP_P, rng, 3)
+    if gap > ADJOINT_TOL:
+        raise SolverError(f"adjointness broken: P is not weighted-symmetric (gap {gap:.2e})")
+    return rng
+
+
+def _pairs(grid: Grid, vals: np.ndarray, vecs: np.ndarray,
+           tolerance: float) -> list[SpectralPair]:
+    """The pairs (`SpectralPair.of`) of `vals` and the first columns of `vecs`, in
+    A's variables; SolverError when a residual |P y - mu y| is above 10 * `tolerance`."""
+    s = _p_factor(grid)[1]
+    pairs = [SpectralPair.of(Field.from_flat(grid, VECTOR, vecs[:, i] / s), float(mu))
+             for i, mu in enumerate(vals)]
+    worst = max(p.residual for p in pairs)
+    if worst > 10.0 * tolerance:
+        raise SolverError(
+            f"eigensolver did not converge (worst residual {worst:.2e}, "
+            f"tolerance {tolerance:.1e})"
+        )
+    return pairs
 
 
 def lowest_eigenpairs(
@@ -422,25 +463,16 @@ def lowest_eigenpairs(
 
     Every path solves P's symmetric form A = K^T K. `auto` takes the dense
     solve up to `DENSE_CAP` unknowns (the oracle), which assembles A from the
-    grid's factor K (`_symmetric_form`) and keeps only K, and the complement
-    path above it. The LOBPCG paths apply A through K (`_p_factor`),
-    preconditioned by the grid's V-cycle (`_vcycle`), and assemble no A;
-    each run is the loop `_lobpcg`. `method="lobpcg"` solves the Killing
-    block: one run from the model's k Killing fields (`killing_basis`), which
-    converges quickly, so `count` must be k; `near_kernel_block` calls it so.
-    `method="complement"` runs the same block solve, then one complement run
-    held orthogonal to that block, from the dilation field and seeded random
-    vectors, max(count - k, 1) + BUFFER columns in all; it returns the lowest
-    `count` of the block and the complement's max(count - k, 1) lowest
-    pairs, and prints the iterations of both runs and the lowest complement
-    Ritz value on stderr. Another operator kind, or a `count` that
-    `check_pair_count` refuses, is a ValueError. Three probes of P
-    (`Operators.adjoint_gap`), from the generator that then draws the
-    complement's start, precede the solve; a gap above ADJOINT_TOL is a
-    SolverError. So is a worst residual |P y - mu y|, measured through the
-    factored P (`SpectralPair.of`), above 10 * `tolerance`.
-    No caller in the package passes `tolerance`; it stays because
-    perfbench/trace.py binds it by name to count the converged pairs.
+    grid's factor K (`_symmetric_form`) and keeps only K, and the lobpcg
+    path above it: one `_lobpcg` run from the model's k Killing fields
+    (`killing_basis`), the dilation field and seeded random columns,
+    max(count, k + 1) + BUFFER in all, to `tolerance` on its `count` lowest
+    columns; it prints its width and iterations on stderr. Another operator
+    kind, or a `count` that `check_pair_count` refuses, is a ValueError.
+    Three probes of P, from the generator that then draws the random
+    columns, precede the solve (`_probed`). A worst residual |P y - mu y|
+    above 10 * `tolerance` is a SolverError. No caller in the package passes
+    `tolerance`; perfbench/trace.py binds it by name.
     """
     if operator.kind != OperatorKind.OP_P:
         raise ValueError(f"lowest_eigenpairs solves P only, not {operator.kind.value}")
@@ -449,60 +481,37 @@ def lowest_eigenpairs(
     grid = operator.grid
     size = grid.n_nodes * grid.n
     if method == "auto":
-        method = "dense" if size <= DENSE_CAP else "complement"
-    if method not in ("dense", "complement", "lobpcg"):
+        method = "dense" if size <= DENSE_CAP else "lobpcg"
+    if method not in ("dense", "lobpcg"):
         raise ValueError(f"unknown method {method!r}")
     check_pair_count(grid, count, method)
-    starts = [] if method == "dense" else killing_basis(grid)
-    rng = np.random.default_rng(seed)
-    gap, _ = grid.ops().adjoint_gap(OperatorKind.OP_P, OperatorKind.OP_P, rng, 3)
-    if gap > ADJOINT_TOL:
-        raise SolverError(f"adjointness broken: P is not weighted-symmetric (gap {gap:.2e})")
-
+    rng = _probed(grid, seed)
     if method == "dense":
-        A, s = _symmetric_form(grid)
+        A, _ = _symmetric_form(grid)
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, count - 1])
-    else:
-        K, s = _p_factor(grid)
-        cycle = _vcycle(grid)
-        X, _ = np.linalg.qr(np.stack([g.flat() * s for g in starts], axis=1))
-        block = _lobpcg(K, cycle, X, len(starts), tolerance, LOBPCG_MAXITER)
-        vals, vecs = block.vals, block.vecs
-        if method == "complement":
-            wanted = max(count - len(starts), 1)
-            X = np.column_stack([dilation(grid).flat() * s,
-                                 rng.standard_normal((size, wanted + BUFFER - 1))])
-            run = _lobpcg(K, cycle, X, wanted, tolerance, LOBPCG_MAXITER, Y=vecs)
-            print(
-                f"complement: lobpcg, {size} unknowns; block of {len(starts)} in "
-                f"{block.iterations} iterations; complement width {X.shape[1]} ({wanted} "
-                f"wanted) in {run.iterations} iterations; lowest Ritz value {run.vals[0]:.6g}, "
-                f"wanted residual <= {np.max(run.residuals[:wanted]):.2e}",
-                file=sys.stderr,
-            )
-            vals = np.concatenate([vals, run.vals[:wanted]])
-            vecs = np.column_stack([vecs, run.vecs[:, :wanted]])
-            order = np.argsort(vals, kind="stable")[:count]
-            vals, vecs = vals[order], vecs[:, order]
+        return _pairs(grid, vals, vecs, tolerance)
 
-    pairs = [SpectralPair.of(Field.from_flat(grid, VECTOR, vecs[:, i] / s), float(vals[i]))
-             for i in range(count)]
-    worst = max(p.residual for p in pairs)
-    if worst > 10.0 * tolerance:
-        raise SolverError(
-            f"eigensolver did not converge (worst residual {worst:.2e}, "
-            f"tolerance {tolerance:.1e})"
-        )
-    return pairs
+    starts = [*killing_basis(grid), dilation(grid)]
+    width = max(count, len(starts)) + BUFFER
+    vals, vecs, resid, iterations = _lobpcg(grid, starts, width - len(starts), count,
+                                            np.full(width, tolerance), rng)
+    print(
+        f"eigensolve: lobpcg, {size} unknowns; width {width} ({count} wanted, "
+        f"{len(starts) - 1} Killing starts) in {iterations} iterations; "
+        f"wanted residual <= {np.max(resid[:count]):.2e}",
+        file=sys.stderr,
+    )
+    return _pairs(grid, vals[:count], vecs, tolerance)
 
 
 @dataclass(frozen=True)
 class NearKernelBlock:
-    """The lowest eigen-block of P on one grid, and the guard run that checked it.
+    """The lowest eigen-block of P on one grid, and the guard that checked it.
 
-    `pairs` are the solved pairs, one per Killing field of the model;
-    `guard_mus` are Ritz values of P on the weighted-orthogonal complement of
-    the pairs, ascending, with the residual norms they reached.
+    `pairs` are the solved pairs, one per Killing field of the model, the
+    lowest columns of one LOBPCG run; `guard_mus` are that run's next Ritz
+    values, ascending, upper bounds on the next eigenvalues of P
+    (Courant-Fischer), with the residual norms they reached.
     """
 
     pairs: list[SpectralPair]
@@ -523,12 +532,12 @@ class NearKernelBlock:
     def summary(self) -> dict:
         """What the solve did, for reports; deterministic, so no timings.
 
-        The guard run's values differ with the BLAS thread count from
-        about the 11th digit on; six significant digits keep them equal.
-        The block's values are reported in full. Between thread counts its
-        eigenvalues can differ by about 2e-14 (A has norm about 3), and its
-        worst residual, near EIGEN_TOL, from the 4th digit on: BLAS splits
-        the inner products of the loop's Gram blocks by thread.
+        The guard's values differ with the BLAS thread count from about the
+        11th digit on; six significant digits keep them equal. The block's
+        values are reported in full. Between thread counts its eigenvalues
+        can differ by about 2e-14 (A has norm about 3), and its worst
+        residual, near EIGEN_TOL, from the 4th digit on: BLAS splits the
+        inner products of the loop's Gram blocks by thread.
         """
         return {
             "method": "lobpcg",
@@ -544,24 +553,20 @@ def near_kernel_block(grid: Grid, seed: int = 0) -> NearKernelBlock:
     """Lowest eigen-block of P on `grid`: one pair per Killing field of the model.
 
     P depends only on the grid, so the block is solved once per grid and
-    seed and cached on the grid. At every grid size the solve is the
-    LOBPCG path of `lowest_eigenpairs`, which starts from one Killing field
-    per pair (`killing_basis`). The dense path, which `method="auto"` takes
-    at or below `DENSE_CAP`, cannot use that start. A guard follows: a
-    complement run of `GUARD_SPAN - len(pairs)` seeded random vectors (at
-    least one), held orthogonal to the pairs, run to `GUARD_TOL` for at most
-    `GUARD_MAXITER` iterations. Both runs are the loop `_lobpcg`, judged by
-    their residuals alone; they share P's factor K and the V-cycle built from
-    it, cached on the grid, and neither assembles K^T K. (A
-    dilation start vector would converge to its 1/2 eigenvalue first;
-    LOBPCG's soft locking then retires the guard before the random vectors
-    reach the bottom of the complement's spectrum.)
+    seed and cached on the grid. At every grid size the solve is one
+    `_lobpcg` run, after three probes of P (`_probed`), from the model's k
+    Killing fields (`killing_basis`) and max(1, GUARD_SPAN - k) seeded
+    random columns, the guard. Its k lowest columns run to `EIGEN_TOL` and
+    are the pairs; the others run to `GUARD_TOL`. (The dense path cannot use
+    the Killing start. A dilation start column would converge to its 1/2
+    eigenvalue first and retire, soft-locked, before the random columns
+    reach the bottom of the spectrum above the block.)
 
-    Raises SolverError when the block does not converge (a residual above
-    10 * `EIGEN_TOL`), when a guard Ritz value is at or below `BLOCK_TOL`, or
-    when the guard ends with a residual above `GUARD_TOL`.
-    The guard check is one-sided: Ritz values are upper bounds on the
-    eigenvalues of P on the complement of the block, so a value at or below
+    Raises SolverError when a guard Ritz value is at or below `BLOCK_TOL`,
+    when the block does not converge (a residual above 10 * `EIGEN_TOL`), or
+    when the guard ends with a residual above `GUARD_TOL`. The guard check
+    is one-sided: by Courant-Fischer the (k+1)-th Ritz value of the run is
+    an upper bound on the (k+1)-th eigenvalue of P, so a value at or below
     `BLOCK_TOL` proves the block incomplete. Values above it speak for the
     block only as far as the guard has converged, hence the residual check.
     """
@@ -570,43 +575,36 @@ def near_kernel_block(grid: Grid, seed: int = 0) -> NearKernelBlock:
 
 
 def _solve_near_kernel_block(grid, seed) -> NearKernelBlock:
-    handle = grid.ops().handle(OperatorKind.OP_P)
-    # the block solve below builds nothing: it finds the factor and cycle in the grid's cache
-    K, s = _p_factor(grid)
-    cycle = _vcycle(grid)
-    size = K.shape[1]
-    started = cycle.applications
-    try:
-        pairs = lowest_eigenpairs(handle, len(killing_basis(grid)), method="lobpcg", seed=seed)
-    except SolverError as exc:
-        raise SolverError(f"near-kernel block did not converge: {exc}") from exc
-
-    block_iterations = cycle.applications - started
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((size, max(1, GUARD_SPAN - len(pairs))))
-    Y = np.stack([p.field.flat() * s for p in pairs], axis=1)
-    guard = _lobpcg(K, cycle, X, X.shape[1], GUARD_TOL, GUARD_MAXITER, Y=Y)
-    vals, resid = guard.vals, guard.residuals
-    block = NearKernelBlock(pairs, size, guard_mus=vals.tolist(), guard_residuals=resid.tolist())
+    starts = killing_basis(grid)
+    k = len(starts)
+    guard = max(1, GUARD_SPAN - k)
+    rng = _probed(grid, seed)
+    vals, vecs, resid, iterations = _lobpcg(grid, starts, guard, k + guard,
+                                            np.repeat([EIGEN_TOL, GUARD_TOL], [k, guard]), rng)
+    size = grid.n_nodes * grid.n
     print(
-        f"near-kernel block: lobpcg, {size} unknowns, {len(pairs)} pairs, "
-        f"worst residual {block.worst_residual:.2e}; guard Ritz values "
-        f"{', '.join(f'{v:.4g}' for v in block.guard_mus)} (residual <= {max(resid):.2e}); "
-        f"V-cycle levels {'/'.join(map(str, cycle.sizes))}, "
-        f"{block_iterations} block and {guard.iterations} guard iterations",
+        f"near-kernel block: lobpcg, {size} unknowns, {k} pairs, worst residual "
+        f"{max(resid[:k]):.2e}; guard Ritz values "
+        f"{', '.join(f'{v:.4g}' for v in vals[k:])} (residual <= {max(resid[k:]):.2e}); "
+        f"V-cycle levels {'/'.join(map(str, _vcycle(grid).sizes))}, "
+        f"width {k + guard} in {iterations} iterations",
         file=sys.stderr,
     )
-    if vals[0] <= BLOCK_TOL:
+    if vals[k] <= BLOCK_TOL:
         raise SolverError(
-            f"near-kernel block incomplete: guard Ritz value {vals[0]:.3g} is at or "
+            f"near-kernel block incomplete: guard Ritz value {vals[k]:.3g} is at or "
             f"below BLOCK_TOL {BLOCK_TOL:g}"
         )
-    if max(resid) > GUARD_TOL:
+    try:
+        pairs = _pairs(grid, vals[:k], vecs, EIGEN_TOL)
+    except SolverError as exc:
+        raise SolverError(f"near-kernel block did not converge: {exc}") from exc
+    if max(resid[k:]) > GUARD_TOL:
         raise SolverError(
-            f"near-kernel block guard did not converge (worst residual {max(resid):.2e}, "
+            f"near-kernel block guard did not converge (worst residual {max(resid[k:]):.2e}, "
             f"GUARD_TOL {GUARD_TOL:g})"
         )
-    return block
+    return NearKernelBlock(pairs, size, vals[k:].tolist(), resid[k:].tolist())
 
 
 def group_degenerate(pairs: list[SpectralPair]) -> list[list[int]]:

@@ -143,7 +143,7 @@ def test_criterion_07_eigenfield_decomposition():
     with Budget("criterion 7: eigenfield decomposition", 120.0):
         grid, _ = build_grid(make_model("gaussian", 2), 64, 8.0, stencil_order=4)
         pairs = canonicalize_degenerate(
-            lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 8, method="complement")
+            lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 8, method="lobpcg")
         )
         for pair in pairs:
             dec = decompose_eigenfield(pair)

@@ -280,36 +280,39 @@ def test_spectrum_gaussian_1d(tmp_path):
 
 
 def test_spectrum_reports_complement_solve(tmp_path, capsys):
-    # 6,456 unknowns: above DENSE_CAP, so the Killing block is solved first and
-    # one complement run, width max(4 - 3, 1) + BUFFER, adds the fourth pair
+    # 6,456 unknowns: above DENSE_CAP, so one LOBPCG run of width
+    # max(4, 3 + 1) + BUFFER from the three Killing fields, the dilation and
+    # random columns finds the block and the fourth pair above it
     code = run_cli(
         "spectrum", "--dim", "2", "--resolution", "64", "--truncation-radius", "8",
         "--eigs", "4", "--output", str(tmp_path / "spec"),
     )
     assert code == EXIT_OK
     lines = [line for line in capsys.readouterr().err.splitlines()
-             if line.startswith("complement:")]
+             if line.startswith("eigensolve:")]
     assert len(lines) == 1
     assert re.fullmatch(
-        r"complement: lobpcg, 6456 unknowns; block of 3 in \d+ iterations; complement "
-        r"width 6 \(1 wanted\) in \d+ iterations; lowest Ritz value "
-        r"0\.24755\d, wanted residual <= \d\.\d\de-\d\d", lines[0]
+        r"eigensolve: lobpcg, 6456 unknowns; width 9 \(4 wanted, 3 Killing starts\) in "
+        r"\d+ iterations; wanted residual <= \d\.\d\de-\d\d", lines[0]
     ), lines[0]
+    mus = [c["mu"] for c in read_report(tmp_path / "spec")["checks"]
+           if c["check_name"].startswith("eigenpair")]
+    assert re.fullmatch(r"0\.24755\d", f"{mus[3]:.6f}"), mus
 
 
 def test_spectrum_above_dense_cap_takes_complement_path(tmp_path, capsys):
-    # 1,432 unknowns: above DENSE_CAP, where the complement path is already
+    # 1,432 unknowns: above DENSE_CAP, where the lobpcg path is already
     # faster than the dense oracle
     code = run_cli(
         "spectrum", "--dim", "2", "--resolution", "30", "--truncation-radius", "6",
         "--output", str(tmp_path / "spec"),
     )
     assert code == EXIT_OK
-    assert "complement: lobpcg, 1432 unknowns;" in capsys.readouterr().err
+    assert "eigensolve: lobpcg, 1432 unknowns;" in capsys.readouterr().err
 
 
 def test_spectrum_above_60k_unknowns(tmp_path, capsys):
-    # 62,856 unknowns: the complement path solves this grid at every seed, and
+    # 62,856 unknowns: the lobpcg path solves this grid at every seed, and
     # holds P's factor K and the V-cycle where banded shift-invert held a
     # 589 MB band
     code = run_cli(
@@ -318,7 +321,7 @@ def test_spectrum_above_60k_unknowns(tmp_path, capsys):
     )
     assert code == EXIT_OK
     err = capsys.readouterr().err
-    assert "complement: lobpcg, 62856 unknowns" in err
+    assert "eigensolve: lobpcg, 62856 unknowns" in err
     assert re.search(r"^solver storage: K [\d,]+, V-cycle [\d,]+; [\d,]+ nnz$", err, flags=re.M)
     assert read_report(tmp_path / "spec")["passed"]
 
@@ -327,9 +330,9 @@ RERUN_CASES = (
     ("verify", "--model", "gaussian", "--dim", "2",
      "--resolution", "24", "--truncation-radius", "6",
      "--suite", "soliton,structure,identities,cao_zhou", "--seed", "11"),
-    # 6.4k unknowns: the Killing block and its complement run
+    # 6.4k unknowns: one LOBPCG run for the Killing block and the pair above it
     ("spectrum", "--dim", "2", "--resolution", "64", "--truncation-radius", "8", "--eigs", "4"),
-    # the tiny propagate of the tracer test: one near-kernel block and guard
+    # the tiny propagate of the tracer test: one near-kernel block and its guard
     ("propagate", "--model", "gaussian", "--dim", "1", "--resolution", "136",
      "--truncation-radius", "4", "--r", "4", "--epsilon", "1e-3,1e-2"),
     # the curved path, all suites: Christoffel terms, 2R(h) and the polar caps
@@ -816,7 +819,7 @@ def test_propagate_point_failing_its_hypothesis_keeps_the_sweep(tmp_path, capsys
 
 
 def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
-    counted = {"lowest_eigenpairs": (spectral,), "assemble": (Operators,),
+    counted = {"_lobpcg": (spectral,), "assemble": (Operators,),
                "measure_defect": (propagation, cli), "div_star": (Operators,)}
     calls = dict.fromkeys(counted, 0)
     for name, owners in counted.items():
@@ -836,7 +839,7 @@ def test_propagate_sweep_solves_block_once(tmp_path, monkeypatch, capsys):
     # reuses instead of building it again; the floor's extension and each
     # point measure the defect of their input once and apply div_f^* to it,
     # to V and to Z
-    assert calls == {"lowest_eigenpairs": 1, "assemble": 1, "measure_defect": 3,
+    assert calls == {"_lobpcg": 1, "assemble": 1, "measure_defect": 3,
                      "div_star": 9}
     assert capsys.readouterr().err.count("near-kernel block:") == 1
     solvers = [c["block_solver"] for c in checks]
@@ -913,8 +916,8 @@ def test_run_stores_only_difference_matrices(command, tmp_path, monkeypatch, cap
     assert held == {"diffs"}
     err = capsys.readouterr().err
     assert err.count("operator storage: diffs;") == 1
-    # a spectrum above DENSE_CAP says how its complement run went, once
-    assert err.count("complement: lobpcg, 6456 unknowns;") == (command == "spectrum_complement")
+    # a spectrum above DENSE_CAP says how its LOBPCG run went, once
+    assert err.count("eigensolve: lobpcg, 6456 unknowns;") == (command == "spectrum_complement")
 
 
 @pytest.mark.parametrize(
@@ -952,8 +955,8 @@ def test_check_failure_exits_1_without_a_report(tmp_path, capsys, monkeypatch, e
 
 
 def test_spectrum_that_does_not_converge_exits_1(tmp_path, capsys, monkeypatch):
-    # 4,944 unknowns take the complement path, whose Killing block stops
-    # short of its tolerance in 5 iterations and raises SolverError
+    # 4,944 unknowns take the lobpcg path, whose run stops short of its
+    # tolerance in 5 iterations and raises SolverError
     monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 5)
     out = tmp_path / "o"
     code = run_cli("spectrum", "--dim", "2", "--resolution", "56", "--truncation-radius", "6",
@@ -978,16 +981,18 @@ def _trace(tmp_path, *argv) -> dict:
 
 
 def test_benchmark_tracer_runs_propagate(tmp_path):
-    # the tracer binds lowest_eigenpairs' arguments by name and wraps
-    # OperatorHandle.apply, so an API change that breaks it shows here
+    # the tracer wraps OperatorHandle.apply and every public spectral
+    # function, so an API change that breaks it shows here. The block is one
+    # near_kernel_block solve, which calls no lowest_eigenpairs: the tracer's
+    # solve counters, which read lowest_eigenpairs' arguments, stay unset
     doc = _trace(tmp_path, "propagate", "--model", "gaussian", "--dim", "1",
                  "--resolution", "136", "--truncation-radius", "4", "--r", "4",
                  "--epsilon", "1e-3,1e-2")
     names = [span[0] for span in doc["spans"]]
-    assert names.count("spectral.lowest_eigenpairs") == 1
-    # the tracer sizes the solve off the operator handle; it would read P's
-    # nnz off a cached P, and no run caches P
-    assert doc["counters"]["spectral.unknowns"] == 136
+    assert "spectral.near_kernel_block" in names
+    assert "spectral.lowest_eigenpairs" not in names
+    assert "spectral.unknowns" not in doc["counters"]
+    # it would read P's nnz off a cached P, and no run caches P
     assert "operators.p_nnz" not in doc["counters"]
 
 
@@ -1010,7 +1015,7 @@ def test_benchmark_tracer_runs_verify(tmp_path):
                                          (("40", "6", 6), 0)])
 def test_benchmark_tracer_runs_spectrum(tmp_path, run, formed):
     # each pair is decomposed once, its div_f checked by the same call; only
-    # the dense path (896 unknowns; 2,528 and 6,456 take the complement) forms
+    # the dense path (896 unknowns; 2,528 and 6,456 take the lobpcg path) forms
     # K^T K. The tracer binds lowest_eigenpairs' `count` and `tolerance` by
     # name, and counts a pair converged at a residual within the tolerance
     doc = _trace(tmp_path, "spectrum", "--model", "gaussian", "--dim", "2",
@@ -1185,10 +1190,10 @@ def test_package_exports_resolve_on_access():
      "eigs must be below the 16 unknowns"),
     (("propagate", "--dim", "1", "--resolution", "16", "--truncation-radius", "8", "--r", "4"),
      "transition band under-resolved"),
-    # 1,432 unknowns: LOBPCG needs 5 unknowns per complement column, so
-    # 283 pairs solve
-    (("spectrum", "--dim", "2", "--resolution", "30", "--truncation-radius", "6", "--eigs", "284"),
-     "eigs must be at most 283 on this grid"),
+    # 1,432 unknowns: LOBPCG needs 5 unknowns per column of its run, so
+    # 281 pairs solve
+    (("spectrum", "--dim", "2", "--resolution", "30", "--truncation-radius", "6", "--eigs", "282"),
+     "eigs must be at most 281 on this grid"),
     # the bochner suite does not apply on a sphere factor
     (("verify", "--model", "cylinder", "--dim", "3", "--k", "2", "--resolution", "16",
       "--truncation-radius", "6", "--suite", "bochner"),

@@ -78,12 +78,11 @@ def test_eigenvalue_error_improves_under_refinement(gaussian1):
 
 
 def test_dense_and_sparse_paths_agree(gaussian1):
-    # the sparse path is the one above DENSE_CAP: the Killing block, then its
-    # complement, both LOBPCG on P's factor
+    # the sparse path is the one above DENSE_CAP: one LOBPCG run on P's factor
     grid, _ = build_grid(gaussian1, 200, 8.0)
     handle = grid.ops().handle(OperatorKind.OP_P)
     dense = lowest_eigenpairs(handle, 3, method="dense")
-    sparse = lowest_eigenpairs(handle, 3, method="complement")
+    sparse = lowest_eigenpairs(handle, 3, method="lobpcg")
     for a, b in zip(dense, sparse):
         assert abs(a.mu - b.mu) <= 1e-8
 
@@ -133,33 +132,30 @@ def test_adjointness_probe_holds_p_to_1e_12(gaussian1):
 
 
 def test_pair_count_rule_refuses_before_any_solve(monkeypatch):
-    # 1,432 unknowns above DENSE_CAP: a complement run of width
-    # max(count - 3, 1) + BUFFER needs 1,429 >= 5 * width, so 283 pairs at
-    # most. The loop solved 283, 320 and 355 pairs here, within 3e-14 of the
-    # dense oracle; at 474, where its basis [X, W, P] fills the 1,429
-    # unknowns, it stopped at residual 6.4e-2
+    # 1,432 unknowns above DENSE_CAP: a run of width max(count, 4) + BUFFER
+    # needs 1,432 >= 5 * width, so 281 pairs at most. The run solved 281, 320,
+    # 330, 340 and 350 pairs here, within 9e-15 of the dense oracle; at 355 its
+    # W lost rank in the second iteration, which stopped it at residual 0.54
     grid, _ = build_grid(make_model("gaussian", 2), 30, 6.0)
     assert grid.n_nodes * grid.n == 1432
-    spectral.check_pair_count(grid, 283)
+    spectral.check_pair_count(grid, 281)
     monkeypatch.setattr(spectral, "_p_factor", lambda grid: pytest.fail("solve started"))
-    with pytest.raises(ValueError, match="eigs must be at most 283 on this grid"):
-        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 284)
+    with pytest.raises(ValueError, match="eigs must be at most 281 on this grid"):
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 282)
     # the dense path returns all but one unknown
     spectral.check_pair_count(grid, 1431, method="dense")
     with pytest.raises(ValueError, match="below the 1432 unknowns"):
         spectral.check_pair_count(grid, 1432, method="dense")
 
 
-@pytest.mark.parametrize("method", ["dense", "complement", "lobpcg"])
+@pytest.mark.parametrize("method", ["dense", "lobpcg"])
 def test_every_path_raises_above_ten_times_tolerance(gaussian1, method):
     # zeroing row and column 3 keeps P weighted-symmetric, so the probe
     # passes; the solve reads the intact factor form, and the break leaves
-    # its pairs a residual |P y - mu y| far above 10 * tolerance. The lobpcg
-    # path solves the one Killing pair of the 1D model
+    # its pairs a residual |P y - mu y| far above 10 * tolerance
     grid = _grid_with_broken_p_row(gaussian1, 3, column=True)
-    count = 1 if method == "lobpcg" else 2
     with pytest.raises(SolverError, match="did not converge"):
-        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), count, method=method)
+        lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 2, method=method)
 
 
 def test_lowest_eigenpairs_solves_p_only(grid1_256):
@@ -198,7 +194,7 @@ def test_factored_form_applies_symmetric_form(request, which):
 
 
 def test_near_kernel_block_assembles_no_symmetric_form(gaussian2, monkeypatch):
-    # both LOBPCG runs and the V-cycle work from P's factor K alone
+    # the LOBPCG run and the V-cycle work from P's factor K alone
     grid, _ = build_grid(gaussian2, 56, 6.0)
 
     def assembled(grid):
@@ -218,7 +214,7 @@ def test_count_validation(grid1_256):
 
 def test_kernel_multiplicity_gaussian_2d(gaussian2):
     grid, _ = build_grid(gaussian2, 64, 8.0)
-    pairs = lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 5, method="complement")
+    pairs = lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 5, method="lobpcg")
     thresh = 10.0 * grid.max_spacing**2
     assert sum(1 for p in pairs if p.mu <= thresh) >= 3
 
@@ -267,7 +263,7 @@ def test_decompose_dilation_pair_cancels(pairs1):
 
 def test_decompose_rotation_pair_trivial(gaussian2):
     grid, _ = build_grid(gaussian2, 48, 8.0)
-    pairs = lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 4, method="complement")
+    pairs = lowest_eigenpairs(grid.ops().handle(OperatorKind.OP_P), 4, method="lobpcg")
     pairs = canonicalize_degenerate(pairs)
     rot = euclidean_rotation(grid)
     rot = rot * (1.0 / rot.norm())
@@ -282,7 +278,7 @@ def test_canonicalize_splits_kernel_block(gaussian2):
     grid, _ = build_grid(gaussian2, 48, 8.0)
     ops = grid.ops()
     pairs = canonicalize_degenerate(
-        lowest_eigenpairs(ops.handle(OperatorKind.OP_P), 3, method="complement")
+        lowest_eigenpairs(ops.handle(OperatorKind.OP_P), 3, method="lobpcg")
     )
     # divergence content is sorted ascending inside the kernel block:
     # the rotation comes first, then the two translations
@@ -332,7 +328,6 @@ def test_solver_paths_agree_with_dense_oracle(grid56, dense6):
     assert handle.matrix.shape[0] == 4944
     dense = dense6[:3]
     others = {
-        "complement": lowest_eigenpairs(handle, 3, method="complement"),
         "lobpcg": lowest_eigenpairs(handle, 3, method="lobpcg"),
         "near_kernel_block": near_kernel_block(grid56).pairs,
     }
@@ -342,24 +337,23 @@ def test_solver_paths_agree_with_dense_oracle(grid56, dense6):
         assert _largest_angle(grid56, dense, pairs) < 1e-6, name
 
 
-def _complement_run(capsys) -> int:
-    """The complement iterations of the one complement line on stderr since
-    the last read."""
+def _lobpcg_iterations(capsys) -> int:
+    """The iterations of the one `eigensolve:` line on stderr since the last read."""
     lines = [line for line in capsys.readouterr().err.splitlines()
-             if line.startswith("complement:")]
+             if line.startswith("eigensolve:")]
     assert len(lines) == 1, lines
     return int(re.search(r" in (\d+) iterations;", lines[0]).group(1))
 
 
 def test_complement_agrees_with_dense_oracle_at_cluster_cut(grid56, dense6, capsys):
     # six pairs take the three Killing pairs and reach into the cluster at 1/2,
-    # where the count-3 oracle test does not go; the complement run of width
-    # 3 + BUFFER converges in 33-34 iterations here
+    # where the count-3 oracle test does not go; the run of width 6 + BUFFER
+    # converges in 31-34 iterations here
     handle = grid56.ops().handle(OperatorKind.OP_P)
     capsys.readouterr()
     for seed in (0, 1, 2):
-        pairs = lowest_eigenpairs(handle, 6, method="complement", seed=seed)
-        assert _complement_run(capsys) <= 50, seed
+        pairs = lowest_eigenpairs(handle, 6, method="lobpcg", seed=seed)
+        assert _lobpcg_iterations(capsys) <= 50, seed
         for a, b in zip(dense6, pairs):
             assert abs(a.mu - b.mu) <= 1e-12, seed
         assert _largest_angle(grid56, dense6, pairs) < 1e-6, seed
@@ -380,8 +374,7 @@ def test_pairs_follow_one_sign_convention(grid56, dense6):
     handle = grid56.ops().handle(OperatorKind.OP_P)
     solved = {
         "dense": dense6,
-        "complement": lowest_eigenpairs(handle, 6, method="complement"),
-        "lobpcg": lowest_eigenpairs(handle, 3, method="lobpcg"),
+        "lobpcg": lowest_eigenpairs(handle, 6, method="lobpcg"),
     }
     for name in list(solved):
         solved[f"canonical {name}"] = canonicalize_degenerate(solved[name])
@@ -401,17 +394,22 @@ def test_pairs_follow_one_sign_convention(grid56, dense6):
                 assert gap <= 1e-6, (name, i)
 
 
-def test_complement_finds_degenerate_pair_on_cylinder(capsys):
+@pytest.fixture(scope="module")
+def cylinder_grids(cylinder32):
+    # 13,440 and 19,152 unknowns
+    return {res: build_grid(cylinder32, res, 6.0)[0] for res in (20, 24)}
+
+
+def test_complement_finds_degenerate_pair_on_cylinder(cylinder_grids, capsys):
     # 19,152 unknowns on the curved model. The pair at 0.230124 is degenerate
     # (a cos/sin pair of one longitude mode), and the sixth pair is its second
     # copy: A - 0.2301 I has 4 negative pivots and A - 0.2302 I has 6. Banded
     # shift-invert Lanczos returned one copy and 0.23051 in its place
-    grid, _ = build_grid(make_model("cylinder", 3, 2), 24, 6.0)
-    handle = grid.ops().handle(OperatorKind.OP_P)
+    handle = cylinder_grids[24].ops().handle(OperatorKind.OP_P)
     assert handle.matrix.shape[0] == 19152
     capsys.readouterr()
-    pairs = lowest_eigenpairs(handle, 6, method="complement")
-    assert _complement_run(capsys) <= 250
+    pairs = lowest_eigenpairs(handle, 6, method="lobpcg")
+    assert _lobpcg_iterations(capsys) <= 250
     assert max(p.residual for p in pairs) <= 1e-9
     assert [p.mu for p in pairs[4:]] == pytest.approx([0.230124, 0.230124], abs=1e-6)
     gram = np.array([[a.field.inner(b.field) for b in pairs] for a in pairs])
@@ -449,19 +447,15 @@ def test_complement_set_is_complete_on_3d_gaussian():
     np.testing.assert_allclose([p.mu for p in low], mus[:4], rtol=0, atol=1e-12)
 
 
-@pytest.fixture(scope="module")
-def cylinder_grids(cylinder32):
-    # 13,440 and 19,152 unknowns
-    return {res: build_grid(cylinder32, res, 6.0)[0] for res in (20, 24)}
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("res", [20, 24])
 def test_near_kernel_guard_converges_on_cylinder(cylinder_grids, res, seed):
     # scipy's lobpcg abandoned this guard early, above GUARD_TOL: at res 20,
     # seeds 0 and 1, with residuals 1.35e-2 and 1.14e-2 after 42 and 56
-    # iterations. The package's loop stops only at GUARD_TOL or GUARD_MAXITER
-    # (43-69 iterations at res 20, 24-33 at res 24)
+    # iterations. The package's loop stops only once the block columns reach
+    # EIGEN_TOL and the guard columns GUARD_TOL, or at LOBPCG_MAXITER
+    # (one run of block and guard: 76, 121 and 76 iterations at res 20, 75-77
+    # at res 24)
     block = near_kernel_block(cylinder_grids[res], seed=seed)
     assert len(block.pairs) == 4 and block.worst_residual <= 1e-8
     assert max(block.guard_residuals) <= spectral.GUARD_TOL
@@ -489,7 +483,7 @@ def test_complement_converges_from_every_seed_on_cylinder(cylinder_grids, capsys
     for seed in range(5):
         capsys.readouterr()
         pairs = lowest_eigenpairs(handle, 11, seed=seed)
-        assert _complement_run(capsys) <= 150, seed
+        assert _lobpcg_iterations(capsys) <= 150, seed
         mus.append([p.mu for p in pairs])
     np.testing.assert_allclose(mus, [mus[0]] * 5, rtol=0, atol=1e-6)
 
@@ -544,13 +538,40 @@ def test_lobpcg_not_converged_raises(gaussian2, monkeypatch):
 
 
 def test_near_kernel_guard_not_converged_raises(gaussian2, monkeypatch):
-    # two iterations leave the guard far above GUARD_TOL; its Ritz values,
-    # upper bounds near 1/4, prove nothing about the block. The guard checks
-    # the residuals its run returns
+    # a GUARD_TOL below round-off holds the guard columns in the run until
+    # LOBPCG_MAXITER, by which the block has converged and the guard has not:
+    # its Ritz values, upper bounds near 1/4, prove nothing about the block.
+    # The guard checks the residuals its run returns
     grid, _ = build_grid(gaussian2, 56, 6.0)
-    monkeypatch.setattr(spectral, "GUARD_MAXITER", 2)
+    monkeypatch.setattr(spectral, "GUARD_TOL", 1e-20)
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 40)
     with pytest.raises(SolverError, match="guard did not converge"):
         near_kernel_block(grid)
+
+
+def test_lobpcg_stops_each_column_at_its_tolerance(grid56, monkeypatch):
+    # one run of the three Killing fields and three random columns: the block
+    # columns stop at EIGEN_TOL, the guard columns at the looser GUARD_TOL
+    starts = killing_basis(grid56)
+    cycle, widths = spectral._vcycle(grid56), []
+    apply = cycle.apply
+    monkeypatch.setattr(cycle, "apply", lambda b: widths.append(b.shape[1]) or apply(b))
+    tol = np.repeat([spectral.EIGEN_TOL, spectral.GUARD_TOL], 3)
+    _, _, resid, iterations = spectral._lobpcg(grid56, starts, 3, 6, tol,
+                                                np.random.default_rng(0))
+    assert np.all(resid <= tol)
+    assert np.min(resid[3:]) > 100 * spectral.EIGEN_TOL
+    assert iterations == len(widths) <= 30
+    # a column beyond `wanted` is outside the stop test and iterates at its
+    # tolerance: with 3 of 6 wanted, every iteration preconditions the three
+    # buffer columns, which end above EIGEN_TOL
+    widths.clear()
+    _, _, resid, iterations = spectral._lobpcg(grid56, starts, 3, 3,
+                                                np.full(6, spectral.EIGEN_TOL),
+                                                np.random.default_rng(0))
+    assert np.all(resid[:3] <= spectral.EIGEN_TOL)
+    assert np.all(resid[3:] > spectral.EIGEN_TOL)
+    assert min(widths) >= 4 and iterations == len(widths)
 
 
 def test_vcycle_is_symmetric_positive_definite(gaussian2, cylinder32):
@@ -589,55 +610,54 @@ def test_vcycle_is_symmetric_positive_definite(gaussian2, cylinder32):
             assert v @ cycle._cycle(depth, v[:, None])[:, 0] > 0, (model.kind, depth)
 
 
-def _lobpcg_runs(grid, monkeypatch) -> list[tuple[bool, int]]:
-    """Each LOBPCG run of the grid's near-kernel block solve, in order:
-    whether it is held orthogonal to a block (Y given: the guard) and its
-    V-cycle applications, one per iteration."""
+def _lobpcg_runs(solve, monkeypatch) -> list[tuple[int, int]]:
+    """Each LOBPCG run of `solve()`, in order: its width and its V-cycle
+    applications, one per iteration."""
     lobpcg, runs = spectral._lobpcg, []
 
-    def counted(K, cycle, X, wanted, tol, maxiter, Y=None):
+    def counted(grid, starts, fill, wanted, tol, rng):
+        cycle = spectral._vcycle(grid)
         before = cycle.applications
-        run = lobpcg(K, cycle, X, wanted, tol, maxiter, Y)
-        runs.append((Y is not None, cycle.applications - before))
+        run = lobpcg(grid, starts, fill, wanted, tol, rng)
+        runs.append((len(starts) + fill, cycle.applications - before))
         return run
 
     monkeypatch.setattr(spectral, "_lobpcg", counted)
-    near_kernel_block(grid)
+    solve()
     return runs
 
 
 def test_near_kernel_block_preconditioned_iterations(gaussian2, monkeypatch):
-    # both LOBPCG runs apply their preconditioner once per iteration; the
+    # one LOBPCG run, which applies its preconditioner once per iteration; the
     # V-cycle keeps that count flat as the grid grows (Jacobi took 101 and
-    # 100, the cycle 23 and 16)
+    # 100 for the block and the guard; with the cycle the two runs took 23 and
+    # 16, and the one run takes 23)
     grid, _ = build_grid(gaussian2, 80, 6.0)
     assert grid.n_nodes * 2 == 10048
-    runs = _lobpcg_runs(grid, monkeypatch)
-    assert [guard for guard, _ in runs] == [False, True]
-    assert max(applications for _, applications in runs) <= 30
+    [(width, applications)] = _lobpcg_runs(lambda: near_kernel_block(grid), monkeypatch)
+    assert width == 6 and applications <= 30
 
 
 def test_near_kernel_block_preconditioned_iterations_cylinder(cylinder32, monkeypatch):
     # the cycle is slower on the curved model: the block took 103 iterations
     # with a Jacobi weight of 1 on the assembled A, and 80 with the factor's
-    # bound under scipy's lobpcg; it takes 69 here, and the guard 50
+    # bound under scipy's lobpcg; the two runs of block and guard took 69 and
+    # 50, and the one run takes 84
     grid, _ = build_grid(cylinder32, 16, 6.0)
     assert grid.n_nodes * 3 == 10752
-    runs = _lobpcg_runs(grid, monkeypatch)
-    assert [guard for guard, _ in runs] == [False, True]
-    (_, block), (_, guard) = runs
-    assert block <= 90 and guard <= 60
+    [(width, applications)] = _lobpcg_runs(lambda: near_kernel_block(grid), monkeypatch)
+    assert width == 6 and applications <= 90
 
 
-def test_lobpcg_runs_only_from_count_guesses(grid56):
-    # the lobpcg path starts from the model's Killing fields and has no random
-    # fill: a count other than theirs is an error rather than a silently
-    # padded or truncated block
-    handle = grid56.ops().handle(OperatorKind.OP_P)
-    assert len(killing_basis(grid56)) == 3
-    for count in (2, 4):
-        with pytest.raises(ValueError, match="Killing pairs"):
-            lowest_eigenpairs(handle, count, method="lobpcg")
+def test_lowest_eigenpairs_is_one_lobpcg_run(gaussian2, monkeypatch):
+    # above DENSE_CAP the pairs come from one run of width
+    # max(count, k + 1) + BUFFER, whatever the count
+    grid, _ = build_grid(gaussian2, 48, 6.0)
+    assert grid.n_nodes * 2 > spectral.DENSE_CAP
+    handle = grid.ops().handle(OperatorKind.OP_P)
+    runs = _lobpcg_runs(lambda: [lowest_eigenpairs(handle, count) for count in (2, 6)],
+                        monkeypatch)
+    assert [width for width, _ in runs] == [9, 11]
 
 
 def test_near_kernel_guard_catches_block_tol_above_guard(gaussian2, monkeypatch):
